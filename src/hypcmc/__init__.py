@@ -63,6 +63,7 @@ from .quadrature import (
     b2,
     de_integrate,
     flux_K,
+    flux_K_grid,
     period_T,
     xi,
 )

@@ -9,6 +9,7 @@ meaningful inside (C0, 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -109,6 +110,27 @@ def p_coefficients(n: int, H: float, C: float) -> np.ndarray:
     return coeffs
 
 
+def horner(coeffs, v):
+    """Polynomial with highest-first coefficients at v, as np.polyval does it.
+
+    Runs the same operation sequence (y = y * v + c from y = 0), so the
+    result is bit-identical, without polyval's array conversions: on a
+    float v with float coefficients it is plain float arithmetic, and
+    coefficient columns of shape (rows, 1) broadcast against v of shape
+    (rows, nodes).
+    """
+    y = 0.0
+    for c in coeffs:
+        y = y * v + c
+    return y
+
+
+def _derivative(coeffs) -> tuple:
+    """Highest-first coefficients of the derivative, as np.polyder gives them."""
+    deg = len(coeffs) - 1
+    return tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
+
+
 def eval_p(params: ShapeParams, v):
     """p(v) = v^(2n-2) q(v), a polynomial for integer n."""
     if params.C is None:
@@ -189,10 +211,9 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
             f"C - C0 = {C - _c0:.3e} is below {DEGENERATE_REL_GAP}*|C0|; "
             "the oscillation interval is numerically degenerate"
         )
-    coeffs = p_coefficients(n, H, C)
-
-    def p(v):
-        return np.polyval(coeffs, v)
+    coeffs = tuple(p_coefficients(n, H, C).tolist())
+    dcoeffs = _derivative(coeffs)
+    p = functools.partial(horner, coeffs)
 
     lo = 1e-9 * _v0
     t1 = brentq(p, lo, _v0, xtol=1e-15, rtol=8.9e-16)
@@ -205,10 +226,9 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
 
     # One Newton polish per root pushes the relative residual of q to
     # machine level even when brentq stops on the xtol criterion.
-    dcoeffs = np.polyder(coeffs)
     for _ in range(2):
-        t1 -= p(t1) / np.polyval(dcoeffs, t1)
-        t2 -= p(t2) / np.polyval(dcoeffs, t2)
+        t1 -= p(t1) / horner(dcoeffs, t1)
+        t2 -= p(t2) / horner(dcoeffs, t2)
     return float(t1), float(t2)
 
 

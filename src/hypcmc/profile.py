@@ -33,6 +33,7 @@ from .quadrature import (
     CTILDE_GUARD_REL,
     SingularIntegrand,
     _flux_ingredients,
+    _s,
     de_integrate,
     flux_K,
     period_T,
@@ -152,48 +153,34 @@ class _ThetaMap:
         self.K = K
         self.g_of_t = g_of_t
         self.tol = tol
-        self.t1, self.t2, self._s, self._vc, self._d = _flux_ingredients(params)
+        self.t1, self.t2, self._rem, self._vc, self._d = _flux_ingredients(params)
 
     def _partial_low(self, x: float) -> float:
         """Half-flux integral from t1 to x (x in the lower half)."""
-        n, H, C = self.params.n, self.params.H, self.params.C
-        t1, t2, s, vc, d = self.t1, self.t2, self._s, self._vc, self._d
+        n, H = self.params.n, self.params.H
+        t1, t2, rem, vc, d = self.t1, self.t2, self._rem, self._vc, self._d
         if x <= t1:
             return 0.0
 
         def fo(v, da, db):
             return (vc * (1 + H * v ** n) * v ** (1 - n)
-                    / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * s(v))))
+                    / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * _s(n, rem, v))))
 
-        spec = SingularIntegrand(
-            lower=t1, upper=x,
-            integrand=lambda v: (vc * (1 + H * v ** n) * v ** (1 - n)
-                                 / ((C + v * v)
-                                    * math.sqrt(max((v - t1) * (t2 - v)
-                                                    * s(v), 0.0)))),
-            singularity_class="inverse-sqrt-at-lower", offset_integrand=fo,
-        )
+        spec = SingularIntegrand(lower=t1, upper=x, offset_integrand=fo)
         return de_integrate(spec, tol=self.tol).value
 
     def _partial_high(self, x: float) -> float:
         """Half-flux integral from x to t2 (x in the upper half)."""
         n, H, C = self.params.n, self.params.H, self.params.C
-        t1, t2, s, vc = self.t1, self.t2, self._s, self._vc
+        t1, t2, rem, vc = self.t1, self.t2, self._rem, self._vc
         if x >= t2:
             return 0.0
 
         def fo(v, da, db):
             return (vc * (1 + H * v ** n) * v ** (1 - n)
-                    / ((C + v * v) * np.sqrt((v - t1) * db * s(v))))
+                    / ((C + v * v) * np.sqrt((v - t1) * db * _s(n, rem, v))))
 
-        spec = SingularIntegrand(
-            lower=x, upper=t2,
-            integrand=lambda v: (vc * (1 + H * v ** n) * v ** (1 - n)
-                                 / ((C + v * v)
-                                    * math.sqrt(max((v - t1) * (t2 - v)
-                                                    * s(v), 0.0)))),
-            singularity_class="inverse-sqrt-at-upper", offset_integrand=fo,
-        )
+        spec = SingularIntegrand(lower=x, upper=t2, offset_integrand=fo)
         return de_integrate(spec, tol=self.tol).value
 
     def _theta0(self, tau: float) -> float:

@@ -15,9 +15,10 @@ two computed roots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,13 +27,16 @@ from .errors import (
     DomainError,
     EvaluationError,
     GuardBandError,
+    HypcmcError,
     LandmarkError,
 )
 from .potential import (
     Ctilde,
     Q_coefficients,
     ShapeParams,
+    _derivative,
     eval_h,
+    horner,
     oscillation_roots,
     p_coefficients,
 )
@@ -46,6 +50,10 @@ CTILDE_GUARD_REL = 1e-9
 
 # abscissa cutoff: beyond this |t| the transformed node offsets underflow
 _T_CUTOFF = 6.1
+# A batch of integrals is evaluated in blocks of rows holding at most
+# this many nodes per array, or one row where a row has more (about 25k
+# at level 12), so a batch needs no more memory than a lone integral.
+_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,12 @@ class SingularIntegrand:
 
     lower: float
     upper: float
-    integrand: Callable[[float], float]
-    singularity_class: str = "both"
+    integrand: Optional[Callable[[float], float]] = None
     offset_integrand: Optional[Callable[[float, float, float], float]] = None
+
+    def __post_init__(self):
+        if self.integrand is None and self.offset_integrand is None:
+            raise DomainError("need an integrand or an offset_integrand")
 
 
 def _call_integrand(f, x, da, db, offset_aware):
@@ -83,6 +94,143 @@ def _call_integrand(f, x, da, db, offset_aware):
     except (TypeError, ValueError):
         pass
     return np.array([f(xi) for xi in x], dtype=float)
+
+
+def _level_nodes(level: int):
+    """The interval-independent node data of one level (read-only).
+
+    Returns (h, lower_half, em, 1 + em, pi cosh t) for the nodes t = k h
+    of the level in ascending order (odd k only above level 0), with
+    u = pi/2 sinh t, em = exp(-2|u|) and lower_half = u < 0.
+    """
+    h = 2.0 ** (-level)
+    kmax = int(_T_CUTOFF / h)
+    ks = np.arange(-kmax, kmax + 1)
+    if level > 0:
+        ks = ks[ks % 2 != 0]
+    t = ks * h
+    u = 0.5 * np.pi * np.sinh(t)
+    em = np.exp(-2.0 * np.abs(u))
+    tables = (u < 0, em, 1.0 + em, np.pi * np.cosh(t))
+    for arr in tables:
+        arr.setflags(write=False)
+    return (h,) + tables
+
+
+# built on first use; deeper levels than the default are rebuilt per use
+# rather than held (level 20 alone would hold about 160 MB)
+_cached_level_nodes = functools.lru_cache(maxsize=None)(_level_nodes)
+
+
+def _integrate_rows(lower, upper, integrand, tol, max_level, one_row=False,
+                    interior_only=False):
+    """Tanh-sinh with level doubling for the integrals over (lower[i], upper[i]).
+
+    ``integrand(rows, x, da, db)`` returns the values of the integrals
+    ``rows`` (an index array) at nodes of shape (len(rows), nodes).  Every
+    row runs the same levels in the same operation order as a lone
+    integral would and is retired at the level where it converges.
+
+    With ``one_row`` (the de_integrate path) nodes outside the keep mask
+    are dropped and a non-finite value raises EvaluationError.  Otherwise
+    a row that would need either is left as None, for the caller to run
+    through the one-row path, so every result returned here is the
+    one-row result bit for bit.
+    """
+    results = [None] * len(lower)
+    # per-row state, compacted to the rows still running after each level
+    ids = np.arange(len(lower))
+    width = upper - lower
+    total = np.zeros(len(lower))  # running sums of F * weight (without h)
+    value = np.zeros(len(lower))
+    err = np.full(len(lower), math.inf)
+    evaluations = np.zeros(len(lower), dtype=np.int64)
+    for level in range(max_level + 1):
+        h, lower_half, em, onep, pct = (
+            _cached_level_nodes(level) if level <= DEFAULT_MAX_LEVEL
+            else _level_nodes(level))
+        block = max(1, _BLOCK_NODES // len(em))
+        dropped = []
+        for start in range(0, len(ids), block):
+            sel = slice(start, start + block)
+            w = width[sel, None]
+            near = w * em / onep   # offset from the nearer endpoint
+            far = w / onep         # offset from the farther endpoint
+            da = np.where(lower_half, near, far)
+            db = np.where(lower_half, far, near)
+            x = np.where(lower_half, lower[sel, None] + da, upper[sel, None] - db)
+            weight = pct * da * db / w
+            keep = (da > 0) & (db > 0) & np.isfinite(weight)
+            if interior_only:
+                # a plain integrand can only be evaluated at nodes that
+                # are still interior after rounding; the discarded tail
+                # limits attainable accuracy to ~sqrt(eps) for singular
+                # endpoints away from zero (use an offset integrand to go
+                # below that)
+                keep &= (x > lower[sel, None]) & (x < upper[sel, None])
+            if not keep.all():
+                if one_row:
+                    x, da, db, weight = (a[keep][None] for a in (x, da, db, weight))
+                else:
+                    sel, x, da, db, weight = _drop_rows(
+                        keep.all(axis=1), dropped, sel, len(ids), x, da, db, weight)
+
+            vals = integrand(ids[sel], x, da, db)
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                if one_row:
+                    where = float(x[bad][0])
+                    raise EvaluationError(
+                        f"integrand returned a non-finite value at v={where!r}",
+                        abscissa=where,
+                    )
+                sel, vals, weight = _drop_rows(~bad.any(axis=1), dropped, sel,
+                                               len(ids), vals, weight)
+            # fixed ascending-t summation order keeps repeated runs
+            # bit-identical; a row sums alone exactly as a 1-D array does
+            total[sel] += np.sum(vals * weight, axis=1)
+        # every row still running evaluated the same nodes at this level
+        evaluations += vals.shape[1]
+        new_value = h * total
+        retire = None
+        if level > 0:
+            diff = np.abs(new_value - value)
+            # demand two consecutive quiet levels: a narrow interior
+            # spike (C near Ctilde) is invisible to coarse levels and a
+            # single small difference can be a false plateau
+            if level >= 3:
+                retire = (diff <= tol) & (err <= tol)
+            err = diff
+        value = new_value
+        live = None
+        if dropped:
+            live = np.ones(len(ids), dtype=bool)
+            live[dropped] = False
+            if retire is not None:
+                retire &= live
+        if retire is not None and retire.any():
+            for i in np.flatnonzero(retire):
+                results[ids[i]] = QuadResult(float(value[i]), float(err[i]),
+                                             int(evaluations[i]), True)
+            live = ~retire if live is None else live & ~retire
+        if live is None:
+            continue
+        if not live.any():
+            return results
+        ids, lower, upper, width, total, value, err, evaluations = (
+            a[live] for a in (ids, lower, upper, width, total, value, err,
+                              evaluations))
+    for i, row in enumerate(ids):
+        results[row] = QuadResult(float(value[i]), float(err[i]),
+                                  int(evaluations[i]), False)
+    return results
+
+
+def _drop_rows(mask, dropped, sel, count, *arrays):
+    """Keep the rows of a block where ``mask`` holds; record the others."""
+    sel = np.arange(count)[sel]
+    dropped.extend(sel[~mask])
+    return (sel[mask],) + tuple(a[mask] for a in arrays)
 
 
 def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
@@ -98,85 +246,39 @@ def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
     a, b = float(spec.lower), float(spec.upper)
     if not a < b:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
-    width = b - a
     offset_aware = spec.offset_integrand is not None
     f = spec.offset_integrand if offset_aware else spec.integrand
 
-    total = 0.0  # running sum of F * weight (without the h factor)
-    evaluations = 0
-    prev_value = None
-    prev_err = math.inf
-    value = 0.0
-    err = math.inf
-    for level in range(max_level + 1):
-        h = 2.0 ** (-level)
-        kmax = int(_T_CUTOFF / h)
-        if level == 0:
-            ks = np.arange(-kmax, kmax + 1)
-        else:
-            ks = np.arange(-kmax, kmax + 1)
-            ks = ks[ks % 2 != 0]
-        t = ks * h
-        u = 0.5 * np.pi * np.sinh(t)
-        em = np.exp(-2.0 * np.abs(u))
-        near = width * em / (1.0 + em)   # offset from the nearer endpoint
-        far = width / (1.0 + em)         # offset from the farther endpoint
-        da = np.where(u < 0, near, far)
-        db = np.where(u < 0, far, near)
-        x = np.where(u < 0, a + da, b - db)
-        weight = np.pi * np.cosh(t) * da * db / width
-        keep = (da > 0) & (db > 0) & np.isfinite(weight)
-        if not offset_aware:
-            # a plain integrand can only be evaluated at nodes that are
-            # still interior after rounding; the discarded tail limits
-            # attainable accuracy to ~sqrt(eps) for singular endpoints
-            # away from zero (use an offset integrand to go below that)
-            keep &= (x > a) & (x < b)
-        x, da, db, weight = x[keep], da[keep], db[keep], weight[keep]
+    def integrand(rows, x, da, db):
+        return _call_integrand(f, x[0], da[0], db[0], offset_aware)[None]
 
-        vals = _call_integrand(f, x, da, db, offset_aware)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            where = float(x[bad][0])
-            raise EvaluationError(
-                f"integrand returned a non-finite value at v={where!r}",
-                abscissa=where,
-            )
-        evaluations += len(vals)
-        # fixed ascending-t summation order keeps repeated runs bit-identical
-        total += float(np.sum(vals * weight))
-        value = h * total
-        if prev_value is not None:
-            err = abs(value - prev_value)
-            # demand two consecutive quiet levels: a narrow interior
-            # spike (C near Ctilde) is invisible to coarse levels and a
-            # single small difference can be a false plateau
-            if level >= 3 and err <= tol and prev_err <= tol:
-                return QuadResult(value, err, evaluations, True)
-            prev_err = err
-        prev_value = value
-    return QuadResult(value, err, evaluations, False)
+    return _integrate_rows(np.array([a]), np.array([b]), integrand, tol,
+                           max_level, one_row=True,
+                           interior_only=not offset_aware)[0]
 
 
-def _synthetic_deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
+def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
     """Divide a polynomial (highest-first coefficients) by (v - root)."""
-    out = np.empty(len(coeffs) - 1)
+    out = []
     acc = coeffs[0]
-    for i in range(len(coeffs) - 1):
-        out[i] = acc
-        acc = coeffs[i + 1] + root * acc
-    return out
+    for c in coeffs[1:]:
+        out.append(acc)
+        acc = c + root * acc
+    return tuple(out)
 
 
-def _deflated_q_factory(n, H, C, t1, t2):
-    """Return s(v) with q(v) = (v - t1)(t2 - v) s(v), s > 0 on (t1, t2)."""
-    rem = _synthetic_deflate(p_coefficients(n, H, C), t1)
-    rem = _synthetic_deflate(rem, t2)
+def _deflated_coefficients(coeffs: np.ndarray, r1: float, r2: float) -> tuple:
+    """Coefficients of coeffs / ((v - r1)(v - r2)), as floats."""
+    return _synthetic_deflate(_synthetic_deflate(coeffs.tolist(), r1), r2)
 
-    def s(v):
-        return -np.polyval(rem, v) * v ** (2 - 2 * n)
 
-    return s
+def _s(n, rem, v):
+    """s(v) with q(v) = (v - t1)(t2 - v) s(v) > 0 on (t1, t2).
+
+    ``rem`` holds the coefficients of p(v) = v^(2n-2) q(v) deflated by
+    both roots (floats, or (rows, 1) columns for a batch of C).
+    """
+    return -horner(rem, v) * v ** (2 - 2 * n)
 
 
 def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
@@ -184,18 +286,15 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
     """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v))."""
     if params.C is None:
         raise DomainError("period_T requires C")
+    n = params.n
     t1, t2 = oscillation_roots(params)
-    s = _deflated_q_factory(params.n, params.H, params.C, t1, t2)
+    rem = _deflated_coefficients(p_coefficients(n, params.H, params.C), t1, t2)
 
     def fo(v, da, db):
-        return 1.0 / np.sqrt(da * db * s(v))
+        return 1.0 / np.sqrt(da * db * _s(n, rem, v))
 
-    spec = SingularIntegrand(
-        lower=t1, upper=t2,
-        integrand=lambda v: 1.0 / math.sqrt(max((v - t1) * (t2 - v) * s(v), 0.0)),
-        singularity_class="both", offset_integrand=fo,
-    )
-    res = de_integrate(spec, tol=tol, max_level=max_level)
+    res = de_integrate(SingularIntegrand(lower=t1, upper=t2, offset_integrand=fo),
+                       tol=tol, max_level=max_level)
     return QuadResult(2 * res.value, 2 * res.abs_error_estimate,
                       res.evaluations, res.converged)
 
@@ -203,25 +302,45 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
 def _flux_ingredients(params: ShapeParams):
     """Roots, deflated potential factor and pole data for the flux.
 
-    Returns (t1, t2, s, vc, d) with q(v) = (v - t1)(t2 - v) s(v),
-    vc = sqrt(-C) the location of the pole of the angle rate, and
-    d = t1 - vc its (always positive) offset from the lower root.
+    Returns (t1, t2, rem, vc, d) with q(v) = (v - t1)(t2 - v) s(v) for
+    s = _s(n, rem, .), vc = sqrt(-C) the location of the pole of the
+    angle rate, and d = t1 - vc its (always positive) offset from the
+    lower root.
     """
     n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
     vc = math.sqrt(-C)
-    s = _deflated_q_factory(n, H, C, t1, t2)
+    rem = _deflated_coefficients(p_coefficients(n, H, C), t1, t2)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
     # q(vc) = -(-C) (H + (-C)^(-n/2))^2 with the deflated form of q,
     # which gives d in terms of relatively accurate quantities.
     delta = H + (-C) ** (-n / 2)
-    d = (-C) * delta * delta / ((t2 - vc) * float(s(vc)))
+    d = (-C) * delta * delta / ((t2 - vc) * float(_s(n, rem, vc)))
     if d <= 0:
         raise DomainError(
             f"sqrt(-C)={vc} is not below t1={t1}; the profile would leave r >= 1"
         )
-    return t1, t2, s, vc, d
+    return t1, t2, rem, vc, d
+
+
+def _flux_integrand(n, H, vc, d, rem):
+    """The flux integrand in offset form.
+
+    vc, d and the coefficients ``rem`` are floats for one C, or (rows, 1)
+    columns for a batch of C; the arithmetic is the same either way.
+    """
+
+    def fo(v, da, db):
+        return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
+                / ((da + d) * (v + vc) * np.sqrt(da * db * _s(n, rem, v))))
+
+    return fo
+
+
+def _in_guard_band(n: int, H: float, C: float) -> bool:
+    ct = Ctilde(n, H)
+    return abs(C - ct) < CTILDE_GUARD_REL * abs(ct)
 
 
 def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL,
@@ -240,34 +359,81 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL,
     if params.C is None:
         raise DomainError("flux_K requires C")
     n, H, C = params.n, params.H, params.C
-    ct = Ctilde(n, H)
-    if abs(C - ct) < CTILDE_GUARD_REL * abs(ct):
+    if _in_guard_band(n, H, C):
         raise GuardBandError(
-            f"C={C} is within the guard band around Ctilde={ct}; "
+            f"C={C} is within the guard band around Ctilde={Ctilde(n, H)}; "
             "the flux there is xi(n, H)"
         )
-    t1, t2, s, vc, d = _flux_ingredients(params)
-
-    def fo(v, da, db):
-        return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
-                / ((da + d) * (v + vc) * np.sqrt(da * db * s(v))))
-
-    spec = SingularIntegrand(
-        lower=t1, upper=t2,
-        integrand=lambda v: (2 * vc * (1 + H * v ** n) * v ** (1 - n)
-                             / ((C + v * v)
-                                * math.sqrt(max((v - t1) * (t2 - v) * s(v), 0.0)))),
-        singularity_class="both", offset_integrand=fo,
-    )
+    t1, t2, rem, vc, d = _flux_ingredients(params)
+    spec = SingularIntegrand(lower=t1, upper=t2,
+                             offset_integrand=_flux_integrand(n, H, vc, d, rem))
     return de_integrate(spec, tol=tol, max_level=max_level)
+
+
+def flux_K_grid(n: int, H: float, Cs: Sequence[float],
+                tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL,
+                xi_result: Optional[QuadResult] = None) -> list[QuadResult]:
+    """The flux at every C of ``Cs``, all quadratures run as one batch.
+
+    Each result equals ``flux_K(ShapeParams(n, H, C), tol, max_level)``
+    in all four fields.  Inside the guard band around Ctilde the result
+    is the threshold flux xi(n, H, tol, max_level); pass it as
+    ``xi_result`` when it is already known, otherwise it is computed
+    here, at most once.  Errors are raised in the order of ``Cs``, as a
+    loop over flux_K would raise them.
+    """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    Cs = [float(C) for C in Cs]
+    # per C: its row in the batch, None in the guard band, or the error
+    status = []
+    t1, t2, vc, d, rem = ([] for _ in range(5))
+    for C in Cs:
+        try:
+            params = ShapeParams(n=n, H=H, C=C)
+            if _in_guard_band(n, H, C):
+                status.append(None)
+                continue
+            ingredients = _flux_ingredients(params)
+        except HypcmcError as exc:
+            status.append(exc)
+            continue
+        status.append(len(t1))
+        for column, item in zip((t1, t2, rem, vc, d), ingredients):
+            column.append(item)
+    if t1:
+        vc, d, rem = np.array(vc), np.array(d), np.array(rem)
+
+        def integrand(rows, x, da, db):
+            return _flux_integrand(n, H, vc[rows, None], d[rows, None],
+                                   rem[rows].T[:, :, None])(x, da, db)
+
+        batch = _integrate_rows(np.array(t1), np.array(t2), integrand, tol,
+                                max_level)
+    out = []
+    for C, row in zip(Cs, status):
+        if isinstance(row, HypcmcError):
+            raise row
+        if row is None:
+            if xi_result is None:
+                xi_result = xi(n, H, tol=tol, max_level=max_level)
+            out.append(xi_result)
+        elif batch[row] is not None:
+            out.append(batch[row])
+        else:
+            # a row the block left out runs the one-row path, which drops
+            # the nodes outside the keep mask or raises the EvaluationError
+            # of a non-finite value
+            out.append(flux_K(ShapeParams(n=n, H=H, C=C), tol=tol,
+                              max_level=max_level))
+    return out
 
 
 def _Q_upper_root(n: int, H: float) -> float:
     """The root of Q above 1 (the scaled upper turning point at C = Ctilde)."""
-    coeffs = Q_coefficients(n, H)
-
-    def pq(v):
-        return np.polyval(coeffs, v)
+    coeffs = tuple(Q_coefficients(n, H).tolist())
+    dcoeffs = _derivative(coeffs)
+    pq = functools.partial(horner, coeffs)
 
     delta = 1e-9
     while pq(1.0 + delta) >= 0:
@@ -278,9 +444,8 @@ def _Q_upper_root(n: int, H: float) -> float:
             )
     lo = 1.0 + delta / 2 if pq(1.0 + delta / 2) > 0 else 1.0 + 1e-9
     t2 = brentq(pq, lo, 1.0 + delta, xtol=1e-15, rtol=8.9e-16)
-    dcoeffs = np.polyder(coeffs)
     for _ in range(2):
-        t2 -= pq(t2) / np.polyval(dcoeffs, t2)
+        t2 -= pq(t2) / horner(dcoeffs, t2)
     return float(t2)
 
 
@@ -297,22 +462,13 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL,
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
     t2 = _Q_upper_root(n, H)
-    rem = _synthetic_deflate(Q_coefficients(n, H), 1.0)
-    rem = _synthetic_deflate(rem, t2)
-
-    def s(v):
-        return -np.polyval(rem, v) * v ** (2 - 2 * n)
+    rem = _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
 
     def fo(v, da, db):
-        return eval_h(n, H, v) / np.sqrt(da * db * s(v))
+        return eval_h(n, H, v) / np.sqrt(da * db * _s(n, rem, v))
 
-    spec = SingularIntegrand(
-        lower=1.0, upper=t2,
-        integrand=lambda v: eval_h(n, H, v)
-        / math.sqrt(max((v - 1.0) * (t2 - v) * s(v), 0.0)),
-        singularity_class="both", offset_integrand=fo,
-    )
-    return de_integrate(spec, tol=tol, max_level=max_level)
+    return de_integrate(SingularIntegrand(lower=1.0, upper=t2, offset_integrand=fo),
+                        tol=tol, max_level=max_level)
 
 
 def K_limit_at_C0(n: int, H: float) -> float:

@@ -9,6 +9,11 @@ fresh flux evaluation before it is accepted, because the flux has a jump
 across C = Ctilde (the profile grazes the rotation axis there and the
 angle picks up an extra half-turn); a sign change produced by that jump
 is not a root and is discarded by the residual check.
+
+Each scan grid of solve_C is evaluated in one batched call
+(quadrature.flux_K_grid), and every per-C value equals the scalar
+flux_K path exactly, so the grids, brackets and outcomes are those of a
+point-by-point scan.  Brent refinement and verification stay scalar.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     LandmarkError,
 )
 from .potential import C0, Ctilde, ShapeParams, landmarks
-from .quadrature import CTILDE_GUARD_REL, flux_K, xi
+from .quadrature import CTILDE_GUARD_REL, flux_K, flux_K_grid, xi
 
 TWO_PI = 2 * math.pi
 
@@ -187,11 +192,13 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     c0 = C0(n, H)
     ct = Ctilde(n, H)
     guard = CTILDE_GUARD_REL * abs(ct)
+    xi_res = None  # the flux at guard-band scan points, computed once
 
     if mode == "embedded":
         if (winding.k, winding.m) != (1, 1):
             raise DomainError("embedded mode requires the (k, m) = (1, 1) winding")
-        xi_val = xi(n, H, tol=quad_tol).value
+        xi_res = xi(n, H, tol=quad_tol)
+        xi_val = xi_res.value
         if not xi_val > -TWO_PI:
             raise EmbeddingPreconditionError(
                 f"embedding requires xi_n(H) > -2*pi, but xi_{n}({H}) = "
@@ -207,7 +214,10 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     points = SCAN_POINTS
     while True:
         grid = -np.geomspace(-lo, -hi, points)
-        vals = np.array([_flux_at(n, H, c, quad_tol) - target for c in grid])
+        if xi_res is None and np.any(np.abs(grid - ct) < guard):
+            xi_res = xi(n, H, tol=quad_tol)
+        vals = np.array([res.value - target for res in
+                         flux_K_grid(n, H, grid, tol=quad_tol, xi_result=xi_res)])
         outcome = _refine_first_crossing(n, H, grid, vals, target, tol,
                                          quad_tol, ct)
         if outcome is not None:

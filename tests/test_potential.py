@@ -5,8 +5,13 @@ import pytest
 
 import hypcmc as h
 from hypcmc.potential import DEGENERATE_REL_GAP
+from hypcmc.quadrature import _Q_upper_root
 
-from oracles import roots_closed_form_n2
+from oracles import (
+    polyval_oscillation_roots,
+    polyval_Q_upper_root,
+    roots_closed_form_n2,
+)
 
 
 def test_q_direct_substitution():
@@ -101,6 +106,25 @@ def test_root_monotonicity_in_C():
     t1s, t2s = zip(*(h.oscillation_roots(h.ShapeParams(n, H, c)) for c in cs))
     assert all(a > b for a, b in zip(t1s, t1s[1:]))  # t1 decreasing
     assert all(a < b for a, b in zip(t2s, t2s[1:]))  # t2 increasing
+
+
+def test_roots_bit_identical_to_polyval_reference():
+    # the float-Horner root finders take brentq through the same steps as
+    # np.polyval would: every root equals the reference exactly
+    for n in range(2, 9):
+        for H in (-1.0, -1.02, -1.1, -1.5, -3.0, -10.0):
+            if (n, H) != (2, -1.0):  # Q has no root above 1 there
+                assert _Q_upper_root(n, H) == polyval_Q_upper_root(n, H)
+            if H == -1.0:  # C is only defined for H < -1
+                continue
+            c0, ct = h.C0(n, H), h.Ctilde(n, H)
+            cs = [c0 + f * abs(c0) for f in (1e-11, 1e-6, 1e-3, 0.3, 0.7)]
+            cs += [ct * (1 + rel) for rel in (1e-3, 1e-8, -1e-8, -1e-3)
+                   if ct * (1 + rel) > c0]
+            cs += [0.5 * ct, -1e-3, -1e-9]
+            for C in cs:
+                assert (h.oscillation_roots(h.ShapeParams(n, H, C))
+                        == polyval_oscillation_roots(n, H, C))
 
 
 def test_degenerate_oscillation_reported():

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcmc as h
+from hypcmc.quadrature import CTILDE_GUARD_REL, _integrate_rows
+from hypcmc.shooting import C_GAP_LOWER_REL
 
 import frozen
 from oracles import (
@@ -191,6 +195,76 @@ def test_flux_jump_across_threshold():
     above = h.flux_K(h.ShapeParams(n, H, ct * (1 - 1e-7))).value
     assert below == pytest.approx(x - math.pi, abs=1e-3)
     assert above == pytest.approx(x + math.pi, abs=1e-3)
+
+
+def _flux_or_xi(n, H, C):
+    """The scalar flux, with the guard band resolved to xi as in the scan."""
+    try:
+        return h.flux_K(h.ShapeParams(n, H, C))
+    except h.GuardBandError:
+        return h.xi(n, H)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), H=st.floats(-3.0, -1.02),
+       rels=st.lists(st.tuples(st.sampled_from([-1, 1]), st.floats(-8.0, -3.0)),
+                     min_size=1, max_size=3))
+def test_flux_grid_equals_scalar_flux(n, H, rels):
+    # every field of every batched result equals the one-row path: next
+    # to Ctilde on both sides, at the guard-band edge and inside the band
+    # (where the result is xi), at the C0 end and in the middle
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    Cs = [c0 + C_GAP_LOWER_REL * abs(c0), 0.5 * (c0 + ct),
+          ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9), 0.5 * ct]
+    Cs += [ct * (1 + side * 10.0 ** e) for side, e in rels]
+    assert h.flux_K_grid(n, H, Cs) == [_flux_or_xi(n, H, C) for C in Cs]
+
+
+def test_flux_grid_embedded_scan_grids():
+    # the first three grids of the (2, -1.1) embedded scan: the batch
+    # does the same work (evaluations) and gives the same values
+    n, H = 2, -1.1
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    lo = c0 + C_GAP_LOWER_REL * abs(c0)
+    hi = ct - CTILDE_GUARD_REL * abs(ct)
+    for points in (64, 128, 256):
+        grid = -np.geomspace(-lo, -hi, points)
+        batch = h.flux_K_grid(n, H, grid)
+        scalar = [_flux_or_xi(n, H, C) for C in grid]
+        assert batch == scalar
+        assert (sum(r.evaluations for r in batch)
+                == sum(r.evaluations for r in scalar))
+    # errors come in grid order, as from a loop over flux_K
+    with pytest.raises(h.ParameterRangeError):
+        h.flux_K_grid(n, H, [-0.5, c0 * 1.01, -0.4])
+    with pytest.raises(h.DomainError):
+        h.flux_K_grid(n, H, [-0.5], tol=0.0)
+
+
+def test_batch_rows_the_block_cannot_take_are_left_to_the_one_row_path():
+    # row 1 is so narrow that its outer node offsets underflow (the keep
+    # mask drops them), row 2 returns inf: the batch leaves both as None
+    lower = np.array([0.0, 0.0, 0.0, 2.0])
+    upper = np.array([1.0, 1e-300, 1.0, 5.0])
+    scale = np.array([1.0, 2.0, 3.0, 4.0])
+
+    def integrand(rows, x, da, db):
+        vals = scale[rows, None] * np.cos(x) / np.sqrt(da * db / (da + db))
+        return np.where(rows[:, None] == 2, np.inf, vals)
+
+    batch = _integrate_rows(lower, upper, integrand, 1e-12, 12)
+    assert batch[1] is None and batch[2] is None
+    for i in (0, 3):
+        spec = h.SingularIntegrand(
+            lower[i], upper[i], offset_integrand=lambda x, da, db, i=i:
+            integrand(np.array([i]), x[None], da[None], db[None])[0])
+        assert batch[i] == h.de_integrate(spec, tol=1e-12)
+    assert h.de_integrate(h.SingularIntegrand(
+        lower[1], upper[1],
+        offset_integrand=lambda x, da, db: np.cos(x))).converged
+    with pytest.raises(h.EvaluationError):
+        h.de_integrate(h.SingularIntegrand(
+            0.0, 1.0, offset_integrand=lambda x, da, db: np.full_like(x, np.inf)))
 
 
 def test_flux_limit_at_C0():
