@@ -238,7 +238,7 @@ def _cmd_check(args):
 
     # energy conservation along the trajectory
     energy = profile._energy_residual(params, curve.g, curve.g_prime)
-    bound = 1e-8 * max(1.0, abs(args.C))
+    bound = profile.ENERGY_TOL * max(1.0, abs(args.C))
     report["energy_residual_max"] = {
         "value": float(energy.max()), "bound": bound,
         "pass": bool(energy.max() <= bound),

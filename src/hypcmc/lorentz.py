@@ -141,8 +141,8 @@ class CurvatureCheck:
     reason: str = ""
 
 
-def _phi_nu_at(params: ShapeParams, curve, t: float, y: FiberPoint):
-    s = curve.state(t)
+def _phi_nu_at(params: ShapeParams, s, y: FiberPoint):
+    """phi and nu at the profile sample ``s`` and fiber point ``y``."""
     sq = math.sqrt(-params.C)
     state = {"r": s.r, "r_prime": s.g_prime / sq, "lam": s.lam, "theta": s.theta}
     phi = immerse_point(params, {"r": s.r, "theta": s.theta}, y)
@@ -177,16 +177,19 @@ def verify_cmc(params: ShapeParams, curve, t: float,
             f"[{curve.t[0]}, {curve.t[-1]}]"
         )
     n, H = params.n, params.H
-    base = curve.state(t)
+    half = fd_step / 2
+    # the base state and both step pairs, with any rebuilt angle in one batch
+    base, *shifted = curve.states([t, t + half, t - half,
+                                   t + fd_step, t - fd_step])
     if base.r - 1.0 < NEAR_AXIS_EPS:
         return CurvatureCheck(evaluated=False,
                               reason="profile point too close to the axis")
 
     y0 = FiberPoint.axis(n)
 
-    def mu_at(h):
-        phi_p, nu_p = _phi_nu_at(params, curve, t + h, y0)
-        phi_m, nu_m = _phi_nu_at(params, curve, t - h, y0)
+    def mu_at(plus, minus, h):
+        phi_p, nu_p = _phi_nu_at(params, plus, y0)
+        phi_m, nu_m = _phi_nu_at(params, minus, y0)
         return _projected_curvature((phi_p - phi_m) / (2 * h),
                                     (nu_p - nu_m) / (2 * h))
 
@@ -210,8 +213,8 @@ def verify_cmc(params: ShapeParams, curve, t: float,
         return _projected_curvature((phi_p - phi_m) / (2 * h),
                                     (nu_p - nu_m) / (2 * h))
 
-    mu_est = (4 * mu_at(fd_step / 2) - mu_at(fd_step)) / 3
-    lam_est = (4 * lam_at(fd_step / 2, fiber_direction)
+    mu_est = (4 * mu_at(*shifted[:2], half) - mu_at(*shifted[2:], fd_step)) / 3
+    lam_est = (4 * lam_at(half, fiber_direction)
                - lam_at(fd_step, fiber_direction)) / 3
     H_est = ((n - 1) * lam_est + mu_est) / n
     return CurvatureCheck(evaluated=True, lambda_est=lam_est,

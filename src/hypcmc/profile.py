@@ -23,6 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
+    DimensionError,
     DomainError,
     GuardBandError,
     IntegrationFailureError,
@@ -31,8 +32,10 @@ from .errors import (
 from .potential import Ctilde, ShapeParams, eval_q_prime, oscillation_roots
 from .quadrature import (
     CTILDE_GUARD_REL,
+    DEFAULT_MAX_LEVEL,
     SingularIntegrand,
     _flux_ingredients,
+    _integrate_rows,
     _s,
     de_integrate,
     flux_K,
@@ -117,22 +120,58 @@ class ProfileCurve:
 
     def state(self, t: float) -> ProfileSample:
         """Interpolated state at an arbitrary t inside the sampled range."""
-        if not (self.t[0] <= t <= self.t[-1]):
-            raise ParameterRangeError(
-                f"t={t} outside the sampled range [{self.t[0]}, {self.t[-1]}]"
-            )
-        g, gp, theta = self._sol(t)
-        if self._theta_map is not None:
-            theta = self._theta_map.theta(t)
+        return self.states([t])[0]
+
+    def states(self, ts: Sequence[float]) -> list[ProfileSample]:
+        """Interpolated states at times inside the sampled range.
+
+        A rebuilt angle is computed for all of ``ts`` in one batch.
+        """
+        for t in ts:
+            if not (self.t[0] <= t <= self.t[-1]):
+                raise ParameterRangeError(
+                    f"t={t} outside the sampled range [{self.t[0]}, {self.t[-1]}]"
+                )
+        thetas = None if self._theta_map is None else self._theta_map.theta(ts)
         n, H, C = self.params.n, self.params.H, self.params.C
-        r = g / math.sqrt(-C)
-        lam = H + g ** (-n)
-        return ProfileSample(
-            t=float(t), g=float(g), g_prime=float(gp), r=float(r),
-            lam=float(lam), mu=float(n * H - (n - 1) * lam),
-            theta=float(theta),
-            theta_prime=float(math.sqrt(-C) * g * lam / (g * g + C)),
-        )
+        out = []
+        for i, t in enumerate(ts):
+            g, gp, theta = self._sol(t)
+            if thetas is not None:
+                theta = thetas[i]
+            r = g / math.sqrt(-C)
+            lam = H + g ** (-n)
+            out.append(ProfileSample(
+                t=float(t), g=float(g), g_prime=float(gp), r=float(r),
+                lam=float(lam), mu=float(n * H - (n - 1) * lam),
+                theta=float(theta),
+                theta_prime=float(math.sqrt(-C) * g * lam / (g * g + C)),
+            ))
+        return out
+
+
+def _half_flux_low(n, H, t2, rem, vc, d):
+    """Offset integrand of the half flux over (t1, x), x in the lower half.
+
+    The pole factor is written as (da + d)(v + vc) as in the full flux,
+    so it keeps relative accuracy next to t1 when d is tiny.
+    """
+
+    def fo(v, da, db):
+        return (vc * (1 + H * v ** n) * v ** (1 - n)
+                / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * _s(n, rem, v))))
+
+    return fo
+
+
+def _half_flux_high(n, H, C, t1, rem, vc):
+    """Offset integrand of the half flux over (x, t2), x in the upper half."""
+
+    def fo(v, da, db):
+        return (vc * (1 + H * v ** n) * v ** (1 - n)
+                / ((C + v * v) * np.sqrt((v - t1) * db * _s(n, rem, v))))
+
+    return fo
 
 
 class _ThetaMap:
@@ -148,61 +187,87 @@ class _ThetaMap:
 
     def __init__(self, params: ShapeParams, T: float, K: float, g_of_t,
                  tol: float = 1e-11):
-        self.params = params
         self.T = T
         self.K = K
         self.g_of_t = g_of_t
         self.tol = tol
-        self.t1, self.t2, self._rem, self._vc, self._d = _flux_ingredients(params)
+        n, H, C = params.n, params.H, params.C
+        self.t1, self.t2, rem, vc, d = _flux_ingredients(params)
+        self._low = _half_flux_low(n, H, self.t2, rem, vc, d)
+        self._high = _half_flux_high(n, H, C, self.t1, rem, vc)
 
-    def _partial_low(self, x: float) -> float:
-        """Half-flux integral from t1 to x (x in the lower half)."""
-        n, H = self.params.n, self.params.H
-        t1, t2, rem, vc, d = self.t1, self.t2, self._rem, self._vc, self._d
-        if x <= t1:
-            return 0.0
+    def _partials(self, fo, lower, upper) -> list:
+        """The integrals of ``fo`` over (lower[i], upper[i]), as one batch."""
+        if not lower:
+            return []
+        batch = _integrate_rows(np.array(lower), np.array(upper),
+                                lambda rows, x, da, db: fo(x, da, db),
+                                self.tol, DEFAULT_MAX_LEVEL)
+        out = []
+        for a, b, res in zip(lower, upper, batch):
+            if res is None:
+                # a row the block left out runs the one-row path, which
+                # drops the nodes outside the keep mask or raises the
+                # EvaluationError of a non-finite value
+                res = de_integrate(SingularIntegrand(lower=a, upper=b,
+                                                     offset_integrand=fo),
+                                   tol=self.tol)
+            out.append(res.value)
+        return out
 
-        def fo(v, da, db):
-            return (vc * (1 + H * v ** n) * v ** (1 - n)
-                    / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * _s(n, rem, v))))
+    def theta(self, ts: Sequence[float]) -> np.ndarray:
+        """The angle at each time of ``ts``.
 
-        spec = SingularIntegrand(lower=t1, upper=x, offset_integrand=fo)
-        return de_integrate(spec, tol=self.tol).value
+        Each sample is planned first: its period count j, its time tau
+        inside the period, whether tau is reflected into the first
+        half-period (theta0(tau) = K - theta0(T - tau)) and the half
+        that g(tau) falls in.  The partial integrals of all samples then
+        run as two batches, one per half.
+        """
+        T, K, t1, t2 = self.T, self.K, self.t1, self.t2
+        low, high = [], []  # x of the samples needing a partial integral
+        # per sample: (j, reflected, half, angle), where the angle over
+        # [0, tau] is an index into the half's integrals when half is set
+        plan = []
+        for t in ts:
+            j = math.floor(t / T)
+            tau = t - j * T
+            if tau >= T:  # rounding at a period mark
+                j += 1
+                tau -= T
+            if tau <= 0:
+                plan.append((j, False, None, 0.0))
+                continue
+            if tau >= T:
+                plan.append((j, False, None, K))
+                continue
+            # tau in (T/2, T) reflects exactly (Sterbenz) into (0, T/2)
+            reflected = tau > T / 2
+            if reflected:
+                tau = T - tau
+            x = min(max(float(self.g_of_t(tau)), t1), t2)
+            if x - t1 <= t2 - x:
+                if x <= t1:
+                    plan.append((j, reflected, None, 0.0))
+                else:
+                    plan.append((j, reflected, low, len(low)))
+                    low.append(x)
+            elif x >= t2:
+                plan.append((j, reflected, None, K / 2))
+            else:
+                plan.append((j, reflected, high, len(high)))
+                high.append(x)
 
-    def _partial_high(self, x: float) -> float:
-        """Half-flux integral from x to t2 (x in the upper half)."""
-        n, H, C = self.params.n, self.params.H, self.params.C
-        t1, t2, rem, vc = self.t1, self.t2, self._rem, self._vc
-        if x >= t2:
-            return 0.0
-
-        def fo(v, da, db):
-            return (vc * (1 + H * v ** n) * v ** (1 - n)
-                    / ((C + v * v) * np.sqrt((v - t1) * db * _s(n, rem, v))))
-
-        spec = SingularIntegrand(lower=x, upper=t2, offset_integrand=fo)
-        return de_integrate(spec, tol=self.tol).value
-
-    def _theta0(self, tau: float) -> float:
-        """Angle over [0, tau] for tau inside one period."""
-        if tau <= 0:
-            return 0.0
-        if tau >= self.T:
-            return self.K
-        if tau > self.T / 2:
-            return self.K - self._theta0(self.T - tau)
-        x = min(max(float(self.g_of_t(tau)), self.t1), self.t2)
-        if x - self.t1 <= self.t2 - x:
-            return self._partial_low(x)
-        return self.K / 2 - self._partial_high(x)
-
-    def theta(self, t: float) -> float:
-        j = math.floor(t / self.T)
-        tau = t - j * self.T
-        if tau >= self.T:  # rounding at a period mark
-            j += 1
-            tau -= self.T
-        return j * self.K + self._theta0(tau)
+        low_vals = self._partials(self._low, [t1] * len(low), low)
+        high_vals = self._partials(self._high, high, [t2] * len(high))
+        out = np.empty(len(plan))
+        for i, (j, reflected, half, v0) in enumerate(plan):
+            if half is low:
+                v0 = low_vals[v0]
+            elif half is high:
+                v0 = K / 2 - high_vals[v0]
+            out[i] = j * K + (K - v0 if reflected else v0)
+        return out
 
 
 def _energy_residual(params: ShapeParams, g, gp):
@@ -291,7 +356,7 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
         scale = period_ode / T if math.isfinite(period_ode) else 1.0
         theta_map = _ThetaMap(params, T, K_quad,
                               lambda tt: sol.sol(tt * scale)[0])
-        theta = np.array([theta_map.theta(tt) for tt in ts])
+        theta = theta_map.theta(ts)
         K_value = K_quad
     return ProfileCurve(
         params=params, t=ts, g=g, g_prime=gp, theta=theta,
@@ -325,15 +390,27 @@ def theta_prime_trace(curve: ProfileCurve,
 def surface_grid(curve: ProfileCurve, fiber_samples: Sequence) -> np.ndarray:
     """Full immersion grid phi(y, u) as an (F, N, n+2) array.
 
-    Every output point lies on the hyperboloid <phi, phi> = -1.
+    Every output point lies on the hyperboloid <phi, phi> = -1.  Point
+    (i, j) is immerse_point at sample j and fiber i, bit for bit.
     """
-    from .lorentz import immerse_point
+    from .lorentz import _fiber_array
 
-    r, theta = curve.r, curve.theta
-    out = np.empty((len(fiber_samples), len(r), curve.params.n + 2))
-    for i, y in enumerate(fiber_samples):
-        for j in range(len(r)):
-            out[i, j] = immerse_point(
-                curve.params, {"r": float(r[j]), "theta": float(theta[j])}, y
+    n = curve.params.n
+    r = curve.r
+    below = np.flatnonzero(r < 1.0)
+    if below.size:
+        raise DomainError(f"r={float(r[below[0]])} < 1 leaves the hyperboloid chart")
+    ys = [_fiber_array(y) for y in fiber_samples]
+    for ya in ys:
+        if len(ya) != n:
+            raise DimensionError(
+                f"fiber point has {len(ya)} coordinates, expected n={n}"
             )
+    # the circle part with math, as immerse_point computes it
+    rad = [math.sqrt(x * x - 1.0) for x in r.tolist()]
+    thetas = curve.theta.tolist()
+    out = np.empty((len(ys), len(r), n + 2))
+    out[:, :, 0] = [a * math.cos(th) for a, th in zip(rad, thetas)]
+    out[:, :, 1] = [a * math.sin(th) for a, th in zip(rad, thetas)]
+    out[:, :, 2:] = r[None, :, None] * np.reshape(ys, (len(ys), 1, n))
     return out

@@ -5,7 +5,9 @@ adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the flux from the
 profile's curvature equation in the orbit plane, and the polynomial
-root finders written with np.polyval.
+root finders written with np.polyval.  The exception is the theta
+rebuild reference, which is the package's loop form: one de_integrate
+call per sample.
 """
 
 import math
@@ -211,3 +213,63 @@ def _two_newton_steps(coeffs, root):
     for _ in range(2):
         root -= np.polyval(coeffs, root) / np.polyval(dcoeffs, root)
     return float(root)
+
+
+def scalar_theta_rebuild(params, T, K, g_of_t, ts, tol=1e-11):
+    """The rebuilt angle at each time of ``ts``, one quadrature per sample.
+
+    The loop form of the near-axis theta rebuild: the angle over [0, tau]
+    is the half-flux integral from t1 to g(tau) (lower half) or K/2 less
+    the one from g(tau) to t2 (upper half), reflected for tau > T/2, and
+    every partial integral is its own de_integrate call.  The batched
+    rebuild must agree with it bit for bit.
+    """
+    from hypcmc.quadrature import (SingularIntegrand, _flux_ingredients, _s,
+                                   de_integrate)
+
+    n, H, C = params.n, params.H, params.C
+    t1, t2, rem, vc, d = _flux_ingredients(params)
+
+    def partial_low(x):
+        if x <= t1:
+            return 0.0
+
+        def fo(v, da, db):
+            return (vc * (1 + H * v ** n) * v ** (1 - n)
+                    / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * _s(n, rem, v))))
+
+        return de_integrate(SingularIntegrand(lower=t1, upper=x,
+                                              offset_integrand=fo), tol=tol).value
+
+    def partial_high(x):
+        if x >= t2:
+            return 0.0
+
+        def fo(v, da, db):
+            return (vc * (1 + H * v ** n) * v ** (1 - n)
+                    / ((C + v * v) * np.sqrt((v - t1) * db * _s(n, rem, v))))
+
+        return de_integrate(SingularIntegrand(lower=x, upper=t2,
+                                              offset_integrand=fo), tol=tol).value
+
+    def theta0(tau):
+        if tau <= 0:
+            return 0.0
+        if tau >= T:
+            return K
+        if tau > T / 2:
+            return K - theta0(T - tau)
+        x = min(max(float(g_of_t(tau)), t1), t2)
+        if x - t1 <= t2 - x:
+            return partial_low(x)
+        return K / 2 - partial_high(x)
+
+    def theta(t):
+        j = math.floor(t / T)
+        tau = t - j * T
+        if tau >= T:
+            j += 1
+            tau -= T
+        return j * K + theta0(tau)
+
+    return np.array([theta(t) for t in ts])

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcmc as h
+from hypcmc import profile
 
 import frozen
-from oracles import closed_form_g_n2
+from oracles import closed_form_g_n2, scalar_theta_rebuild
+
+NEAR_AXIS = h.ShapeParams(2, -1.1, -0.9091743461769703)
 
 
 def test_profile_starts_at_minimum():
@@ -74,6 +79,69 @@ def test_theta_rebuild_near_axis():
     assert np.all(np.diff(curve.theta) < 0)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_theta_rebuild_equals_scalar_loop_near_axis():
+    # the rebuilt samples of the fig1 profile, and the angle of state(t)
+    # at the sample times, equal the one-quadrature-per-sample loop
+    curve = h.integrate_profile(NEAR_AXIS)
+    tm = curve._theta_map
+    want = scalar_theta_rebuild(NEAR_AXIS, tm.T, tm.K, tm.g_of_t, curve.t)
+    assert np.array_equal(_bits(curve.theta), _bits(want))
+    idx = [1, 2, 255, 511, 512, 513, 1000, 1023, 1024]
+    assert [curve.state(float(curve.t[i])).theta for i in idx] == list(
+        curve.theta[idx])
+    assert [s.theta for s in curve.states(curve.t[idx])] == list(
+        curve.theta[idx])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), H=st.floats(-3.0, -1.02),
+       side=st.sampled_from([-1, 1]), e=st.floats(-6.0, -3.0),
+       periods=st.integers(1, 3), samples=st.integers(8, 48))
+def test_theta_rebuild_batch_equals_scalar_loop(n, H, side, e, periods,
+                                                samples):
+    # C next to Ctilde on both sides; g(tau) is a cosine between the
+    # turning points, so samples fall in both halves, on the period and
+    # half-period marks, and next to t1 and t2 (where x is clipped)
+    params = h.ShapeParams(n, H, h.Ctilde(n, H) * (1 + side * 10.0 ** e))
+    T, K = h.period_T(params).value, h.flux_K(params).value
+    t1, t2 = h.oscillation_roots(params)
+
+    def g_of_t(tau):
+        return 0.5 * (t1 + t2) - 0.5 * (t2 - t1) * math.cos(2 * math.pi * tau / T)
+
+    ts = np.linspace(0.0, periods * T, periods * samples + 1)
+    got = profile._ThetaMap(params, T, K, g_of_t).theta(ts)
+    want = scalar_theta_rebuild(params, T, K, g_of_t, ts)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_theta_rebuild_row_left_out_of_the_batch(monkeypatch):
+    # a row the batch returns as None runs the one-row de_integrate path
+    batch_rows = profile._integrate_rows
+    one_row = []
+
+    def drop_second_row(*args, **kwargs):
+        out = batch_rows(*args, **kwargs)
+        out[1] = None
+        return out
+
+    def counted(*args, **kwargs):
+        one_row.append(args[0])
+        return h.de_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "_integrate_rows", drop_second_row)
+    monkeypatch.setattr(profile, "de_integrate", counted)
+    curve = h.integrate_profile(NEAR_AXIS, samples_per_period=16)
+    tm = curve._theta_map
+    assert len(one_row) == 2  # one per half
+    want = scalar_theta_rebuild(NEAR_AXIS, tm.T, tm.K, tm.g_of_t, curve.t)
+    assert np.array_equal(_bits(curve.theta), _bits(want))
+
+
 def test_profile_sample_fields_consistent():
     params = h.ShapeParams(2, -1.1, -0.5)
     curve = h.integrate_profile(params, samples_per_period=64)
@@ -137,6 +205,18 @@ def test_surface_grid_points_on_hyperboloid():
     assert grid.shape == (3, len(curve.t), params.n + 2)
     inners = (np.sum(grid[..., :-1] ** 2, axis=-1) - grid[..., -1] ** 2)
     assert np.allclose(inners, -1.0, atol=1e-10)
+    # every point is immerse_point's, bit for bit
+    loop = np.array([[h.immerse_point(params, {"r": r, "theta": th}, y)
+                      for r, th in zip(curve.r, curve.theta)] for y in fibers])
+    assert np.array_equal(_bits(grid), _bits(loop))
+    with pytest.raises(h.DimensionError):
+        h.surface_grid(curve, [h.FiberPoint.axis(3)])
+    with pytest.raises(h.DomainError):
+        h.surface_grid(curve, [(1.0, 1.0)])  # not on H^1
+    curve.g = curve.g.copy()
+    curve.g[5] = 0.5 * math.sqrt(-params.C)  # r = 0.5
+    with pytest.raises(h.DomainError, match="r=0.5 < 1"):
+        h.surface_grid(curve, fibers)
 
 
 def test_theta_prime_spike_near_axis():
