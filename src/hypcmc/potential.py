@@ -96,13 +96,14 @@ def eval_q_prime(params: ShapeParams, v):
     return float(out) if out.ndim == 0 else out
 
 
-def p_coefficients(n: int, H: float, C: float) -> np.ndarray:
+def p_coefficients(n: int, H: float, C) -> np.ndarray:
     """Coefficients (highest degree first) of p(v) = v^(2n-2) q(v).
 
     p is a degree-2n polynomial: (1-H^2) v^(2n) + C v^(2n-2) - 2H v^n - 1.
-    For n = 2 the C and -2H terms share the v^2 slot.
+    For n = 2 the C and -2H terms share the v^2 slot.  For an array of C
+    the result has one column per C.
     """
-    coeffs = np.zeros(2 * n + 1)
+    coeffs = np.zeros((2 * n + 1,) + np.shape(C))
     coeffs[0] = 1 - H * H
     coeffs[2] += C
     coeffs[n] += -2 * H
@@ -230,6 +231,133 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
         t1 -= p(t1) / horner(dcoeffs, t1)
         t2 -= p(t2) / horner(dcoeffs, t2)
     return float(t1), float(t2)
+
+
+def oscillation_roots_grid(n: int, H: float, Cs) -> list:
+    """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
+
+    Each entry is the (t1, t2) that oscillation_roots(ShapeParams(n, H, C))
+    returns, bit for bit: the same brackets, upper-bracket expansion,
+    Brent steps (_brentq_lanes) and two Newton polishes, on columns of
+    coefficients.  An entry is None where the scalar routine would raise
+    (C outside (C0, 0) or degenerate, bracket expansion failed) or where
+    Brent did not settle, for the caller to run the scalar routine.
+    """
+    ShapeParams(n=n, H=H)  # raises for an invalid n or H
+    Cs = np.asarray(Cs, dtype=float)
+    _v0 = v0(n, H)
+    _c0 = C0(n, H)
+    out = [None] * len(Cs)
+    lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0))
+    coeffs = p_coefficients(n, H, Cs[lanes])
+
+    hi = np.full(len(lanes), 2 * _v0)
+    grow = horner(coeffs, hi) >= 0
+    while grow.any():
+        hi = np.where(grow, hi * 2, hi)
+        grow &= hi <= 1e12
+        grow &= horner(coeffs, hi) >= 0
+    expanded = hi <= 1e12
+    lanes, coeffs, hi = lanes[expanded], coeffs[:, expanded], hi[expanded]
+
+    # the lower and the upper root of every C as one set of lanes
+    count = len(lanes)
+    both = np.concatenate([coeffs, coeffs], axis=1)
+    lower = np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)])
+    upper = np.concatenate([np.full(count, _v0), hi])
+    roots, _, settled = _brentq_lanes(both, lower, upper, 1e-15, 8.9e-16)
+    dcoeffs = _derivative(both)
+    # an unsettled lane holds 0, where p' may vanish; it is dropped below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            roots -= horner(both, roots) / horner(dcoeffs, roots)
+    settled = settled[:count] & settled[count:]
+    for i, t1, t2 in zip(lanes[settled].tolist(), roots[:count][settled].tolist(),
+                         roots[count:][settled].tolist()):
+        out[i] = (t1, t2)
+    return out
+
+
+def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
+    """A root of each lane's polynomial in its bracket, by SciPy's brentq.
+
+    Lane i is the polynomial with highest-first coefficients coeffs[:, i]
+    on the bracket (xa[i], xb[i]).  Every lane takes the steps of SciPy's
+    brentq.c (Brent 1973): the same bracket swap, inverse quadratic
+    extrapolation, secant interpolation or bisection, the same tolerance
+    delta = (xtol + rtol |x|) / 2 and the same float operations, so it
+    ends where brentq(p_i, xa[i], xb[i], xtol, rtol, maxiter) ends and
+    after as many iterations.  A lane retires at the step where its own
+    test passes.  Only + - * /, abs and comparisons run on the lanes.
+
+    The polynomial values must not be NaN (brentq raises on NaN); they
+    are finite on the finite brackets of oscillation_roots_grid.  Returns
+    (roots, iterations, settled).  A lane is not settled where brentq
+    raises: f(a) and f(b) of one sign, or no convergence within maxiter
+    iterations.
+    """
+    lanes = len(xa)
+    roots = np.zeros(lanes)
+    iterations = np.zeros(lanes, dtype=np.int64)
+    xpre = np.asarray(xa, dtype=float)
+    xcur = np.asarray(xb, dtype=float)
+    fpre = horner(coeffs, xpre)
+    fcur = horner(coeffs, xcur)
+    at_a = fpre == 0
+    at_b = ~at_a & (fcur == 0)
+    roots[at_a] = xpre[at_a]
+    roots[at_b] = xcur[at_b]
+    settled = at_a | at_b
+    ids = np.flatnonzero(~settled & (np.signbit(fpre) != np.signbit(fcur)))
+    xpre, xcur, fpre, fcur, coeffs = (xpre[ids], xcur[ids], fpre[ids],
+                                      fcur[ids], coeffs[:, ids])
+    xblk = fblk = spre = scur = np.zeros(len(ids))
+    for i in range(maxiter):
+        if not len(ids):
+            break
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre = np.where(flip, step, spre)
+        scur = np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[ids[done]] = xcur[done]
+            iterations[ids[done]] = i + 1
+            settled[ids[done]] = True
+            live = ~done
+            (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (a[live] for a in (ids, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+            coeffs = coeffs[:, live]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
+                           / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry)
+                    < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = horner(coeffs, xcur)
+    return roots, iterations, settled
 
 
 def eval_Q(n: int, H: float, v):

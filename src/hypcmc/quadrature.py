@@ -38,6 +38,7 @@ from .potential import (
     eval_h,
     horner,
     oscillation_roots,
+    oscillation_roots_grid,
     p_coefficients,
 )
 
@@ -324,6 +325,33 @@ def _flux_ingredients(params: ShapeParams):
     return t1, t2, rem, vc, d
 
 
+def _flux_ingredients_grid(n: int, H: float, Cs: Sequence[float]):
+    """_flux_ingredients for every C of ``Cs`` at once, as columns.
+
+    Returns (lanes, t1, t2, rem, vc, d): the indices into ``Cs`` of the C
+    whose ingredients were settled, and those ingredients, each equal to
+    the scalar one bit for bit (``rem`` has one row per coefficient).  A
+    C is left out where oscillation_roots_grid leaves its roots unsettled
+    or where d <= 0; the scalar path raises there or takes over.
+    """
+    roots = oscillation_roots_grid(n, H, Cs)
+    lanes = np.array([i for i, r in enumerate(roots) if r is not None],
+                     dtype=np.intp)
+    t1, t2 = np.array([roots[i] for i in lanes], dtype=float).reshape(-1, 2).T
+    C = np.asarray(Cs, dtype=float)[lanes]
+    rem = np.array(_synthetic_deflate(
+        _synthetic_deflate(tuple(p_coefficients(n, H, C)), t1), t2))
+    # the square root and the powers stay per-C float arithmetic, as in the
+    # scalar path (NumPy may take an array power through a SIMD pow whose
+    # last bit differs); the rest is + - * / on the columns
+    vc = np.array([math.sqrt(-c) for c in C.tolist()])
+    delta = np.array([H + (-c) ** (-n / 2) for c in C.tolist()])
+    power = np.array([v ** (2 - 2 * n) for v in vc.tolist()])
+    d = (-C) * delta * delta / ((t2 - vc) * (-horner(rem, vc) * power))
+    ok = d > 0
+    return lanes[ok], t1[ok], t2[ok], rem[:, ok], vc[ok], d[ok]
+
+
 def _flux_integrand(n, H, vc, d, rem):
     """The flux integrand in offset form.
 
@@ -375,8 +403,13 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
                 xi_result: Optional[QuadResult] = None) -> list[QuadResult]:
     """The flux at every C of ``Cs``, all quadratures run as one batch.
 
-    Each result equals ``flux_K(ShapeParams(n, H, C), tol, max_level)``
-    in all four fields.  Inside the guard band around Ctilde the result
+    The per-C set-up is built as columns: the oscillation roots of all C
+    from one lane-wise Brent iteration (oscillation_roots_grid), the
+    deflated coefficients and the pole data.  A C whose set-up the
+    columns cannot settle runs through scalar flux_K, as does a row the
+    batch leaves out.  Each result equals
+    ``flux_K(ShapeParams(n, H, C), tol, max_level)`` in all four fields.
+    Inside the guard band around Ctilde the result
     is the threshold flux xi(n, H, tol, max_level); pass it as
     ``xi_result`` when it is already known, otherwise it is computed
     here, at most once.  Errors are raised in the order of ``Cs``, as a
@@ -385,31 +418,30 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     Cs = [float(C) for C in Cs]
-    # per C: its row in the batch, None in the guard band, or the error
+    # per C: its row in the batch, None in the guard band, the error, or
+    # False where the scalar flux_K takes over (it raises the error of a C
+    # whose ingredients the columns could not settle)
     status = []
-    t1, t2, vc, d, rem = ([] for _ in range(5))
     for C in Cs:
         try:
-            params = ShapeParams(n=n, H=H, C=C)
-            if _in_guard_band(n, H, C):
-                status.append(None)
-                continue
-            ingredients = _flux_ingredients(params)
+            ShapeParams(n=n, H=H, C=C)
         except HypcmcError as exc:
             status.append(exc)
             continue
-        status.append(len(t1))
-        for column, item in zip((t1, t2, rem, vc, d), ingredients):
-            column.append(item)
-    if t1:
-        vc, d, rem = np.array(vc), np.array(d), np.array(rem)
+        status.append(None if _in_guard_band(n, H, C) else False)
+    candidates = [i for i, row in enumerate(status) if row is False]
+    if candidates:
+        lanes, t1, t2, rem, vc, d = _flux_ingredients_grid(
+            n, H, [Cs[i] for i in candidates])
+        for row, lane in enumerate(lanes.tolist()):
+            status[candidates[lane]] = row
 
         def integrand(rows, x, da, db):
             return _flux_integrand(n, H, vc[rows, None], d[rows, None],
-                                   rem[rows].T[:, :, None])(x, da, db)
+                                   rem[:, rows, None])(x, da, db)
 
-        batch = _integrate_rows(np.array(t1), np.array(t2), integrand, tol,
-                                max_level)
+        if len(lanes):
+            batch = _integrate_rows(t1, t2, integrand, tol, max_level)
     out = []
     for C, row in zip(Cs, status):
         if isinstance(row, HypcmcError):
@@ -418,12 +450,12 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
             if xi_result is None:
                 xi_result = xi(n, H, tol=tol, max_level=max_level)
             out.append(xi_result)
-        elif batch[row] is not None:
+        elif row is not False and batch[row] is not None:
             out.append(batch[row])
         else:
-            # a row the block left out runs the one-row path, which drops
-            # the nodes outside the keep mask or raises the EvaluationError
-            # of a non-finite value
+            # a C the columns or the block left out runs the one-row path,
+            # which raises the set-up error, drops the nodes outside the
+            # keep mask or raises the EvaluationError of a non-finite value
             out.append(flux_K(ShapeParams(n=n, H=H, C=C), tol=tol,
                               max_level=max_level))
     return out

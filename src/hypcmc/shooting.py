@@ -4,16 +4,20 @@ embedded / immersed classification.
 
 None of the solvers assume monotonicity of the flux in C: every search
 scans a geometric grid for sign changes first and only then refines a
-bracket.  Each candidate root is re-checked against the target with a
-fresh flux evaluation before it is accepted, because the flux has a jump
-across C = Ctilde (the profile grazes the rotation axis there and the
+bracket.  Each candidate root is re-checked against the target with the
+flux evaluated at that root before it is accepted, because the flux has
+a jump across C = Ctilde (the profile grazes the rotation axis there and the
 angle picks up an extra half-turn); a sign change produced by that jump
 is not a root and is discarded by the residual check.
 
 Each scan grid of solve_C is evaluated in one batched call
-(quadrature.flux_K_grid), and every per-C value equals the scalar
-flux_K path exactly, so the grids, brackets and outcomes are those of a
-point-by-point scan.  Brent refinement and verification stay scalar.
+(quadrature.flux_K_grid, which also finds the oscillation roots of all
+its C as lanes of one Brent iteration), and every per-C value equals
+the scalar flux_K path exactly, so the grids, brackets and outcomes are
+those of a point-by-point scan.  Brent refinement and verification stay
+scalar; Brent starts from the scan's values at the bracket ends, and
+the verification reads Brent's own value at the root it returns, so no
+flux value is computed twice.
 """
 
 from __future__ import annotations
@@ -233,18 +237,29 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
 
 
 def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
-    """Brent-refine each scan bracket in order; return the first verified root."""
+    """Brent-refine each scan bracket in order; return the first verified root.
+
+    The flux minus target is known at the scan points (``vals``, equal to
+    _flux_at there bit for bit), and Brent evaluates it at the point it
+    returns, so those values are reused instead of recomputed.
+    """
     for i in range(len(grid) - 1):
+        if vals[i] != 0.0 and not vals[i] * vals[i + 1] < 0:
+            continue
+        known = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
+
+        def f(c):
+            if c not in known:
+                known[c] = _flux_at(n, H, c, quad_tol) - target
+            return known[c]
+
         if vals[i] == 0.0:
             cand, iters = float(grid[i]), 0
-        elif vals[i] * vals[i + 1] < 0:
-            f = lambda c: _flux_at(n, H, c, quad_tol) - target
+        else:
             cand, res = brentq(f, grid[i], grid[i + 1], xtol=tol,
                                rtol=8.9e-16, full_output=True)
             iters = res.iterations
-        else:
-            continue
-        residual = _flux_at(n, H, cand, quad_tol) - target
+        residual = f(cand)
         if abs(residual) <= max(RESIDUAL_TOL, 10 * tol):
             cls = _classification(n, H, cand, ct, target)
             return SolveOutcome(

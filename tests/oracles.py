@@ -215,6 +215,38 @@ def _two_newton_steps(coeffs, root):
     return float(root)
 
 
+def unmemoised_refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
+    """The shooting refine step with a fresh flux evaluation everywhere.
+
+    Brent evaluates the flux at both scan points of a bracket again, and
+    the verify residual is one more evaluation at the returned point.
+    The refine step that reuses those values must give the same outcome.
+    """
+    from hypcmc import shooting
+
+    def f(c):
+        return shooting._flux_at(n, H, c, quad_tol) - target
+
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            cand, iters = float(grid[i]), 0
+        elif vals[i] * vals[i + 1] < 0:
+            cand, res = brentq(f, grid[i], grid[i + 1], xtol=tol,
+                               rtol=8.9e-16, full_output=True)
+            iters = res.iterations
+        else:
+            continue
+        residual = f(cand)
+        if abs(residual) <= max(shooting.RESIDUAL_TOL, 10 * tol):
+            return shooting.SolveOutcome(
+                parameter_value=float(cand), residual=float(residual),
+                classification=shooting._classification(n, H, cand, ct,
+                                                         target),
+                bracket_used=(float(grid[i]), float(grid[i + 1])),
+                iterations=int(iters))
+    return None
+
+
 def scalar_theta_rebuild(params, T, K, g_of_t, ts, tol=1e-11):
     """The rebuilt angle at each time of ``ts``, one quadrature per sample.
 

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import hypcmc as h
-from hypcmc.potential import DEGENERATE_REL_GAP
+from hypcmc.potential import (
+    DEGENERATE_REL_GAP,
+    _brentq_lanes,
+    horner,
+    oscillation_roots_grid,
+    p_coefficients,
+)
 from hypcmc.quadrature import _Q_upper_root
 
 from oracles import (
@@ -125,6 +134,83 @@ def test_roots_bit_identical_to_polyval_reference():
             for C in cs:
                 assert (h.oscillation_roots(h.ShapeParams(n, H, C))
                         == polyval_oscillation_roots(n, H, C))
+
+
+def _scalar_roots(n, H, C):
+    """oscillation_roots, or None where it raises for this C."""
+    try:
+        return h.oscillation_roots(h.ShapeParams(n, H, C))
+    except (h.ParameterRangeError, h.DegenerateOscillationError):
+        return None
+
+
+def _bits(roots):
+    return None if roots is None else np.array(roots).view(np.int64).tolist()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), H=st.floats(-30.0, -1.02),
+       edge=st.lists(st.floats(0.5, 1e6), max_size=3),
+       near=st.lists(st.tuples(st.sampled_from([-1, 1]), st.floats(-12.0, -1.0)),
+                     max_size=4),
+       spread=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
+    # the lane-wise roots of a whole grid equal the scalar brentq roots and
+    # the np.polyval reference bit for bit: next to the degenerate edge at
+    # C0 (inside it the lane is None, where the scalar call raises), on
+    # both sides of Ctilde, and spread geometrically from C0 to -1e-9
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    Cs = [c0 + f * DEGENERATE_REL_GAP * abs(c0) for f in edge]
+    Cs += [ct * (1 + side * 10.0 ** e) for side, e in near]
+    Cs += [-((-c0) ** (1 - f)) * 1e-9 ** f for f in spread]
+    Cs += [ct, -1e-9]
+    grid = oscillation_roots_grid(n, H, Cs)
+    scalar = [_scalar_roots(n, H, C) for C in Cs]
+    assert [_bits(r) for r in grid] == [_bits(r) for r in scalar]
+    valid = [C for C, r in zip(Cs, scalar) if r is not None]
+    assert [_bits(r) for r in scalar if r is not None] == [
+        _bits(polyval_oscillation_roots(n, H, C)) for C in valid]
+
+    # every lane takes as many Brent iterations as brentq, to the same root
+    v0 = h.v0(n, H)
+    brackets, expected = [], []
+    for C in valid:
+        coeffs = p_coefficients(n, H, C).tolist()
+        hi = 2 * v0
+        while horner(coeffs, hi) >= 0:
+            hi *= 2
+        for a, b in ((1e-9 * v0, v0), (v0, hi)):
+            brackets.append((C, a, b))
+            expected.append(brentq(lambda v: horner(coeffs, v), a, b,
+                                   xtol=1e-15, rtol=8.9e-16, full_output=True))
+    C, a, b = (np.array(col) for col in zip(*brackets))
+    roots, iterations, settled = _brentq_lanes(p_coefficients(n, H, C), a, b,
+                                               1e-15, 8.9e-16)
+    assert settled.all()
+    assert _bits(roots) == _bits([root for root, _ in expected])
+    assert iterations.tolist() == [res.iterations for _, res in expected]
+
+
+def test_brent_lanes_unsettled_where_brentq_raises():
+    # lanes whose bracket has no sign change, or that do not converge
+    # within maxiter, are left unsettled; brentq raises for exactly those
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(6, 200))
+    a, b = rng.uniform(-3.0, 0.0, 200), rng.uniform(0.0, 3.0, 200)
+    for maxiter in (10, 100):
+        roots, iterations, settled = _brentq_lanes(coeffs, a, b, 1e-12,
+                                                   8.9e-16, maxiter)
+        for i in range(200):
+            column = coeffs[:, i].tolist()
+            try:
+                root, res = brentq(lambda v: horner(column, v), a[i], b[i],
+                                   xtol=1e-12, rtol=8.9e-16, maxiter=maxiter,
+                                   full_output=True)
+            except (ValueError, RuntimeError):
+                assert not settled[i]
+                continue
+            assert settled[i]
+            assert roots[i] == root and iterations[i] == res.iterations
 
 
 def test_degenerate_oscillation_reported():

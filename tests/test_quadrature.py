@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcmc as h
+from hypcmc import quadrature
+from hypcmc.potential import DEGENERATE_REL_GAP
 from hypcmc.quadrature import CTILDE_GUARD_REL, _integrate_rows
 from hypcmc.shooting import C_GAP_LOWER_REL
 
@@ -239,6 +241,56 @@ def test_flux_grid_embedded_scan_grids():
         h.flux_K_grid(n, H, [-0.5, c0 * 1.01, -0.4])
     with pytest.raises(h.DomainError):
         h.flux_K_grid(n, H, [-0.5], tol=0.0)
+
+
+def _first_error(call):
+    try:
+        call()
+    except h.HypcmcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_flux_grid_errors_in_grid_order():
+    # a degenerate C, a guard-band C and C <= C0 mixed into one grid: the
+    # batch raises the error a loop over flux_K meets first, with its message
+    n, H = 3, -1.5
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    degenerate = c0 + 0.5 * DEGENERATE_REL_GAP * abs(c0)
+    guard = ct * (1 + 0.5e-9)
+    grids = [[-0.5, guard, degenerate, c0, -0.2],
+             [guard, -0.5, c0, degenerate],
+             [-0.3, c0 * 1.01, guard, degenerate]]
+    for grid in grids:
+        expected = _first_error(lambda: [_flux_or_xi(n, H, C) for C in grid])
+        assert expected is not None
+        assert _first_error(lambda: h.flux_K_grid(n, H, grid)) == expected
+
+
+def test_flux_grid_unsettled_roots_run_the_scalar_path(monkeypatch):
+    # a C whose roots the lanes leave unsettled runs through scalar flux_K
+    # once, and every result stays equal to the scalar loop
+    n, H = 2, -1.1
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    grid = list(-np.geomspace(-(c0 + C_GAP_LOWER_REL * abs(c0)), 1e-3, 12))
+    grid[5] = ct * (1 + 1e-6)
+    roots_grid = quadrature.oscillation_roots_grid
+
+    def leave_one_unsettled(n, H, Cs):
+        roots = roots_grid(n, H, Cs)
+        roots[5] = None
+        return roots
+
+    scalar_calls = []
+    flux_K = quadrature.flux_K
+    monkeypatch.setattr(quadrature, "oscillation_roots_grid", leave_one_unsettled)
+    monkeypatch.setattr(quadrature, "flux_K",
+                        lambda params, **kw: scalar_calls.append(params.C)
+                        or flux_K(params, **kw))
+    batch = h.flux_K_grid(n, H, grid)
+    assert scalar_calls == [grid[5]]
+    monkeypatch.undo()
+    assert batch == [h.flux_K(h.ShapeParams(n, H, C)) for C in grid]
 
 
 def test_batch_rows_the_block_cannot_take_are_left_to_the_one_row_path():
