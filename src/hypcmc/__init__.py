@@ -66,6 +66,7 @@ from .quadrature import (
     flux_K_grid,
     period_T,
     xi,
+    xi_grid,
 )
 from .shooting import (
     NoRootReport,

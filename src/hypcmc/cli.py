@@ -30,7 +30,7 @@ from .errors import (
 )
 from .potential import C0, Ctilde, ShapeParams
 from .profile import integrate_profile, profile_alpha, theta_prime_trace
-from .quadrature import flux_K, xi
+from .quadrature import flux_K, require_converged, xi, xi_grid
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
@@ -125,12 +125,8 @@ def _outcome_dict(out, parameter_name):
 
 
 def _cmd_xi(args):
-    res = xi(args.n, args.H, tol=args.tol)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"xi quadrature did not reach tol={args.tol}: "
-            f"error estimate {res.abs_error_estimate!r}"
-        )
+    res = require_converged(xi(args.n, args.H, tol=args.tol),
+                            "xi quadrature", args.tol)
     _emit_json({
         "value": res.value,
         "error_estimate": res.abs_error_estimate,
@@ -216,16 +212,19 @@ def _cmd_surface(args):
 
 
 def _cmd_sweep(args):
+    """xi_n over an H grid in one xi_grid batch; fails with a loop's first
+    error, then at the first H whose xi did not converge."""
     if args.seed_figures:
         preset = FIGURE_SWEEPS[args.seed_figures]
         n, H_from, H_to, steps = (preset["n"], preset["H_from"],
                                   preset["H_to"], preset["steps"])
     else:
         n, H_from, H_to, steps = args.n, args.H_from, args.H_to, args.steps
+    Hs = np.linspace(H_from, H_to, steps).tolist()
     rows = []
-    for H in np.linspace(H_from, H_to, steps):
-        res = xi(n, float(H), tol=args.tol)
-        rows.append([float(H), res.value])
+    for H, res in zip(Hs, xi_grid(n, Hs, tol=args.tol)):
+        require_converged(res, f"xi quadrature at H={H!r}", args.tol)
+        rows.append([H, res.value])
     _emit_csv(["H", "xi"], rows, args.output)
     return 0
 

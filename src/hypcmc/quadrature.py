@@ -29,6 +29,7 @@ from .errors import (
     GuardBandError,
     HypcmcError,
     LandmarkError,
+    NonConvergenceError,
 )
 from .potential import (
     Ctilde,
@@ -481,6 +482,26 @@ def _Q_upper_root(n: int, H: float) -> float:
     return float(t2)
 
 
+def _xi_setup(n: int, H: float):
+    """The upper root t2~ of Q and Q's coefficients deflated by 1 and t2~."""
+    if int(n) != n or n < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n}")
+    if H > -1:
+        raise DomainError(f"xi requires H <= -1, got {H}")
+    t2 = _Q_upper_root(n, H)
+    return t2, _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
+
+
+def _xi_integrand(n, H, rem):
+    """h(v) / sqrt(Q(v)) in offset form; H and ``rem`` are floats for one
+    H or (rows, 1) columns for a batch, with the same arithmetic."""
+
+    def fo(v, da, db):
+        return eval_h(n, H, v) / np.sqrt(da * db * _s(n, rem, v))
+
+    return fo
+
+
 def xi(n: int, H: float, tol: float = DEFAULT_TOL,
        max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
     """xi_n(H): the flux at the threshold constant C = Ctilde.
@@ -489,18 +510,67 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL,
     Q has a simple zero at both endpoints and h(1) = n H is finite, so
     both endpoints carry clean inverse-square-root singularities.
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
-    if H > -1:
-        raise DomainError(f"xi requires H <= -1, got {H}")
-    t2 = _Q_upper_root(n, H)
-    rem = _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
+    t2, rem = _xi_setup(n, H)
+    spec = SingularIntegrand(lower=1.0, upper=t2,
+                             offset_integrand=_xi_integrand(n, H, rem))
+    return de_integrate(spec, tol=tol, max_level=max_level)
 
-    def fo(v, da, db):
-        return eval_h(n, H, v) / np.sqrt(da * db * _s(n, rem, v))
 
-    return de_integrate(SingularIntegrand(lower=1.0, upper=t2, offset_integrand=fo),
-                        tol=tol, max_level=max_level)
+def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
+            max_level: int = DEFAULT_MAX_LEVEL,
+            missing_as_none: bool = False) -> list[Optional[QuadResult]]:
+    """xi_n(H) at every H of ``Hs``, all quadratures run as one batch.
+
+    The per-H set-up (upper root, deflated coefficients) is scalar and
+    stacked as columns.  Each result equals ``xi(n, H, tol, max_level)``
+    in all four fields, and errors are raised in the order of ``Hs``, as
+    a loop over xi would raise them; with ``missing_as_none`` an H where
+    Q has no upper root (LandmarkError) gives None instead.
+    """
+    Hs = [float(H) for H in Hs]
+    status, cols = [], []  # per H: its batch row, None or the error
+    for H in Hs:
+        try:
+            t2, rem = _xi_setup(n, H)
+        except LandmarkError as exc:
+            status.append(None if missing_as_none else exc)
+        except (HypcmcError, ValueError, RuntimeError) as exc:
+            status.append(exc)
+        else:
+            status.append(len(cols))
+            cols.append((H, t2) + rem)
+    batch = [None] * len(cols)
+    if tol > 0 and cols:
+        table = np.array(cols).T
+        H_col, rem = table[0], table[2:]
+
+        def integrand(rows, x, da, db):
+            return _xi_integrand(n, H_col[rows, None],
+                                 rem[:, rows, None])(x, da, db)
+
+        batch = _integrate_rows(np.ones(len(cols)), table[1], integrand, tol,
+                                max_level)
+    out = []
+    for H, row in zip(Hs, status):
+        if isinstance(row, Exception):
+            raise row
+        if row is not None and batch[row] is None:
+            # the one-row path drops nodes outside the keep mask, or
+            # raises a loop's error (a non-finite value, or tol <= 0)
+            out.append(xi(n, H, tol=tol, max_level=max_level))
+        else:
+            out.append(row if row is None else batch[row])
+    return out
+
+
+def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:
+    """``res`` if its quadrature converged, else NonConvergenceError."""
+    if not res.converged:
+        raise NonConvergenceError(
+            f"{what} did not reach tol={tol}: "
+            f"error estimate {res.abs_error_estimate!r}"
+        )
+    return res
 
 
 def K_limit_at_C0(n: int, H: float) -> float:

@@ -14,14 +14,16 @@ Each scan grid of solve_C is evaluated in one batched call
 (quadrature.flux_K_grid, which also finds the oscillation roots of all
 its C as lanes of one Brent iteration), and every per-C value equals
 the scalar flux_K path exactly, so the grids, brackets and outcomes are
-those of a point-by-point scan.  Brent refinement and verification stay
-scalar; Brent starts from the scan's values at the bracket ends, and
-the verification reads Brent's own value at the root it returns, so no
-flux value is computed twice.
+those of a point-by-point scan; find_H0's scan is one xi_grid call in
+the same way.  Brent refinement and verification stay scalar; Brent
+starts from the scan's values at the bracket ends, and the verification
+reads Brent's own value at the root it returns, so no value is computed
+twice.  A bracket whose sign change is only the jump is not refined.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -37,7 +39,14 @@ from .errors import (
     LandmarkError,
 )
 from .potential import C0, Ctilde, ShapeParams, landmarks
-from .quadrature import CTILDE_GUARD_REL, flux_K, flux_K_grid, xi
+from .quadrature import (
+    CTILDE_GUARD_REL,
+    flux_K,
+    flux_K_grid,
+    require_converged,
+    xi,
+    xi_grid,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -91,12 +100,11 @@ class NoRootReport:
     message: str
 
 
-def _xi_value(n: int, H: float, tol: float) -> float:
-    """xi_n(H), with -inf standing in where the landmark does not exist."""
-    try:
-        return xi(n, H, tol=tol).value
-    except LandmarkError:
+def _xi_offset(n: int, H: float, res, tol: float) -> float:
+    """xi_n(H) + 2*pi, or -inf where the landmark is missing (res None)."""
+    if res is None:
         return -math.inf
+    return require_converged(res, f"xi_{n}({H!r})", tol).value + TWO_PI
 
 
 def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
@@ -104,10 +112,12 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             quad_tol: float = 1e-11) -> Union[SolveOutcome, NoRootReport]:
     """Solve xi_n(H) = -2*pi for H in the search interval.
 
-    Scans a geometric grid for a sign change of xi_n + 2*pi, then refines
-    with Brent bracketing to |dH| <= tol.  If no sign change exists the
-    scan statistics are returned as a NoRootReport (the expected outcome
-    for n = 3, 4, 5, where xi_n stays above -2*pi).
+    Scans a geometric grid (one xi_grid batch) for a sign change of
+    xi_n + 2*pi, then refines with Brent bracketing to |dH| <= tol.  A
+    missing landmark counts as xi = -inf; a non-converged xi raises
+    NonConvergenceError.  If no sign change exists the scan statistics
+    are returned as a NoRootReport (the expected outcome for n = 3, 4, 5,
+    where xi_n stays above -2*pi).
     """
     H_lo, H_hi = search
     if not (H_lo < H_hi and H_hi <= -1):
@@ -116,7 +126,9 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
         raise DomainError("tol must be positive")
 
     grid = -np.geomspace(-H_lo, -H_hi, SCAN_POINTS)
-    vals = np.array([_xi_value(n, H, quad_tol) + TWO_PI for H in grid])
+    vals = np.array([
+        _xi_offset(n, H, res, quad_tol) for H, res in
+        zip(grid, xi_grid(n, grid, tol=quad_tol, missing_as_none=True))])
     finite = np.isfinite(vals)
 
     bracket = None
@@ -127,14 +139,14 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             a = a if finite[i] else -1.0
             b = b if finite[i + 1] else -1.0
             if a * b < 0:
-                bracket = (grid[i], grid[i + 1])
+                bracket = i, i + 1
                 break
             continue
         if vals[i] == 0.0:
-            bracket = (grid[i], grid[i])
+            bracket = i, i
             break
         if vals[i] * vals[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
+            bracket = i, i + 1
             break
 
     if bracket is None:
@@ -146,26 +158,32 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             message="xi_n + 2*pi has no sign change on the scanned grid",
         )
 
+    # scan values at the bracket ends, then Brent's (its root is one of them)
+    known = {float(grid[j]): vals[j] for j in bracket}
     iters = [0]
 
     def f(H):
         iters[0] += 1
-        val = _xi_value(n, H, quad_tol) + TWO_PI
+        if H not in known:
+            try:
+                res = xi(n, H, tol=quad_tol)
+            except LandmarkError:
+                res = None
+            known[H] = _xi_offset(n, H, res, quad_tol)
         # keep brentq's arithmetic finite where the landmark vanishes
-        return val if math.isfinite(val) else -1e12
+        return known[H] if math.isfinite(known[H]) else -1e12
 
-    if bracket[0] == bracket[1]:
-        root = bracket[0]
+    lo, hi = (float(grid[j]) for j in bracket)
+    if lo == hi:
+        root = lo
     else:
-        root = brentq(f, bracket[0], bracket[1], xtol=tol, rtol=8.9e-16)
-    residual = _xi_value(n, root, quad_tol) + TWO_PI
+        root = brentq(f, lo, hi, xtol=tol, rtol=8.9e-16)
     # At H0 the solution sits exactly on C = Ctilde with K = -2*pi; theta
     # is still injective there (its derivative vanishes only at isolated
     # points), so the threshold solution is classified as embedded.
     return SolveOutcome(
-        parameter_value=float(root), residual=float(residual),
-        classification=EMBEDDED, bracket_used=(float(bracket[0]),
-                                               float(bracket[1])),
+        parameter_value=float(root), residual=float(known[root]),
+        classification=EMBEDDED, bracket_used=(lo, hi),
         iterations=iters[0],
     )
 
@@ -196,13 +214,13 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     c0 = C0(n, H)
     ct = Ctilde(n, H)
     guard = CTILDE_GUARD_REL * abs(ct)
-    xi_res = None  # the flux at guard-band scan points, computed once
+    # the flux in the guard band, computed at most once
+    xi_res = functools.cache(lambda: xi(n, H, tol=quad_tol))
 
     if mode == "embedded":
         if (winding.k, winding.m) != (1, 1):
             raise DomainError("embedded mode requires the (k, m) = (1, 1) winding")
-        xi_res = xi(n, H, tol=quad_tol)
-        xi_val = xi_res.value
+        xi_val = xi_res().value
         if not xi_val > -TWO_PI:
             raise EmbeddingPreconditionError(
                 f"embedding requires xi_n(H) > -2*pi, but xi_{n}({H}) = "
@@ -218,12 +236,11 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     points = SCAN_POINTS
     while True:
         grid = -np.geomspace(-lo, -hi, points)
-        if xi_res is None and np.any(np.abs(grid - ct) < guard):
-            xi_res = xi(n, H, tol=quad_tol)
-        vals = np.array([res.value - target for res in
-                         flux_K_grid(n, H, grid, tol=quad_tol, xi_result=xi_res)])
+        in_band = np.any(np.abs(grid - ct) < guard)
+        vals = np.array([res.value - target for res in flux_K_grid(
+            n, H, grid, tol=quad_tol, xi_result=xi_res() if in_band else None)])
         outcome = _refine_first_crossing(n, H, grid, vals, target, tol,
-                                         quad_tol, ct)
+                                         quad_tol, ct, xi_res)
         if outcome is not None:
             return outcome
         if points >= SCAN_POINTS_MAX:
@@ -236,15 +253,22 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
         points *= 2
 
 
-def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
+def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct,
+                           xi_res):
     """Brent-refine each scan bracket in order; return the first verified root.
 
     The flux minus target is known at the scan points (``vals``, equal to
     _flux_at there bit for bit), and Brent evaluates it at the point it
-    returns, so those values are reused instead of recomputed.
+    returns, so those values are reused instead of recomputed.  A bracket
+    that is only the jump at Ctilde is skipped; ``xi_res()`` gives xi.
     """
+    restol = max(RESIDUAL_TOL, 10 * tol)
     for i in range(len(grid) - 1):
         if vals[i] != 0.0 and not vals[i] * vals[i + 1] < 0:
+            continue
+        if vals[i] != 0.0 and _jump_only(grid[i], grid[i + 1], vals[i],
+                                         vals[i + 1], ct, xi_res, target,
+                                         restol):
             continue
         known = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
 
@@ -260,7 +284,7 @@ def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
                                rtol=8.9e-16, full_output=True)
             iters = res.iterations
         residual = f(cand)
-        if abs(residual) <= max(RESIDUAL_TOL, 10 * tol):
+        if abs(residual) <= restol:
             cls = _classification(n, H, cand, ct, target)
             return SolveOutcome(
                 parameter_value=float(cand), residual=float(residual),
@@ -270,6 +294,25 @@ def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
             )
         # sign change caused by the flux jump across Ctilde, not a root
     return None
+
+
+def _jump_only(a, b, fa, fb, ct, xi_res, target, restol) -> bool:
+    """Whether the sign change of K - target from fa (at a) to fb (at b)
+    is only the jump at Ctilde: the bracket meets the guard band (value
+    xi - target, no root), and each end has the sign of its side's limit,
+    xi - pi - target below Ctilde or xi + pi - target above.  As in the
+    scan, a side without a sign change is taken to hold no root.
+    """
+    guard = CTILDE_GUARD_REL * abs(ct)
+    in_a, in_b = abs(a - ct) < guard, abs(b - ct) < guard
+    if not (in_a or in_b or a < ct < b):
+        return False  # both ends on one side, outside the band
+    below = a < ct and not in_a
+    above = b > ct and not in_b
+    mid = xi_res().value - target
+    return (abs(mid) > restol
+            and (not below or fa * (mid - math.pi) > 0)
+            and (not above or fb * (mid + math.pi) > 0))
 
 
 def _classification(n, H, C, ct, target) -> str:

@@ -215,12 +215,15 @@ def _two_newton_steps(coeffs, root):
     return float(root)
 
 
-def unmemoised_refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct):
+def unmemoised_refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct,
+                                     xi_res=None):
     """The shooting refine step with a fresh flux evaluation everywhere.
 
     Brent evaluates the flux at both scan points of a bracket again, and
     the verify residual is one more evaluation at the returned point.
-    The refine step that reuses those values must give the same outcome.
+    Every bracket with a sign change is refined, the jump at Ctilde too
+    (``xi_res`` is not used).  The refine step that reuses those values
+    and skips the jump must give the same outcome.
     """
     from hypcmc import shooting
 

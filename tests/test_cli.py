@@ -57,6 +57,37 @@ def test_xi_nonconvergence_exit_3(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "NonConvergenceError"
 
 
+def test_sweep_nonconvergence_exit_3(capsys, monkeypatch):
+    # a sweep row whose xi did not converge fails the command, naming H,
+    # instead of being written out
+    import hypcmc.cli as cli_mod
+
+    xi_grid = cli_mod.xi_grid
+
+    def one_row_not_converged(n, Hs, tol):
+        out = xi_grid(n, Hs, tol=tol)
+        out[2] = h.QuadResult(out[2].value, 1.0, out[2].evaluations, False)
+        return out
+
+    monkeypatch.setattr(cli_mod, "xi_grid", one_row_not_converged)
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--H-from", "-3",
+                             "--H-to", "-2", "--steps", "5")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "NonConvergenceError"
+    assert "H=-2.5 " in json.loads(err)["error"]
+
+
+def test_sweep_fails_as_a_loop_over_xi(capsys):
+    # the first error of the grid, in grid order: n = 2 has no xi at
+    # H = -1 (exit 2, LandmarkError) although H = -0.5 comes later
+    code, out, err = run_cli(capsys, "sweep", "--n", "2", "--H-from", "-1.5",
+                             "--H-to", "-0.5", "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "LandmarkError"
+
+
 def test_env_tol_override(capsys, monkeypatch):
     # the environment tolerance must reach the quadrature call, and an
     # explicit --tol must win over it

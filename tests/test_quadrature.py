@@ -319,6 +319,24 @@ def test_batch_rows_the_block_cannot_take_are_left_to_the_one_row_path():
             0.0, 1.0, offset_integrand=lambda x, da, db: np.full_like(x, np.inf)))
 
 
+def test_flux_one_sided_limits_at_ctilde():
+    # the flux tends to xi - pi from below Ctilde and to xi + pi from
+    # above (the jump the refine step skips); next to Ctilde the gap
+    # falls with the offset until it meets the quadrature's own error
+    # there (~1e-7; most rows at rel <= 1e-7 report converged=False)
+    for H in (-1.1, -1.5):
+        worst = {}
+        for n in range(2, 9):
+            ct, x = h.Ctilde(n, H), h.xi(n, H).value
+            for rel in (1e-6, 1e-7, 1e-8):
+                for side in (1, -1):   # side 1: C below Ctilde
+                    K = h.flux_K(h.ShapeParams(n, H, ct * (1 + side * rel)))
+                    gap = abs(K.value - (x - side * math.pi))
+                    assert gap <= rel + 2e-7, (H, n, rel, side, gap)
+                    worst[rel] = max(worst.get(rel, 0.0), gap)
+        assert worst[1e-7] < 0.2 * worst[1e-6], worst
+
+
 def test_flux_limit_at_C0():
     n, H = 3, -1.2
     c0 = h.C0(n, H)
@@ -383,3 +401,100 @@ def test_quadrature_oracle_cross_check():
     assert singular_integral_extrapolated(
         lambda x: 1.0 / math.sqrt(x * (1 - x)), 0.0, 1.0
     ) == pytest.approx(math.pi, abs=1e-9)
+
+
+# --- xi over an H grid ----------------------------------------------------
+
+
+def _xi_or_none(n, H, **kw):
+    """Scalar xi, with None where the upper root of Q does not exist."""
+    try:
+        return h.xi(n, H, **kw)
+    except h.LandmarkError:
+        return None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), H_lo=st.floats(-1000.0, -1.0001),
+       H_hi=st.sampled_from([-1.0, -1.0001, -1.02]),
+       points=st.integers(1, 48), geometric=st.booleans())
+def test_xi_grid_equals_scalar_xi(n, H_lo, H_hi, points, geometric):
+    # every field of every batched result equals scalar xi, on linear and
+    # geometric H grids; at n = 2 the grids that reach H = -1 meet a
+    # missing landmark, which gives None in its slot
+    if geometric:
+        Hs = -np.geomspace(-H_lo, -H_hi, points)
+    else:
+        Hs = np.linspace(H_lo, H_hi, points)
+    batch = h.xi_grid(n, Hs, missing_as_none=True)
+    scalar = [_xi_or_none(n, float(H)) for H in Hs]
+    assert batch == scalar
+    assert (sum(r.evaluations for r in batch if r)
+            == sum(r.evaluations for r in scalar if r))
+
+
+def test_xi_grid_figure_and_h0_grids():
+    # the sweep grids of fig6-fig8 and find_H0's default scan, n = 2..8
+    grids = [np.linspace(-10.0, -1.0, 128), -np.geomspace(10.0, 1.0, 64)]
+    for n in range(2, 9):
+        for Hs in grids:
+            assert (h.xi_grid(n, Hs, missing_as_none=True)
+                    == [_xi_or_none(n, float(H)) for H in Hs])
+
+
+def test_xi_grid_errors_in_grid_order():
+    # without missing_as_none a grid raises the error a loop over xi meets
+    # first, with its message: a missing landmark (n = 2, H = -1) before
+    # or after an H > -1, a bad n, a bad tolerance
+    cases = [(2, [-1.5, -1.0, -0.5], {}), (2, [-1.5, -0.5, -1.0], {}),
+             (2, [-1.2, -1.0], {}), (1, [-1.5, -1.2], {}),
+             (3, [-1.5, -1.2], {"tol": 0.0}), (2, [-1.0, -1.5], {"tol": 0.0}),
+             (3, [-1.5, -0.9, -1.2], {"tol": -1.0})]
+    for n, Hs, kw in cases:
+        expected = _first_error(lambda: [h.xi(n, H, **kw) for H in Hs])
+        assert expected is not None
+        assert _first_error(lambda: h.xi_grid(n, Hs, **kw)) == expected
+        assert _first_error(
+            lambda: h.xi_grid(n, Hs, missing_as_none=True, **kw)) == (
+            _first_error(lambda: [_xi_or_none(n, H, **kw) for H in Hs]))
+    assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
+    assert h.xi_grid(3, []) == []
+
+
+def test_xi_grid_row_left_out_runs_scalar_xi(monkeypatch):
+    # a row the batch leaves as None runs through scalar xi once, and
+    # every result stays equal to the scalar loop
+    n, Hs = 4, list(-np.geomspace(30.0, 1.0, 9))
+    integrate_rows = quadrature._integrate_rows
+
+    def leave_one_out(*args, **kw):
+        rows = integrate_rows(*args, **kw)
+        if not kw.get("one_row"):   # the batch, not de_integrate
+            rows[3] = None
+        return rows
+
+    scalar_calls = []
+    xi = quadrature.xi
+    monkeypatch.setattr(quadrature, "_integrate_rows", leave_one_out)
+    monkeypatch.setattr(quadrature, "xi",
+                        lambda n, H, **kw: scalar_calls.append(H)
+                        or xi(n, H, **kw))
+    batch = h.xi_grid(n, Hs)
+    assert scalar_calls == [Hs[3]]
+    monkeypatch.undo()
+    assert batch == [h.xi(n, H) for H in Hs]
+
+
+def test_xi_grid_against_frozen_values():
+    # every frozen xi (50-digit mpmath values, see test_frozen_refs.py)
+    # through the batch
+    by_n = {}
+    for (n, H), ref in frozen.XI.items():
+        by_n.setdefault(n, []).append((H, ref))
+    for n, entries in by_n.items():
+        Hs = [H for H, _ in entries]
+        batch = h.xi_grid(n, Hs, tol=1e-12)
+        assert batch == [h.xi(n, H, tol=1e-12) for H in Hs]
+        for (H, ref), res in zip(entries, batch):
+            assert res.converged, (n, H)
+            assert res.value == pytest.approx(ref, abs=1e-11), (n, H)

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 import hypcmc as h
@@ -168,11 +170,15 @@ def test_classify_embedded_at_threshold():
 @pytest.mark.parametrize("n, H, winding, mode", [
     (2, -1.1, h.WindingTarget(1, 5), "any"),        # hit on the first grid
     (2, -1.822855, h.WindingTarget(1, 1), "embedded"),  # jump bracket per grid
+    (2, -1.658229, h.WindingTarget(1, 1), "any"),   # the same, on both sides
 ])
 def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
     # Brent starts from the scan's values at the bracket ends and the
     # residual is Brent's own value at the returned point: 3 fewer scalar
-    # flux evaluations per refined bracket, the same outcome in every field
+    # flux evaluations per refined bracket, the same outcome in every
+    # field.  A bracket whose sign change is only the flux jump at Ctilde
+    # is not refined at all; the oracle refines it on every grid, and it
+    # fails verification each time
     def run(refine):
         calls, brackets = [0], [0]
         flux_at, brentq = shooting._flux_at, shooting.brentq
@@ -196,5 +202,134 @@ def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
     out, calls, brackets = run(shooting._refine_first_crossing)
     ref, ref_calls, ref_brackets = run(oracles.unmemoised_refine_first_crossing)
     assert out == ref
-    assert brackets == ref_brackets > 0
-    assert calls == ref_calls - 3 * brackets
+    if isinstance(ref, h.SolveOutcome):
+        assert brackets == ref_brackets > 0
+        assert calls == ref_calls - 3 * brackets
+    else:
+        # one jump bracket per doubling grid, 64 to 4096 points
+        assert ref_brackets == 7
+        assert brackets == calls == 0
+
+
+def _two_sided(ct, a, b, fa, fb, mid, bump=0.0):
+    """A made-up K - target: from fa at a to mid - pi at Ctilde (linear,
+    plus bump * t (1 - t) in t = (c - a) / (ct - a)), mid inside the guard
+    band, linear from mid + pi at Ctilde to fb at b."""
+    guard = shooting.CTILDE_GUARD_REL * abs(ct)
+
+    def f(c):
+        if abs(c - ct) < guard:
+            return mid
+        if c < ct:
+            t = (c - a) / (ct - a)
+            return fa + (mid - math.pi - fa) * t + bump * t * (1 - t)
+        return mid + math.pi + (fb - mid - math.pi) * (c - ct) / (b - ct)
+
+    return f
+
+
+def _refine(monkeypatch, ct, grid, f, mid):
+    """_refine_first_crossing on made-up values; also the brackets Brent ran."""
+    brackets = []
+    brentq = shooting.brentq
+    monkeypatch.setattr(shooting, "_flux_at", lambda n, H, c, tol: f(c))
+    monkeypatch.setattr(shooting, "brentq",
+                        lambda *args, **kw: brackets.append(args[1:3])
+                        or brentq(*args, **kw))
+    xi_res = lambda: h.QuadResult(mid, 0.0, 1, True)  # noqa: E731
+    out = shooting._refine_first_crossing(
+        2, -1.1, np.array(grid), np.array([f(c) for c in grid]), 0.0, 1e-13,
+        1e-11, ct, xi_res)
+    return out, brackets
+
+
+@pytest.mark.parametrize("fa, fb, mid, refined", [
+    (-1.0, 5.0, 1.0, False),   # no sign change on either side: the jump
+    (-1.0, None, 1.0, False),  # the same, the bracket ending in the band
+    (1.0, -0.5, -4.0, True),   # the lower side changes sign
+    (0.5, -1.0, 4.0, True),    # the upper side changes sign
+    (-1.0, 1.0, 0.0, True),    # xi itself meets the target
+])
+def test_refine_skips_only_the_bare_jump(monkeypatch, fa, fb, mid, refined):
+    # a bracket that meets the guard band is refined exactly when a side
+    # of Ctilde, or the band, can hold a root; the target is 0 here, and
+    # fb None puts the bracket's upper end inside the band
+    ct = h.Ctilde(2, -1.1)
+    a = ct * (1 + 1e-3)
+    b = ct * (1 + 0.5e-9) if fb is None else ct * (1 - 1e-3)
+    out, brackets = _refine(monkeypatch, ct, [a, b],
+                            _two_sided(ct, a, b, fa, fb, mid), mid)
+    assert len(brackets) == int(refined)
+    if refined:
+        assert isinstance(out, h.SolveOutcome)
+        assert abs(out.residual) <= shooting.RESIDUAL_TOL
+        assert out.bracket_used == (a, b)
+    else:
+        assert out is None
+
+
+def test_refine_keeps_root_brackets_away_from_the_band(monkeypatch):
+    # both ends below Ctilde, outside the band: the sign change is a root
+    # even though the lower end has the sign of the lower limit
+    ct = h.Ctilde(2, -1.1)
+    a = ct * (1 + 1e-3)
+    b = a + 0.5 * (ct - a)
+    f = _two_sided(ct, a, None, -1.0, None, 1.0, bump=8.0)
+    assert f(a) * (1.0 - math.pi) > 0 > f(a) * f(b)
+    out, brackets = _refine(monkeypatch, ct, [a, b], f, 1.0)
+    assert brackets == [(a, b)]
+    assert isinstance(out, h.SolveOutcome)
+    assert abs(out.residual) <= shooting.RESIDUAL_TOL
+
+
+def test_find_H0_refine_reuses_scan_values(monkeypatch):
+    # Brent starts from the scan's xi values at the bracket ends and the
+    # residual is its own value at the root: the scalar xi calls are
+    # Brent's evaluations less those two, and the outcome is that of a
+    # plain Brent run on scalar xi
+    calls = []
+    xi = shooting.xi
+    monkeypatch.setattr(shooting, "xi",
+                        lambda n, H, tol: calls.append(H) or xi(n, H, tol=tol))
+    out = h.find_H0(2)
+    monkeypatch.undo()
+
+    def plain(H):
+        try:
+            return h.xi(2, H, tol=1e-11).value + 2 * math.pi
+        except h.LandmarkError:   # the scan's last point, H = -1
+            return -1e12
+
+    root, res = shooting.brentq(plain, *out.bracket_used, xtol=1e-12,
+                                rtol=8.9e-16, full_output=True)
+    assert out.parameter_value == root
+    assert out.iterations == res.function_calls
+    assert len(calls) == out.iterations - 2
+    assert out.residual == plain(root)
+
+
+def _not_converged(res):
+    return h.QuadResult(res.value, 1.0, res.evaluations, False)
+
+
+def test_find_H0_refuses_non_converged_xi(monkeypatch):
+    # a non-converged xi in the scan or in the refine step raises,
+    # naming H, instead of being used
+    xi_grid = shooting.xi_grid
+
+    def scan_with_one_bad(n, Hs, **kw):
+        out = xi_grid(n, Hs, **kw)
+        out[10] = _not_converged(out[10])
+        return out
+
+    grid = -np.geomspace(10.0, 1.0, shooting.SCAN_POINTS)
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "xi_grid", scan_with_one_bad)
+        with pytest.raises(h.NonConvergenceError, match=re.escape(repr(float(grid[10])))):
+            h.find_H0(3)
+    xi = shooting.xi
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "xi", lambda n, H, tol: _not_converged(
+            xi(n, H, tol=tol)))
+        with pytest.raises(h.NonConvergenceError, match="xi_2"):
+            h.find_H0(2)
