@@ -3,9 +3,9 @@ rotational type in H^(n+1).
 
 The public API re-exports the main types and operations of the six
 submodules: potential (q and landmark constants), quadrature (singular
-integrals T, K, xi), shooting (closure solvers), profile (ODE
-integration and curves), lorentz (ambient geometry) and planar
-(polygon diagnostics).
+integrals T, K, xi), shooting (closure solvers), profile (the profile
+curve as series in one phase variable), lorentz (ambient geometry) and
+planar (polygon diagnostics).
 """
 
 from .errors import (

@@ -47,6 +47,11 @@ FIGURE_SWEEPS = {
     "fig7": dict(n=4, H_from=-10.0, H_to=-1.0, steps=128),
     "fig8": dict(n=5, H_from=-10.0, H_to=-1.0, steps=128),
 }
+# the options a command needs unless --seed-figures fills them in
+REQUIRED_WITHOUT_SEED = {
+    "profile": ("n", "H", "C"),
+    "sweep": ("n", "H_from", "H_to"),
+}
 
 
 def _default_tol() -> float:
@@ -243,14 +248,14 @@ def _cmd_check(args):
         "pass": bool(energy.max() <= bound),
     }
 
-    # period: ODE return time vs singular quadrature
+    # period: the phase series vs tanh-sinh quadrature
     period_diff = abs(curve.period_ode - curve.period_T)
     report["period_rel_diff"] = {
         "value": float(period_diff / curve.period_T), "bound": 1e-8,
         "pass": bool(period_diff <= 1e-8 * curve.period_T),
     }
 
-    # closure: theta over one period vs the flux integral
+    # closure: the phase series' angle per period vs the tanh-sinh flux
     K = flux_K(params, tol=args.tol).value
     closure = abs(curve.K_value - K)
     report["closure_residual"] = {
@@ -398,28 +403,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _default_tol()
-        if not hasattr(args, "tol"):
+        if getattr(args, "tol", None) is None:
             args.tol = _default_tol()
         if getattr(args, "samples", None) is not None and args.samples < 16:
             print(json.dumps({"error": "samples must be >= 16"}),
                   file=sys.stderr)
             return 2
-        if args.command == "profile" and not args.seed_figures:
-            for f in ("n", "H", "C"):
-                if getattr(args, f) is None:
-                    print(json.dumps(
-                        {"error": f"--{f} is required without --seed-figures"}),
-                        file=sys.stderr)
-                    return 2
-        if args.command == "sweep" and not args.seed_figures:
-            for f in ("n", "H_from", "H_to"):
-                if getattr(args, f) is None:
-                    print(json.dumps(
-                        {"error": f"--{f.replace('_', '-')} is required "
-                                  "without --seed-figures"}), file=sys.stderr)
-                    return 2
+        for f in REQUIRED_WITHOUT_SEED.get(args.command, ()):
+            if not args.seed_figures and getattr(args, f) is None:
+                print(json.dumps(
+                    {"error": f"--{f.replace('_', '-')} is required "
+                              "without --seed-figures"}), file=sys.stderr)
+                return 2
         return args.func(args)
     except (NonConvergenceError, IntegrationFailureError,
             EvaluationError) as exc:

@@ -46,11 +46,8 @@ class InconsistentStateError(HypcmcError):
 
 
 class IntegrationFailureError(HypcmcError):
-    """ODE integration drifted beyond the energy-conservation bound."""
-
-    def __init__(self, message, worst_t=None):
-        super().__init__(message)
-        self.worst_t = worst_t
+    """A profile could not be built: its period quadrature, a phase series
+    or the Newton iteration for a phase did not converge."""
 
 
 class ClassificationRefusedError(HypcmcError):

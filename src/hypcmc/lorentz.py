@@ -178,7 +178,7 @@ def verify_cmc(params: ShapeParams, curve, t: float,
         )
     n, H = params.n, params.H
     half = fd_step / 2
-    # the base state and both step pairs, with any rebuilt angle in one batch
+    # the base state and both step pairs, from one states call
     base, *shifted = curve.states([t, t + half, t - half,
                                    t + fd_step, t - fd_step])
     if base.r - 1.0 < NEAR_AXIS_EPS:

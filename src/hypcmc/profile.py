@@ -1,15 +1,35 @@
-"""Time-domain integration of the profile system (g, g', theta) and the
-derived curves: the planar profile alpha(t), theta' traces, and full
+"""The profile curve, described by one phase variable, and the curves
+derived from it: the planar profile alpha(t), theta' traces, and full
 immersion sample grids.
 
-The profile satisfies the first integral
+The profile satisfies the first integral (g')^2 = q(g), with
 
-    (g')^2 + g^(2-2n) + (H^2 - 1) g^2 + 2 H g^(2-n) = C,
+    q(g) = C - g^(2-2n) - (H^2 - 1) g^2 - 2 H g^(2-n)
+         = (g - t1)(t2 - g) s(g),
 
-which is singular at the turning points, so we integrate the regular
-second-order form g'' = q'(g) / 2 instead, starting from the minimum
-g(0) = t1, g'(0) = 0.  The angle is carried along as
-theta' = sqrt(-C) g lambda / (g^2 + C) with lambda = H + g^(-n).
+and turns by theta' = sqrt(-C) g lambda / (g^2 + C), lambda = H + g^(-n).
+The substitution
+
+    g = t1 + 2 a sin^2(phi / 2),   a = (t2 - t1) / 2,
+
+gives g' = a sin(phi) sqrt(s(g)) and phi' = sqrt(s(g)) > 0: the phase
+phi runs through 2 pi per period with no turning point left.  Time and
+angle are integrals over phi of smooth, even, 2 pi-periodic functions,
+
+    dt/dphi = 1 / sqrt(s(g)),
+    dtheta/dphi = F(g) / (g - vc),
+    F(g) = vc (1 + H g^n) / ((g + vc) sqrt(P(g))),
+
+with vc = sqrt(-C) < t1 the pole of the angle rate and P = g^(2n-2) s.
+The pole part F(vc) / (g - vc), with g - vc = d + 2 a sin^2(phi / 2)
+and d = t1 - vc, is integrated in closed form; it carries the sharp
+angle spike of a profile that grazes the rotation axis (d -> 0).  The
+time rate and the smooth remainder of the angle rate are integrated
+term by term from their cosine series, whose trapezoid coefficients
+converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
+sample at time t takes its phase from Newton's method on t(phi).  So the
+energy identity holds to rounding, g(jT) = t1, g(jT + T/2) = t2 and
+theta(jT/2) = jK/2.
 """
 
 from __future__ import annotations
@@ -19,8 +39,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     DimensionError,
@@ -29,27 +47,25 @@ from .errors import (
     IntegrationFailureError,
     ParameterRangeError,
 )
-from .potential import Ctilde, ShapeParams, eval_q_prime, oscillation_roots
+from .potential import Ctilde, ShapeParams, horner
 from .quadrature import (
     CTILDE_GUARD_REL,
-    DEFAULT_MAX_LEVEL,
-    SingularIntegrand,
     _flux_ingredients,
-    _integrate_rows,
     _s,
-    de_integrate,
-    flux_K,
+    _synthetic_deflate,
     period_T,
 )
 
-# When the ODE's accumulated angle disagrees with the flux integral by
-# more than this, theta samples are rebuilt by partial quadrature (the
-# near-axis angle spike is stiffer than the g dynamics can certify).
-THETA_REBUILD_TOL = 1e-9
-
+# the bound `hypcmc check` holds the first-integral residual to
 ENERGY_TOL = 1e-8
-RK_RTOL = 1e-10
-RK_ATOL = 1e-12
+# a cosine series has converged when the upper half of its coefficients
+# is below SERIES_TOL times the largest node value; the nodes per
+# half-period are doubled up to MAX_NODES
+SERIES_TOL = 4 * np.finfo(float).eps
+MAX_NODES = 1 << 13
+# Newton's method on t(phi) stops at a step below PHASE_TOL
+PHASE_TOL = 1e-14
+NEWTON_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -71,8 +87,11 @@ class ProfileCurve:
     """A sampled profile trajectory over an integer number of periods.
 
     Arrays are aligned: entry i of each array is the state at t[i].  The
-    dense interpolant of the integrator is retained so intermediate
-    states can be queried through ``state``.
+    phase series are retained, so ``state`` evaluates the curve at any t
+    inside the sampled range by the same rule as the samples.
+    ``period_T`` is the tanh-sinh period and the time axis; ``period_ode``
+    and ``K_value`` are the period and the angle per period of the phase
+    series, computed independently of ``period_T`` and ``flux_K``.
     """
 
     params: ShapeParams
@@ -86,8 +105,7 @@ class ProfileCurve:
     periods_covered: int
     t1: float
     t2: float
-    _sol: object = field(repr=False, default=None)
-    _theta_map: object = field(repr=False, default=None)
+    _phase: object = field(repr=False, default=None)
 
     @property
     def r(self) -> np.ndarray:
@@ -109,165 +127,159 @@ class ProfileCurve:
 
     @property
     def samples(self) -> list[ProfileSample]:
-        r, lam, mu, tp = self.r, self.lam, self.mu, self.theta_prime
-        return [
-            ProfileSample(t=float(self.t[i]), g=float(self.g[i]),
-                          g_prime=float(self.g_prime[i]), r=float(r[i]),
-                          lam=float(lam[i]), mu=float(mu[i]),
-                          theta=float(self.theta[i]), theta_prime=float(tp[i]))
-            for i in range(len(self.t))
-        ]
+        return _samples(self.params, self.t, self.g, self.g_prime, self.theta)
 
     def state(self, t: float) -> ProfileSample:
-        """Interpolated state at an arbitrary t inside the sampled range."""
+        """The state at an arbitrary t inside the sampled range."""
         return self.states([t])[0]
 
     def states(self, ts: Sequence[float]) -> list[ProfileSample]:
-        """Interpolated states at times inside the sampled range.
-
-        A rebuilt angle is computed for all of ``ts`` in one batch.
-        """
+        """The states at times inside the sampled range."""
         for t in ts:
             if not (self.t[0] <= t <= self.t[-1]):
                 raise ParameterRangeError(
                     f"t={t} outside the sampled range [{self.t[0]}, {self.t[-1]}]"
                 )
-        thetas = None if self._theta_map is None else self._theta_map.theta(ts)
-        n, H, C = self.params.n, self.params.H, self.params.C
-        out = []
-        for i, t in enumerate(ts):
-            g, gp, theta = self._sol(t)
-            if thetas is not None:
-                theta = thetas[i]
-            r = g / math.sqrt(-C)
-            lam = H + g ** (-n)
-            out.append(ProfileSample(
-                t=float(t), g=float(g), g_prime=float(gp), r=float(r),
-                lam=float(lam), mu=float(n * H - (n - 1) * lam),
-                theta=float(theta),
-                theta_prime=float(math.sqrt(-C) * g * lam / (g * g + C)),
-            ))
-        return out
+        ts = np.array(ts, dtype=float)
+        return _samples(self.params, ts, *self._phase.at(ts))
 
 
-def _half_flux_low(n, H, t2, rem, vc, d):
-    """Offset integrand of the half flux over (t1, x), x in the lower half.
+def _samples(params: ShapeParams, t, g, gp, theta) -> list[ProfileSample]:
+    """One ProfileSample per entry of the aligned arrays, with the derived
+    fields computed as the ProfileCurve properties compute them."""
+    n, H, C = params.n, params.H, params.C
+    lam = H + g ** (-n)
+    fields = zip(t, g, gp, g / math.sqrt(-C), lam, n * H - (n - 1) * lam,
+                 theta, math.sqrt(-C) * g * lam / (g * g + C))
+    return [ProfileSample(*map(float, row)) for row in fields]
 
-    The pole factor is written as (da + d)(v + vc) as in the full flux,
-    so it keeps relative accuracy next to t1 when d is tiny.
+
+def _cosine_series(f, what: str) -> np.ndarray:
+    """Cosine coefficients c of an even 2 pi-periodic function f(phi).
+
+    f = c[0] + sum over k >= 1 of c[k] cos(k phi), from the trapezoid
+    values at phi_j = j pi / N (a type-I DCT), with N doubled until the
+    upper half of the coefficients is at the rounding level of the
+    values, SERIES_TOL of their size.  Trailing coefficients at that
+    level are dropped.
+    """
+    N = 8
+    while N <= MAX_NODES:
+        vals = f(np.arange(N + 1) * (math.pi / N))
+        if not np.all(np.isfinite(vals)):
+            raise IntegrationFailureError(f"the {what} integrand is not finite")
+        c = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1]))).real / N
+        c[0] /= 2
+        c[N] /= 2
+        floor = SERIES_TOL * np.max(np.abs(vals))
+        if np.max(np.abs(c[N // 2:])) <= floor:
+            return c[:1 + np.flatnonzero(np.abs(c) > floor).max(initial=0)]
+        N *= 2
+    raise IntegrationFailureError(
+        f"the {what} series did not converge with {MAX_NODES} nodes")
+
+
+def _sine_sum(b, phi):
+    """sum over k >= 1 of b[k - 1] sin(k phi), by Horner's rule in e^(i phi)."""
+    z = np.exp(1j * phi)
+    acc = np.zeros_like(z)
+    for bk in b[::-1]:
+        acc = (acc + bk) * z
+    return acc.imag
+
+
+class _Phase:
+    """One period of the profile as series in the phase phi.
+
+    Times are mapped onto the curve's time axis of period T, the
+    tanh-sinh period: a time tau has the phase phi with
+    t(phi) / t(2 pi) = tau / T, so every period mark falls on phi = 0
+    mod 2 pi, and the series period is reported apart, as ``period``.
     """
 
-    def fo(v, da, db):
-        return (vc * (1 + H * v ** n) * v ** (1 - n)
-                / ((da + d) * (v + vc) * np.sqrt(da * (t2 - v) * _s(n, rem, v))))
-
-    return fo
-
-
-def _half_flux_high(n, H, C, t1, rem, vc):
-    """Offset integrand of the half flux over (x, t2), x in the upper half."""
-
-    def fo(v, da, db):
-        return (vc * (1 + H * v ** n) * v ** (1 - n)
-                / ((C + v * v) * np.sqrt((v - t1) * db * _s(n, rem, v))))
-
-    return fo
-
-
-class _ThetaMap:
-    """Angle as a function of t, rebuilt from partial flux quadrature.
-
-    The accumulated angle over [0, tau] inside the first half-period
-    equals the v-substituted flux integral from t1 to g(tau).  Anchoring
-    each partial integral at the exact turning point (with the pole
-    offset d computed analytically) keeps theta accurate through the
-    near-axis spike, where pointwise ODE integration of theta' cannot:
-    the period-mark values theta(jT) come out exactly j * K.
-    """
-
-    def __init__(self, params: ShapeParams, T: float, K: float, g_of_t,
-                 tol: float = 1e-11):
-        self.T = T
-        self.K = K
-        self.g_of_t = g_of_t
-        self.tol = tol
+    def __init__(self, params: ShapeParams, T: float):
         n, H, C = params.n, params.H, params.C
-        self.t1, self.t2, rem, vc, d = _flux_ingredients(params)
-        self._low = _half_flux_low(n, H, self.t2, rem, vc, d)
-        self._high = _half_flux_high(n, H, C, self.t1, rem, vc)
+        t1, t2, rem, vc, d = _flux_ingredients(params)
+        a = (t2 - t1) / 2
+        self.n, self.T, self.t1, self.t2, self.a, self.rem = n, T, t1, t2, a, rem
 
-    def _partials(self, fo, lower, upper) -> list:
-        """The integrals of ``fo`` over (lower[i], upper[i]), as one batch."""
-        if not lower:
-            return []
-        batch = _integrate_rows(np.array(lower), np.array(upper),
-                                lambda rows, x, da, db: fo(x, da, db),
-                                self.tol, DEFAULT_MAX_LEVEL)
-        out = []
-        for a, b, res in zip(lower, upper, batch):
-            if res is None:
-                # a row the block left out runs the one-row path, which
-                # drops the nodes outside the keep mask or raises the
-                # EvaluationError of a non-finite value
-                res = de_integrate(SingularIntegrand(lower=a, upper=b,
-                                                     offset_integrand=fo),
-                                   tol=self.tol)
-            out.append(res.value)
-        return out
+        dt = _cosine_series(lambda phi: 1 / np.sqrt(_s(n, rem, self.g_of(phi))),
+                            "time")
+        self.rate = dt[0]
+        self.period = 2 * math.pi * dt[0]
+        self.b_time = dt[1:] / (np.arange(1, len(dt)) * dt[0])
 
-    def theta(self, ts: Sequence[float]) -> np.ndarray:
-        """The angle at each time of ``ts``.
+        # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
+        root_vc = math.sqrt(-horner(rem, vc))
+        F_vc = (-C) ** (n / 2) * (H + (-C) ** (-n / 2)) / (2 * root_vc)
+        # the integral of F(vc) / (d + 2a sin^2(phi/2)) over [0, phi] is
+        # pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2))
+        self.pole = 2 * F_vc / math.sqrt(d * (d + 2 * a))
+        self.pole_axes = (math.sqrt(d + 2 * a), math.sqrt(d))
+        integrand = _angle_remainder(n, H, rem, vc, root_vc, F_vc, self.g_of)
+        dtheta = _cosine_series(integrand, "angle")
+        self.slope = dtheta[0]
+        self.b_angle = dtheta[1:] / np.arange(1, len(dtheta))
+        self.K = 2 * math.pi * self.slope + math.pi * self.pole
 
-        Each sample is planned first: its period count j, its time tau
-        inside the period, whether tau is reflected into the first
-        half-period (theta0(tau) = K - theta0(T - tau)) and the half
-        that g(tau) falls in.  The partial integrals of all samples then
-        run as two batches, one per half.
+    def g_of(self, phi):
+        return self.t1 + 2 * self.a * np.sin(phi / 2) ** 2
+
+    def _angle(self, phi):
+        """theta over [0, phi]."""
+        y, x = self.pole_axes
+        return (self.slope * phi + _sine_sum(self.b_angle, phi)
+                + self.pole * np.arctan2(y * np.sin(phi / 2), x * np.cos(phi / 2)))
+
+    def _phase_of(self, target):
+        """phi with t(phi) / rate = target, by Newton's method from phi = target."""
+        phi = target
+        for _ in range(NEWTON_MAX_STEPS):
+            miss = phi + _sine_sum(self.b_time, phi) - target
+            # dt/dphi = 1 / sqrt(s(g)) > 0
+            step = miss * self.rate * np.sqrt(_s(self.n, self.rem, self.g_of(phi)))
+            phi = phi - step
+            if np.max(np.abs(step), initial=0.0) <= PHASE_TOL:
+                return phi
+        raise IntegrationFailureError("Newton's method on t(phi) did not converge")
+
+    def at(self, ts):
+        """(g, g', theta) at the times ``ts`` of the curve's time axis.
+
+        Each time is taken from its nearest period mark j T, so its phase
+        lies in [-pi, pi] (g is even in phi, t and theta odd) and is
+        small next to t1, where the angle turns fastest.
         """
-        T, K, t1, t2 = self.T, self.K, self.t1, self.t2
-        low, high = [], []  # x of the samples needing a partial integral
-        # per sample: (j, reflected, half, angle), where the angle over
-        # [0, tau] is an index into the half's integrals when half is set
-        plan = []
-        for t in ts:
-            j = math.floor(t / T)
-            tau = t - j * T
-            if tau >= T:  # rounding at a period mark
-                j += 1
-                tau -= T
-            if tau <= 0:
-                plan.append((j, False, None, 0.0))
-                continue
-            if tau >= T:
-                plan.append((j, False, None, K))
-                continue
-            # tau in (T/2, T) reflects exactly (Sterbenz) into (0, T/2)
-            reflected = tau > T / 2
-            if reflected:
-                tau = T - tau
-            x = min(max(float(self.g_of_t(tau)), t1), t2)
-            if x - t1 <= t2 - x:
-                if x <= t1:
-                    plan.append((j, reflected, None, 0.0))
-                else:
-                    plan.append((j, reflected, low, len(low)))
-                    low.append(x)
-            elif x >= t2:
-                plan.append((j, reflected, None, K / 2))
-            else:
-                plan.append((j, reflected, high, len(high)))
-                high.append(x)
+        j = np.round(ts / self.T)
+        phi = self._phase_of(2 * math.pi * (ts - j * self.T) / self.T)
+        g = self.g_of(phi)
+        gp = self.a * np.sin(phi) * np.sqrt(_s(self.n, self.rem, g))
+        return g, gp, j * self.K + self._angle(phi)
 
-        low_vals = self._partials(self._low, [t1] * len(low), low)
-        high_vals = self._partials(self._high, high, [t2] * len(high))
-        out = np.empty(len(plan))
-        for i, (j, reflected, half, v0) in enumerate(plan):
-            if half is low:
-                v0 = low_vals[v0]
-            elif half is high:
-                v0 = K / 2 - high_vals[v0]
-            out[i] = j * K + (K - v0 if reflected else v0)
-        return out
+
+def _angle_remainder(n, H, rem, vc, root_vc, F_vc, g_of):
+    """(F(g) - F(vc)) / (g - vc) as a function of phi, by divided differences.
+
+    With F = N W, N(g) = vc (1 + H g^n) and W = 1 / U, U = (g + vc) sqrt(P):
+    F[g, vc] = N[g, vc] W(g) - N(vc) U[g, vc] / (U(g) U(vc)), where
+    N[g, vc] is vc H times the power sum of g^i vc^(n-1-i),
+    U[g, vc] = sqrt(P(g)) + 2 vc P[g, vc] / (sqrt(P(g)) + sqrt(P(vc))) and
+    -P[g, vc] is the quotient of rem by (v - vc).  No two close numbers
+    are subtracted, so the remainder keeps its accuracy next to the pole.
+    """
+    quotient = _synthetic_deflate(rem, vc)
+    powers = [vc ** k for k in range(n)]
+    U_vc = 2 * vc * root_vc
+    N_vc = F_vc * U_vc
+
+    def remainder(phi):
+        g = g_of(phi)
+        root = np.sqrt(-horner(rem, g))
+        U = (g + vc) * root
+        dU = root - 2 * vc * horner(quotient, g) / (root + root_vc)
+        return vc * H * horner(powers, g) / U - N_vc * dU / (U * U_vc)
+
+    return remainder
 
 
 def _energy_residual(params: ShapeParams, g, gp):
@@ -278,11 +290,13 @@ def _energy_residual(params: ShapeParams, g, gp):
 
 def integrate_profile(params: ShapeParams, m_periods: int = 1,
                       samples_per_period: int = 1024) -> ProfileCurve:
-    """Integrate (g, g', theta) over m periods from the g-minimum.
+    """The profile (g, g', theta) over m periods from the g-minimum.
 
-    Uses an adaptive embedded Runge-Kutta 5(4) pair with dense output.
-    The phase convention puts t = 0 at the r-minimum, so g oscillates
-    t1 -> t2 -> t1 over one period.
+    Samples are uniform in t on the tanh-sinh period ``period_T``; each
+    takes its phase from Newton's method on the series t(phi).  The phase
+    convention puts t = 0 at the r-minimum, so g oscillates
+    t1 -> t2 -> t1 over one period.  A series that does not converge by
+    its node cap raises IntegrationFailureError.
     """
     if params.C is None:
         raise DomainError("integrate_profile requires C")
@@ -296,73 +310,18 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
             "integration is refused there (the angle rate degenerates); "
             "the flux at Ctilde itself is xi(n, H)"
         )
-    t1, t2 = oscillation_roots(params)
     Tq = period_T(params)
     if not Tq.converged:
         raise IntegrationFailureError("period quadrature did not converge")
     T = Tq.value
-    sqc = math.sqrt(-C)
-
-    def rhs(t, yv):
-        g, gp, _ = yv
-        lam = H + g ** (-n)
-        return [gp, 0.5 * eval_q_prime(params, g), sqc * g * lam / (g * g + C)]
-
-    t_end = m_periods * T
-    sol = solve_ivp(rhs, (0.0, t_end), [t1, 0.0, 0.0], method="RK45",
-                    rtol=RK_RTOL, atol=RK_ATOL, dense_output=True)
-    if not sol.success:
-        raise IntegrationFailureError(f"ODE integration failed: {sol.message}")
-
-    ts = np.linspace(0.0, t_end, m_periods * samples_per_period + 1)
-    g, gp, theta = sol.sol(ts)
-
-    res = _energy_residual(params, g, gp)
-    bound = ENERGY_TOL * max(1.0, abs(C))
-    if res.max() > bound:
-        worst = float(ts[int(np.argmax(res))])
-        raise IntegrationFailureError(
-            f"energy drift {res.max():.3e} exceeds {bound:.3e} at t={worst}",
-            worst_t=worst,
-        )
-
-    # ODE-side period: the return of g' to zero (from below) near T.
-    def gprime_at(t):
-        return sol.sol(t)[1]
-
-    lo, hi = 0.75 * T, min(1.25 * T, t_end)
-    if gprime_at(lo) < 0 < gprime_at(hi):
-        period_ode = brentq(gprime_at, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    elif abs(gprime_at(hi)) < 1e-9:
-        # g' did not change sign before the end of the span (m = 1 and a
-        # slightly early return); the endpoint itself is the period.
-        period_ode = hi
-    else:
-        period_ode = float("nan")
-
-    # The angle carried by the ODE is only trustworthy when it agrees
-    # with the singular quadrature over one period; the near-axis spike
-    # in theta' (C close to Ctilde) defeats pointwise ODE accuracy, in
-    # which case theta is rebuilt from partial flux integrals anchored
-    # at the exact turning points.
-    K_quad = flux_K(params).value
-    K_ode = float(sol.sol(T)[2])
-    theta_map = None
-    if abs(K_ode - K_quad) <= THETA_REBUILD_TOL:
-        K_value = K_ode
-    else:
-        # sample g with the ODE's own phase so turning points land where
-        # the trajectory actually turns (the two periods differ by ~1e-11)
-        scale = period_ode / T if math.isfinite(period_ode) else 1.0
-        theta_map = _ThetaMap(params, T, K_quad,
-                              lambda tt: sol.sol(tt * scale)[0])
-        theta = theta_map.theta(ts)
-        K_value = K_quad
+    phase = _Phase(params, T)
+    ts = np.linspace(0.0, m_periods * T, m_periods * samples_per_period + 1)
+    g, gp, theta = phase.at(ts)
     return ProfileCurve(
         params=params, t=ts, g=g, g_prime=gp, theta=theta,
-        period_T=T, period_ode=float(period_ode), K_value=K_value,
-        periods_covered=m_periods, t1=t1, t2=t2, _sol=sol.sol,
-        _theta_map=theta_map,
+        period_T=T, period_ode=phase.period, K_value=phase.K,
+        periods_covered=m_periods, t1=phase.t1, t2=phase.t2,
+        _phase=phase,
     )
 
 

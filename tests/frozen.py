@@ -9,7 +9,8 @@ the suite so the package is tested against values it cannot have
 produced itself.
 
 ``perfbench/mpref.py`` (mpmath, no hypcmc import) recomputes XI and
-K_NEAR_AXIS_N2 to every stored digit; ``test_frozen_refs.py`` checks them.
+K_NEAR_AXIS_N2 to every stored digit, and its roots and 50-digit
+integrands give HALF_WAY; ``test_frozen_refs.py`` checks them.
 """
 
 # xi_n(H) = flux at the threshold constant
@@ -44,3 +45,16 @@ CSTAR_N2_M10 = -0.1960716552407582620281
 # 9e-5 of xi_2(-1.1) - pi, NOT -2*pi -- the flux jumps by -pi as C
 # approaches Ctilde from below because the profile grazes the rotation axis
 K_NEAR_AXIS_N2 = -7.785530530038739197444
+
+# the profile half-way up, where g = (t1 + t2) / 2: (g_mid, t_mid,
+# theta_mid), with t_mid and theta_mid the partial integrals from t1 to
+# g_mid of the time dv / sqrt(q(v)) and of the angle rate, at the fig1
+# constant (near the axis) and at a constant 8% from Ctilde
+HALF_WAY = {
+    (2, -1.1, -0.9091743461769703): (1.621044927851211692201187,
+                                     1.487608199349531204490213,
+                                     -2.892136149910878617893024),
+    (3, -1.5, -0.7): (0.9376116856536633112318602,
+                      0.4102488628714849960185354,
+                      0.4401577726485102711108316),
+}

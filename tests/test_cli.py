@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,17 @@ def test_profile_missing_args_exit_2(capsys):
     assert "required" in json.loads(err)["error"]
 
 
+def test_sweep_missing_args_exit_2(capsys):
+    # the profile and sweep messages name the first missing option, as
+    # one JSON line on stderr
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--H-from", "-3")
+    assert (code, out) == (2, "")
+    assert err == '{"error": "--H-to is required without --seed-figures"}\n'
+    code, out, err = run_cli(capsys, "profile", "--H", "-1.1")
+    assert (code, out) == (2, "")
+    assert err == '{"error": "--n is required without --seed-figures"}\n'
+
+
 def test_profile_output_file(tmp_path, capsys):
     dest = tmp_path / "prof.csv"
     code, out, _ = run_cli(capsys, "profile", "--n", "2", "--H", "-1.1",
@@ -248,10 +261,36 @@ def test_check_report(capsys):
     assert data["all_pass"] is True
 
 
+def test_check_report_near_axis(capsys):
+    # the fig1 constant, 9.2e-5 below Ctilde: every invariant passes its
+    # usual bound, and the closure compares the phase series' angle with
+    # the tanh-sinh flux, two independent values
+    code, out, _ = run_cli(capsys, "check", "--n", "2", "--H", "-1.1",
+                           "--C", "-0.9091743461769703")
+    assert code == 0
+    data = json.loads(out)
+    bounds = {"energy_residual_max": 1e-8, "period_rel_diff": 1e-8,
+              "closure_residual": 1e-7, "hyperboloid_max_deviation": 1e-10,
+              "gauss_norm_max_deviation": 1e-10,
+              "gauss_tangency_max_deviation": 1e-10,
+              "cmc_fd_max_error": 1e-5}
+    for key, bound in bounds.items():
+        assert data[key]["bound"] == bound, key
+        assert data[key]["pass"] is True, key
+    assert data["cmc_fd_max_error"]["samples"] == 100
+    assert data["closure_residual"]["value"] > 0
+    assert data["all_pass"] is True
+
+
 def test_console_script_entry_point():
+    # the child imports the hypcmc under test, installed or not
+    src = str(Path(h.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-m", "hypcmc.cli", "xi", "--n", "2", "--H", "-1.1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     # the module is runnable directly; the installed `hypcmc` script wraps
     # the same main()
     assert proc.returncode == 0

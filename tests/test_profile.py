@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcmc as h
-from hypcmc import profile
 
 import frozen
-from oracles import closed_form_g_n2, scalar_theta_rebuild
+from oracles import closed_form_g_n2
 
 NEAR_AXIS = h.ShapeParams(2, -1.1, -0.9091743461769703)
 
@@ -67,11 +66,9 @@ def test_theta_accumulates_K_per_period():
 def test_theta_rebuild_near_axis():
     # C 9.2e-5 (relative) below Ctilde, so r_min - 1 = rho_min^2 / 2 =
     # 5.1e-9 (rho_min = 1.0e-4 from the axis): the angle rate spikes to
-    # ~1e4 there and direct ODE transport of theta is off by ~1e-2; the
-    # rebuilt angle must still hit K at the period marks
+    # ~1e4 there; the angle must still hit K at the period marks
     params = h.ShapeParams(2, -1.1, -0.9091743461769703)
     curve = h.integrate_profile(params, samples_per_period=256)
-    assert curve._theta_map is not None
     assert curve.K_value == pytest.approx(frozen.K_NEAR_AXIS_N2, abs=1e-9)
     assert curve.state(curve.period_T).theta == pytest.approx(
         curve.K_value, abs=1e-12)
@@ -79,67 +76,48 @@ def test_theta_rebuild_near_axis():
     assert np.all(np.diff(curve.theta) < 0)
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
-def test_theta_rebuild_equals_scalar_loop_near_axis():
-    # the rebuilt samples of the fig1 profile, and the angle of state(t)
-    # at the sample times, equal the one-quadrature-per-sample loop
-    curve = h.integrate_profile(NEAR_AXIS)
-    tm = curve._theta_map
-    want = scalar_theta_rebuild(NEAR_AXIS, tm.T, tm.K, tm.g_of_t, curve.t)
-    assert np.array_equal(_bits(curve.theta), _bits(want))
-    idx = [1, 2, 255, 511, 512, 513, 1000, 1023, 1024]
-    assert [curve.state(float(curve.t[i])).theta for i in idx] == list(
-        curve.theta[idx])
-    assert [s.theta for s in curve.states(curve.t[idx])] == list(
-        curve.theta[idx])
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(2, 8), H=st.floats(-3.0, -1.02),
        side=st.sampled_from([-1, 1]), e=st.floats(-6.0, -3.0),
-       periods=st.integers(1, 3), samples=st.integers(8, 48))
-def test_theta_rebuild_batch_equals_scalar_loop(n, H, side, e, periods,
-                                                samples):
-    # C next to Ctilde on both sides; g(tau) is a cosine between the
-    # turning points, so samples fall in both halves, on the period and
-    # half-period marks, and next to t1 and t2 (where x is clipped)
+       periods=st.integers(1, 3))
+def test_turning_points_near_axis(n, H, side, e, periods):
+    # C next to Ctilde on both sides: at every half-period mark the angle
+    # is exactly j K / 2 and g sits on its turning point, however sharp
+    # the angle spike at t1
     params = h.ShapeParams(n, H, h.Ctilde(n, H) * (1 + side * 10.0 ** e))
-    T, K = h.period_T(params).value, h.flux_K(params).value
-    t1, t2 = h.oscillation_roots(params)
-
-    def g_of_t(tau):
-        return 0.5 * (t1 + t2) - 0.5 * (t2 - t1) * math.cos(2 * math.pi * tau / T)
-
-    ts = np.linspace(0.0, periods * T, periods * samples + 1)
-    got = profile._ThetaMap(params, T, K, g_of_t).theta(ts)
-    want = scalar_theta_rebuild(params, T, K, g_of_t, ts)
-    assert np.array_equal(_bits(got), _bits(want))
+    curve = h.integrate_profile(params, m_periods=periods,
+                                samples_per_period=16)
+    T, K = curve.period_T, curve.K_value
+    marks = curve.states([j * T / 2 for j in range(2 * periods + 1)])
+    for j, s in enumerate(marks):
+        assert abs(s.theta - j * K / 2) <= 1e-13
+        turn = curve.t2 if j % 2 else curve.t1
+        assert abs(s.g - turn) <= 1e-15 * turn
 
 
-def test_theta_rebuild_row_left_out_of_the_batch(monkeypatch):
-    # a row the batch returns as None runs the one-row de_integrate path
-    batch_rows = profile._integrate_rows
-    one_row = []
+def test_times_next_to_period_marks():
+    # one ulp from a period mark j T, next to the axis: g is back on t1
+    # and the angle is j K plus the angle rate (~1e4 here) times the
+    # distance to the mark
+    curve = h.integrate_profile(NEAR_AXIS, m_periods=64, samples_per_period=16)
+    T, K, t1 = curve.period_T, curve.K_value, curve.t1
+    rate = curve.theta_prime[0]
+    ts = [float(np.nextafter(j * T, side)) for j in range(1, 64)
+          for side in (0.0, np.inf)]
+    for t, s in zip(ts, curve.states(ts)):
+        j = round(t / T)
+        assert abs(s.g - t1) <= 1e-15 * t1
+        step = rate * (t - j * T)
+        assert abs(s.theta - j * K - step) <= 1e-3 * abs(step) + 4e-15 * j
 
-    def drop_second_row(*args, **kwargs):
-        out = batch_rows(*args, **kwargs)
-        out[1] = None
-        return out
 
-    def counted(*args, **kwargs):
-        one_row.append(args[0])
-        return h.de_integrate(*args, **kwargs)
-
-    monkeypatch.setattr(profile, "_integrate_rows", drop_second_row)
-    monkeypatch.setattr(profile, "de_integrate", counted)
-    curve = h.integrate_profile(NEAR_AXIS, samples_per_period=16)
-    tm = curve._theta_map
-    assert len(one_row) == 2  # one per half
-    want = scalar_theta_rebuild(NEAR_AXIS, tm.T, tm.K, tm.g_of_t, curve.t)
-    assert np.array_equal(_bits(curve.theta), _bits(want))
+def test_state_half_way_matches_mpmath():
+    # where g = (t1 + t2) / 2, time and angle are the 50-digit partial
+    # integrals from t1, near the axis (fig1) and away from it
+    for (n, H, C), (g_mid, t_mid, theta_mid) in frozen.HALF_WAY.items():
+        s = h.integrate_profile(h.ShapeParams(n, H, C)).state(t_mid)
+        assert s.g == pytest.approx(g_mid, abs=1e-11)
+        assert s.theta == pytest.approx(theta_mid, abs=1e-11)
 
 
 def test_profile_sample_fields_consistent():
@@ -195,6 +173,10 @@ def test_theta_prime_trace_clipping():
     assert np.max(np.abs(clipped[:, 1])) <= 0.5
     with pytest.raises(h.DomainError):
         h.theta_prime_trace(curve, clip=-1.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def test_surface_grid_points_on_hyperboloid():
