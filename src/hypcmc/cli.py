@@ -30,7 +30,7 @@ from .errors import (
 )
 from .potential import C0, Ctilde, ShapeParams
 from .profile import integrate_profile, profile_alpha, theta_prime_trace
-from .quadrature import flux_K, require_converged, xi, xi_grid
+from .quadrature import require_converged, xi, xi_grid
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
@@ -256,7 +256,7 @@ def _cmd_check(args):
     }
 
     # closure: the phase series' angle per period vs the tanh-sinh flux
-    K = flux_K(params, tol=args.tol).value
+    K = quadrature._flux_over_v(params, tol=args.tol).value
     closure = abs(curve.K_value - K)
     report["closure_residual"] = {
         "value": float(closure), "bound": 1e-7,

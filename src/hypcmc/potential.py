@@ -215,6 +215,10 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     coeffs = tuple(p_coefficients(n, H, C).tolist())
     dcoeffs = _derivative(coeffs)
     p = functools.partial(horner, coeffs)
+    if not p(_v0) > 0:
+        raise DegenerateOscillationError(
+            f"p(v0) = {p(_v0)!r} <= 0 at C={C!r}: in floats the oscillation "
+            "interval is degenerate")
 
     lo = 1e-9 * _v0
     t1 = brentq(p, lo, _v0, xtol=1e-15, rtol=8.9e-16)
@@ -240,16 +244,19 @@ def oscillation_roots_grid(n: int, H: float, Cs) -> list:
     returns, bit for bit: the same brackets, upper-bracket expansion,
     Brent steps (_brentq_lanes) and two Newton polishes, on columns of
     coefficients.  An entry is None where the scalar routine would raise
-    (C outside (C0, 0) or degenerate, bracket expansion failed) or where
-    Brent did not settle, for the caller to run the scalar routine.
+    (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket expansion
+    failed) or where Brent did not settle, for the caller to run the
+    scalar routine.
     """
     ShapeParams(n=n, H=H)  # raises for an invalid n or H
     Cs = np.asarray(Cs, dtype=float)
     _v0 = v0(n, H)
     _c0 = C0(n, H)
     out = [None] * len(Cs)
-    lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0))
-    coeffs = p_coefficients(n, H, Cs[lanes])
+    coeffs = p_coefficients(n, H, Cs)
+    lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
+                           & (horner(coeffs, _v0) > 0))
+    coeffs = coeffs[:, lanes]
 
     hi = np.full(len(lanes), 2 * _v0)
     grow = horner(coeffs, hi) >= 0

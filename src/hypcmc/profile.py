@@ -21,15 +21,16 @@ angle are integrals over phi of smooth, even, 2 pi-periodic functions,
     F(g) = vc (1 + H g^n) / ((g + vc) sqrt(P(g))),
 
 with vc = sqrt(-C) < t1 the pole of the angle rate and P = g^(2n-2) s.
-The pole part F(vc) / (g - vc), with g - vc = d + 2 a sin^2(phi / 2)
-and d = t1 - vc, is integrated in closed form; it carries the sharp
-angle spike of a profile that grazes the rotation axis (d -> 0).  The
-time rate and the smooth remainder of the angle rate are integrated
-term by term from their cosine series, whose trapezoid coefficients
-converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
-sample at time t takes its phase from Newton's method on t(phi).  So the
-energy identity holds to rounding, g(jT) = t1, g(jT + T/2) = t2 and
-theta(jT/2) = jK/2.
+The angle rate is quadrature._angle_rate, the integrand flux_K
+integrates: its pole part F(vc) / (g - vc), with
+g - vc = d + 2 a sin^2(phi / 2) and d = t1 - vc, is integrated in
+closed form; it carries the sharp angle spike of a profile that grazes
+the rotation axis (d -> 0).  The time rate and the smooth remainder of
+the angle rate are integrated term by term from their cosine series,
+whose trapezoid coefficients converge geometrically (Trefethen &
+Weideman, SIAM Rev. 56, 2014).  A sample at time t takes its phase from
+Newton's method on t(phi).  So the energy identity holds to rounding,
+g(jT) = t1, g(jT + T/2) = t2 and theta(jT/2) = jK/2.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ from .errors import (
     IntegrationFailureError,
     ParameterRangeError,
 )
-from .potential import Ctilde, ShapeParams, horner
+from .potential import Ctilde, ShapeParams
 from .quadrature import (
-    CTILDE_GUARD_REL,
-    _flux_ingredients,
+    MAX_NODES,
+    _angle_remainder,
+    _flux_setup,
+    _in_guard_band,
+    _rows,
     _s,
-    _synthetic_deflate,
     period_T,
 )
 
@@ -60,9 +63,8 @@ from .quadrature import (
 ENERGY_TOL = 1e-8
 # a cosine series has converged when the upper half of its coefficients
 # is below SERIES_TOL times the largest node value; the nodes per
-# half-period are doubled up to MAX_NODES
+# half-period are doubled up to MAX_NODES (the phase rule's cap)
 SERIES_TOL = 4 * np.finfo(float).eps
-MAX_NODES = 1 << 13
 # Newton's method on t(phi) stops at a step below PHASE_TOL
 PHASE_TOL = 1e-14
 NEWTON_MAX_STEPS = 30
@@ -91,7 +93,9 @@ class ProfileCurve:
     inside the sampled range by the same rule as the samples.
     ``period_T`` is the tanh-sinh period and the time axis; ``period_ode``
     and ``K_value`` are the period and the angle per period of the phase
-    series, computed independently of ``period_T`` and ``flux_K``.
+    series.  ``period_ode`` is independent of ``period_T``; ``K_value``
+    takes the trapezoid mean of flux_K's integrand, so it is compared
+    with the tanh-sinh flux over v instead.
     """
 
     params: ShapeParams
@@ -198,9 +202,10 @@ class _Phase:
     """
 
     def __init__(self, params: ShapeParams, T: float):
-        n, H, C = params.n, params.H, params.C
-        t1, t2, rem, vc, d = _flux_ingredients(params)
-        a = (t2 - t1) / 2
+        n = params.n
+        t1, t2, rate = _flux_setup(params)
+        rate = _rows(rate, 0)
+        a, rem = rate.a, rate.rem
         self.n, self.T, self.t1, self.t2, self.a, self.rem = n, T, t1, t2, a, rem
 
         dt = _cosine_series(lambda phi: 1 / np.sqrt(_s(n, rem, self.g_of(phi))),
@@ -209,15 +214,11 @@ class _Phase:
         self.period = 2 * math.pi * dt[0]
         self.b_time = dt[1:] / (np.arange(1, len(dt)) * dt[0])
 
-        # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
-        root_vc = math.sqrt(-horner(rem, vc))
-        F_vc = (-C) ** (n / 2) * (H + (-C) ** (-n / 2)) / (2 * root_vc)
-        # the integral of F(vc) / (d + 2a sin^2(phi/2)) over [0, phi] is
-        # pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2))
-        self.pole = 2 * F_vc / math.sqrt(d * (d + 2 * a))
-        self.pole_axes = (math.sqrt(d + 2 * a), math.sqrt(d))
-        integrand = _angle_remainder(n, H, rem, vc, root_vc, F_vc, self.g_of)
-        dtheta = _cosine_series(integrand, "angle")
+        # the angle's pole part, in closed form (see _angle_rate)
+        self.pole = rate.pole
+        self.pole_axes = (math.sqrt(rate.d + 2 * a), math.sqrt(rate.d))
+        dtheta = _cosine_series(
+            lambda phi: _angle_remainder(n, params.H, rate, phi), "angle")
         self.slope = dtheta[0]
         self.b_angle = dtheta[1:] / np.arange(1, len(dtheta))
         self.K = 2 * math.pi * self.slope + math.pi * self.pole
@@ -257,31 +258,6 @@ class _Phase:
         return g, gp, j * self.K + self._angle(phi)
 
 
-def _angle_remainder(n, H, rem, vc, root_vc, F_vc, g_of):
-    """(F(g) - F(vc)) / (g - vc) as a function of phi, by divided differences.
-
-    With F = N W, N(g) = vc (1 + H g^n) and W = 1 / U, U = (g + vc) sqrt(P):
-    F[g, vc] = N[g, vc] W(g) - N(vc) U[g, vc] / (U(g) U(vc)), where
-    N[g, vc] is vc H times the power sum of g^i vc^(n-1-i),
-    U[g, vc] = sqrt(P(g)) + 2 vc P[g, vc] / (sqrt(P(g)) + sqrt(P(vc))) and
-    -P[g, vc] is the quotient of rem by (v - vc).  No two close numbers
-    are subtracted, so the remainder keeps its accuracy next to the pole.
-    """
-    quotient = _synthetic_deflate(rem, vc)
-    powers = [vc ** k for k in range(n)]
-    U_vc = 2 * vc * root_vc
-    N_vc = F_vc * U_vc
-
-    def remainder(phi):
-        g = g_of(phi)
-        root = np.sqrt(-horner(rem, g))
-        U = (g + vc) * root
-        dU = root - 2 * vc * horner(quotient, g) / (root + root_vc)
-        return vc * H * horner(powers, g) / U - N_vc * dU / (U * U_vc)
-
-    return remainder
-
-
 def _energy_residual(params: ShapeParams, g, gp):
     n, H, C = params.n, params.H, params.C
     return np.abs(gp * gp + g ** (2 - 2 * n) + (H * H - 1) * g * g
@@ -302,13 +278,12 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
         raise DomainError("integrate_profile requires C")
     if m_periods < 1:
         raise DomainError("m_periods must be >= 1")
-    n, H, C = params.n, params.H, params.C
-    ct = Ctilde(n, H)
-    if abs(C - ct) < CTILDE_GUARD_REL * abs(ct):
+    if _in_guard_band(params.n, params.H, params.C):
         raise GuardBandError(
-            f"C={C} is inside the guard band around Ctilde={ct}; profile "
-            "integration is refused there (the angle rate degenerates); "
-            "the flux at Ctilde itself is xi(n, H)"
+            f"C={params.C} is inside the guard band around "
+            f"Ctilde={Ctilde(params.n, params.H)}; profile integration is "
+            "refused there (the angle rate degenerates); the flux at Ctilde "
+            "itself is xi(n, H)"
         )
     Tq = period_T(params)
     if not Tq.converged:

@@ -1,22 +1,30 @@
-"""Double-exponential (tanh-sinh) quadrature for integrals with
-inverse-square-root endpoint singularities, plus the specific integrals
-of this problem: the period T, the flux K(C, H), the threshold value
-xi_n(H), and the analytic limits at C0.
+"""The integrals of this problem: the period T, the flux K(C, H), the
+threshold value xi_n(H), and the analytic limits at C0.
 
-The central numerical idea: integrands are given a chance to receive the
-*offsets* from the interval endpoints (da = x - lower, db = upper - x)
-instead of recomputing them from x.  Near an endpoint, x rounds to the
-endpoint long before da underflows, so offset-aware integrands keep full
-relative accuracy right into the singularity.  The potential q is
-evaluated there in deflated form q = da * db * s(v), where s is the
-polynomial left after synthetically dividing p(v) = v^(2n-2) q(v) by its
-two computed roots.
+The flux and xi are taken in a phase variable.  Over an oscillation
+interval (lo, hi), v = lo + 2a sin^2(phi/2) with a = (hi - lo)/2 gives
+dv / sqrt((v - lo)(hi - v)) = dphi: both inverse-square-root endpoint
+singularities cancel, and the integrands are smooth, even and
+2 pi-periodic in phi.  Their trapezoid means converge geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  The pole of the flux
+integrand at v = sqrt(-C), just below t1, is integrated in closed form.
+
+The period T, and the reference flux that check compares with the
+profile, use tanh-sinh quadrature whose integrands may receive the
+*offsets* da = x - lower, db = upper - x from the endpoints: near an
+endpoint x rounds onto it long before da underflows, so offset-aware
+integrands keep full relative accuracy right into the singularity.
+
+Both rules evaluate the potential in deflated form
+q = (v - t1)(t2 - v) s(v), with s from synthetically dividing
+p(v) = v^(2n-2) q(v) by its two computed roots.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,16 +54,14 @@ from .potential import (
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_LEVEL = 12
 # Relative half-width of the band around Ctilde inside which flux_K
-# refuses to run (the interior near-singularity at v = sqrt(-C) ruins
-# convergence); the Ctilde value itself is served exactly by xi().
+# refuses to run (the flux jumps by 2 pi across Ctilde); the Ctilde
+# value itself is served exactly by xi().
 CTILDE_GUARD_REL = 1e-9
+# the phase rule doubles its nodes per half-period up to MAX_NODES
+MAX_NODES = 1 << 13
 
 # abscissa cutoff: beyond this |t| the transformed node offsets underflow
 _T_CUTOFF = 6.1
-# A batch of integrals is evaluated in blocks of rows holding at most
-# this many nodes per array, or one row where a row has more (about 25k
-# at level 12), so a batch needs no more memory than a lone integral.
-_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,11 @@ class SingularIntegrand:
     def __post_init__(self):
         if self.integrand is None and self.offset_integrand is None:
             raise DomainError("need an integrand or an offset_integrand")
+
+
+def _check_tol(tol):
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
 
 
 def _call_integrand(f, x, da, db, offset_aware):
@@ -124,139 +135,112 @@ def _level_nodes(level: int):
 _cached_level_nodes = functools.lru_cache(maxsize=None)(_level_nodes)
 
 
-def _integrate_rows(lower, upper, integrand, tol, max_level, one_row=False,
-                    interior_only=False):
-    """Tanh-sinh with level doubling for the integrals over (lower[i], upper[i]).
-
-    ``integrand(rows, x, da, db)`` returns the values of the integrals
-    ``rows`` (an index array) at nodes of shape (len(rows), nodes).  Every
-    row runs the same levels in the same operation order as a lone
-    integral would and is retired at the level where it converges.
-
-    With ``one_row`` (the de_integrate path) nodes outside the keep mask
-    are dropped and a non-finite value raises EvaluationError.  Otherwise
-    a row that would need either is left as None, for the caller to run
-    through the one-row path, so every result returned here is the
-    one-row result bit for bit.
-    """
-    results = [None] * len(lower)
-    # per-row state, compacted to the rows still running after each level
-    ids = np.arange(len(lower))
-    width = upper - lower
-    total = np.zeros(len(lower))  # running sums of F * weight (without h)
-    value = np.zeros(len(lower))
-    err = np.full(len(lower), math.inf)
-    evaluations = np.zeros(len(lower), dtype=np.int64)
-    for level in range(max_level + 1):
-        h, lower_half, em, onep, pct = (
-            _cached_level_nodes(level) if level <= DEFAULT_MAX_LEVEL
-            else _level_nodes(level))
-        block = max(1, _BLOCK_NODES // len(em))
-        dropped = []
-        for start in range(0, len(ids), block):
-            sel = slice(start, start + block)
-            w = width[sel, None]
-            near = w * em / onep   # offset from the nearer endpoint
-            far = w / onep         # offset from the farther endpoint
-            da = np.where(lower_half, near, far)
-            db = np.where(lower_half, far, near)
-            x = np.where(lower_half, lower[sel, None] + da, upper[sel, None] - db)
-            weight = pct * da * db / w
-            keep = (da > 0) & (db > 0) & np.isfinite(weight)
-            if interior_only:
-                # a plain integrand can only be evaluated at nodes that
-                # are still interior after rounding; the discarded tail
-                # limits attainable accuracy to ~sqrt(eps) for singular
-                # endpoints away from zero (use an offset integrand to go
-                # below that)
-                keep &= (x > lower[sel, None]) & (x < upper[sel, None])
-            if not keep.all():
-                if one_row:
-                    x, da, db, weight = (a[keep][None] for a in (x, da, db, weight))
-                else:
-                    sel, x, da, db, weight = _drop_rows(
-                        keep.all(axis=1), dropped, sel, len(ids), x, da, db, weight)
-
-            vals = integrand(ids[sel], x, da, db)
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                if one_row:
-                    where = float(x[bad][0])
-                    raise EvaluationError(
-                        f"integrand returned a non-finite value at v={where!r}",
-                        abscissa=where,
-                    )
-                sel, vals, weight = _drop_rows(~bad.any(axis=1), dropped, sel,
-                                               len(ids), vals, weight)
-            # fixed ascending-t summation order keeps repeated runs
-            # bit-identical; a row sums alone exactly as a 1-D array does
-            total[sel] += np.sum(vals * weight, axis=1)
-        # every row still running evaluated the same nodes at this level
-        evaluations += vals.shape[1]
-        new_value = h * total
-        retire = None
-        if level > 0:
-            diff = np.abs(new_value - value)
-            # demand two consecutive quiet levels: a narrow interior
-            # spike (C near Ctilde) is invisible to coarse levels and a
-            # single small difference can be a false plateau
-            if level >= 3:
-                retire = (diff <= tol) & (err <= tol)
-            err = diff
-        value = new_value
-        live = None
-        if dropped:
-            live = np.ones(len(ids), dtype=bool)
-            live[dropped] = False
-            if retire is not None:
-                retire &= live
-        if retire is not None and retire.any():
-            for i in np.flatnonzero(retire):
-                results[ids[i]] = QuadResult(float(value[i]), float(err[i]),
-                                             int(evaluations[i]), True)
-            live = ~retire if live is None else live & ~retire
-        if live is None:
-            continue
-        if not live.any():
-            return results
-        ids, lower, upper, width, total, value, err, evaluations = (
-            a[live] for a in (ids, lower, upper, width, total, value, err,
-                              evaluations))
-    for i, row in enumerate(ids):
-        results[row] = QuadResult(float(value[i]), float(err[i]),
-                                  int(evaluations[i]), False)
-    return results
-
-
-def _drop_rows(mask, dropped, sel, count, *arrays):
-    """Keep the rows of a block where ``mask`` holds; record the others."""
-    sel = np.arange(count)[sel]
-    dropped.extend(sel[~mask])
-    return (sel[mask],) + tuple(a[mask] for a in arrays)
-
-
 def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
                  max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
     """Tanh-sinh quadrature with level doubling, open rule.
 
     Levels are doubled until two successive values agree within ``tol``
-    or ``max_level`` is reached; the reported error estimate is the last
-    inter-level difference.  Endpoints are never evaluated.
+    at two consecutive levels from level 3 on (a narrow interior spike
+    is invisible to coarse levels, and one small difference can be a
+    false plateau), or ``max_level`` is reached; the reported error
+    estimate is the last inter-level difference.  Endpoints are never
+    evaluated, and nodes whose offsets underflow are dropped.  A
+    non-finite value raises EvaluationError.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     a, b = float(spec.lower), float(spec.upper)
     if not a < b:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
     offset_aware = spec.offset_integrand is not None
     f = spec.offset_integrand if offset_aware else spec.integrand
+    width = b - a
+    total = 0.0  # running sum of F * weight (without h)
+    value, err, evaluations = 0.0, math.inf, 0
+    for level in range(max_level + 1):
+        h, lower_half, em, onep, pct = (
+            _cached_level_nodes(level) if level <= DEFAULT_MAX_LEVEL
+            else _level_nodes(level))
+        near = width * em / onep   # offset from the nearer endpoint
+        far = width / onep         # offset from the farther endpoint
+        da = np.where(lower_half, near, far)
+        db = np.where(lower_half, far, near)
+        x = np.where(lower_half, a + da, b - db)
+        weight = pct * da * db / width
+        keep = (da > 0) & (db > 0) & np.isfinite(weight)
+        if not offset_aware:
+            # a plain integrand only takes nodes still interior after
+            # rounding, which limits it to ~sqrt(eps) at singular ends
+            keep &= (x > a) & (x < b)
+        x, da, db, weight = x[keep], da[keep], db[keep], weight[keep]
+        vals = _call_integrand(f, x, da, db, offset_aware)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            where = float(x[bad][0])
+            raise EvaluationError(
+                f"integrand returned a non-finite value at v={where!r}",
+                abscissa=where,
+            )
+        # fixed ascending-t summation order keeps repeated runs identical
+        total += np.sum(vals * weight)
+        evaluations += len(vals)
+        new_value = h * total
+        if level > 0:
+            diff = abs(new_value - value)
+            if level >= 3 and diff <= tol and err <= tol:
+                return QuadResult(float(new_value), float(diff), evaluations,
+                                  True)
+            err = diff
+        value = new_value
+    return QuadResult(float(value), float(err), evaluations, False)
 
-    def integrand(rows, x, da, db):
-        return _call_integrand(f, x[0], da[0], db[0], offset_aware)[None]
 
-    return _integrate_rows(np.array([a]), np.array([b]), integrand, tol,
-                           max_level, one_row=True,
-                           interior_only=not offset_aware)[0]
+def _phase_mean(integrand, rows: int, tol: float) -> list[QuadResult]:
+    """Trapezoid means over phi in [0, pi] of ``rows`` smooth, even,
+    2 pi-periodic integrands.
+
+    ``integrand(live, phi)`` gives the rows ``live`` (an index array) at
+    the nodes ``phi``, broadcastable to (len(live), len(phi)).  The nodes
+    are j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the
+    new midpoints.  A row retires, converged, at the first N where its
+    mean moves by at most ``tol``, the move being its error estimate;
+    each row takes the operations it would take alone.  A non-finite
+    value raises EvaluationError.
+    """
+    _check_tol(tol)
+    results = [None] * rows
+    live = np.arange(rows)
+
+    def evaluate(phi):
+        vals = np.broadcast_to(integrand(live, phi), (len(live), len(phi)))
+        if not np.isfinite(vals).all():
+            where = float(phi[~np.isfinite(vals).all(axis=0)][0])
+            raise EvaluationError(
+                f"integrand returned a non-finite value at phi={where!r}",
+                abscissa=where,
+            )
+        return vals
+
+    N = 8
+    ends = np.ones(N + 1)
+    ends[0] = ends[N] = 0.5
+    total = np.sum(evaluate(np.arange(N + 1) * (math.pi / N)) * ends, axis=1)
+    mean, move, evaluations = total / N, np.full(rows, math.inf), N + 1
+    while len(live) and N < MAX_NODES:
+        total = total + np.sum(
+            evaluate((2 * np.arange(N) + 1) * (math.pi / (2 * N))), axis=1)
+        evaluations += N
+        N *= 2
+        move = np.abs(total / N - mean)
+        mean = total / N
+        done = move <= tol
+        for i in np.flatnonzero(done):
+            results[live[i]] = QuadResult(float(mean[i]), float(move[i]),
+                                          evaluations, True)
+        live, total, mean, move = (x[~done] for x in (live, total, mean, move))
+    for i, row in enumerate(live):
+        results[row] = QuadResult(float(mean[i]), float(move[i]), evaluations,
+                                  False)
+    return results
 
 
 def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
@@ -283,6 +267,12 @@ def _s(n, rem, v):
     return -horner(rem, v) * v ** (2 - 2 * n)
 
 
+def _pow(x, y):
+    """x ** y for each entry of a 1-D array, in float arithmetic (an
+    array power may take a SIMD path whose last bit differs)."""
+    return np.array([v ** y for v in x.tolist()])
+
+
 def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
              max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
     """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v))."""
@@ -301,70 +291,102 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
                       res.evaluations, res.converged)
 
 
-def _flux_ingredients(params: ShapeParams):
-    """Roots, deflated potential factor and pole data for the flux.
+# what _angle_rate computes, per C: 1-D arrays, or (rem, quotient,
+# powers) 2-D arrays with one row per coefficient
+_AngleRate = namedtuple("_AngleRate",
+                        "t1 a d pole rem quotient vc root_vc U_vc N_vc powers")
 
-    Returns (t1, t2, rem, vc, d) with q(v) = (v - t1)(t2 - v) s(v) for
-    s = _s(n, rem, .), vc = sqrt(-C) the location of the pole of the
-    angle rate, and d = t1 - vc its (always positive) offset from the
-    lower root.
+
+def _rows(rate: _AngleRate, index) -> _AngleRate:
+    """The rate of the C at ``index``: 0 gives floats for one C, an
+    (rows, 1) index array gives columns."""
+    return _AngleRate(*(f[..., index] for f in rate))
+
+
+def _angle_rate(n: int, H: float, C, t1, t2) -> _AngleRate:
+    """The profile's angle rate dtheta/dphi = F(g) / (g - vc) over its
+    phase phi (see the profile module), split at the pole vc = sqrt(-C).
+
+    With d = t1 - vc > 0 and g = t1 + 2a sin^2(phi/2), a = (t2 - t1)/2,
+    the pole part F(vc) / (d + 2a sin^2(phi/2)) integrates over [0, phi]
+    to pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2)), so over
+    a period to pi * pole; it carries the angle spike of a profile that
+    grazes the rotation axis (d -> 0).  _angle_remainder is the smooth
+    rest.  C, t1 and t2 are 1-D arrays, one entry per C; powers are taken
+    per entry, so each entry is the arithmetic of its C alone.  An entry
+    with d <= 0 has a NaN pole.
     """
-    n, H, C = params.n, params.H, params.C
-    t1, t2 = oscillation_roots(params)
-    vc = math.sqrt(-C)
-    rem = _deflated_coefficients(p_coefficients(n, H, C), t1, t2)
+    rem = np.array(_synthetic_deflate(
+        _synthetic_deflate(tuple(p_coefficients(n, H, C)), t1), t2))
+    vc = np.sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
     # q(vc) = -(-C) (H + (-C)^(-n/2))^2 with the deflated form of q,
     # which gives d in terms of relatively accurate quantities.
-    delta = H + (-C) ** (-n / 2)
-    d = (-C) * delta * delta / ((t2 - vc) * float(_s(n, rem, vc)))
-    if d <= 0:
+    delta = H + _pow(-C, -n / 2)
+    P_vc = -horner(rem, vc)   # P(vc) = vc^(2n-2) s(vc)
+    d = (-C) * delta * delta / ((t2 - vc) * (P_vc * _pow(vc, 2 - 2 * n)))
+    a = (t2 - t1) / 2
+    with np.errstate(invalid="ignore"):
+        root_vc = np.sqrt(P_vc)
+        # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
+        F_vc = _pow(-C, n / 2) * delta / (2 * root_vc)
+        pole = 2 * F_vc / np.sqrt(d * (d + 2 * a))
+    U_vc = 2 * vc * root_vc
+    return _AngleRate(t1, a, d, pole, rem, np.array(_synthetic_deflate(rem, vc)),
+                      vc, root_vc, U_vc, F_vc * U_vc,
+                      np.array([_pow(vc, k) for k in range(n)]))
+
+
+def _angle_remainder(n: int, H: float, rate: _AngleRate, phi):
+    """(F(g) - F(vc)) / (g - vc) at the phases ``phi``, by divided differences.
+
+    ``rate`` holds floats for one C, or (rows, 1) columns for a batch of
+    C; the arithmetic is the same either way.  With F = N W,
+    N(g) = vc (1 + H g^n) and W = 1 / U, U = (g + vc) sqrt(P):
+    F[g, vc] = N[g, vc] W(g) - N(vc) U[g, vc] / (U(g) U(vc)), where
+    N[g, vc] is vc H times the power sum of g^i vc^(n-1-i),
+    U[g, vc] = sqrt(P(g)) + 2 vc P[g, vc] / (sqrt(P(g)) + sqrt(P(vc))) and
+    -P[g, vc] is the quotient of rem by (v - vc).  No two close numbers
+    are subtracted, so the remainder keeps its accuracy next to the pole.
+    """
+    t1, a, _, _, rem, quotient, vc, root_vc, U_vc, N_vc, powers = rate
+    g = t1 + 2 * a * np.sin(phi / 2) ** 2
+    root = np.sqrt(-horner(rem, g))
+    U = (g + vc) * root
+    dU = root - 2 * vc * horner(quotient, g) / (root + root_vc)
+    return vc * H * horner(powers, g) / U - N_vc * dU / (U * U_vc)
+
+
+def _flux_setup(params: ShapeParams):
+    """The roots t1, t2 of one C and its angle rate, as one row.
+
+    Raises DomainError where d = t1 - sqrt(-C) is not positive.
+    """
+    t1, t2 = oscillation_roots(params)
+    rate = _angle_rate(params.n, params.H, np.array([params.C]),
+                       np.array([t1]), np.array([t2]))
+    if not rate.d[0] > 0:
         raise DomainError(
-            f"sqrt(-C)={vc} is not below t1={t1}; the profile would leave r >= 1"
+            f"sqrt(-C)={rate.vc[0]} is not below t1={t1}; the profile would "
+            "leave r >= 1"
         )
-    return t1, t2, rem, vc, d
+    return t1, t2, rate
 
 
-def _flux_ingredients_grid(n: int, H: float, Cs: Sequence[float]):
-    """_flux_ingredients for every C of ``Cs`` at once, as columns.
+def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
+    """The indices of the C of ``rate`` with d > 0, and their fluxes
+    K = 2 pi mean(remainder) + pi pole, as rows of one phase rule."""
+    ok = np.flatnonzero(rate.d > 0)
 
-    Returns (lanes, t1, t2, rem, vc, d): the indices into ``Cs`` of the C
-    whose ingredients were settled, and those ingredients, each equal to
-    the scalar one bit for bit (``rem`` has one row per coefficient).  A
-    C is left out where oscillation_roots_grid leaves its roots unsettled
-    or where d <= 0; the scalar path raises there or takes over.
-    """
-    roots = oscillation_roots_grid(n, H, Cs)
-    lanes = np.array([i for i, r in enumerate(roots) if r is not None],
-                     dtype=np.intp)
-    t1, t2 = np.array([roots[i] for i in lanes], dtype=float).reshape(-1, 2).T
-    C = np.asarray(Cs, dtype=float)[lanes]
-    rem = np.array(_synthetic_deflate(
-        _synthetic_deflate(tuple(p_coefficients(n, H, C)), t1), t2))
-    # the square root and the powers stay per-C float arithmetic, as in the
-    # scalar path (NumPy may take an array power through a SIMD pow whose
-    # last bit differs); the rest is + - * / on the columns
-    vc = np.array([math.sqrt(-c) for c in C.tolist()])
-    delta = np.array([H + (-c) ** (-n / 2) for c in C.tolist()])
-    power = np.array([v ** (2 - 2 * n) for v in vc.tolist()])
-    d = (-C) * delta * delta / ((t2 - vc) * (-horner(rem, vc) * power))
-    ok = d > 0
-    return lanes[ok], t1[ok], t2[ok], rem[:, ok], vc[ok], d[ok]
+    def integrand(live, phi):
+        return 2 * math.pi * _angle_remainder(
+            n, H, _rows(rate, ok[live][:, None]), phi)
 
-
-def _flux_integrand(n, H, vc, d, rem):
-    """The flux integrand in offset form.
-
-    vc, d and the coefficients ``rem`` are floats for one C, or (rows, 1)
-    columns for a batch of C; the arithmetic is the same either way.
-    """
-
-    def fo(v, da, db):
-        return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
-                / ((da + d) * (v + vc) * np.sqrt(da * db * _s(n, rem, v))))
-
-    return fo
+    means = _phase_mean(integrand, len(ok), tol)
+    return ok, [QuadResult(m.value + math.pi * pole, m.abs_error_estimate,
+                           m.evaluations, m.converged)
+                for m, pole in zip(means, rate.pole[ok].tolist())]
 
 
 def _in_guard_band(n: int, H: float, C: float) -> bool:
@@ -372,18 +394,17 @@ def _in_guard_band(n: int, H: float, C: float) -> bool:
     return abs(C - ct) < CTILDE_GUARD_REL * abs(ct)
 
 
-def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL,
-           max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     """Flux K(C, H): total turning of theta over one period of g.
 
     K = integral over (t1, t2) of
-        2 sqrt(-C) (1 + H v^n) v^(1-n) / ((C + v^2) sqrt(q(v))) dv.
-
-    The pole factor C + v^2 vanishes at v = sqrt(-C) < t1; it is written
-    as (da + d)(v + sqrt(-C)) with d = t1 - sqrt(-C), so the integrand
-    keeps relative accuracy when d is tiny (C near Ctilde, where the
-    profile passes close to the rotation axis).  Inside the guard band
-    around Ctilde the computation is refused: use xi() there.
+        2 sqrt(-C) (1 + H v^n) v^(1-n) / ((C + v^2) sqrt(q(v))) dv,
+    taken over the phase phi as pi times the pole weight of _angle_rate
+    plus 2 pi times the mean of its remainder (_phase_mean).  The pole
+    offset d = t1 - sqrt(-C) keeps its relative accuracy when d is tiny
+    (C near Ctilde, where the profile passes close to the rotation
+    axis).  Inside the guard band around Ctilde the computation is
+    refused: use xi() there.
     """
     if params.C is None:
         raise DomainError("flux_K requires C")
@@ -393,72 +414,70 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL,
             f"C={C} is within the guard band around Ctilde={Ctilde(n, H)}; "
             "the flux there is xi(n, H)"
         )
-    t1, t2, rem, vc, d = _flux_ingredients(params)
-    spec = SingularIntegrand(lower=t1, upper=t2,
-                             offset_integrand=_flux_integrand(n, H, vc, d, rem))
-    return de_integrate(spec, tol=tol, max_level=max_level)
+    return _flux_rows(n, H, _flux_setup(params)[2], tol)[1][0]
+
+
+def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
+    """The flux by tanh-sinh quadrature over v, a rule independent of
+    flux_K's phase rule, for check's closure residual and the tests.
+
+    The pole factor C + v^2 is written as (da + d)(v + sqrt(-C)).
+    """
+    n, H = params.n, params.H
+    t1, t2, rate = _flux_setup(params)
+    _, _, d, _, rem, _, vc, *_ = _rows(rate, 0)
+
+    def fo(v, da, db):
+        return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
+                / ((da + d) * (v + vc) * np.sqrt(da * db * _s(n, rem, v))))
+
+    return de_integrate(SingularIntegrand(lower=t1, upper=t2,
+                                          offset_integrand=fo), tol=tol)
 
 
 def flux_K_grid(n: int, H: float, Cs: Sequence[float],
-                tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL,
+                tol: float = DEFAULT_TOL,
                 xi_result: Optional[QuadResult] = None) -> list[QuadResult]:
-    """The flux at every C of ``Cs``, all quadratures run as one batch.
+    """The flux at every C of ``Cs``, as rows of one phase rule.
 
-    The per-C set-up is built as columns: the oscillation roots of all C
-    from one lane-wise Brent iteration (oscillation_roots_grid), the
-    deflated coefficients and the pole data.  A C whose set-up the
-    columns cannot settle runs through scalar flux_K, as does a row the
-    batch leaves out.  Each result equals
-    ``flux_K(ShapeParams(n, H, C), tol, max_level)`` in all four fields.
-    Inside the guard band around Ctilde the result
-    is the threshold flux xi(n, H, tol, max_level); pass it as
-    ``xi_result`` when it is already known, otherwise it is computed
-    here, at most once.  Errors are raised in the order of ``Cs``, as a
-    loop over flux_K would raise them.
+    Each result equals ``flux_K(ShapeParams(n, H, C), tol)`` in all four
+    fields, with the roots from one lane-wise Brent iteration; a C whose
+    roots the lanes cannot settle, or with d <= 0, runs through flux_K.
+    In the guard band the result is xi(n, H, tol), computed at most once
+    unless passed as ``xi_result``.  Set-up errors are raised in the
+    order of ``Cs``, as a loop over flux_K would raise them.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     Cs = [float(C) for C in Cs]
-    # per C: its row in the batch, None in the guard band, the error, or
-    # False where the scalar flux_K takes over (it raises the error of a C
-    # whose ingredients the columns could not settle)
+    # per C: its error, None in the guard band, its result, or False
+    # where scalar flux_K takes over
     status = []
     for C in Cs:
         try:
             ShapeParams(n=n, H=H, C=C)
+            status.append(None if _in_guard_band(n, H, C) else False)
         except HypcmcError as exc:
             status.append(exc)
-            continue
-        status.append(None if _in_guard_band(n, H, C) else False)
     candidates = [i for i, row in enumerate(status) if row is False]
-    if candidates:
-        lanes, t1, t2, rem, vc, d = _flux_ingredients_grid(
-            n, H, [Cs[i] for i in candidates])
-        for row, lane in enumerate(lanes.tolist()):
-            status[candidates[lane]] = row
-
-        def integrand(rows, x, da, db):
-            return _flux_integrand(n, H, vc[rows, None], d[rows, None],
-                                   rem[:, rows, None])(x, da, db)
-
-        if len(lanes):
-            batch = _integrate_rows(t1, t2, integrand, tol, max_level)
+    roots = oscillation_roots_grid(n, H, [Cs[i] for i in candidates])
+    lanes = [i for i, r in zip(candidates, roots) if r is not None]
+    if lanes:
+        t1, t2 = np.array([r for r in roots if r is not None]).T
+        rate = _angle_rate(n, H, np.array([Cs[i] for i in lanes]), t1, t2)
+        ok, results = _flux_rows(n, H, rate, tol)
+        for j, res in zip(ok.tolist(), results):
+            status[lanes[j]] = res
     out = []
     for C, row in zip(Cs, status):
         if isinstance(row, HypcmcError):
             raise row
         if row is None:
             if xi_result is None:
-                xi_result = xi(n, H, tol=tol, max_level=max_level)
-            out.append(xi_result)
-        elif row is not False and batch[row] is not None:
-            out.append(batch[row])
-        else:
-            # a C the columns or the block left out runs the one-row path,
-            # which raises the set-up error, drops the nodes outside the
-            # keep mask or raises the EvaluationError of a non-finite value
-            out.append(flux_K(ShapeParams(n=n, H=H, C=C), tol=tol,
-                              max_level=max_level))
+                xi_result = xi(n, H, tol=tol)
+            row = xi_result
+        elif row is False:
+            row = flux_K(ShapeParams(n=n, H=H, C=C), tol=tol)
+        out.append(row)
     return out
 
 
@@ -492,74 +511,60 @@ def _xi_setup(n: int, H: float):
     return t2, _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
 
 
-def _xi_integrand(n, H, rem):
-    """h(v) / sqrt(Q(v)) in offset form; H and ``rem`` are floats for one
-    H or (rows, 1) columns for a batch, with the same arithmetic."""
+def _xi_rows(n: int, setups: list, tol: float) -> list[QuadResult]:
+    """xi for the rows ``setups`` of (H, t2~, *deflated coefficients)."""
+    H, t2, *rem = np.array(setups).T[..., None]
+    a = (t2 - 1) / 2
 
-    def fo(v, da, db):
-        return eval_h(n, H, v) / np.sqrt(da * db * _s(n, rem, v))
+    def integrand(live, phi):
+        v = 1 + 2 * a[live] * np.sin(phi / 2) ** 2
+        return math.pi * eval_h(n, H[live], v) / np.sqrt(
+            _s(n, [c[live] for c in rem], v))
 
-    return fo
+    return _phase_mean(integrand, len(setups), tol)
 
 
-def xi(n: int, H: float, tol: float = DEFAULT_TOL,
-       max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """xi_n(H): the flux at the threshold constant C = Ctilde.
 
-    Evaluated as the integral over (1, t2~) of h(v) / sqrt(Q(v)) dv, where
-    Q has a simple zero at both endpoints and h(1) = n H is finite, so
-    both endpoints carry clean inverse-square-root singularities.
+    The integral over (1, t2~) of h(v) / sqrt(Q(v)) dv, where Q has a
+    simple zero at both ends and h(1) = n H is finite: with
+    v = 1 + 2a sin^2(phi/2), a = (t2~ - 1)/2 and Q = (v - 1)(t2~ - v) s(v),
+    pi times the mean over phi of h(v) / sqrt(s(v)).
     """
     t2, rem = _xi_setup(n, H)
-    spec = SingularIntegrand(lower=1.0, upper=t2,
-                             offset_integrand=_xi_integrand(n, H, rem))
-    return de_integrate(spec, tol=tol, max_level=max_level)
+    return _xi_rows(n, [(H, t2) + rem], tol)[0]
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
-            max_level: int = DEFAULT_MAX_LEVEL,
             missing_as_none: bool = False) -> list[Optional[QuadResult]]:
-    """xi_n(H) at every H of ``Hs``, all quadratures run as one batch.
+    """xi_n(H) at every H of ``Hs``, as rows of one phase rule.
 
     The per-H set-up (upper root, deflated coefficients) is scalar and
-    stacked as columns.  Each result equals ``xi(n, H, tol, max_level)``
-    in all four fields, and errors are raised in the order of ``Hs``, as
-    a loop over xi would raise them; with ``missing_as_none`` an H where
-    Q has no upper root (LandmarkError) gives None instead.
+    stacked as columns.  Each result equals ``xi(n, H, tol)`` in all
+    four fields, and errors are raised in the order of ``Hs``, as a loop
+    over xi would raise them; with ``missing_as_none`` an H where Q has
+    no upper root (LandmarkError) gives None instead.
     """
     Hs = [float(H) for H in Hs]
-    status, cols = [], []  # per H: its batch row, None or the error
+    status, setups = [], []  # per H: its row, None or the error
     for H in Hs:
         try:
             t2, rem = _xi_setup(n, H)
+            _check_tol(tol)
         except LandmarkError as exc:
             status.append(None if missing_as_none else exc)
         except (HypcmcError, ValueError, RuntimeError) as exc:
             status.append(exc)
         else:
-            status.append(len(cols))
-            cols.append((H, t2) + rem)
-    batch = [None] * len(cols)
-    if tol > 0 and cols:
-        table = np.array(cols).T
-        H_col, rem = table[0], table[2:]
-
-        def integrand(rows, x, da, db):
-            return _xi_integrand(n, H_col[rows, None],
-                                 rem[:, rows, None])(x, da, db)
-
-        batch = _integrate_rows(np.ones(len(cols)), table[1], integrand, tol,
-                                max_level)
+            status.append(len(setups))
+            setups.append((H, t2) + rem)
+    batch = _xi_rows(n, setups, tol) if setups else []
     out = []
-    for H, row in zip(Hs, status):
+    for row in status:
         if isinstance(row, Exception):
             raise row
-        if row is not None and batch[row] is None:
-            # the one-row path drops nodes outside the keep mask, or
-            # raises a loop's error (a non-finite value, or tol <= 0)
-            out.append(xi(n, H, tol=tol, max_level=max_level))
-        else:
-            out.append(row if row is None else batch[row])
+        out.append(row if row is None else batch[row])
     return out
 
 
@@ -585,4 +590,4 @@ def b2(H: float) -> float:
     """n = 2 closed form of the same limit."""
     if not H < -1:
         raise DomainError(f"H must be < -1, got {H}")
-    return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1.0))
+    return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1))

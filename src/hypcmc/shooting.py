@@ -11,14 +11,16 @@ angle picks up an extra half-turn); a sign change produced by that jump
 is not a root and is discarded by the residual check.
 
 Each scan grid of solve_C is evaluated in one batched call
-(quadrature.flux_K_grid, which also finds the oscillation roots of all
-its C as lanes of one Brent iteration), and every per-C value equals
-the scalar flux_K path exactly, so the grids, brackets and outcomes are
-those of a point-by-point scan; find_H0's scan is one xi_grid call in
-the same way.  Brent refinement and verification stay scalar; Brent
-starts from the scan's values at the bracket ends, and the verification
-reads Brent's own value at the root it returns, so no value is computed
-twice.  A bracket whose sign change is only the jump is not refined.
+(quadrature.flux_K_grid: the oscillation roots of all its C as lanes of
+one Brent iteration, then every flux as a row of one phase rule), and
+every per-C value equals the scalar flux_K path exactly, so the grids,
+brackets and outcomes are those of a point-by-point scan; find_H0's scan
+is one xi_grid call in the same way.  Brent refinement and verification
+stay scalar; Brent starts from the scan's values at the bracket ends,
+and the verification reads Brent's own value at the root it returns, so
+no value is computed twice.  A bracket whose sign change is only the
+jump is not refined.  No solver uses a flux or xi whose quadrature did
+not converge: it raises NonConvergenceError naming C or H.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -38,7 +40,7 @@ from .errors import (
     GuardBandError,
     LandmarkError,
 )
-from .potential import C0, Ctilde, ShapeParams, landmarks
+from .potential import C0, Ctilde, ShapeParams
 from .quadrature import (
     CTILDE_GUARD_REL,
     flux_K,
@@ -188,12 +190,18 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
     )
 
 
+def _flux_value(n: int, H: float, C: float, res, tol: float) -> float:
+    """The value of a flux result, or NonConvergenceError naming C."""
+    return require_converged(res, f"K(C={C!r}) at n={n}, H={H!r}", tol).value
+
+
 def _flux_at(n: int, H: float, C: float, tol: float) -> float:
-    """Flux with the Ctilde guard band resolved to the exact xi value."""
+    """Converged flux, the Ctilde guard band resolved to the exact xi."""
     try:
-        return flux_K(ShapeParams(n=n, H=H, C=C), tol=tol).value
+        res = flux_K(ShapeParams(n=n, H=H, C=C), tol=tol)
     except GuardBandError:
-        return xi(n, H, tol=tol).value
+        res = xi(n, H, tol=tol)
+    return _flux_value(n, H, C, res, tol)
 
 
 def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
@@ -215,7 +223,8 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     ct = Ctilde(n, H)
     guard = CTILDE_GUARD_REL * abs(ct)
     # the flux in the guard band, computed at most once
-    xi_res = functools.cache(lambda: xi(n, H, tol=quad_tol))
+    xi_res = functools.cache(lambda: require_converged(
+        xi(n, H, tol=quad_tol), f"xi_{n}({H!r})", quad_tol))
 
     if mode == "embedded":
         if (winding.k, winding.m) != (1, 1):
@@ -237,8 +246,10 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     while True:
         grid = -np.geomspace(-lo, -hi, points)
         in_band = np.any(np.abs(grid - ct) < guard)
-        vals = np.array([res.value - target for res in flux_K_grid(
-            n, H, grid, tol=quad_tol, xi_result=xi_res() if in_band else None)])
+        vals = np.array([_flux_value(n, H, C, res, quad_tol) - target
+                         for C, res in zip(grid.tolist(), flux_K_grid(
+                             n, H, grid, tol=quad_tol,
+                             xi_result=xi_res() if in_band else None))])
         outcome = _refine_first_crossing(n, H, grid, vals, target, tol,
                                          quad_tol, ct, xi_res)
         if outcome is not None:

@@ -90,6 +90,16 @@ def test_sweep_fails_as_a_loop_over_xi(capsys):
     assert json.loads(err)["kind"] == "LandmarkError"
 
 
+def test_profile_degenerate_in_floats_exit_2(capsys):
+    # C is rel 1e-9 above C0, but the float p(v0) is not positive, so the
+    # oscillation roots cannot be bracketed: a JSON error, not a traceback
+    code, out, err = run_cli(capsys, "profile", "--n", "8", "--H", "-1000",
+                             "--C", "-0.17782794394972942")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "DegenerateOscillationError"
+    assert "\n" not in err.strip()
+
+
 def test_env_tol_override(capsys, monkeypatch):
     # the environment tolerance must reach the quadrature call, and an
     # explicit --tol must win over it

@@ -33,6 +33,15 @@ def test_frozen_values_match_mpmath_references():
     assert float(K) == pytest.approx(frozen.K_NEAR_AXIS_N2, rel=1e-15)
 
 
+@pytest.mark.parametrize("table", ["K_GRID", "K_GUARD_EDGE"])
+def test_flux_values_match_mpmath(table):
+    # one mpref.flux_K per entry: about 9 s for K_GRID, 3 s for the edge
+    mpref = _mpref()
+    for (n, H, C), stored in getattr(frozen, table).items():
+        K = mpref.flux_K(n, repr(H), repr(C))
+        assert float(K) == pytest.approx(stored, rel=1e-15), (n, H, C)
+
+
 def _half_way(mpref, n, H, C):
     """(g_mid, t_mid, theta_mid) at 50 digits, from mpref's roots.
 

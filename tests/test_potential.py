@@ -221,6 +221,18 @@ def test_degenerate_oscillation_reported():
             h.ShapeParams(n, H, c0 + 0.5 * DEGENERATE_REL_GAP * abs(c0)))
 
 
+def test_degenerate_in_floats_reported():
+    # C is rel 1e-9 above C0, outside the relative gap, but in floats
+    # p(v0) <= 0: no bracket holds the roots, so the scalar routine
+    # raises DegenerateOscillationError and the grid leaves the lane None
+    n, H, C = 8, -1000.0, -0.17782794394972942
+    assert C - h.C0(n, H) >= DEGENERATE_REL_GAP * abs(h.C0(n, H))
+    with pytest.raises(h.DegenerateOscillationError):
+        h.oscillation_roots(h.ShapeParams(n, H, C))
+    grid = oscillation_roots_grid(n, H, [C, 0.5 * h.Ctilde(n, H)])
+    assert grid[0] is None and grid[1] is not None
+
+
 def test_q_prime_sign_pattern():
     for n, H in [(2, -1.1), (4, -1.7)]:
         p = h.ShapeParams(n, H, -0.2)

@@ -333,3 +333,41 @@ def test_find_H0_refuses_non_converged_xi(monkeypatch):
             xi(n, H, tol=tol)))
         with pytest.raises(h.NonConvergenceError, match="xi_2"):
             h.find_H0(2)
+
+
+def test_solve_C_refuses_non_converged_flux(monkeypatch):
+    # a non-converged flux in the scan or in the refine step raises,
+    # naming C, instead of being used
+    n, H, winding = 2, -1.1, h.WindingTarget(1, 5)
+    flux_K_grid = shooting.flux_K_grid
+
+    def scan_with_one_bad(n, H, Cs, **kw):
+        out = flux_K_grid(n, H, Cs, **kw)
+        out[10] = _not_converged(out[10])
+        return out
+
+    c0 = h.C0(n, H)
+    grid = -np.geomspace(-(c0 + shooting.C_GAP_LOWER_REL * abs(c0)),
+                         shooting.C_GAP_UPPER, shooting.SCAN_POINTS)
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "flux_K_grid", scan_with_one_bad)
+        with pytest.raises(h.NonConvergenceError,
+                           match=re.escape(f"K(C={float(grid[10])!r})")):
+            h.solve_C(n, H, winding)
+    flux_K = shooting.flux_K
+    refined = []
+
+    def refine_not_converged(params, tol):
+        refined.append(params.C)
+        return _not_converged(flux_K(params, tol=tol))
+
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "flux_K", refine_not_converged)
+        with pytest.raises(h.NonConvergenceError) as exc:
+            h.solve_C(n, H, winding)
+    assert f"K(C={refined[0]!r})" in str(exc.value)
+    # classify reads the flux through the same check
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "flux_K", refine_not_converged)
+        with pytest.raises(h.NonConvergenceError):
+            h.classify(n, H, frozen.CSTAR_N2_M5, winding)
