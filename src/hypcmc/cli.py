@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 domain/precondition error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -34,6 +32,7 @@ from .quadrature import require_converged, xi, xi_grid
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
+CSV_BLOCK = 1024
 
 FIGURE_PROFILES = {
     "fig1": dict(n=2, H=-1.1, C=-0.9091743461769703, periods=1, clip=None),
@@ -67,11 +66,6 @@ def _default_tol() -> float:
     return tol
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal representation of a float."""
-    return repr(float(x))
-
-
 def _jsonable(obj):
     """Recursively make an object JSON-serializable with finite floats;
     non-finite diagnostics are encoded as strings."""
@@ -87,6 +81,16 @@ def _jsonable(obj):
     return obj
 
 
+def _running_max(values) -> float:
+    """max(worst, x) over the values from worst = 0.0: a NaN is skipped."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+def _held(value: float, bound: float) -> dict:
+    """A check report entry: the value, its bound and whether it holds."""
+    return {"value": value, "bound": bound, "pass": bool(value <= bound)}
+
+
 def _emit(text: str, output_path):
     if output_path:
         with open(output_path, "w", newline="") as fh:
@@ -99,14 +103,19 @@ def _emit_json(obj, output_path):
     _emit(json.dumps(_jsonable(obj), indent=2) + "\n", output_path)
 
 
-def _emit_csv(header, rows, output_path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) if isinstance(x, (float, np.floating))
-                         else x for x in row])
-    _emit(buf.getvalue(), output_path)
+def _emit_csv(header, table, output_path, index=None):
+    """CSV with CRLF line endings: the header, then one line per row of
+    the float table, each float in shortest round-trip form (repr), after
+    the integer ``index`` entry of the row if given.  No field needs
+    quoting, so the bytes equal those of csv.writer."""
+    table = np.asarray(table, dtype=float)
+    # rows are converted in blocks, so no whole table of floats is held
+    rows = (row for i in range(0, len(table), CSV_BLOCK)
+            for row in table[i:i + CSV_BLOCK].tolist())
+    lines = map(",".join, (map(repr, row) for row in rows))
+    if index is not None:
+        lines = map("{},{}".format, index.tolist(), lines)
+    _emit("\r\n".join([",".join(header), *lines, ""]), output_path)
 
 
 def _outcome_dict(out, parameter_name):
@@ -180,12 +189,12 @@ def _cmd_profile(args):
                               samples_per_period=args.samples)
     alpha = profile_alpha(curve)
     trace = theta_prime_trace(curve, clip=clip)
-    rows = zip(curve.t, curve.g, curve.g_prime, curve.r, curve.lam,
-               curve.theta, trace[:, 1], alpha[:, 0], alpha[:, 1])
+    table = np.column_stack((curve.t, curve.g, curve.g_prime, curve.r,
+                             curve.lam, curve.theta, trace[:, 1], alpha))
     _emit_csv(
         ["t", "g", "g_prime", "r", "lambda", "theta", "theta_prime",
          "alpha_x", "alpha_y"],
-        rows, args.output,
+        table, args.output,
     )
     return 0
 
@@ -194,25 +203,16 @@ def _cmd_surface(args):
     params = ShapeParams(n=args.n, H=args.H, C=args.C)
     curve = integrate_profile(params, m_periods=args.periods,
                               samples_per_period=args.samples)
-    if args.n == 2:
-        fibers = [lorentz.FiberPoint.from_rapidity(v)
-                  for v in np.linspace(-args.fiber_span, args.fiber_span,
-                                       args.fibers)]
-    else:
-        # a geodesic slice of the fiber through the axis point
-        fibers = []
-        for v in np.linspace(-args.fiber_span, args.fiber_span, args.fibers):
-            coords = [0.0] * args.n
-            coords[0] = math.sinh(v)
-            coords[-1] = math.cosh(v)
-            fibers.append(lorentz.FiberPoint(coords))
+    # the fiber H^1 for n = 2, else a geodesic slice of it through the axis
+    fibers = [[math.sinh(v)] + [0.0] * (args.n - 2) + [math.cosh(v)]
+              for v in np.linspace(-args.fiber_span, args.fiber_span,
+                                   args.fibers).tolist()]
     grid = profile.surface_grid(curve, fibers)
     header = ["fiber", "t"] + [f"x{i + 1}" for i in range(args.n + 2)]
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            rows.append([i, float(curve.t[j])] + [float(c) for c in grid[i, j]])
-    _emit_csv(header, rows, args.output)
+    F, N = grid.shape[:2]
+    ts = np.broadcast_to(curve.t[:, None], (F, N, 1))
+    table = np.concatenate((ts, grid), axis=2).reshape(F * N, args.n + 3)
+    _emit_csv(header, table, args.output, index=np.repeat(np.arange(F), N))
     return 0
 
 
@@ -243,10 +243,7 @@ def _cmd_check(args):
     # energy conservation along the trajectory
     energy = profile._energy_residual(params, curve.g, curve.g_prime)
     bound = profile.ENERGY_TOL * max(1.0, abs(args.C))
-    report["energy_residual_max"] = {
-        "value": float(energy.max()), "bound": bound,
-        "pass": bool(energy.max() <= bound),
-    }
+    report["energy_residual_max"] = _held(float(energy.max()), bound)
 
     # period: the phase series vs tanh-sinh quadrature
     period_diff = abs(curve.period_ode - curve.period_T)
@@ -258,44 +255,39 @@ def _cmd_check(args):
     # closure: the phase series' angle per period vs the tanh-sinh flux
     K = quadrature._flux_over_v(params, tol=args.tol).value
     closure = abs(curve.K_value - K)
-    report["closure_residual"] = {
-        "value": float(closure), "bound": 1e-7,
-        "pass": bool(closure <= 1e-7),
-    }
+    report["closure_residual"] = _held(float(closure), 1e-7)
 
     # hyperboloid membership and Gauss-map identities over the samples
-    y0 = lorentz.FiberPoint.axis(args.n)
-    sq = math.sqrt(-args.C)
-    dev_phi = dev_nu = dev_tan = 0.0
-    for s in curve.samples:
-        phi = lorentz.immerse_point(params, {"r": s.r, "theta": s.theta}, y0)
-        dev_phi = max(dev_phi, abs(lorentz.minkowski_inner(phi, phi) + 1.0))
-        if s.r > 1.0 + 1e-12:
-            state = {"r": s.r, "r_prime": s.g_prime / sq, "lam": s.lam,
-                     "theta": s.theta}
-            nu = lorentz.gauss_map(params, state, y0)
-            dev_nu = max(dev_nu, abs(lorentz.minkowski_inner(nu, nu) - 1.0))
-            dev_tan = max(dev_tan, abs(lorentz.minkowski_inner(nu, phi)))
-    report["hyperboloid_max_deviation"] = {
-        "value": dev_phi, "bound": 1e-10, "pass": bool(dev_phi <= 1e-10)}
-    report["gauss_norm_max_deviation"] = {
-        "value": dev_nu, "bound": 1e-10, "pass": bool(dev_nu <= 1e-10)}
-    report["gauss_tangency_max_deviation"] = {
-        "value": dev_tan, "bound": 1e-10, "pass": bool(dev_tan <= 1e-10)}
+    y0 = lorentz.FiberPoint.axis(args.n).as_array()
+    r, theta = curve.r, curve.theta
+    phi = lorentz.immerse_rows(r, theta, y0)
+    off = r > 1.0 + 1e-12
+    nu = lorentz.gauss_rows(r[off], curve.g_prime[off] / math.sqrt(-args.C),
+                            curve.lam[off], theta[off], y0)
+    inner = lorentz.inner_rows
+    dev_phi = _running_max(np.abs(inner(phi, phi) + 1.0))
+    dev_nu = _running_max(np.abs(inner(nu, nu) - 1.0))
+    dev_tan = _running_max(np.abs(inner(nu, phi[off])))
+    report["hyperboloid_max_deviation"] = _held(dev_phi, 1e-10)
+    report["gauss_norm_max_deviation"] = _held(dev_nu, 1e-10)
+    report["gauss_tangency_max_deviation"] = _held(dev_tan, 1e-10)
 
-    # finite-difference mean curvature at up to 100 interior samples
+    # finite-difference mean curvature at the first 100 evaluated of 200
+    # interior draws; each batch holds only draws that a loop over them,
+    # stopping at the 100th evaluated one, reaches
     rng = np.random.default_rng(20240817)
     lo = curve.t[0] + 2e-5
     hi = curve.t[-1] - 2e-5
-    worst = 0.0
-    evaluated = 0
-    for t in rng.uniform(lo, hi, 200):
-        chk = lorentz.verify_cmc(params, curve, float(t))
-        if chk.evaluated:
-            worst = max(worst, abs(chk.H_est - args.H))
-            evaluated += 1
-        if evaluated >= 100:
-            break
+    draws = rng.uniform(lo, hi, 200)
+    errors = []
+    used = 0
+    while len(errors) < 100 and used < len(draws):
+        batch = draws[used:used + 100 - len(errors)]
+        used += len(batch)
+        evaluated, _, _, H_est = lorentz.curvature_rows(params, curve, batch)
+        errors += np.abs(H_est[evaluated] - args.H).tolist()
+    worst = _running_max(errors)
+    evaluated = len(errors)
     report["cmc_fd_max_error"] = {
         "value": worst, "bound": 1e-5, "samples": evaluated,
         "pass": bool(evaluated > 0 and worst <= 1e-5),

@@ -6,6 +6,10 @@ Vectors live in R^(n+2) with signature (+, ..., +, -): the last
 coordinate is timelike.  Hypersurface points are
 phi = (sqrt(r^2-1) cos(theta), sqrt(r^2-1) sin(theta), r * y), where y
 is a point of the fiber H^(n-1) embedded in Lorentzian R^n.
+
+Each formula is written once, over rows (``inner_rows``, ``immerse_rows``,
+``gauss_rows``, ``curvature_rows``); the scalar functions validate their
+input and call them, so a row has the bits of the scalar computation.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ FIRST_INTEGRAL_TOL = 1e-6
 NEAR_AXIS_EPS = 1e-8
 
 
+def inner_rows(v, w):
+    """<v, w> over the last axis.  The stacked matmul sums each row as
+    np.dot sums a vector; einsum or an elementwise sum would not."""
+    return ((v[..., None, :-1] @ w[..., :-1, None])[..., 0, 0]
+            - v[..., -1] * w[..., -1])
+
+
 def minkowski_inner(v, w) -> float:
     """<v, w> = v1 w1 + ... + v_{k-1} w_{k-1} - v_k w_k."""
     v = np.asarray(v, dtype=float)
@@ -37,11 +48,7 @@ def minkowski_inner(v, w) -> float:
         raise DimensionError(f"shape mismatch: {v.shape} vs {w.shape}")
     if len(v) < 3:
         raise DimensionError(f"vectors must have length >= 3, got {len(v)}")
-    return float(np.dot(v[:-1], w[:-1]) - v[-1] * w[-1])
-
-
-def _fiber_inner(y: np.ndarray) -> float:
-    return float(np.dot(y[:-1], y[:-1]) - y[-1] * y[-1])
+    return float(inner_rows(v, w))
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,10 @@ class FiberPoint:
         arr = np.asarray(y, dtype=float)
         if arr.ndim != 1 or len(arr) < 2:
             raise DimensionError("fiber point needs at least 2 coordinates")
-        if abs(_fiber_inner(arr) + 1.0) > FIBER_TOL:
+        self_inner = float(inner_rows(arr, arr))
+        if abs(self_inner + 1.0) > FIBER_TOL:
             raise DomainError(
-                f"fiber point has self-inner {_fiber_inner(arr)!r}, expected -1"
+                f"fiber point has self-inner {self_inner!r}, expected -1"
             )
         if arr[-1] < 1.0:
             raise DomainError("fiber point must have last coordinate >= 1")
@@ -76,25 +84,68 @@ class FiberPoint:
         return np.asarray(self.y, dtype=float)
 
 
-def _fiber_array(y) -> np.ndarray:
-    if isinstance(y, FiberPoint):
-        return y.as_array()
-    return FiberPoint(y).as_array()
+def _fiber_array(y, n: int) -> np.ndarray:
+    """The coordinates of a fiber point of H^(n-1), validated."""
+    ya = y.as_array() if isinstance(y, FiberPoint) else FiberPoint(y).as_array()
+    if len(ya) != n:
+        raise DimensionError(
+            f"fiber point has {len(ya)} coordinates, expected n={n}"
+        )
+    return ya
+
+
+def _cos_sin(theta):
+    """cos and sin of each entry by math's calls, as the scalar formulas
+    take them (an array call may take a SIMD path whose last bit differs)."""
+    flat = theta.ravel().tolist()
+    return [np.reshape([f(x) for x in flat], theta.shape)
+            for f in (math.cos, math.sin)]
+
+
+def _ambient(x1, x2, fiber):
+    """Vectors (x1, x2, fiber) of R^(n+2), x1 and x2 broadcast to fiber's rows."""
+    head = np.stack(np.broadcast_arrays(x1, x2, fiber[..., 0])[:2], axis=-1)
+    return np.concatenate((head, fiber), axis=-1)
+
+
+def immerse_rows(r, theta, y) -> np.ndarray:
+    """phi(r, theta, y) over rows: r and theta share a shape, and y holds
+    fiber points along its last axis, broadcast against them."""
+    below = np.flatnonzero(r < 1.0)
+    if below.size:
+        raise DomainError(
+            f"r={float(r.flat[below[0]])} < 1 leaves the hyperboloid chart")
+    rad = np.sqrt(r * r - 1.0)
+    cos, sin = _cos_sin(theta)
+    return _ambient(rad * cos, rad * sin, r[..., None] * y)
 
 
 def immerse_point(params: ShapeParams, state: Mapping[str, float], y) -> np.ndarray:
     """phi(r, theta, y) = (sqrt(r^2-1) cos(theta), sqrt(r^2-1) sin(theta), r y)."""
-    r = float(state["r"])
-    theta = float(state["theta"])
-    if r < 1.0:
-        raise DomainError(f"r={r} < 1 leaves the hyperboloid chart")
-    ya = _fiber_array(y)
-    if len(ya) != params.n:
-        raise DimensionError(
-            f"fiber point has {len(ya)} coordinates, expected n={params.n}"
+    r, theta = (np.array([float(state[k])]) for k in ("r", "theta"))
+    return immerse_rows(r, theta, _fiber_array(y, params.n))[0]
+
+
+def gauss_rows(r, rp, lam, theta, y, tol: float = FIRST_INTEGRAL_TOL):
+    """gauss_map's unit normal nu over rows, with y as in immerse_rows;
+    raises gauss_map's error at the first row that has one."""
+    resid = np.abs(rp * rp + lam * lam * r * r - (r * r - 1.0))
+    bad = np.flatnonzero((r <= 1.0) | (resid > tol))
+    if bad.size and r.flat[bad[0]] <= 1.0:
+        raise DomainError(f"gauss_map requires r > 1, got r={float(r.flat[bad[0]])}")
+    if bad.size:
+        raise InconsistentStateError(
+            f"state violates (r')^2 + lam^2 r^2 = r^2 - 1 by {resid.flat[bad[0]]:.3e}"
         )
-    rad = math.sqrt(r * r - 1.0)
-    return np.concatenate(([rad * math.cos(theta), rad * math.sin(theta)], r * ya))
+    rad = np.sqrt(r * r - 1.0)
+    cos, sin = _cos_sin(theta)
+    a, b = r * r * lam / rad, rp / rad
+    # 0.0 + x, as the scalar formula adds onto a zero entry (-0.0 -> 0.0)
+    nu = _ambient(0.0 + (-a * cos - b * sin), 0.0 + (-a * sin + b * cos),
+                  (-r * lam)[..., None] * y)
+    # on the constraint manifold the formula is exactly unit; normalizing
+    # removes the first-order effect of the state's residual
+    return nu / np.sqrt(inner_rows(nu, nu))[..., None]
 
 
 def gauss_map(params: ShapeParams, state: Mapping[str, float], y,
@@ -105,29 +156,9 @@ def gauss_map(params: ShapeParams, state: Mapping[str, float], y,
     with B2 = (cos th, sin th, 0...), B3 = (-sin th, cos th, 0...).
     The state must satisfy the first integral (r')^2 + lam^2 r^2 = r^2 - 1.
     """
-    r = float(state["r"])
-    rp = float(state["r_prime"])
-    lam = float(state["lam"])
-    theta = float(state["theta"])
-    if r <= 1.0:
-        raise DomainError(f"gauss_map requires r > 1, got r={r}")
-    resid = abs(rp * rp + lam * lam * r * r - (r * r - 1.0))
-    if resid > tol:
-        raise InconsistentStateError(
-            f"state violates (r')^2 + lam^2 r^2 = r^2 - 1 by {resid:.3e}"
-        )
-    ya = _fiber_array(y)
-    if len(ya) != params.n:
-        raise DimensionError(
-            f"fiber point has {len(ya)} coordinates, expected n={params.n}"
-        )
-    rad = math.sqrt(r * r - 1.0)
-    nu = np.concatenate(([0.0, 0.0], -r * lam * ya))
-    nu[0] += -(r * r * lam / rad) * math.cos(theta) - (rp / rad) * math.sin(theta)
-    nu[1] += -(r * r * lam / rad) * math.sin(theta) + (rp / rad) * math.cos(theta)
-    # on the constraint manifold the formula is exactly unit; normalizing
-    # removes the first-order effect of the state's residual
-    return nu / math.sqrt(minkowski_inner(nu, nu))
+    r, rp, lam, theta = (np.array([float(state[k])])
+                         for k in ("r", "r_prime", "lam", "theta"))
+    return gauss_rows(r, rp, lam, theta, _fiber_array(y, params.n), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -141,18 +172,64 @@ class CurvatureCheck:
     reason: str = ""
 
 
-def _phi_nu_at(params: ShapeParams, s, y: FiberPoint):
-    """phi and nu at the profile sample ``s`` and fiber point ``y``."""
+def _curvature(r, rp, lam, theta, y, steps):
+    """-<dnu, dphi> / <dphi, dphi> at the states and fiber points of axis
+    1, the point pairs (+h, -h) for h in steps, by centered differences,
+    Richardson-extrapolated to h -> 0."""
+    phi = immerse_rows(r, theta, y)
+    nu = gauss_rows(r, rp, lam, theta, y)
+    h2 = 2 * np.array(steps)[:, None]
+    dphi = (phi[:, 0::2] - phi[:, 1::2]) / h2
+    dnu = (nu[:, 0::2] - nu[:, 1::2]) / h2
+    kappa = -inner_rows(dnu, dphi) / inner_rows(dphi, dphi)
+    return (4 * kappa[:, 0] - kappa[:, 1]) / 3
+
+
+def curvature_rows(params: ShapeParams, curve, ts, fd_step: float = 1e-5,
+                   fiber_direction: int = 0):
+    """verify_cmc at each of the times ``ts``, as arrays
+    (evaluated, lambda_est, mu_est, H_est), NaN where not evaluated.  The
+    states at t, t +- fd_step/2 and t +- fd_step come from one
+    ``curve.state_arrays`` call with one row per t, so each row has the
+    bits of a lone verify_cmc call.
+    """
+    if fd_step <= 0:
+        raise DomainError("fd_step must be positive")
+    if not 0 <= fiber_direction < params.n - 1:
+        raise DomainError(
+            f"fiber_direction must be in [0, {params.n - 2}]"
+        )
+    ts = np.asarray(ts, dtype=float)
+    outside = np.flatnonzero(~((curve.t[0] + fd_step <= ts)
+                               & (ts <= curve.t[-1] - fd_step)))
+    if outside.size:
+        raise ParameterRangeError(
+            f"t={float(ts[outside[0]])} (with fd margin) outside sampled range "
+            f"[{curve.t[0]}, {curve.t[-1]}]"
+        )
+    n, half = params.n, fd_step / 2
+    g, gp, theta = curve.state_arrays(np.column_stack(
+        (ts, ts + half, ts - half, ts + fd_step, ts - fd_step)))
     sq = math.sqrt(-params.C)
-    state = {"r": s.r, "r_prime": s.g_prime / sq, "lam": s.lam, "theta": s.theta}
-    phi = immerse_point(params, {"r": s.r, "theta": s.theta}, y)
-    nu = gauss_map(params, state, y)
-    return phi, nu
+    r = g / sq
+    evaluated = ~(r[:, 0] - 1.0 < NEAR_AXIS_EPS)
+    est = np.full((3, len(ts)), np.nan)
+    if evaluated.any():
+        state = [x[evaluated] for x in (r, gp / sq, params.H + g ** (-n), theta)]
 
+        def fiber_point(s):
+            # on the geodesic through the axis point in the fiber direction
+            coords = [0.0] * n
+            coords[fiber_direction], coords[-1] = math.sinh(s), math.cosh(s)
+            return FiberPoint(coords).y
 
-def _projected_curvature(dphi: np.ndarray, dnu: np.ndarray) -> float:
-    # d(nu)/ds = -kappa d(phi)/ds along a principal direction
-    return -minkowski_inner(dnu, dphi) / minkowski_inner(dphi, dphi)
+        steps = (half, fd_step)
+        mu_est = _curvature(*(x[:, 1:] for x in state),
+                            FiberPoint.axis(n).as_array(), steps)
+        ys = np.array([fiber_point(s) for s in (half, -half, fd_step, -fd_step)])
+        lam_est = _curvature(*(x[:, :1] for x in state), ys, steps)
+        est[:, evaluated] = (lam_est, mu_est, ((n - 1) * lam_est + mu_est) / n)
+    return (evaluated, *est)
 
 
 def verify_cmc(params: ShapeParams, curve, t: float,
@@ -165,57 +242,10 @@ def verify_cmc(params: ShapeParams, curve, t: float,
     (r - 1 < 1e-8) the B2 coefficient of nu degenerates and the check is
     reported as not evaluated.
     """
-    if fd_step <= 0:
-        raise DomainError("fd_step must be positive")
-    if not 0 <= fiber_direction < params.n - 1:
-        raise DomainError(
-            f"fiber_direction must be in [0, {params.n - 2}]"
-        )
-    if not (curve.t[0] + fd_step <= t <= curve.t[-1] - fd_step):
-        raise ParameterRangeError(
-            f"t={t} (with fd margin) outside sampled range "
-            f"[{curve.t[0]}, {curve.t[-1]}]"
-        )
-    n, H = params.n, params.H
-    half = fd_step / 2
-    # the base state and both step pairs, from one states call
-    base, *shifted = curve.states([t, t + half, t - half,
-                                   t + fd_step, t - fd_step])
-    if base.r - 1.0 < NEAR_AXIS_EPS:
+    evaluated, lam_est, mu_est, H_est = curvature_rows(
+        params, curve, [t], fd_step, fiber_direction)
+    if not evaluated[0]:
         return CurvatureCheck(evaluated=False,
                               reason="profile point too close to the axis")
-
-    y0 = FiberPoint.axis(n)
-
-    def mu_at(plus, minus, h):
-        phi_p, nu_p = _phi_nu_at(params, plus, y0)
-        phi_m, nu_m = _phi_nu_at(params, minus, y0)
-        return _projected_curvature((phi_p - phi_m) / (2 * h),
-                                    (nu_p - nu_m) / (2 * h))
-
-    sq = math.sqrt(-params.C)
-    base_state = {"r": base.r, "r_prime": base.g_prime / sq,
-                  "lam": base.lam, "theta": base.theta}
-
-    def fiber_point(s, direction=0):
-        # geodesic through the axis point in one of the fiber directions
-        coords = [0.0] * n
-        coords[direction] = math.sinh(s)
-        coords[-1] = math.cosh(s)
-        return FiberPoint(coords)
-
-    def lam_at(h, direction=0):
-        yp, ym = fiber_point(h, direction), fiber_point(-h, direction)
-        phi_p = immerse_point(params, base_state, yp)
-        phi_m = immerse_point(params, base_state, ym)
-        nu_p = gauss_map(params, base_state, yp)
-        nu_m = gauss_map(params, base_state, ym)
-        return _projected_curvature((phi_p - phi_m) / (2 * h),
-                                    (nu_p - nu_m) / (2 * h))
-
-    mu_est = (4 * mu_at(*shifted[:2], half) - mu_at(*shifted[2:], fd_step)) / 3
-    lam_est = (4 * lam_at(half, fiber_direction)
-               - lam_at(fd_step, fiber_direction)) / 3
-    H_est = ((n - 1) * lam_est + mu_est) / n
-    return CurvatureCheck(evaluated=True, lambda_est=lam_est,
-                          mu_est=mu_est, H_est=H_est)
+    return CurvatureCheck(evaluated=True, lambda_est=float(lam_est[0]),
+                          mu_est=float(mu_est[0]), H_est=float(H_est[0]))

@@ -42,21 +42,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionError,
     DomainError,
     GuardBandError,
     IntegrationFailureError,
     ParameterRangeError,
 )
+from .lorentz import _fiber_array, immerse_rows
 from .potential import Ctilde, ShapeParams
 from .quadrature import (
     MAX_NODES,
     _angle_remainder,
     _flux_setup,
     _in_guard_band,
+    _period,
     _rows,
     _s,
-    period_T,
 )
 
 # the bound `hypcmc check` holds the first-integral residual to
@@ -90,7 +90,10 @@ class ProfileCurve:
 
     Arrays are aligned: entry i of each array is the state at t[i].  The
     phase series are retained, so ``state`` evaluates the curve at any t
-    inside the sampled range by the same rule as the samples.
+    inside the sampled range by Newton's method on t(phi), as the samples
+    are taken.  One Newton system iterates until its slowest time has
+    converged, so the bits of a state depend on the times that share its
+    call: ``state(t[k])`` can differ from sample k in the last bits.
     ``period_T`` is the tanh-sinh period and the time axis; ``period_ode``
     and ``K_value`` are the period and the angle per period of the phase
     series.  ``period_ode`` is independent of ``period_T``; ``K_value``
@@ -138,14 +141,23 @@ class ProfileCurve:
         return self.states([t])[0]
 
     def states(self, ts: Sequence[float]) -> list[ProfileSample]:
-        """The states at times inside the sampled range."""
-        for t in ts:
-            if not (self.t[0] <= t <= self.t[-1]):
-                raise ParameterRangeError(
-                    f"t={t} outside the sampled range [{self.t[0]}, {self.t[-1]}]"
-                )
+        """The states at times inside the sampled range, as one Newton system."""
         ts = np.array(ts, dtype=float)
-        return _samples(self.params, ts, *self._phase.at(ts))
+        return _samples(self.params, ts, *self.state_arrays(ts))
+
+    def state_arrays(self, ts):
+        """(g, g', theta) at times inside the sampled range, as arrays of
+        the shape of ``ts``.  Each row of a 2-D ``ts`` is its own Newton
+        system, so it gets the bits of a ``states`` call on that row alone.
+        """
+        ts = np.asarray(ts, dtype=float)
+        outside = np.flatnonzero(~((self.t[0] <= ts) & (ts <= self.t[-1])))
+        if outside.size:
+            raise ParameterRangeError(
+                f"t={float(ts.flat[outside[0]])} outside the sampled range "
+                f"[{self.t[0]}, {self.t[-1]}]"
+            )
+        return self._phase.at(ts)
 
 
 def _samples(params: ShapeParams, t, g, gp, theta) -> list[ProfileSample]:
@@ -201,11 +213,16 @@ class _Phase:
     mod 2 pi, and the series period is reported apart, as ``period``.
     """
 
-    def __init__(self, params: ShapeParams, T: float):
+    def __init__(self, params: ShapeParams):
         n = params.n
         t1, t2, rate = _flux_setup(params)
         rate = _rows(rate, 0)
         a, rem = rate.a, rate.rem
+        # the roots and the deflated p serve the tanh-sinh period too
+        Tq = _period(n, t1, t2, rem)
+        if not Tq.converged:
+            raise IntegrationFailureError("period quadrature did not converge")
+        T = Tq.value
         self.n, self.T, self.t1, self.t2, self.a, self.rem = n, T, t1, t2, a, rem
 
         dt = _cosine_series(lambda phi: 1 / np.sqrt(_s(n, rem, self.g_of(phi))),
@@ -233,15 +250,23 @@ class _Phase:
                 + self.pole * np.arctan2(y * np.sin(phi / 2), x * np.cos(phi / 2)))
 
     def _phase_of(self, target):
-        """phi with t(phi) / rate = target, by Newton's method from phi = target."""
-        phi = target
+        """phi with t(phi) / rate = target, by Newton's method from phi = target.
+
+        Each row of a 2-D target is its own Newton system and stops at its
+        own PHASE_TOL test on its largest step; a 1-D target is one row.
+        """
+        phi = np.array(target, dtype=float, ndmin=2)
+        goal = phi.copy()
+        live = np.arange(len(phi))
         for _ in range(NEWTON_MAX_STEPS):
-            miss = phi + _sine_sum(self.b_time, phi) - target
+            at, aim = phi[live], goal[live]
+            miss = at + _sine_sum(self.b_time, at) - aim
             # dt/dphi = 1 / sqrt(s(g)) > 0
-            step = miss * self.rate * np.sqrt(_s(self.n, self.rem, self.g_of(phi)))
-            phi = phi - step
-            if np.max(np.abs(step), initial=0.0) <= PHASE_TOL:
-                return phi
+            step = miss * self.rate * np.sqrt(_s(self.n, self.rem, self.g_of(at)))
+            phi[live] = at - step
+            live = live[~(np.max(np.abs(step), axis=1, initial=0.0) <= PHASE_TOL)]
+            if not live.size:
+                return phi.reshape(np.shape(target))
         raise IntegrationFailureError("Newton's method on t(phi) did not converge")
 
     def at(self, ts):
@@ -285,11 +310,8 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
             "refused there (the angle rate degenerates); the flux at Ctilde "
             "itself is xi(n, H)"
         )
-    Tq = period_T(params)
-    if not Tq.converged:
-        raise IntegrationFailureError("period quadrature did not converge")
-    T = Tq.value
-    phase = _Phase(params, T)
+    phase = _Phase(params)
+    T = phase.T
     ts = np.linspace(0.0, m_periods * T, m_periods * samples_per_period + 1)
     g, gp, theta = phase.at(ts)
     return ProfileCurve(
@@ -327,24 +349,6 @@ def surface_grid(curve: ProfileCurve, fiber_samples: Sequence) -> np.ndarray:
     Every output point lies on the hyperboloid <phi, phi> = -1.  Point
     (i, j) is immerse_point at sample j and fiber i, bit for bit.
     """
-    from .lorentz import _fiber_array
-
     n = curve.params.n
-    r = curve.r
-    below = np.flatnonzero(r < 1.0)
-    if below.size:
-        raise DomainError(f"r={float(r[below[0]])} < 1 leaves the hyperboloid chart")
-    ys = [_fiber_array(y) for y in fiber_samples]
-    for ya in ys:
-        if len(ya) != n:
-            raise DimensionError(
-                f"fiber point has {len(ya)} coordinates, expected n={n}"
-            )
-    # the circle part with math, as immerse_point computes it
-    rad = [math.sqrt(x * x - 1.0) for x in r.tolist()]
-    thetas = curve.theta.tolist()
-    out = np.empty((len(ys), len(r), n + 2))
-    out[:, :, 0] = [a * math.cos(th) for a, th in zip(rad, thetas)]
-    out[:, :, 1] = [a * math.sin(th) for a, th in zip(rad, thetas)]
-    out[:, :, 2:] = r[None, :, None] * np.reshape(ys, (len(ys), 1, n))
-    return out
+    ys = np.reshape([_fiber_array(y, n) for y in fiber_samples], (-1, 1, n))
+    return immerse_rows(curve.r, curve.theta, ys)

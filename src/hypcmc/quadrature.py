@@ -278,9 +278,16 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
     """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v))."""
     if params.C is None:
         raise DomainError("period_T requires C")
-    n = params.n
     t1, t2 = oscillation_roots(params)
-    rem = _deflated_coefficients(p_coefficients(n, params.H, params.C), t1, t2)
+    rem = _deflated_coefficients(p_coefficients(params.n, params.H, params.C),
+                                 t1, t2)
+    return _period(params.n, t1, t2, rem, tol, max_level)
+
+
+def _period(n: int, t1: float, t2: float, rem, tol: float = DEFAULT_TOL,
+            max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+    """period_T from the roots t1, t2 and the coefficients ``rem`` of p
+    deflated by both (see _s), for a caller that already has them."""
 
     def fo(v, da, db):
         return 1.0 / np.sqrt(da * db * _s(n, rem, v))

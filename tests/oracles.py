@@ -4,8 +4,9 @@ These deliberately share no code with the package's quadrature: an
 adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the flux from the
-profile's curvature equation in the orbit plane, and the polynomial
-root finders written with np.polyval.
+profile's curvature equation in the orbit plane, the polynomial
+root finders written with np.polyval, and the immersion, Gauss map and
+finite-difference curvature written one point at a time with math.
 """
 
 import math
@@ -247,3 +248,65 @@ def unmemoised_refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct
                 iterations=int(iters))
     return None
 
+
+
+def scalar_minkowski(v, w):
+    """<v, w> of two vectors with np.dot, one pair at a time."""
+    return float(np.dot(v[:-1], w[:-1]) - v[-1] * w[-1])
+
+
+def scalar_immerse(r, theta, y):
+    """phi(r, theta, y) at one point, in float arithmetic with math."""
+    rad = math.sqrt(r * r - 1.0)
+    return np.concatenate(([rad * math.cos(theta), rad * math.sin(theta)],
+                           r * np.asarray(y, dtype=float)))
+
+
+def scalar_gauss(r, rp, lam, theta, y):
+    """The unit normal nu at one state and fiber point, with math."""
+    rad = math.sqrt(r * r - 1.0)
+    nu = np.concatenate(([0.0, 0.0], -r * lam * np.asarray(y, dtype=float)))
+    nu[0] += -(r * r * lam / rad) * math.cos(theta) - (rp / rad) * math.sin(theta)
+    nu[1] += -(r * r * lam / rad) * math.sin(theta) + (rp / rad) * math.cos(theta)
+    return nu / math.sqrt(scalar_minkowski(nu, nu))
+
+
+def scalar_verify_cmc(params, curve, t, fd_step=1e-5, fiber_direction=0):
+    """verify_cmc at one time, point by point: the states of its five
+    times from one ``curve.states`` call, then one immersion and one
+    Gauss map per point and one curvature per step.  Returns None near
+    the axis, else (lambda_est, mu_est, H_est)."""
+    n = params.n
+    sq = math.sqrt(-params.C)
+    half = fd_step / 2
+    base, *shifted = curve.states([t, t + half, t - half,
+                                   t + fd_step, t - fd_step])
+    if base.r - 1.0 < 1e-8:
+        return None
+
+    def phi_nu(s, y):
+        return (scalar_immerse(s.r, s.theta, y),
+                scalar_gauss(s.r, s.g_prime / sq, s.lam, s.theta, y))
+
+    def curvature(plus, minus, h):
+        (phi_p, nu_p), (phi_m, nu_m) = phi_nu(*plus), phi_nu(*minus)
+        dphi = (phi_p - phi_m) / (2 * h)
+        dnu = (nu_p - nu_m) / (2 * h)
+        return -scalar_minkowski(dnu, dphi) / scalar_minkowski(dphi, dphi)
+
+    axis = [0.0] * (n - 1) + [1.0]
+
+    def fiber(s):
+        y = [0.0] * n
+        y[fiber_direction] = math.sinh(s)
+        y[-1] = math.cosh(s)
+        return y
+
+    mu = [curvature((p, axis), (m, axis), h)
+          for p, m, h in ((shifted[0], shifted[1], half),
+                          (shifted[2], shifted[3], fd_step))]
+    lam = [curvature((base, fiber(h)), (base, fiber(-h)), h)
+           for h in (half, fd_step)]
+    mu_est = (4 * mu[0] - mu[1]) / 3
+    lam_est = (4 * lam[0] - lam[1]) / 3
+    return lam_est, mu_est, ((n - 1) * lam_est + mu_est) / n

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypcmc as h
@@ -247,6 +248,72 @@ def test_surface_csv(capsys):
     x = [float(v) for v in rows[1][2:]]
     assert x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - x[3] ** 2 == pytest.approx(
         -1.0, abs=1e-10)
+
+
+def test_emit_csv_matches_csv_writer(capsys):
+    import hypcmc.cli as cli_mod
+
+    table = np.array([[math.inf, -math.inf, math.nan],
+                      [-0.0, 0.0, 5e-324],
+                      [1e16, 1e-5, -1.0000000000000002],
+                      [0.1, 123456789.0, -2.5e-300]])
+    index = np.array([0, 7, 12, 3])
+    cli_mod._emit_csv(["fiber", "a", "b", "c"], table, None, index=index)
+    cli_mod._emit_csv(["a", "b", "c"], table, None)
+    cli_mod._emit_csv(["a"], np.empty((0, 1)), None)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\r\n")
+    writer.writerow(["fiber", "a", "b", "c"])
+    writer.writerows([i] + [repr(x) for x in row]
+                     for i, row in zip(index.tolist(), table.tolist()))
+    writer.writerow(["a", "b", "c"])
+    writer.writerows([repr(x) for x in row] for row in table.tolist())
+    writer.writerow(["a"])
+    assert capsys.readouterr().out == ref.getvalue()
+
+
+def test_check_fd_draws_as_a_loop(capsys, monkeypatch):
+    # with a wide near-axis band many draws are not evaluated: `check`
+    # keeps the first 100 evaluated of its 200 draws, as a loop over
+    # verify_cmc does, and asks for no draw such a loop would not reach
+    import hypcmc.cli as cli_mod
+
+    params = h.ShapeParams(2, -1.1, -0.5)
+    curve = h.integrate_profile(params, samples_per_period=64)
+    draws = np.random.default_rng(20240817).uniform(
+        curve.t[0] + 2e-5, curve.t[-1] - 2e-5, 200).tolist()
+    rows = h.lorentz.curvature_rows
+    asked = []
+
+    def recording(*args):
+        asked.extend(np.asarray(args[2]).tolist())
+        return rows(*args)
+
+    r_minus_1 = curve.state_arrays(draws)[0] / math.sqrt(-params.C) - 1.0
+    # about 140 and 80 of the 200 draws evaluated
+    for q in (0.3, 0.6):
+        monkeypatch.setattr(h.lorentz, "NEAR_AXIS_EPS",
+                            float(np.quantile(r_minus_1, q)))
+        worst, evaluated, reached = 0.0, 0, []
+        for t in draws:
+            chk = h.verify_cmc(params, curve, t)
+            reached.append(t)
+            if chk.evaluated:
+                worst = max(worst, abs(chk.H_est - params.H))
+                evaluated += 1
+            if evaluated >= 100:
+                break
+        # q = 0.3 stops at the 100th evaluated draw, q = 0.6 runs out
+        assert (evaluated == 100) if q == 0.3 else (len(reached) == 200)
+        asked.clear()
+        monkeypatch.setattr(cli_mod.lorentz, "curvature_rows", recording)
+        code, out, _ = run_cli(capsys, "check", "--n", "2", "--H", "-1.1",
+                               "--C", "-0.5", "--samples", "64")
+        monkeypatch.setattr(cli_mod.lorentz, "curvature_rows", rows)
+        assert code == 0
+        report = json.loads(out)["cmc_fd_max_error"]
+        assert (report["samples"], report["value"]) == (evaluated, worst)
+        assert asked == reached
 
 
 def test_sweep_csv(capsys):

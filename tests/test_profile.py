@@ -144,6 +144,29 @@ def test_state_interpolation_and_range():
         curve.state(curve.t[-1] + 1.0)
 
 
+@pytest.mark.parametrize("n, H, C", [(2, -1.1, -0.9091743461769703),
+                                     (3, -1.5, -0.7), (5, -2.9, -0.6)])
+def test_state_rows_equal_separate_states_calls(n, H, C):
+    # each row of a 2-D call is its own Newton system: it has the bits of
+    # a states call on that row alone, however many steps its neighbours
+    # need (a row next to the r-minimum needs the most)
+    curve = h.integrate_profile(h.ShapeParams(n, H, C),
+                                samples_per_period=256)
+    rng = np.random.default_rng(5)
+    base = np.concatenate(([2e-5, curve.t[-1] / 2], rng.uniform(
+        2e-5, curve.t[-1] - 2e-5, 60)))
+    ts = np.column_stack((base, base + 5e-6, base - 5e-6, base + 1e-5,
+                          base - 1e-5))
+    rows = curve.state_arrays(ts)
+    for k, row in enumerate(ts):
+        alone = curve.states(row.tolist())
+        for got, field in zip(rows, ("g", "g_prime", "theta")):
+            ref = [getattr(s, field) for s in alone]
+            assert np.array_equal(_bits(got[k]), _bits(ref)), (k, field)
+    with pytest.raises(h.ParameterRangeError):
+        curve.state_arrays([[0.0, 1.0], [curve.t[-1] + 1.0, 0.5]])
+
+
 def test_integrate_profile_validation():
     with pytest.raises(h.DomainError):
         h.integrate_profile(h.ShapeParams(2, -1.1, None))
