@@ -21,6 +21,7 @@ import numpy as np
 
 from . import lorentz, profile, quadrature
 from .errors import (
+    DomainError,
     EvaluationError,
     HypcmcError,
     IntegrationFailureError,
@@ -401,6 +402,9 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "samples must be >= 16"}),
                   file=sys.stderr)
             return 2
+        for count in ("fibers", "steps"):
+            if getattr(args, count, 0) < 0:
+                raise DomainError(f"--{count} must be >= 0")
         for f in REQUIRED_WITHOUT_SEED.get(args.command, ()):
             if not args.seed_figures and getattr(args, f) is None:
                 print(json.dumps(

@@ -61,12 +61,14 @@ class FiberPoint:
         arr = np.asarray(y, dtype=float)
         if arr.ndim != 1 or len(arr) < 2:
             raise DimensionError("fiber point needs at least 2 coordinates")
-        self_inner = float(inner_rows(arr, arr))
-        if abs(self_inner + 1.0) > FIBER_TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+            self_inner = float(inner_rows(arr, arr))
+        # written so that a NaN or infinite coordinate fails each check
+        if not abs(self_inner + 1.0) <= FIBER_TOL:
             raise DomainError(
                 f"fiber point has self-inner {self_inner!r}, expected -1"
             )
-        if arr[-1] < 1.0:
+        if not arr[-1] >= 1.0:
             raise DomainError("fiber point must have last coordinate >= 1")
         object.__setattr__(self, "y", tuple(float(c) for c in arr))
 

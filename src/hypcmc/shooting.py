@@ -2,25 +2,26 @@
 xi_n(H0) = -2*pi, C* with K(C*, H) = -2*pi*k/m, and the
 embedded / immersed classification.
 
-None of the solvers assume monotonicity of the flux in C: every search
-scans a geometric grid for sign changes first and only then refines a
-bracket.  Each candidate root is re-checked against the target with the
-flux evaluated at that root before it is accepted, because the flux has
-a jump across C = Ctilde (the profile grazes the rotation axis there and the
-angle picks up an extra half-turn); a sign change produced by that jump
-is not a root and is discarded by the residual check.
+Both solvers run one scan-bracket-verify routine, _scan_solve.  It does
+not assume monotonicity: it scans geometric grids for sign changes of the
+value minus its target, doubling the grid up to a maximum, and refines
+each sign change in order with Brent's method (Brent 1973), which starts
+from the scan's values at the bracket ends.  A root is accepted when its
+value, Brent's own value at the point it returns, is within a residual
+bound, so no value is computed twice.
 
-Each scan grid of solve_C is evaluated in one batched call
-(quadrature.flux_K_grid: the oscillation roots of all its C as lanes of
-one Brent iteration, then every flux as a row of one phase rule), and
-every per-C value equals the scalar flux_K path exactly, so the grids,
-brackets and outcomes are those of a point-by-point scan; find_H0's scan
-is one xi_grid call in the same way.  Brent refinement and verification
-stay scalar; Brent starts from the scan's values at the bracket ends,
-and the verification reads Brent's own value at the root it returns, so
-no value is computed twice.  A bracket whose sign change is only the
-jump is not refined.  No solver uses a flux or xi whose quadrature did
-not converge: it raises NonConvergenceError naming C or H.
+- find_H0 scans one grid with one xi_grid call.  xi is continuous in H,
+  so Brent's first root is accepted as it is (the bound is infinite).
+- solve_C scans grids of SCAN_POINTS to SCAN_POINTS_MAX points, each in
+  one flux_K_grid call whose per-C values equal the scalar flux_K path
+  exactly.  A root must be within max(RESIDUAL_TOL, 10 * tol) of the
+  target, because the flux has a jump across C = Ctilde (the profile
+  grazes the rotation axis there and the angle picks up an extra
+  half-turn); a sign change produced by that jump is not a root.  A
+  bracket whose sign change is only the jump is not refined at all.
+
+No solver uses a flux or xi whose quadrature did not converge: it raises
+NonConvergenceError naming C or H.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
 from .potential import C0, Ctilde, ShapeParams
 from .quadrature import (
     CTILDE_GUARD_REL,
+    _in_guard_band,
     flux_K,
     flux_K_grid,
     require_converged,
@@ -83,6 +85,10 @@ class WindingTarget:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """A root from scan, bracket and Brent: ``iterations`` counts Brent's
+    function evaluations for find_H0 and its iterations for solve_C, and
+    is 0 where a scan point is itself a root."""
+
     parameter_value: float
     residual: float
     classification: str
@@ -102,6 +108,53 @@ class NoRootReport:
     message: str
 
 
+def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
+                jump_only=None):
+    """The first root of a value minus ``target`` on (lo, hi).
+
+    Scans the geometric grids of SCAN_POINTS points, doubled up to
+    ``max_points``: ``scan(grid)`` gives the value minus target on a grid
+    and ``f(x)`` at one point, -inf where the value does not exist (Brent
+    sees -1e12 there, to keep its arithmetic finite).  Each sign change of
+    a grid is refined in order by Brent to ``tol``, from the scan's values
+    at its ends, unless ``jump_only(a, b, fa, fb)`` says it holds no root.
+    Returns (root, value, bracket, Brent's RootResults or None for a scan
+    point that is a root) for the first root whose |value| <= ``restol``,
+    else a NoRootReport over the finite values of the last grid.
+    """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    points = SCAN_POINTS
+    while True:
+        grid = -np.geomspace(-lo, -hi, points)
+        vals = scan(grid)
+        ends, fs = grid.tolist(), vals.tolist()
+        for a, b, fa, fb in zip(ends, ends[1:], fs, fs[1:]):
+            if fa != 0.0 and (not fa * fb < 0
+                              or jump_only and jump_only(a, b, fa, fb)):
+                continue
+            known = {a: fa, b: fb}
+
+            def value(x):
+                if x not in known:
+                    known[x] = f(x)
+                return known[x] if math.isfinite(known[x]) else -1e12
+
+            root, brent = a, None
+            if fa != 0.0:
+                root, brent = brentq(value, a, b, xtol=tol, rtol=8.9e-16,
+                                     full_output=True)
+            if abs(known[root]) <= restol:
+                return root, known[root], (a, b), brent
+        if points >= max_points:
+            finite = vals[np.isfinite(vals)] + target
+            return NoRootReport(
+                search_interval=(lo, hi), points_scanned=points,
+                value_min=float(finite.min()), value_max=float(finite.max()),
+                target=target, message=message)
+        points *= 2
+
+
 def _xi_offset(n: int, H: float, res, tol: float) -> float:
     """xi_n(H) + 2*pi, or -inf where the landmark is missing (res None)."""
     if res is None:
@@ -114,8 +167,10 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             quad_tol: float = 1e-11) -> Union[SolveOutcome, NoRootReport]:
     """Solve xi_n(H) = -2*pi for H in the search interval.
 
-    Scans a geometric grid (one xi_grid batch) for a sign change of
-    xi_n + 2*pi, then refines with Brent bracketing to |dH| <= tol.  A
+    Scans one geometric grid (one xi_grid batch) for a sign change of
+    xi_n + 2*pi, then refines with Brent bracketing to |dH| <= tol.
+    Brent's root is not verified: xi is continuous in H, and its residual
+    (about |xi_n'| * tol) may exceed a value bound at a loose tol.  A
     missing landmark counts as xi = -inf; a non-converged xi raises
     NonConvergenceError.  If no sign change exists the scan statistics
     are returned as a NoRootReport (the expected outcome for n = 3, 4, 5,
@@ -124,70 +179,29 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
     H_lo, H_hi = search
     if not (H_lo < H_hi and H_hi <= -1):
         raise DomainError(f"invalid search interval ({H_lo}, {H_hi})")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
 
-    grid = -np.geomspace(-H_lo, -H_hi, SCAN_POINTS)
-    vals = np.array([
-        _xi_offset(n, H, res, quad_tol) for H, res in
-        zip(grid, xi_grid(n, grid, tol=quad_tol, missing_as_none=True))])
-    finite = np.isfinite(vals)
+    def scan(grid):
+        return np.array([
+            _xi_offset(n, H, res, quad_tol) for H, res in
+            zip(grid, xi_grid(n, grid, tol=quad_tol, missing_as_none=True))])
 
-    bracket = None
-    for i in range(len(grid) - 1):
-        if not (finite[i] and finite[i + 1]):
-            # treat a missing landmark (xi -> -inf) as a negative value
-            a, b = vals[i], vals[i + 1]
-            a = a if finite[i] else -1.0
-            b = b if finite[i + 1] else -1.0
-            if a * b < 0:
-                bracket = i, i + 1
-                break
-            continue
-        if vals[i] == 0.0:
-            bracket = i, i
-            break
-        if vals[i] * vals[i + 1] < 0:
-            bracket = i, i + 1
-            break
+    def offset(H):
+        try:
+            return _xi_offset(n, H, xi(n, H, tol=quad_tol), quad_tol)
+        except LandmarkError:
+            return -math.inf
 
-    if bracket is None:
-        fv = vals[finite] - TWO_PI
-        return NoRootReport(
-            search_interval=(H_lo, H_hi), points_scanned=len(grid),
-            value_min=float(fv.min()), value_max=float(fv.max()),
-            target=-TWO_PI,
-            message="xi_n + 2*pi has no sign change on the scanned grid",
-        )
-
-    # scan values at the bracket ends, then Brent's (its root is one of them)
-    known = {float(grid[j]): vals[j] for j in bracket}
-    iters = [0]
-
-    def f(H):
-        iters[0] += 1
-        if H not in known:
-            try:
-                res = xi(n, H, tol=quad_tol)
-            except LandmarkError:
-                res = None
-            known[H] = _xi_offset(n, H, res, quad_tol)
-        # keep brentq's arithmetic finite where the landmark vanishes
-        return known[H] if math.isfinite(known[H]) else -1e12
-
-    lo, hi = (float(grid[j]) for j in bracket)
-    if lo == hi:
-        root = lo
-    else:
-        root = brentq(f, lo, hi, xtol=tol, rtol=8.9e-16)
+    out = _scan_solve(H_lo, H_hi, SCAN_POINTS, -TWO_PI, scan, offset, tol,
+                      math.inf,
+                      "xi_n + 2*pi has no sign change on the scanned grid")
+    if isinstance(out, NoRootReport):
+        return out
+    root, residual, bracket, brent = out
     # At H0 the solution sits exactly on C = Ctilde with K = -2*pi; theta
     # is still injective there (its derivative vanishes only at isolated
     # points), so the threshold solution is classified as embedded.
-    return SolveOutcome(
-        parameter_value=float(root), residual=float(known[root]),
-        classification=EMBEDDED, bracket_used=(lo, hi),
-        iterations=iters[0],
-    )
+    return SolveOutcome(root, residual, EMBEDDED, bracket,
+                        brent.function_calls if brent else 0)
 
 
 def _flux_value(n: int, H: float, C: float, res, tol: float) -> float:
@@ -220,8 +234,7 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
         raise DomainError(f"H must be < -1, got {H}")
     target = winding.target
     c0 = C0(n, H)
-    ct = Ctilde(n, H)
-    guard = CTILDE_GUARD_REL * abs(ct)
+    lo, hi = c0 + C_GAP_LOWER_REL * abs(c0), -C_GAP_UPPER
     # the flux in the guard band, computed at most once
     xi_res = functools.cache(lambda: require_converged(
         xi(n, H, tol=quad_tol), f"xi_{n}({H!r})", quad_tol))
@@ -236,86 +249,38 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
                 f"{xi_val!r} <= {-TWO_PI!r}",
                 xi_value=xi_val,
             )
-        lo = c0 + C_GAP_LOWER_REL * abs(c0)
-        hi = ct - guard
-    else:
-        lo = c0 + C_GAP_LOWER_REL * abs(c0)
-        hi = -C_GAP_UPPER
+        ct = Ctilde(n, H)
+        hi = ct - CTILDE_GUARD_REL * abs(ct)
 
-    points = SCAN_POINTS
-    while True:
-        grid = -np.geomspace(-lo, -hi, points)
-        in_band = np.any(np.abs(grid - ct) < guard)
-        vals = np.array([_flux_value(n, H, C, res, quad_tol) - target
+    def scan(grid):
+        in_band = _in_guard_band(n, H, grid).any()
+        return np.array([_flux_value(n, H, C, res, quad_tol) - target
                          for C, res in zip(grid.tolist(), flux_K_grid(
                              n, H, grid, tol=quad_tol,
                              xi_result=xi_res() if in_band else None))])
-        outcome = _refine_first_crossing(n, H, grid, vals, target, tol,
-                                         quad_tol, ct, xi_res)
-        if outcome is not None:
-            return outcome
-        if points >= SCAN_POINTS_MAX:
-            return NoRootReport(
-                search_interval=(lo, hi), points_scanned=points,
-                value_min=float(vals.min() + target),
-                value_max=float(vals.max() + target), target=target,
-                message="no verified sign change of K - target in the scan",
-            )
-        points *= 2
 
-
-def _refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct,
-                           xi_res):
-    """Brent-refine each scan bracket in order; return the first verified root.
-
-    The flux minus target is known at the scan points (``vals``, equal to
-    _flux_at there bit for bit), and Brent evaluates it at the point it
-    returns, so those values are reused instead of recomputed.  A bracket
-    that is only the jump at Ctilde is skipped; ``xi_res()`` gives xi.
-    """
     restol = max(RESIDUAL_TOL, 10 * tol)
-    for i in range(len(grid) - 1):
-        if vals[i] != 0.0 and not vals[i] * vals[i + 1] < 0:
-            continue
-        if vals[i] != 0.0 and _jump_only(grid[i], grid[i + 1], vals[i],
-                                         vals[i + 1], ct, xi_res, target,
-                                         restol):
-            continue
-        known = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
-
-        def f(c):
-            if c not in known:
-                known[c] = _flux_at(n, H, c, quad_tol) - target
-            return known[c]
-
-        if vals[i] == 0.0:
-            cand, iters = float(grid[i]), 0
-        else:
-            cand, res = brentq(f, grid[i], grid[i + 1], xtol=tol,
-                               rtol=8.9e-16, full_output=True)
-            iters = res.iterations
-        residual = f(cand)
-        if abs(residual) <= restol:
-            cls = _classification(n, H, cand, ct, target)
-            return SolveOutcome(
-                parameter_value=float(cand), residual=float(residual),
-                classification=cls,
-                bracket_used=(float(grid[i]), float(grid[i + 1])),
-                iterations=int(iters),
-            )
-        # sign change caused by the flux jump across Ctilde, not a root
-    return None
+    out = _scan_solve(lo, hi, SCAN_POINTS_MAX, target, scan,
+                      lambda C: _flux_at(n, H, C, quad_tol) - target, tol,
+                      restol, "no verified sign change of K - target in the scan",
+                      functools.partial(_jump_only, n, H, xi_res, target, restol))
+    if isinstance(out, NoRootReport):
+        return out
+    root, residual, bracket, brent = out
+    return SolveOutcome(root, residual, _closure_kind(n, H, root, winding),
+                        bracket, brent.iterations if brent else 0)
 
 
-def _jump_only(a, b, fa, fb, ct, xi_res, target, restol) -> bool:
+def _jump_only(n, H, xi_res, target, restol, a, b, fa, fb) -> bool:
     """Whether the sign change of K - target from fa (at a) to fb (at b)
     is only the jump at Ctilde: the bracket meets the guard band (value
     xi - target, no root), and each end has the sign of its side's limit,
     xi - pi - target below Ctilde or xi + pi - target above.  As in the
-    scan, a side without a sign change is taken to hold no root.
+    scan, a side without a sign change is taken to hold no root;
+    ``xi_res()`` gives xi.
     """
-    guard = CTILDE_GUARD_REL * abs(ct)
-    in_a, in_b = abs(a - ct) < guard, abs(b - ct) < guard
+    ct = Ctilde(n, H)
+    in_a, in_b = _in_guard_band(n, H, a), _in_guard_band(n, H, b)
     if not (in_a or in_b or a < ct < b):
         return False  # both ends on one side, outside the band
     below = a < ct and not in_a
@@ -326,8 +291,11 @@ def _jump_only(a, b, fa, fb, ct, xi_res, target, restol) -> bool:
             and (not above or fb * (mid + math.pi) > 0))
 
 
-def _classification(n, H, C, ct, target) -> str:
-    if abs(target + TWO_PI) < 1e-12 and C < ct + CTILDE_GUARD_REL * abs(ct):
+def _closure_kind(n: int, H: float, C: float, winding: WindingTarget) -> str:
+    """Embedded iff the winding is (1, 1) and C lies below Ctilde or in
+    its guard band (where the flux is xi), else immersed."""
+    if (winding.k, winding.m) == (1, 1) and (C < Ctilde(n, H)
+                                             or _in_guard_band(n, H, C)):
         return EMBEDDED
     return IMMERSED_CLOSED
 
@@ -346,8 +314,4 @@ def classify(n: int, H: float, C: float, winding: WindingTarget,
         raise ClassificationRefusedError(
             f"K(C={C}, H={H}) = {K!r} does not match the target {target!r}"
         )
-    ct = Ctilde(n, H)
-    guard = CTILDE_GUARD_REL * abs(ct)
-    if (winding.k, winding.m) == (1, 1) and C < ct + guard:
-        return EMBEDDED
-    return IMMERSED_CLOSED
+    return _closure_kind(n, H, C, winding)

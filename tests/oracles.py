@@ -214,40 +214,41 @@ def _two_newton_steps(coeffs, root):
     return float(root)
 
 
-def unmemoised_refine_first_crossing(n, H, grid, vals, target, tol, quad_tol, ct,
-                                     xi_res=None):
-    """The shooting refine step with a fresh flux evaluation everywhere.
+def unmemoised_scan_solve(lo, hi, max_points, target, scan, f, tol, restol,
+                          message, jump_only=None):
+    """shooting._scan_solve with a fresh evaluation everywhere.
 
-    Brent evaluates the flux at both scan points of a bracket again, and
-    the verify residual is one more evaluation at the returned point.
-    Every bracket with a sign change is refined, the jump at Ctilde too
-    (``xi_res`` is not used).  The refine step that reuses those values
-    and skips the jump must give the same outcome.
+    Brent evaluates f at both scan points of a bracket again, and the
+    verify residual is one more evaluation at the returned point.  Every
+    bracket with a sign change is refined, the jump at Ctilde too
+    (``jump_only`` is not used).  The routine that reuses those values and
+    skips the jump must give the same outcome.
     """
     from hypcmc import shooting
 
-    def f(c):
-        return shooting._flux_at(n, H, c, quad_tol) - target
-
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            cand, iters = float(grid[i]), 0
-        elif vals[i] * vals[i + 1] < 0:
-            cand, res = brentq(f, grid[i], grid[i + 1], xtol=tol,
-                               rtol=8.9e-16, full_output=True)
-            iters = res.iterations
-        else:
-            continue
-        residual = f(cand)
-        if abs(residual) <= max(shooting.RESIDUAL_TOL, 10 * tol):
-            return shooting.SolveOutcome(
-                parameter_value=float(cand), residual=float(residual),
-                classification=shooting._classification(n, H, cand, ct,
-                                                         target),
-                bracket_used=(float(grid[i]), float(grid[i + 1])),
-                iterations=int(iters))
-    return None
-
+    points = shooting.SCAN_POINTS
+    while True:
+        grid = -np.geomspace(-lo, -hi, points)
+        vals = scan(grid)
+        for i in range(points - 1):
+            a, b = float(grid[i]), float(grid[i + 1])
+            if vals[i] == 0.0:
+                root, brent = a, None
+            elif vals[i] * vals[i + 1] < 0:
+                root, brent = brentq(f, a, b, xtol=tol, rtol=8.9e-16,
+                                     full_output=True)
+            else:
+                continue
+            residual = f(root)
+            if abs(residual) <= restol:
+                return root, residual, (a, b), brent
+        if points >= max_points:
+            return shooting.NoRootReport(
+                search_interval=(lo, hi), points_scanned=points,
+                value_min=float(vals.min() + target),
+                value_max=float(vals.max() + target), target=target,
+                message=message)
+        points *= 2
 
 
 def scalar_minkowski(v, w):

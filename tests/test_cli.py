@@ -166,6 +166,35 @@ def test_solve_c_noncoprime_exit_2(capsys):
     assert code == 2
 
 
+SOLVE_C = ("solve-c", "--n", "2", "--H", "-1.1", "--k", "1", "--m", "5")
+SURFACE = ("surface", "--n", "2", "--H", "-1.1", "--C", "-0.5")
+SWEEP = ("sweep", "--n", "3", "--H-from", "-3", "--H-to", "-2")
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE_C + ("--solver-tol", "0"),
+    SOLVE_C + ("--solver-tol", "-1"),
+    SOLVE_C + ("--solver-tol", "nan"),
+    ("h0", "--n", "2", "--solver-tol", "0"),
+    ("h0", "--n", "2", "--solver-tol", "nan"),
+    SURFACE + ("--fibers", "-1"),
+    SWEEP + ("--steps", "-1"),
+    SURFACE + ("--fiber-span", "nan", "--fibers", "3"),
+])
+def test_bad_tolerance_count_or_span_exit_2(capsys, argv):
+    # a JSON DomainError, not a traceback or rows of NaN
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "DomainError"
+
+
+def test_zero_counts_print_the_header_only(capsys):
+    code, out, _ = run_cli(capsys, *SURFACE, "--fibers", "0")
+    assert (code, out) == (0, "fiber,t,x1,x2,x3,x4\r\n")
+    code, out, _ = run_cli(capsys, *SWEEP, "--steps", "0")
+    assert (code, out) == (0, "H,xi\r\n")
+
+
 def _parse_csv(text):
     assert "\r\n" in text
     return list(csv.reader(io.StringIO(text)))

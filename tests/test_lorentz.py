@@ -37,6 +37,11 @@ def test_fiber_point_invariants():
         h.FiberPoint((1.0, 1.0))  # self-inner 0, not -1
     with pytest.raises(h.DomainError):
         h.FiberPoint((0.0, -1.0))  # wrong sheet
+    # every comparison with NaN is False, so no check may pass on one
+    for y in ((math.nan, math.nan), (math.inf, math.inf), (0.0, math.nan),
+              (math.nan, 1.0)):
+        with pytest.raises(h.DomainError):
+            h.FiberPoint(y)
     with pytest.raises(h.DimensionError):
         h.FiberPoint((1.0,))
 

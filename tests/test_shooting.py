@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -179,7 +180,7 @@ def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
     # field.  A bracket whose sign change is only the flux jump at Ctilde
     # is not refined at all; the oracle refines it on every grid, and it
     # fails verification each time
-    def run(refine):
+    def run(scan_solve):
         calls, brackets = [0], [0]
         flux_at, brentq = shooting._flux_at, shooting.brentq
 
@@ -195,12 +196,12 @@ def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
             m.setattr(shooting, "_flux_at", counted_flux_at)
             m.setattr(shooting, "brentq", counted_brentq)
             m.setattr(oracles, "brentq", counted_brentq)
-            m.setattr(shooting, "_refine_first_crossing", refine)
+            m.setattr(shooting, "_scan_solve", scan_solve)
             out = h.solve_C(n, H, winding, mode=mode)
         return out, calls[0], brackets[0]
 
-    out, calls, brackets = run(shooting._refine_first_crossing)
-    ref, ref_calls, ref_brackets = run(oracles.unmemoised_refine_first_crossing)
+    out, calls, brackets = run(shooting._scan_solve)
+    ref, ref_calls, ref_brackets = run(oracles.unmemoised_scan_solve)
     assert out == ref
     if isinstance(ref, h.SolveOutcome):
         assert brackets == ref_brackets > 0
@@ -228,18 +229,21 @@ def _two_sided(ct, a, b, fa, fb, mid, bump=0.0):
     return f
 
 
-def _refine(monkeypatch, ct, grid, f, mid):
-    """_refine_first_crossing on made-up values; also the brackets Brent ran."""
+def _refine(monkeypatch, a, b, f, mid):
+    """_scan_solve with solve_C's jump test on made-up values and target 0,
+    with the one bracket (a, b) as its grid; also the brackets Brent ran."""
     brackets = []
     brentq = shooting.brentq
-    monkeypatch.setattr(shooting, "_flux_at", lambda n, H, c, tol: f(c))
+    monkeypatch.setattr(shooting, "SCAN_POINTS", 2)
     monkeypatch.setattr(shooting, "brentq",
                         lambda *args, **kw: brackets.append(args[1:3])
                         or brentq(*args, **kw))
     xi_res = lambda: h.QuadResult(mid, 0.0, 1, True)  # noqa: E731
-    out = shooting._refine_first_crossing(
-        2, -1.1, np.array(grid), np.array([f(c) for c in grid]), 0.0, 1e-13,
-        1e-11, ct, xi_res)
+    restol = shooting.RESIDUAL_TOL
+    out = shooting._scan_solve(
+        a, b, 2, 0.0, lambda grid: np.array([f(c) for c in grid.tolist()]),
+        f, 1e-13, restol, "no root",
+        functools.partial(shooting._jump_only, 2, -1.1, xi_res, 0.0, restol))
     return out, brackets
 
 
@@ -257,15 +261,16 @@ def test_refine_skips_only_the_bare_jump(monkeypatch, fa, fb, mid, refined):
     ct = h.Ctilde(2, -1.1)
     a = ct * (1 + 1e-3)
     b = ct * (1 + 0.5e-9) if fb is None else ct * (1 - 1e-3)
-    out, brackets = _refine(monkeypatch, ct, [a, b],
+    out, brackets = _refine(monkeypatch, a, b,
                             _two_sided(ct, a, b, fa, fb, mid), mid)
     assert len(brackets) == int(refined)
     if refined:
-        assert isinstance(out, h.SolveOutcome)
-        assert abs(out.residual) <= shooting.RESIDUAL_TOL
-        assert out.bracket_used == (a, b)
+        _, residual, bracket, _ = out
+        assert abs(residual) <= shooting.RESIDUAL_TOL
+        assert bracket == (a, b)
     else:
-        assert out is None
+        assert isinstance(out, h.NoRootReport)
+        assert out.points_scanned == 2
 
 
 def test_refine_keeps_root_brackets_away_from_the_band(monkeypatch):
@@ -276,10 +281,9 @@ def test_refine_keeps_root_brackets_away_from_the_band(monkeypatch):
     b = a + 0.5 * (ct - a)
     f = _two_sided(ct, a, None, -1.0, None, 1.0, bump=8.0)
     assert f(a) * (1.0 - math.pi) > 0 > f(a) * f(b)
-    out, brackets = _refine(monkeypatch, ct, [a, b], f, 1.0)
+    out, brackets = _refine(monkeypatch, a, b, f, 1.0)
     assert brackets == [(a, b)]
-    assert isinstance(out, h.SolveOutcome)
-    assert abs(out.residual) <= shooting.RESIDUAL_TOL
+    assert abs(out[1]) <= shooting.RESIDUAL_TOL
 
 
 def test_find_H0_refine_reuses_scan_values(monkeypatch):
@@ -306,6 +310,15 @@ def test_find_H0_refine_reuses_scan_values(monkeypatch):
     assert out.iterations == res.function_calls
     assert len(calls) == out.iterations - 2
     assert out.residual == plain(root)
+
+
+def test_find_H0_accepts_brent_root_unverified():
+    # xi is continuous in H, so Brent's root is taken as it is: at a loose
+    # tol its residual exceeds the bound solve_C would verify against
+    out = h.find_H0(2, tol=1e-8)
+    assert isinstance(out, h.SolveOutcome)
+    assert abs(out.residual) > max(shooting.RESIDUAL_TOL, 10 * 1e-8)
+    assert out.parameter_value == pytest.approx(frozen.H0_N2, abs=1e-8)
 
 
 def _not_converged(res):
