@@ -399,9 +399,7 @@ def main(argv=None) -> int:
         if getattr(args, "tol", None) is None:
             args.tol = _default_tol()
         if getattr(args, "samples", None) is not None and args.samples < 16:
-            print(json.dumps({"error": "samples must be >= 16"}),
-                  file=sys.stderr)
-            return 2
+            raise DomainError("samples must be >= 16")
         for count in ("fibers", "steps"):
             if getattr(args, count, 0) < 0:
                 raise DomainError(f"--{count} must be >= 0")

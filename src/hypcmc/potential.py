@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateOscillationError,
@@ -220,14 +220,13 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
             f"p(v0) = {p(_v0)!r} <= 0 at C={C!r}: in floats the oscillation "
             "interval is degenerate")
 
-    lo = 1e-9 * _v0
-    t1 = brentq(p, lo, _v0, xtol=1e-15, rtol=8.9e-16)
+    t1 = brentq(p, 1e-9 * _v0, _v0, 1e-15, 8.9e-16).root
     hi = 2 * _v0
     while p(hi) >= 0:
         hi *= 2
         if hi > 1e12:
             raise ParameterRangeError("upper root bracket expansion failed")
-    t2 = brentq(p, _v0, hi, xtol=1e-15, rtol=8.9e-16)
+    t2 = brentq(p, _v0, hi, 1e-15, 8.9e-16).root
 
     # One Newton polish per root pushes the relative residual of q to
     # machine level even when brentq stops on the xtol criterion.
@@ -285,12 +284,74 @@ def oscillation_roots_grid(n: int, H: float, Cs) -> list:
     return out
 
 
+BrentResult = namedtuple("BrentResult", "root iterations function_calls")
+
+
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f in the bracket (xa, xb) by Brent's method (Brent 1973).
+
+    A port of SciPy's brentq.c: the same steps, float operations and f
+    calls, so the same root, counts (a BrentResult) and errors: ValueError
+    for f(xa), f(xb) of one sign or a NaN value, RuntimeError after
+    maxiter iterations.  A bracket end that is a root takes 0 iterations
+    (SciPy leaves that count unset).  As in SciPy, xtol > 0, rtol >= 4 eps.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return BrentResult(xpre if fpre == 0 else xcur, 0, 2)
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return BrentResult(xcur, i + 1, i + 2)
+
+        stry = math.inf  # bisect unless an interpolated step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's step is then inf or NaN
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
-    """A root of each lane's polynomial in its bracket, by SciPy's brentq.
+    """brentq on each lane's polynomial in its bracket, all lanes at once.
 
     Lane i is the polynomial with highest-first coefficients coeffs[:, i]
-    on the bracket (xa[i], xb[i]).  Every lane takes the steps of SciPy's
-    brentq.c (Brent 1973): the same bracket swap, inverse quadratic
+    on the bracket (xa[i], xb[i]).  Every lane takes the steps of the
+    scalar brentq above: the same bracket swap, inverse quadratic
     extrapolation, secant interpolation or bisection, the same tolerance
     delta = (xtol + rtol |x|) / 2 and the same float operations, so it
     ends where brentq(p_i, xa[i], xb[i], xtol, rtol, maxiter) ends and

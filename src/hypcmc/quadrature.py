@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -44,6 +43,7 @@ from .potential import (
     Q_coefficients,
     ShapeParams,
     _derivative,
+    brentq,
     eval_h,
     horner,
     oscillation_roots,
@@ -502,7 +502,7 @@ def _Q_upper_root(n: int, H: float) -> float:
                 f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
             )
     lo = 1.0 + delta / 2 if pq(1.0 + delta / 2) > 0 else 1.0 + 1e-9
-    t2 = brentq(pq, lo, 1.0 + delta, xtol=1e-15, rtol=8.9e-16)
+    t2 = brentq(pq, lo, 1.0 + delta, 1e-15, 8.9e-16).root
     for _ in range(2):
         t2 -= pq(t2) / horner(dcoeffs, t2)
     return float(t2)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ClassificationRefusedError,
@@ -41,7 +40,7 @@ from .errors import (
     GuardBandError,
     LandmarkError,
 )
-from .potential import C0, Ctilde, ShapeParams
+from .potential import C0, Ctilde, ShapeParams, brentq
 from .quadrature import (
     CTILDE_GUARD_REL,
     _in_guard_band,
@@ -118,7 +117,7 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
     sees -1e12 there, to keep its arithmetic finite).  Each sign change of
     a grid is refined in order by Brent to ``tol``, from the scan's values
     at its ends, unless ``jump_only(a, b, fa, fb)`` says it holds no root.
-    Returns (root, value, bracket, Brent's RootResults or None for a scan
+    Returns (root, value, bracket, Brent's BrentResult or None for a scan
     point that is a root) for the first root whose |value| <= ``restol``,
     else a NoRootReport over the finite values of the last grid.
     """
@@ -140,10 +139,8 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
                     known[x] = f(x)
                 return known[x] if math.isfinite(known[x]) else -1e12
 
-            root, brent = a, None
-            if fa != 0.0:
-                root, brent = brentq(value, a, b, xtol=tol, rtol=8.9e-16,
-                                     full_output=True)
+            brent = brentq(value, a, b, tol, 8.9e-16) if fa != 0.0 else None
+            root = brent.root if brent else a
             if abs(known[root]) <= restol:
                 return root, known[root], (a, b), brent
         if points >= max_points:

@@ -235,8 +235,8 @@ def unmemoised_scan_solve(lo, hi, max_points, target, scan, f, tol, restol,
             if vals[i] == 0.0:
                 root, brent = a, None
             elif vals[i] * vals[i + 1] < 0:
-                root, brent = brentq(f, a, b, xtol=tol, rtol=8.9e-16,
-                                     full_output=True)
+                brent = shooting.brentq(f, a, b, tol, 8.9e-16)
+                root = brent.root
             else:
                 continue
             residual = f(root)

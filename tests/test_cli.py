@@ -180,6 +180,7 @@ SWEEP = ("sweep", "--n", "3", "--H-from", "-3", "--H-to", "-2")
     SURFACE + ("--fibers", "-1"),
     SWEEP + ("--steps", "-1"),
     SURFACE + ("--fiber-span", "nan", "--fibers", "3"),
+    ("profile", "--n", "2", "--H", "-1.1", "--C", "-0.5", "--samples", "8"),
 ])
 def test_bad_tolerance_count_or_span_exit_2(capsys, argv):
     # a JSON DomainError, not a traceback or rows of NaN
@@ -388,16 +389,36 @@ def test_check_report_near_axis(capsys):
     assert data["all_pass"] is True
 
 
-def test_console_script_entry_point():
-    # the child imports the hypcmc under test, installed or not
+def _run_child(*args):
+    """``python *args`` in a child that imports the hypcmc under test,
+    installed or not."""
     src = str(Path(h.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypcmc.cli", "xi", "--n", "2", "--H", "-1.1"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_script_entry_point():
+    proc = _run_child("-m", "hypcmc.cli", "xi", "--n", "2", "--H", "-1.1")
     # the module is runnable directly; the installed `hypcmc` script wraps
     # the same main()
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["converged"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("xi", "--n", "2", "--H", "-1.1"),  # the upper root of Q
+    ("h0", "--n", "2"),                 # the scan refine of H0
+    SOLVE_C,                            # that of C*, and the turning points
+])
+def test_runs_without_scipy(capsys, argv):
+    # the library needs NumPy only: with scipy unimportable in the child,
+    # each root solve runs and the output is that of an in-process run
+    proc = _run_child("-c", "import sys; sys.modules['scipy'] = None; "
+                      "from hypcmc.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out

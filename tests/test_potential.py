@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import hypcmc as h
+from hypcmc import potential
 from hypcmc.potential import (
     DEGENERATE_REL_GAP,
     _brentq_lanes,
@@ -193,7 +194,10 @@ def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
 
 def test_brent_lanes_unsettled_where_brentq_raises():
     # lanes whose bracket has no sign change, or that do not converge
-    # within maxiter, are left unsettled; brentq raises for exactly those
+    # within maxiter, are left unsettled; SciPy's brentq raises for exactly
+    # those, and the scalar port raises the same error.  Elsewhere the
+    # port gives SciPy's root and counts, and the lanes its root and
+    # iterations
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(6, 200))
     a, b = rng.uniform(-3.0, 0.0, 200), rng.uniform(0.0, 3.0, 200)
@@ -202,15 +206,30 @@ def test_brent_lanes_unsettled_where_brentq_raises():
                                                    8.9e-16, maxiter)
         for i in range(200):
             column = coeffs[:, i].tolist()
+            args = (lambda v: horner(column, v), a[i], b[i])
             try:
-                root, res = brentq(lambda v: horner(column, v), a[i], b[i],
-                                   xtol=1e-12, rtol=8.9e-16, maxiter=maxiter,
-                                   full_output=True)
-            except (ValueError, RuntimeError):
+                root, res = brentq(*args, xtol=1e-12, rtol=8.9e-16,
+                                   maxiter=maxiter, full_output=True)
+            except (ValueError, RuntimeError) as exc:
                 assert not settled[i]
+                with pytest.raises((ValueError, RuntimeError)) as port:
+                    potential.brentq(*args, 1e-12, 8.9e-16, maxiter)
+                assert port.type is type(exc)
                 continue
             assert settled[i]
             assert roots[i] == root and iterations[i] == res.iterations
+            assert potential.brentq(*args, 1e-12, 8.9e-16, maxiter) == (
+                root, res.iterations, res.function_calls)
+
+    # a NaN value met inside the bracket, at its third evaluation
+    def nan_inside(v):
+        return math.nan if 0 < v < 0.5 else v - 0.3
+
+    with pytest.raises(ValueError) as ref:
+        brentq(nan_inside, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+    with pytest.raises(ValueError) as port:
+        potential.brentq(nan_inside, -1.0, 1.0, 1e-12, 8.9e-16)
+    assert str(port.value) == str(ref.value)
 
 
 def test_degenerate_oscillation_reported():

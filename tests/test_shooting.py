@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import hypcmc as h
 from hypcmc import shooting
@@ -195,7 +196,6 @@ def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
         with monkeypatch.context() as m:
             m.setattr(shooting, "_flux_at", counted_flux_at)
             m.setattr(shooting, "brentq", counted_brentq)
-            m.setattr(oracles, "brentq", counted_brentq)
             m.setattr(shooting, "_scan_solve", scan_solve)
             out = h.solve_C(n, H, winding, mode=mode)
         return out, calls[0], brackets[0]
@@ -290,7 +290,7 @@ def test_find_H0_refine_reuses_scan_values(monkeypatch):
     # Brent starts from the scan's xi values at the bracket ends and the
     # residual is its own value at the root: the scalar xi calls are
     # Brent's evaluations less those two, and the outcome is that of a
-    # plain Brent run on scalar xi
+    # plain run of SciPy's brentq on scalar xi
     calls = []
     xi = shooting.xi
     monkeypatch.setattr(shooting, "xi",
@@ -304,8 +304,8 @@ def test_find_H0_refine_reuses_scan_values(monkeypatch):
         except h.LandmarkError:   # the scan's last point, H = -1
             return -1e12
 
-    root, res = shooting.brentq(plain, *out.bracket_used, xtol=1e-12,
-                                rtol=8.9e-16, full_output=True)
+    root, res = brentq(plain, *out.bracket_used, xtol=1e-12, rtol=8.9e-16,
+                       full_output=True)
     assert out.parameter_value == root
     assert out.iterations == res.function_calls
     assert len(calls) == out.iterations - 2
