@@ -236,22 +236,22 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     return float(t1), float(t2)
 
 
-def oscillation_roots_grid(n: int, H: float, Cs) -> list:
+def oscillation_roots_grid(n: int, H: float, Cs):
     """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
 
-    Each entry is the (t1, t2) that oscillation_roots(ShapeParams(n, H, C))
+    Returns arrays (t1, t2, settled), one entry per C.  Where settled, the
+    entry is the (t1, t2) that oscillation_roots(ShapeParams(n, H, C))
     returns, bit for bit: the same brackets, upper-bracket expansion,
     Brent steps (_brentq_lanes) and two Newton polishes, on columns of
-    coefficients.  An entry is None where the scalar routine would raise
-    (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket expansion
-    failed) or where Brent did not settle, for the caller to run the
-    scalar routine.
+    coefficients.  An entry is not settled, with NaN roots, where the
+    scalar routine would raise (C outside (C0, 0) or degenerate,
+    p(v0) <= 0, bracket expansion failed) or where Brent did not settle,
+    for the caller to run the scalar routine.
     """
     ShapeParams(n=n, H=H)  # raises for an invalid n or H
     Cs = np.asarray(Cs, dtype=float)
     _v0 = v0(n, H)
     _c0 = C0(n, H)
-    out = [None] * len(Cs)
     coeffs = p_coefficients(n, H, Cs)
     lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
                            & (horner(coeffs, _v0) > 0))
@@ -278,10 +278,11 @@ def oscillation_roots_grid(n: int, H: float, Cs) -> list:
         for _ in range(2):
             roots -= horner(both, roots) / horner(dcoeffs, roots)
     settled = settled[:count] & settled[count:]
-    for i, t1, t2 in zip(lanes[settled].tolist(), roots[:count][settled].tolist(),
-                         roots[count:][settled].tolist()):
-        out[i] = (t1, t2)
-    return out
+    found = np.zeros(len(Cs), dtype=bool)
+    found[lanes[settled]] = True
+    t1, t2 = np.full((2, len(Cs)), math.nan)
+    t1[found], t2[found] = roots[:count][settled], roots[count:][settled]
+    return t1, t2, found
 
 
 BrentResult = namedtuple("BrentResult", "root iterations function_calls")

@@ -25,12 +25,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    DegenerateOscillationError,
     DomainError,
     EvaluationError,
     GuardBandError,
@@ -194,9 +195,10 @@ def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
     return QuadResult(float(value), float(err), evaluations, False)
 
 
-def _phase_mean(integrand, rows: int, tol: float) -> list[QuadResult]:
+def _phase_mean(integrand, rows: int, tol: float):
     """Trapezoid means over phi in [0, pi] of ``rows`` smooth, even,
-    2 pi-periodic integrands.
+    2 pi-periodic integrands, as columns (value, error, evaluations,
+    converged) with one entry per row.
 
     ``integrand(live, phi)`` gives the rows ``live`` (an index array) at
     the nodes ``phi``, broadcastable to (len(live), len(phi)).  The nodes
@@ -207,7 +209,8 @@ def _phase_mean(integrand, rows: int, tol: float) -> list[QuadResult]:
     value raises EvaluationError.
     """
     _check_tol(tol)
-    results = [None] * rows
+    value, error = np.empty(rows), np.empty(rows)
+    evaluations = np.empty(rows, dtype=np.int64)
     live = np.arange(rows)
 
     def evaluate(phi):
@@ -224,23 +227,22 @@ def _phase_mean(integrand, rows: int, tol: float) -> list[QuadResult]:
     ends = np.ones(N + 1)
     ends[0] = ends[N] = 0.5
     total = np.sum(evaluate(np.arange(N + 1) * (math.pi / N)) * ends, axis=1)
-    mean, move, evaluations = total / N, np.full(rows, math.inf), N + 1
+    mean = total / N
     while len(live) and N < MAX_NODES:
         total = total + np.sum(
             evaluate((2 * np.arange(N) + 1) * (math.pi / (2 * N))), axis=1)
-        evaluations += N
         N *= 2
         move = np.abs(total / N - mean)
         mean = total / N
-        done = move <= tol
-        for i in np.flatnonzero(done):
-            results[live[i]] = QuadResult(float(mean[i]), float(move[i]),
-                                          evaluations, True)
-        live, total, mean, move = (x[~done] for x in (live, total, mean, move))
-    for i, row in enumerate(live):
-        results[row] = QuadResult(float(mean[i]), float(move[i]), evaluations,
-                                  False)
-    return results
+        # every live row is written; a retiring row keeps what it has
+        value[live], error[live], evaluations[live] = mean, move, N + 1
+        live, total, mean = (x[move > tol] for x in (live, total, mean))
+    return value, error, evaluations, error <= tol
+
+
+def _result(columns, i: int) -> QuadResult:
+    """Row ``i`` of (value, error, evaluations, converged) columns."""
+    return QuadResult(*(c[i].item() for c in columns))
 
 
 def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
@@ -382,21 +384,19 @@ def _flux_setup(params: ShapeParams):
 
 
 def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
-    """The indices of the C of ``rate`` with d > 0, and their fluxes
-    K = 2 pi mean(remainder) + pi pole, as rows of one phase rule."""
-    ok = np.flatnonzero(rate.d > 0)
+    """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
+    all with d > 0, as the columns of one phase rule (_phase_mean)."""
 
     def integrand(live, phi):
-        return 2 * math.pi * _angle_remainder(
-            n, H, _rows(rate, ok[live][:, None]), phi)
+        return 2 * math.pi * _angle_remainder(n, H, _rows(rate, live[:, None]),
+                                              phi)
 
-    means = _phase_mean(integrand, len(ok), tol)
-    return ok, [QuadResult(m.value + math.pi * pole, m.abs_error_estimate,
-                           m.evaluations, m.converged)
-                for m, pole in zip(means, rate.pole[ok].tolist())]
+    value, *rest = _phase_mean(integrand, len(rate.d), tol)
+    return (value + math.pi * rate.pole, *rest)
 
 
-def _in_guard_band(n: int, H: float, C: float) -> bool:
+def _in_guard_band(n: int, H: float, C):
+    """Whether C, or each C of an array (a mask), is in the Ctilde band."""
     ct = Ctilde(n, H)
     return abs(C - ct) < CTILDE_GUARD_REL * abs(ct)
 
@@ -421,7 +421,7 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
             f"C={C} is within the guard band around Ctilde={Ctilde(n, H)}; "
             "the flux there is xi(n, H)"
         )
-    return _flux_rows(n, H, _flux_setup(params)[2], tol)[1][0]
+    return _result(_flux_rows(n, H, _flux_setup(params)[2], tol), 0)
 
 
 def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -443,49 +443,38 @@ def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 def flux_K_grid(n: int, H: float, Cs: Sequence[float],
-                tol: float = DEFAULT_TOL,
-                xi_result: Optional[QuadResult] = None) -> list[QuadResult]:
-    """The flux at every C of ``Cs``, as rows of one phase rule.
+                tol: float = DEFAULT_TOL, xi_result: Optional[QuadResult] = None):
+    """The flux at every C of ``Cs`` as columns (value, error, evaluations,
+    converged), from one phase rule over the rows.
 
-    Each result equals ``flux_K(ShapeParams(n, H, C), tol)`` in all four
-    fields, with the roots from one lane-wise Brent iteration; a C whose
-    roots the lanes cannot settle, or with d <= 0, runs through flux_K.
-    In the guard band the result is xi(n, H, tol), computed at most once
-    unless passed as ``xi_result``.  Set-up errors are raised in the
-    order of ``Cs``, as a loop over flux_K would raise them.
+    Entry i equals ``flux_K(ShapeParams(n, H, Cs[i]), tol)`` in all four
+    fields.  The range test C0 < C < 0 of the lane-wise roots and the
+    guard band are masks.  A C out of range, in the band, whose roots the
+    lanes leave unsettled or with d <= 0 takes the scalar path in grid
+    order, so errors come as from a loop over flux_K: its ShapeParams,
+    then xi(n, H, tol) in the band (at most once, or ``xi_result``), else
+    flux_K.
     """
     _check_tol(tol)
-    Cs = [float(C) for C in Cs]
-    # per C: its error, None in the guard band, its result, or False
-    # where scalar flux_K takes over
-    status = []
-    for C in Cs:
-        try:
-            ShapeParams(n=n, H=H, C=C)
-            status.append(None if _in_guard_band(n, H, C) else False)
-        except HypcmcError as exc:
-            status.append(exc)
-    candidates = [i for i, row in enumerate(status) if row is False]
-    roots = oscillation_roots_grid(n, H, [Cs[i] for i in candidates])
-    lanes = [i for i, r in zip(candidates, roots) if r is not None]
-    if lanes:
-        t1, t2 = np.array([r for r in roots if r is not None]).T
-        rate = _angle_rate(n, H, np.array([Cs[i] for i in lanes]), t1, t2)
-        ok, results = _flux_rows(n, H, rate, tol)
-        for j, res in zip(ok.tolist(), results):
-            status[lanes[j]] = res
-    out = []
-    for C, row in zip(Cs, status):
-        if isinstance(row, HypcmcError):
-            raise row
-        if row is None:
-            if xi_result is None:
-                xi_result = xi(n, H, tol=tol)
-            row = xi_result
-        elif row is False:
-            row = flux_K(ShapeParams(n=n, H=H, C=C), tol=tol)
-        out.append(row)
-    return out
+    Cs = np.asarray(Cs, dtype=float)
+    t1, t2, settled = oscillation_roots_grid(n, H, Cs)
+    band = _in_guard_band(n, H, Cs)
+    rows = settled & ~band
+    rate = _angle_rate(n, H, Cs[rows], t1[rows], t2[rows])
+    ok = rate.d > 0
+    rows[rows] = ok  # the C that the phase rule takes
+    columns = tuple(np.empty(len(Cs), dtype=dtype)
+                    for dtype in (float, float, np.int64, bool))
+    for column, part in zip(columns, _flux_rows(n, H, _rows(rate, ok), tol)):
+        column[rows] = part
+    for i in np.flatnonzero(~rows).tolist():
+        params = ShapeParams(n=n, H=H, C=Cs[i].item())
+        if band[i] and xi_result is None:
+            xi_result = xi(n, H, tol=tol)
+        res = xi_result if band[i] else flux_K(params, tol=tol)
+        for column, field in zip(columns, astuple(res)):
+            column[i] = field
+    return columns
 
 
 def _Q_upper_root(n: int, H: float) -> float:
@@ -502,6 +491,12 @@ def _Q_upper_root(n: int, H: float) -> float:
                 f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
             )
     lo = 1.0 + delta / 2 if pq(1.0 + delta / 2) > 0 else 1.0 + 1e-9
+    if lo == 1.0 + delta:  # Q(1 + 1e-9) is not positive: no bracket
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
+        raise DegenerateOscillationError(
+            f"Q(1 + 1e-9) = {pq(lo)!r} is not positive at n={n}, H={H!r}: in "
+            "floats the interval (1, t2~) is degenerate")
     t2 = brentq(pq, lo, 1.0 + delta, 1e-15, 8.9e-16).root
     for _ in range(2):
         t2 -= pq(t2) / horner(dcoeffs, t2)
@@ -518,8 +513,9 @@ def _xi_setup(n: int, H: float):
     return t2, _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
 
 
-def _xi_rows(n: int, setups: list, tol: float) -> list[QuadResult]:
-    """xi for the rows ``setups`` of (H, t2~, *deflated coefficients)."""
+def _xi_rows(n: int, setups: list, tol: float):
+    """xi for the rows ``setups`` of (H, t2~, *deflated coefficients), as
+    the columns of one phase rule."""
     H, t2, *rem = np.array(setups).T[..., None]
     a = (t2 - 1) / 2
 
@@ -540,7 +536,7 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     pi times the mean over phi of h(v) / sqrt(s(v)).
     """
     t2, rem = _xi_setup(n, H)
-    return _xi_rows(n, [(H, t2) + rem], tol)[0]
+    return _result(_xi_rows(n, [(H, t2) + rem], tol), 0)
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
@@ -566,13 +562,12 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
         else:
             status.append(len(setups))
             setups.append((H, t2) + rem)
-    batch = _xi_rows(n, setups, tol) if setups else []
-    out = []
+    batch = [c.tolist() for c in _xi_rows(n, setups, tol)] if setups else None
     for row in status:
         if isinstance(row, Exception):
             raise row
-        out.append(row if row is None else batch[row])
-    return out
+    return [row if row is None else QuadResult(*(c[row] for c in batch))
+            for row in status]
 
 
 def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:

@@ -12,13 +12,13 @@ bound, so no value is computed twice.
 
 - find_H0 scans one grid with one xi_grid call.  xi is continuous in H,
   so Brent's first root is accepted as it is (the bound is infinite).
-- solve_C scans grids of SCAN_POINTS to SCAN_POINTS_MAX points, each in
-  one flux_K_grid call whose per-C values equal the scalar flux_K path
-  exactly.  A root must be within max(RESIDUAL_TOL, 10 * tol) of the
-  target, because the flux has a jump across C = Ctilde (the profile
-  grazes the rotation axis there and the angle picks up an extra
-  half-turn); a sign change produced by that jump is not a root.  A
-  bracket whose sign change is only the jump is not refined at all.
+- solve_C scans grids of SCAN_POINTS to SCAN_POINTS_MAX points, each as
+  the columns of one flux_K_grid call, equal to scalar flux_K exactly.
+  A root must be within max(RESIDUAL_TOL, 10 * tol) of the target,
+  because the flux has a jump across C = Ctilde (the profile grazes the
+  rotation axis there and the angle picks up an extra half-turn); a sign
+  change produced by that jump is not a root.  A bracket whose sign
+  change is only the jump is not refined at all.
 
 No solver uses a flux or xi whose quadrature did not converge: it raises
 NonConvergenceError naming C or H.
@@ -44,6 +44,7 @@ from .potential import C0, Ctilde, ShapeParams, brentq
 from .quadrature import (
     CTILDE_GUARD_REL,
     _in_guard_band,
+    _result,
     flux_K,
     flux_K_grid,
     require_converged,
@@ -127,10 +128,11 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
     while True:
         grid = -np.geomspace(-lo, -hi, points)
         vals = scan(grid)
-        ends, fs = grid.tolist(), vals.tolist()
-        for a, b, fa, fb in zip(ends, ends[1:], fs, fs[1:]):
-            if fa != 0.0 and (not fa * fb < 0
-                              or jump_only and jump_only(a, b, fa, fb)):
+        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN: no change
+            changes = (vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0)
+        for i in np.flatnonzero(changes).tolist():
+            (a, b), (fa, fb) = grid[i:i + 2].tolist(), vals[i:i + 2].tolist()
+            if fa != 0.0 and jump_only and jump_only(a, b, fa, fb):
                 continue
             known = {a: fa, b: fb}
 
@@ -251,10 +253,11 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
 
     def scan(grid):
         in_band = _in_guard_band(n, H, grid).any()
-        return np.array([_flux_value(n, H, C, res, quad_tol) - target
-                         for C, res in zip(grid.tolist(), flux_K_grid(
-                             n, H, grid, tol=quad_tol,
-                             xi_result=xi_res() if in_band else None))])
+        columns = flux_K_grid(n, H, grid, tol=quad_tol,
+                              xi_result=xi_res() if in_band else None)
+        for i in np.flatnonzero(~columns[3]).tolist():  # raises at the first
+            _flux_value(n, H, grid[i].item(), _result(columns, i), quad_tol)
+        return columns[0] - target
 
     restol = max(RESIDUAL_TOL, 10 * tol)
     out = _scan_solve(lo, hi, SCAN_POINTS_MAX, target, scan,

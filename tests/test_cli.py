@@ -101,6 +101,27 @@ def test_profile_degenerate_in_floats_exit_2(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("xi", "--n", "3", "--H", "-4750.260380087513"),
+     "DegenerateOscillationError"),
+    (("sweep", "--n", "3", "--H-from=-4750.260380087513", "--H-to=-4000",
+      "--steps", "2"), "DegenerateOscillationError"),
+    (("h0", "--n", "2", "--lo=-1e9", "--hi=-1e8"),
+     "DegenerateOscillationError"),
+    (("xi", "--n", "2", "--H=-1e300"), "DomainError"),
+])
+def test_xi_at_large_H_exit_2(capsys, argv, kind):
+    # at large |H| the float Q(1 + 1e-9) is not positive, so Q's upper
+    # root cannot be bracketed, and at H = -1e300 Q's coefficients are
+    # not finite: a JSON error naming n and H, not a traceback; h0 does
+    # not read the degenerate interval as a missing landmark
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    msg = json.loads(err)
+    assert msg["kind"] == kind
+    assert "n=" in msg["error"] and "H=" in msg["error"]
+
+
 def test_env_tol_override(capsys, monkeypatch):
     # the environment tolerance must reach the quadrature call, and an
     # explicit --tol must win over it

@@ -158,14 +158,18 @@ def _bits(roots):
 def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
     # the lane-wise roots of a whole grid equal the scalar brentq roots and
     # the np.polyval reference bit for bit: next to the degenerate edge at
-    # C0 (inside it the lane is None, where the scalar call raises), on
-    # both sides of Ctilde, and spread geometrically from C0 to -1e-9
+    # C0 (inside it the lane is not settled and its roots are NaN, where
+    # the scalar call raises), on both sides of Ctilde, and spread
+    # geometrically from C0 to -1e-9
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + f * DEGENERATE_REL_GAP * abs(c0) for f in edge]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in near]
     Cs += [-((-c0) ** (1 - f)) * 1e-9 ** f for f in spread]
     Cs += [ct, -1e-9]
-    grid = oscillation_roots_grid(n, H, Cs)
+    t1, t2, settled = oscillation_roots_grid(n, H, Cs)
+    assert np.isnan(t1[~settled]).all() and np.isnan(t2[~settled]).all()
+    grid = [(a, b) if ok else None
+            for a, b, ok in zip(t1.tolist(), t2.tolist(), settled.tolist())]
     scalar = [_scalar_roots(n, H, C) for C in Cs]
     assert [_bits(r) for r in grid] == [_bits(r) for r in scalar]
     valid = [C for C, r in zip(Cs, scalar) if r is not None]
@@ -243,13 +247,16 @@ def test_degenerate_oscillation_reported():
 def test_degenerate_in_floats_reported():
     # C is rel 1e-9 above C0, outside the relative gap, but in floats
     # p(v0) <= 0: no bracket holds the roots, so the scalar routine
-    # raises DegenerateOscillationError and the grid leaves the lane None
+    # raises DegenerateOscillationError and the grid leaves the lane unsettled
     n, H, C = 8, -1000.0, -0.17782794394972942
     assert C - h.C0(n, H) >= DEGENERATE_REL_GAP * abs(h.C0(n, H))
     with pytest.raises(h.DegenerateOscillationError):
         h.oscillation_roots(h.ShapeParams(n, H, C))
-    grid = oscillation_roots_grid(n, H, [C, 0.5 * h.Ctilde(n, H)])
-    assert grid[0] is None and grid[1] is not None
+    t1, t2, settled = oscillation_roots_grid(n, H, [C, 0.5 * h.Ctilde(n, H)])
+    assert settled.tolist() == [False, True]
+    assert np.isnan([t1[0], t2[0]]).all()
+    assert (t1[1], t2[1]) == h.oscillation_roots(
+        h.ShapeParams(n, H, 0.5 * h.Ctilde(n, H)))
 
 
 def test_q_prime_sign_pattern():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcmc as h
-from hypcmc import quadrature
+from hypcmc import potential, quadrature
 from hypcmc.potential import DEGENERATE_REL_GAP
 from hypcmc.quadrature import CTILDE_GUARD_REL
 from hypcmc.shooting import C_GAP_LOWER_REL
@@ -138,6 +138,11 @@ def _first_settled_mean(f, tol):
         N, previous = 2 * N, mean
 
 
+def _as_results(columns):
+    """(value, error, evaluations, converged) columns as a QuadResult list."""
+    return [h.QuadResult(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def test_phase_mean_rows_retire_on_their_own():
     # the mean over [0, pi] of 1 / (b - cos phi) is 1 / sqrt(b^2 - 1); a
     # row closer to the pole at b = 1 needs more nodes, each row stops at
@@ -150,14 +155,14 @@ def test_phase_mean_rows_retire_on_their_own():
         return 1 / (b[live, None] - np.cos(phi))
 
     for tol in (1e-6, 1e-13):
-        rows = quadrature._phase_mean(f, len(b), tol)
+        rows = _as_results(quadrature._phase_mean(f, len(b), tol))
         for i in range(3):
             mean, nodes = _first_settled_mean(lambda phi: f([i], phi)[0], tol)
             assert rows[i].converged and rows[i].abs_error_estimate <= tol
             assert rows[i].evaluations == nodes
             assert rows[i].value == pytest.approx(mean, rel=1e-14)
-            assert rows[i] == quadrature._phase_mean(
-                lambda live, phi, i=i: f(live + i, phi), 1, tol)[0]
+            assert rows[i] == _as_results(quadrature._phase_mean(
+                lambda live, phi, i=i: f(live + i, phi), 1, tol))[0]
     for i in range(3):
         assert rows[i].value == pytest.approx(1 / math.sqrt(b[i] ** 2 - 1),
                                               rel=1e-13)
@@ -250,7 +255,7 @@ def test_flux_against_frozen_grid():
         assert abs(res.value - ref) <= bound, (n, H, C, res.value - ref)
         by_nH.setdefault((n, H), []).append((C, res))
     for (n, H), entries in by_nH.items():
-        assert h.flux_K_grid(n, H, [C for C, _ in entries]) == [
+        assert _as_results(h.flux_K_grid(n, H, [C for C, _ in entries])) == [
             res for _, res in entries]
 
 
@@ -304,7 +309,8 @@ def test_flux_grid_equals_scalar_flux(n, H, rels):
     Cs = [c0 + C_GAP_LOWER_REL * abs(c0), 0.5 * (c0 + ct),
           ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9), 0.5 * ct]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in rels]
-    assert h.flux_K_grid(n, H, Cs) == [_flux_or_xi(n, H, C) for C in Cs]
+    assert _as_results(h.flux_K_grid(n, H, Cs)) == [
+        _flux_or_xi(n, H, C) for C in Cs]
 
 
 def test_flux_grid_embedded_scan_grids():
@@ -318,14 +324,39 @@ def test_flux_grid_embedded_scan_grids():
         grid = -np.geomspace(-lo, -hi, points)
         batch = h.flux_K_grid(n, H, grid)
         scalar = [_flux_or_xi(n, H, C) for C in grid]
-        assert batch == scalar
-        assert (sum(r.evaluations for r in batch)
-                == sum(r.evaluations for r in scalar))
+        assert _as_results(batch) == scalar
+        assert batch[2].sum() == sum(r.evaluations for r in scalar)
     # errors come in grid order, as from a loop over flux_K
     with pytest.raises(h.ParameterRangeError):
         h.flux_K_grid(n, H, [-0.5, c0 * 1.01, -0.4])
     with pytest.raises(h.DomainError):
         h.flux_K_grid(n, H, [-0.5], tol=0.0)
+
+
+def test_flux_grid_builds_no_per_C_objects(monkeypatch):
+    # the work of the last grid of the (2, -1.1) embedded scan outside
+    # the integrals: its range test and guard band are masks and its
+    # results columns, so it builds one ShapeParams (the n, H check of
+    # the lane-wise roots) and no QuadResult, where a loop over flux_K
+    # builds 4096 of each and its phase rule 4096 more QuadResult
+    n, H = 2, -1.1
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    grid = -np.geomspace(-(c0 + C_GAP_LOWER_REL * abs(c0)),
+                         -(ct - CTILDE_GUARD_REL * abs(ct)), 4096)
+    built = {"ShapeParams": 0, "QuadResult": 0}
+    for module, name in ((quadrature, "ShapeParams"), (potential, "ShapeParams"),
+                         (quadrature, "QuadResult")):
+        cls = getattr(module, name)
+
+        def counted(*args, cls=cls, name=name, **kw):
+            built[name] += 1
+            return cls(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+    value, _, evaluations, converged = h.flux_K_grid(n, H, grid)
+    assert built == {"ShapeParams": 1, "QuadResult": 0}
+    assert converged.all() and np.isfinite(value).all()
+    assert evaluations.min() >= 17
 
 
 def _first_error(call):
@@ -362,9 +393,10 @@ def test_flux_grid_unsettled_roots_run_the_scalar_path(monkeypatch):
     roots_grid = quadrature.oscillation_roots_grid
 
     def leave_one_unsettled(n, H, Cs):
-        roots = roots_grid(n, H, Cs)
-        roots[5] = None
-        return roots
+        t1, t2, settled = roots_grid(n, H, Cs)
+        t1[5] = t2[5] = math.nan
+        settled[5] = False
+        return t1, t2, settled
 
     scalar_calls = []
     flux_K = quadrature.flux_K
@@ -375,7 +407,7 @@ def test_flux_grid_unsettled_roots_run_the_scalar_path(monkeypatch):
     batch = h.flux_K_grid(n, H, grid)
     assert scalar_calls == [grid[5]]
     monkeypatch.undo()
-    assert batch == [h.flux_K(h.ShapeParams(n, H, C)) for C in grid]
+    assert _as_results(batch) == [h.flux_K(h.ShapeParams(n, H, C)) for C in grid]
 
 
 def test_flux_one_sided_limits_at_ctilde():

@@ -160,6 +160,41 @@ def test_solve_C_embedded_mode_no_root():
     assert out.target == pytest.approx(-2 * math.pi)
 
 
+def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
+    # the columns of the last, 4096-point grid of the (2, -1.1) embedded
+    # scan equal, bit for bit, a loop over scalar flux_K (scalar Brent
+    # roots, not lanes), with xi in the guard band, and the report's
+    # range is that loop's
+    n, H = 2, -1.1
+    grids = []
+    flux_K_grid = shooting.flux_K_grid
+
+    def recorded(n, H, Cs, **kw):
+        columns = flux_K_grid(n, H, Cs, **kw)
+        grids.append((Cs, columns))
+        return columns
+
+    monkeypatch.setattr(shooting, "flux_K_grid", recorded)
+    out = h.solve_C(n, H, h.WindingTarget(1, 1), mode="embedded")
+    monkeypatch.undo()
+    assert isinstance(out, h.NoRootReport)
+    Cs, columns = grids[-1]
+    assert len(Cs) == out.points_scanned == shooting.SCAN_POINTS_MAX
+    loop = []
+    for C in Cs.tolist():
+        try:
+            loop.append(h.flux_K(h.ShapeParams(n, H, C)))
+        except h.GuardBandError:
+            loop.append(h.xi(n, H))
+    for column, field in zip(columns, ("value", "abs_error_estimate",
+                                       "evaluations", "converged")):
+        expected = np.array([getattr(res, field) for res in loop])
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes(), field
+    values = [res.value for res in loop]
+    assert (out.value_min, out.value_max) == (min(values), max(values))
+
+
 def test_classify_embedded_at_threshold():
     # the one genuinely embedded closure: H at the root of xi = -2*pi,
     # C at the axis-grazing threshold Ctilde (served by xi through the
@@ -286,6 +321,32 @@ def test_refine_keeps_root_brackets_away_from_the_band(monkeypatch):
     assert abs(out[1]) <= shooting.RESIDUAL_TOL
 
 
+def test_scan_solve_picks_the_pairs_a_loop_picks(monkeypatch):
+    # the array test selects, in grid order, exactly the pairs a loop
+    # over them refines: fa * fb < 0 with -inf ends, never a NaN end,
+    # not a product that underflows to -0.0, and any pair whose left end
+    # is 0 (also -0.0), which ends the scan as a root at once
+    vals = [math.nan, 1.0, -1.0, -math.inf, 2.0, -math.inf, -math.inf, 0.5,
+            math.nan, -3.0, 1e-200, -1e-200, 4.0, -0.0, math.nan, 1.0]
+    monkeypatch.setattr(shooting, "SCAN_POINTS", len(vals))
+    grid = -np.geomspace(2.0, 1.0, len(vals))
+    seen = []
+
+    def jump_only(a, b, fa, fb):
+        seen.append((a, b, fa, fb))
+        return True
+
+    out = shooting._scan_solve(-2.0, -1.0, len(vals), 0.0,
+                               lambda g: np.array(vals), None, 1e-12, 0.0,
+                               "", jump_only)
+    ends = grid.tolist()
+    expected = [(a, b, fa, fb) for a, b, fa, fb in
+                zip(ends, ends[1:], vals, vals[1:])
+                if fa != 0.0 and fa * fb < 0]
+    assert seen == expected and len(seen) == 6
+    assert out == (ends[13], -0.0, (ends[13], ends[14]), None)
+
+
 def test_find_H0_refine_reuses_scan_values(monkeypatch):
     # Brent starts from the scan's xi values at the bracket ends and the
     # residual is its own value at the root: the scalar xi calls are
@@ -355,9 +416,9 @@ def test_solve_C_refuses_non_converged_flux(monkeypatch):
     flux_K_grid = shooting.flux_K_grid
 
     def scan_with_one_bad(n, H, Cs, **kw):
-        out = flux_K_grid(n, H, Cs, **kw)
-        out[10] = _not_converged(out[10])
-        return out
+        value, error, evaluations, converged = flux_K_grid(n, H, Cs, **kw)
+        error[10], converged[10] = 1.0, False
+        return value, error, evaluations, converged
 
     c0 = h.C0(n, H)
     grid = -np.geomspace(-(c0 + shooting.C_GAP_LOWER_REL * abs(c0)),
