@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 domain/precondition error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -300,7 +301,11 @@ def _cmd_check(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  It holds no per-call
+    state: each parse gives a fresh Namespace, and main reads HYPCMC_TOL
+    on each call."""
     parser = argparse.ArgumentParser(
         prog="hypcmc",
         description="CMC hypersurfaces of hyperbolic rotational type: "

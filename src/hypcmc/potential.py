@@ -28,6 +28,12 @@ from .errors import (
 DEGENERATE_REL_GAP = 1e-12
 
 
+def _check_n(n):
+    """DomainError unless n is an integer >= 2."""
+    if int(n) != n or n < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class ShapeParams:
     """The triple (n, H, C) parametrizing one candidate hypersurface.
@@ -40,8 +46,7 @@ class ShapeParams:
     C: Optional[float] = None
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise DomainError(f"n must be an integer >= 2, got {self.n}")
+        _check_n(self.n)
         if not self.H < -1:
             raise DomainError(f"H must be < -1, got {self.H}")
         if self.C is not None:
@@ -171,8 +176,7 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
     Raises a range error naming the violated bound when C is outside
     (C0, 0).
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
+    _check_n(n)
     if not H < -1:
         raise DomainError(f"H must be < -1, got {H}")
     _v0 = v0(n, H)
@@ -359,8 +363,12 @@ def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
     after as many iterations.  A lane retires at the step where its own
     test passes.  Only + - * /, abs and comparisons run on the lanes.
 
-    The polynomial values must not be NaN (brentq raises on NaN); they
-    are finite on the finite brackets of oscillation_roots_grid.  Returns
+    The polynomial values must not be NaN (brentq raises on NaN).  It
+    has two callers: oscillation_roots_grid (the roots of p), whose
+    values are finite on the brackets of a C in range, and
+    quadrature._Q_upper_root_grid (the upper root of Q), which masks
+    non-finite coefficients and bracket-end values before it runs and
+    leaves those H to the scalar brentq.  Returns
     (roots, iterations, settled).  A lane is not settled where brentq
     raises: f(a) and f(b) of one sign, or no convergence within maxiter
     iterations.
@@ -440,10 +448,13 @@ def eval_Q(n: int, H: float, v):
     return float(out) if out.ndim == 0 else out
 
 
-def Q_coefficients(n: int, H: float) -> np.ndarray:
-    """Coefficients (highest first) of v^(2n-2) Q(v), a degree-2n polynomial."""
+def Q_coefficients(n: int, H) -> np.ndarray:
+    """Coefficients (highest first) of v^(2n-2) Q(v), a degree-2n polynomial.
+
+    For an array of H the result has one column per H.
+    """
     H2 = H * H
-    coeffs = np.zeros(2 * n + 1)
+    coeffs = np.zeros((2 * n + 1,) + np.shape(H))
     coeffs[0] = 1 - H2
     coeffs[2] += -1.0
     coeffs[n] += 2 * H2

@@ -43,6 +43,8 @@ from .potential import (
     Ctilde,
     Q_coefficients,
     ShapeParams,
+    _brentq_lanes,
+    _check_n,
     _derivative,
     brentq,
     eval_h,
@@ -386,10 +388,14 @@ def _flux_setup(params: ShapeParams):
 def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
     """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
     all with d > 0, as the columns of one phase rule (_phase_mean)."""
+    # the live rows only shrink, so their count names them: the rate is
+    # gathered again only after a row retired
+    last = [-1, None]  # the live count of the last gather, and its rate
 
     def integrand(live, phi):
-        return 2 * math.pi * _angle_remainder(n, H, _rows(rate, live[:, None]),
-                                              phi)
+        if last[0] != len(live):
+            last[:] = len(live), _rows(rate, live[:, None])
+        return 2 * math.pi * _angle_remainder(n, H, last[1], phi)
 
     value, *rest = _phase_mean(integrand, len(rate.d), tol)
     return (value + math.pi * rate.pole, *rest)
@@ -477,54 +483,110 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     return columns
 
 
+# 1 + delta for delta = 1e-9 * 2^k, k = -1..73: every delta that
+# _Q_bracket's doubling from 1e-9 reaches, and half the first.  Each delta
+# is exact in binary, so each point is the one the doubling forms.
+_Q_POINTS = 1.0 + 1e-9 * 2.0 ** np.arange(-1, 74)
+
+
+def _Q_bracket(coeffs):
+    """Brent's bracket (lo, hi) on the root of Q above 1, for each column
+    of Q's coefficients ``coeffs``, as columns (lo, hi, found, finite).
+
+    The rule doubles delta from 1e-9 until Q(1 + delta) >= 0 fails, and
+    finds no root (found is False) past delta = 1e13; then hi = 1 + delta,
+    and lo = 1 + delta/2 where Q is positive there, else 1 + 1e-9 (so
+    lo == hi where Q(1 + 1e-9) is not positive).  Every delta it reaches
+    is in _Q_POINTS, so Q runs at all of them in one Horner pass and each
+    column reads its first stop.  ``finite`` is whether Q is finite at
+    1 + delta/2 and at hi.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = horner(coeffs, _Q_POINTS[:, None])
+    stop = ~(table[1:] >= 0)
+    k = stop.argmax(axis=0)
+    cols = np.arange(table.shape[1])
+    half, end = table[k, cols], table[k + 1, cols]
+    lo = np.where(half > 0, _Q_POINTS[k], _Q_POINTS[1])
+    return (lo, _Q_POINTS[k + 1], stop[k, cols],
+            np.isfinite(half) & np.isfinite(end))
+
+
 def _Q_upper_root(n: int, H: float) -> float:
     """The root of Q above 1 (the scaled upper turning point at C = Ctilde)."""
-    coeffs = tuple(Q_coefficients(n, H).tolist())
+    coeffs = Q_coefficients(n, H)
+    (lo,), (hi,), (found,), _ = (column.tolist()
+                                 for column in _Q_bracket(coeffs[:, None]))
+    if not found:
+        raise LandmarkError(
+            f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
+        )
+    coeffs = tuple(coeffs.tolist())
     dcoeffs = _derivative(coeffs)
     pq = functools.partial(horner, coeffs)
-
-    delta = 1e-9
-    while pq(1.0 + delta) >= 0:
-        delta *= 2
-        if delta > 1e13:
-            raise LandmarkError(
-                f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
-            )
-    lo = 1.0 + delta / 2 if pq(1.0 + delta / 2) > 0 else 1.0 + 1e-9
-    if lo == 1.0 + delta:  # Q(1 + 1e-9) is not positive: no bracket
+    if lo == hi:  # Q(1 + 1e-9) is not positive: no bracket
         if not all(map(math.isfinite, coeffs)):
             raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
         raise DegenerateOscillationError(
             f"Q(1 + 1e-9) = {pq(lo)!r} is not positive at n={n}, H={H!r}: in "
             "floats the interval (1, t2~) is degenerate")
-    t2 = brentq(pq, lo, 1.0 + delta, 1e-15, 8.9e-16).root
+    t2 = brentq(pq, lo, hi, 1e-15, 8.9e-16).root
     for _ in range(2):
         t2 -= pq(t2) / horner(dcoeffs, t2)
     return float(t2)
 
 
-def _xi_setup(n: int, H: float):
-    """The upper root t2~ of Q and Q's coefficients deflated by 1 and t2~."""
-    if int(n) != n or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
+def _Q_upper_root_grid(n: int, Hs):
+    """_Q_upper_root at every H of ``Hs``, the Brent solves run as lanes.
+
+    Returns the columns (t2, settled).  Where settled, t2 is what
+    _Q_upper_root(n, H) returns, bit for bit: the same bracket
+    (_Q_bracket), Brent steps (_brentq_lanes) and two Newton polishes, on
+    columns of coefficients.  An H is not settled, with a NaN root, where
+    _xi_root would raise (H > -1, no root, lo == hi), where Q is not
+    finite at the bracket ends (as where its coefficients are not), or
+    where Brent did not settle, for the caller to run _xi_root.
+    """
+    Hs = np.asarray(Hs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = Q_coefficients(n, Hs)
+    lo, hi, found, finite = _Q_bracket(coeffs)
+    lanes = np.flatnonzero(~(Hs > -1) & found & finite & (lo < hi))
+    coeffs = coeffs[:, lanes]
+    roots, _, settled = _brentq_lanes(coeffs, lo[lanes], hi[lanes], 1e-15,
+                                      8.9e-16)
+    dcoeffs = _derivative(coeffs)
+    # an unsettled lane holds 0, where Q' may vanish; it is dropped below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            roots -= horner(coeffs, roots) / horner(dcoeffs, roots)
+    t2 = np.full(len(Hs), math.nan)
+    t2[lanes[settled]] = roots[settled]
+    return t2, np.isfinite(t2)
+
+
+def _xi_root(n: int, H: float) -> float:
+    """The upper root t2~ of Q, after xi's checks of n and H."""
+    _check_n(n)
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
-    t2 = _Q_upper_root(n, H)
-    return t2, _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)
+    return _Q_upper_root(n, H)
 
 
-def _xi_rows(n: int, setups: list, tol: float):
-    """xi for the rows ``setups`` of (H, t2~, *deflated coefficients), as
-    the columns of one phase rule."""
-    H, t2, *rem = np.array(setups).T[..., None]
-    a = (t2 - 1) / 2
+def _xi_rows(n: int, H, t2, tol: float):
+    """xi at the H of the 1-D array ``H``, with the upper roots ``t2`` of
+    Q, as the columns of one phase rule.  Q is deflated by 1 and t2~ on
+    columns."""
+    rem = np.array(_synthetic_deflate(
+        _synthetic_deflate(tuple(Q_coefficients(n, H)), 1.0), t2))[..., None]
+    H, a = H[:, None], ((t2 - 1) / 2)[:, None]
 
     def integrand(live, phi):
         v = 1 + 2 * a[live] * np.sin(phi / 2) ** 2
         return math.pi * eval_h(n, H[live], v) / np.sqrt(
-            _s(n, [c[live] for c in rem], v))
+            _s(n, rem[:, live], v))
 
-    return _phase_mean(integrand, len(setups), tol)
+    return _phase_mean(integrand, len(H), tol)
 
 
 def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -535,39 +597,53 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     v = 1 + 2a sin^2(phi/2), a = (t2~ - 1)/2 and Q = (v - 1)(t2~ - v) s(v),
     pi times the mean over phi of h(v) / sqrt(s(v)).
     """
-    t2, rem = _xi_setup(n, H)
-    return _result(_xi_rows(n, [(H, t2) + rem], tol), 0)
+    t2 = _xi_root(n, H)
+    return _result(_xi_rows(n, np.array([H], dtype=float), np.array([t2]),
+                            tol), 0)
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
             missing_as_none: bool = False) -> list[Optional[QuadResult]]:
     """xi_n(H) at every H of ``Hs``, as rows of one phase rule.
 
-    The per-H set-up (upper root, deflated coefficients) is scalar and
-    stacked as columns.  Each result equals ``xi(n, H, tol)`` in all
-    four fields, and errors are raised in the order of ``Hs``, as a loop
-    over xi would raise them; with ``missing_as_none`` an H where Q has
-    no upper root (LandmarkError) gives None instead.
+    The upper roots of Q are found as lanes (_Q_upper_root_grid), and Q is
+    deflated on columns.  An H that the lanes do not settle takes the
+    scalar set-up (_xi_root) in grid order.  Each result equals
+    ``xi(n, H, tol)`` in all four fields, and errors are raised in the
+    order of ``Hs``, as a loop over xi would raise them; with
+    ``missing_as_none`` an H where Q has no upper root (LandmarkError)
+    gives None instead.
     """
-    Hs = [float(H) for H in Hs]
-    status, setups = [], []  # per H: its row, None or the error
-    for H in Hs:
+    Hs = np.array([float(H) for H in Hs])
+    if not len(Hs):
+        return []
+    _check_n(n)  # every H's set-up checks n first
+    t2, ok = _Q_upper_root_grid(n, Hs)
+    errors = {}  # grid index -> the error of its scalar set-up
+    for i in np.flatnonzero(~ok).tolist():
         try:
-            t2, rem = _xi_setup(n, H)
-            _check_tol(tol)
+            t2[i] = _xi_root(n, Hs[i].item())
+            ok[i] = True
         except LandmarkError as exc:
-            status.append(None if missing_as_none else exc)
+            if not missing_as_none:
+                errors[i] = exc
         except (HypcmcError, ValueError, RuntimeError) as exc:
-            status.append(exc)
+            errors[i] = exc
+    rows = np.flatnonzero(ok).tolist()
+    if rows:
+        try:
+            _check_tol(tol)
+        except DomainError as exc:
+            errors[rows[0]] = exc
         else:
-            status.append(len(setups))
-            setups.append((H, t2) + rem)
-    batch = [c.tolist() for c in _xi_rows(n, setups, tol)] if setups else None
-    for row in status:
-        if isinstance(row, Exception):
-            raise row
-    return [row if row is None else QuadResult(*(c[row] for c in batch))
-            for row in status]
+            columns = [c.tolist()
+                       for c in _xi_rows(n, Hs[rows], t2[rows], tol)]
+    if errors:
+        raise errors[min(errors)]
+    results = [None] * len(Hs)
+    for j, i in enumerate(rows):
+        results[i] = QuadResult(*(c[j] for c in columns))
+    return results
 
 
 def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:

@@ -141,6 +141,38 @@ def test_env_tol_override(capsys, monkeypatch):
     assert seen == [1e-9, 1e-10]
 
 
+def test_parser_reuse_keeps_no_state(capsys, monkeypatch):
+    # main reuses one parser per process; a usage error, a changed
+    # HYPCMC_TOL or a seeded profile leaves nothing behind for the next call
+    from hypcmc.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["xi", "--n", "2"])
+    assert exc.value.code == 2
+    assert "--H" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "xi", "--n", "2", "--H", "-1.1")
+    assert (code, json.loads(out)["value"]) == (0, h.xi(2, -1.1).value)
+
+    evaluations = []  # near H = -1 the node count follows the tolerance
+    for tol in ("1e-6", "1e-13"):
+        monkeypatch.setenv("HYPCMC_TOL", tol)
+        code, out, _ = run_cli(capsys, "xi", "--n", "2", "--H", "-1.0001")
+        res = h.xi(2, -1.0001, tol=float(tol))
+        data = json.loads(out)
+        assert (code, data["value"], data["error_estimate"]) == (
+            0, res.value, res.abs_error_estimate)
+        evaluations.append(data["evaluations"])
+        assert evaluations[-1] == res.evaluations
+    assert evaluations[0] < evaluations[1]
+    monkeypatch.delenv("HYPCMC_TOL")
+
+    missing = '{"error": "--H is required without --seed-figures"}\n'
+    assert run_cli(capsys, "profile", "--n", "2") == (2, "", missing)
+    assert run_cli(capsys, "profile", "--seed-figures", "fig1")[0] == 0
+    assert run_cli(capsys, "profile", "--n", "2") == (2, "", missing)
+
+
 def test_env_tol_invalid(capsys, monkeypatch):
     monkeypatch.setenv("HYPCMC_TOL", "not-a-number")
     code, _, err = run_cli(capsys, "xi", "--n", "2", "--H", "-1.1")

@@ -543,6 +543,17 @@ def test_xi_grid_errors_in_grid_order():
              (2, [-1.2, -1.0], {}), (1, [-1.5, -1.2], {}),
              (3, [-1.5, -1.2], {"tol": 0.0}), (2, [-1.0, -1.5], {"tol": 0.0}),
              (3, [-1.5, -0.9, -1.2], {"tol": -1.0})]
+    # an H > -1 (Q has an upper root at H = 1.5), Q's coefficients
+    # overflowing (-1e300) or not (-1e150), and the degenerate float
+    # brackets from about -4750 (n = 3) and -23766 (n = 2), all of which
+    # the lanes leave to the scalar set-up
+    cases += [(2, [-1.5, -1e150, -0.5, -1e300], {}),
+              (3, [-1.2, 1.5, -1e300, -0.5], {}),
+              (2, [-1.0, -1e150, -1e300, -1.2], {}),
+              (3, [-4750.0, *np.geomspace(-4700.0, -4800.0, 40).tolist()], {}),
+              (2, [-1.0, -23766.0,
+                   *np.geomspace(-23700.0, -23800.0, 40).tolist()], {}),
+              (2, [-23766.0, -1e300], {"tol": 0.0})]
     for n, Hs, kw in cases:
         expected = _first_error(lambda: [h.xi(n, H, **kw) for H in Hs])
         assert expected is not None
@@ -552,6 +563,29 @@ def test_xi_grid_errors_in_grid_order():
             _first_error(lambda: [_xi_or_none(n, H, **kw) for H in Hs]))
     assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
     assert h.xi_grid(3, []) == []
+
+
+def test_Q_upper_root_grid_equals_scalar():
+    # the lane roots equal _Q_upper_root bit for bit for n = 2..8, at H = -1,
+    # on a geometric grid out to -1e5, at random H and where Q's
+    # coefficients are near or past overflow; settled is False exactly
+    # where the scalar routine raises
+    rng = np.random.default_rng(20240817)
+    Hs = np.concatenate([[-1.0, -1e150, -1e300],
+                         -np.geomspace(1.0000001, 1e5, 300),
+                         -10.0 ** rng.uniform(0.0, 5.0, 300)])
+    for n in range(2, 9):
+        t2, settled = quadrature._Q_upper_root_grid(n, Hs)
+        raised = 0
+        for H, root, ok in zip(Hs.tolist(), t2.tolist(), settled.tolist()):
+            try:
+                expected = quadrature._Q_upper_root(n, H)
+            except h.HypcmcError:
+                raised += 1
+                assert not ok, (n, H)
+            else:
+                assert ok and root == expected, (n, H)
+        assert raised >= 2  # -1e300, and -1.0 (n = 2) or a degenerate H
 
 
 def test_xi_grid_against_frozen_values():
