@@ -3,16 +3,17 @@ xi_n(H0) = -2*pi, C* with K(C*, H) = -2*pi*k/m, and the
 embedded / immersed classification.
 
 Both solvers run one scan-bracket-verify routine, _scan_solve.  It does
-not assume monotonicity: it scans geometric grids for sign changes of the
-value minus its target, doubling the grid up to a maximum, and refines
-each sign change in order with Brent's method (Brent 1973), which starts
-from the scan's values at the bracket ends.  A root is accepted when its
-value, Brent's own value at the point it returns, is within a residual
-bound, so no value is computed twice.
+not assume monotonicity: it scans a geometric grid of SCAN_POINTS, then
+one of a maximum, for sign changes of the value minus its target (the
+first grid catches a root cheaply; a NoRootReport reads the final grid
+alone), and refines each sign change in order with Brent's method (Brent
+1973), which starts from the scan's values at the bracket ends.  A root
+is accepted when its value, Brent's own value at the point it returns,
+is within a residual bound, so no value is computed twice.
 
 - find_H0 scans one grid with one xi_grid call.  xi is continuous in H,
   so Brent's first root is accepted as it is (the bound is infinite).
-- solve_C scans grids of SCAN_POINTS to SCAN_POINTS_MAX points, each as
+- solve_C scans grids of SCAN_POINTS and SCAN_POINTS_MAX points, each as
   the columns of one flux_K_grid call, equal to scalar flux_K exactly.
   A root must be within max(RESIDUAL_TOL, 10 * tol) of the target,
   because the flux has a jump across C = Ctilde (the profile grazes the
@@ -54,8 +55,8 @@ from .quadrature import (
 
 TWO_PI = 2 * math.pi
 
-SCAN_POINTS = 64
-SCAN_POINTS_MAX = 4096
+SCAN_POINTS = 64         # the first grid, which catches a root cheaply
+SCAN_POINTS_MAX = 4096   # solve_C's final grid, which alone decides no-root
 C_GAP_LOWER_REL = 1e-6   # gamma: offset from C0 as a fraction of |C0|
 C_GAP_UPPER = 1e-9       # gamma': offset from 0
 BRENT_TOL = 1e-13
@@ -112,20 +113,21 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
                 jump_only=None):
     """The first root of a value minus ``target`` on (lo, hi).
 
-    Scans the geometric grids of SCAN_POINTS points, doubled up to
-    ``max_points``: ``scan(grid)`` gives the value minus target on a grid
-    and ``f(x)`` at one point, -inf where the value does not exist (Brent
-    sees -1e12 there, to keep its arithmetic finite).  Each sign change of
-    a grid is refined in order by Brent to ``tol``, from the scan's values
-    at its ends, unless ``jump_only(a, b, fa, fb)`` says it holds no root.
-    Returns (root, value, bracket, Brent's BrentResult or None for a scan
-    point that is a root) for the first root whose |value| <= ``restol``,
-    else a NoRootReport over the finite values of the last grid.
+    Scans the geometric grid of SCAN_POINTS points, then that of
+    ``max_points`` unless equal (the final grid alone gives a NoRootReport,
+    so no grid between is scanned): ``scan(grid)`` gives the value minus
+    target on a grid and ``f(x)`` at one point, -inf where the value does
+    not exist (Brent sees -1e12 there, to keep its arithmetic finite).
+    Each sign change of a grid is refined in order by Brent to ``tol``,
+    from the scan's values at its ends, unless ``jump_only(a, b, fa, fb)``
+    says it holds no root.  Returns (root, value, bracket, Brent's
+    BrentResult or None for a scan point that is a root) for the first
+    root whose |value| <= ``restol``, else a NoRootReport over the finite
+    values of the final grid.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    points = SCAN_POINTS
-    while True:
+    for points in sorted({SCAN_POINTS, max_points}):
         grid = -np.geomspace(-lo, -hi, points)
         vals = scan(grid)
         with np.errstate(invalid="ignore"):  # -inf * 0 is NaN: no change
@@ -145,13 +147,11 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
             root = brent.root if brent else a
             if abs(known[root]) <= restol:
                 return root, known[root], (a, b), brent
-        if points >= max_points:
-            finite = vals[np.isfinite(vals)] + target
-            return NoRootReport(
-                search_interval=(lo, hi), points_scanned=points,
-                value_min=float(finite.min()), value_max=float(finite.max()),
-                target=target, message=message)
-        points *= 2
+    finite = vals[np.isfinite(vals)] + target
+    return NoRootReport(
+        search_interval=(lo, hi), points_scanned=points,
+        value_min=float(finite.min()), value_max=float(finite.max()),
+        target=target, message=message)
 
 
 def _xi_offset(n: int, H: float, res, tol: float) -> float:

@@ -216,13 +216,17 @@ def _two_newton_steps(coeffs, root):
 
 def unmemoised_scan_solve(lo, hi, max_points, target, scan, f, tol, restol,
                           message, jump_only=None):
-    """shooting._scan_solve with a fresh evaluation everywhere.
+    """shooting._scan_solve with a fresh evaluation everywhere, on the
+    doubling grids of SCAN_POINTS, 2 * SCAN_POINTS, ... up to max_points.
 
     Brent evaluates f at both scan points of a bracket again, and the
     verify residual is one more evaluation at the returned point.  Every
     bracket with a sign change is refined, the jump at Ctilde too
     (``jump_only`` is not used).  The routine that reuses those values and
-    skips the jump must give the same outcome.
+    skips the jump must give the same outcome.  So must its grid policy,
+    which scans only the first and the final of these grids, wherever no
+    grid between them holds the first root: a first-grid hit and a
+    NoRootReport, which reads the final grid alone.
     """
     from hypcmc import shooting
 

@@ -242,9 +242,110 @@ def test_refine_reuses_known_flux_values(monkeypatch, n, H, winding, mode):
         assert brackets == ref_brackets > 0
         assert calls == ref_calls - 3 * brackets
     else:
-        # one jump bracket per doubling grid, 64 to 4096 points
+        # the oracle refines one jump bracket per doubling grid, 64 to
+        # 4096 points
         assert ref_brackets == 7
         assert brackets == calls == 0
+
+
+@pytest.mark.parametrize("winding, mode, sizes", [
+    (h.WindingTarget(1, 1), "embedded", [64, 4096]),  # no root
+    (h.WindingTarget(1, 5), "any", [64]),             # a first-grid hit
+])
+def test_solve_C_scans_the_first_grid_then_the_final_one(monkeypatch, winding,
+                                                          mode, sizes):
+    # the scan evaluates the geometric grid of 64 C and, without a root
+    # there, the one of 4096, each in one flux_K_grid call; the doubling
+    # scan's 128 to 2048 point grids are not evaluated (a no-root question
+    # took 7 calls over 8128 C with them)
+    n, H = 2, -1.1
+    grids = []
+    flux_K_grid = shooting.flux_K_grid
+    monkeypatch.setattr(shooting, "flux_K_grid", lambda n, H, Cs, **kw:
+                        grids.append(Cs) or flux_K_grid(n, H, Cs, **kw))
+    out = h.solve_C(n, H, winding, mode=mode)
+    monkeypatch.undo()
+    assert isinstance(out, h.NoRootReport) == (len(sizes) == 2)
+    c0 = h.C0(n, H)
+    lo = c0 + shooting.C_GAP_LOWER_REL * abs(c0)
+    ct = h.Ctilde(n, H)
+    hi = (ct - shooting.CTILDE_GUARD_REL * abs(ct) if mode == "embedded"
+          else -shooting.C_GAP_UPPER)
+    assert [len(Cs) for Cs in grids] == sizes
+    for Cs in grids:
+        assert Cs.tobytes() == (-np.geomspace(-lo, -hi, len(Cs))).tobytes()
+
+
+# targets next to the ends of the flux's range (K_limit_at_C0, xi - pi,
+# xi + pi and 0), as tests/scan_sweep.py picks them, with the outcome the
+# two-grid scan gives
+NEAR_RANGE_ENDS = [
+    (2, -1.1, 11, 9, "any"),          # no root
+    (2, -1.1, 2, 9, "any"),           # root
+    (2, -1.1, 1, 100, "any"),         # root next to C = 0
+    (2, -1.1, 1, 1, "embedded"),      # no root
+    (2, -1.3, 113, 100, "any"),       # root
+    (2, -2.0, 1, 1, "embedded"),      # no root
+    (3, -1.1, 121, 100, "any"),       # root
+    (3, -1.1, 11, 9, "any"),          # no root
+    (3, -1.1, 2, 9, "any"),           # no root
+    (3, -1.1, 1, 1, "embedded"),      # no root
+    (3, -1.3, 1, 100, "any"),         # root
+    (3, -2.0, 3, 100, "any"),         # root
+    (4, -1.1, 10, 9, "any"),          # no root
+    (4, -1.1, 1, 9, "any"),           # root
+    (4, -1.3, 1, 1, "embedded"),      # no root
+    (4, -1.3, 1, 100, "any"),         # root
+    (4, -2.0, 3, 100, "any"),         # no root
+    (4, -2.0, 1, 100, "any"),         # root
+    (5, -1.1, 111, 100, "any"),       # no root
+    (5, -1.1, 1, 100, "any"),         # root
+    (5, -1.1, 1, 1, "embedded"),      # no root
+    (5, -1.3, 7, 100, "any"),         # no root
+    (5, -2.0, 1, 100, "any"),         # root
+    (5, -2.0, 1, 1, "embedded"),      # no root
+]
+
+
+def test_two_grid_scan_gives_the_doubling_outcome(monkeypatch):
+    # on targets next to the ends of the flux's range, where a hit on the
+    # first grid or a NoRootReport decides, solve_C gives in every field
+    # the outcome of the doubling grids 64, 128, ..., 4096 (the oracle)
+    kinds = set()
+    for n, H, k, m, mode in NEAR_RANGE_ENDS:
+        winding = h.WindingTarget(k, m)
+        out = h.solve_C(n, H, winding, mode=mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(shooting, "_scan_solve",
+                          oracles.unmemoised_scan_solve)
+            ref = h.solve_C(n, H, winding, mode=mode)
+        assert out == ref, (n, H, k, m, mode)
+        kinds.add((n, mode, type(out).__name__))
+    for n in (2, 3, 4, 5):
+        assert {(n, "any", "SolveOutcome"), (n, "embedded", "NoRootReport")
+                } <= kinds
+        assert (n, "any", "NoRootReport") in kinds
+
+
+def test_a_root_met_between_the_grids_comes_from_the_final_grid(monkeypatch):
+    # near C0 at n = 3, H = -1.0005 the 64-point grid has no sign change
+    # around this root; the doubling meets it on its 128-point grid, the
+    # two-grid scan on the 4096-point one: the same root to within Brent's
+    # tolerance, the same classification, a bracket inside the doubling's
+    n, H, winding = 3, -1.0005, h.WindingTarget(36, 25)
+    out = h.solve_C(n, H, winding)
+    monkeypatch.setattr(shooting, "_scan_solve", oracles.unmemoised_scan_solve)
+    ref = h.solve_C(n, H, winding)
+    c0 = h.C0(n, H)
+    lo, hi = c0 + shooting.C_GAP_LOWER_REL * abs(c0), -shooting.C_GAP_UPPER
+    for outcome, points in ((ref, 128), (out, 4096)):
+        grid = (-np.geomspace(-lo, -hi, points)).tolist()
+        i = grid.index(outcome.bracket_used[0])
+        assert outcome.bracket_used == tuple(grid[i:i + 2])
+    (a, b), (a_ref, b_ref) = out.bracket_used, ref.bracket_used
+    assert a_ref <= a < b <= b_ref
+    assert abs(out.parameter_value - ref.parameter_value) <= shooting.BRENT_TOL
+    assert out.classification == ref.classification
 
 
 def _two_sided(ct, a, b, fa, fb, mid, bump=0.0):
