@@ -176,21 +176,12 @@ def _cmd_solve_c(args):
     return 0
 
 
-def _profile_args(args):
-    if args.seed_figures:
-        preset = FIGURE_PROFILES[args.seed_figures]
-        clip = args.clip if args.clip is not None else preset["clip"]
-        return preset["n"], preset["H"], preset["C"], preset["periods"], clip
-    return args.n, args.H, args.C, args.periods, args.clip
-
-
 def _cmd_profile(args):
-    n, H, C, periods, clip = _profile_args(args)
-    params = ShapeParams(n=n, H=H, C=C)
-    curve = integrate_profile(params, m_periods=periods,
+    params = ShapeParams(n=args.n, H=args.H, C=args.C)
+    curve = integrate_profile(params, m_periods=args.periods,
                               samples_per_period=args.samples)
     alpha = profile_alpha(curve)
-    trace = theta_prime_trace(curve, clip=clip)
+    trace = theta_prime_trace(curve, clip=args.clip)
     table = np.column_stack((curve.t, curve.g, curve.g_prime, curve.r,
                              curve.lam, curve.theta, trace[:, 1], alpha))
     _emit_csv(
@@ -221,15 +212,9 @@ def _cmd_surface(args):
 def _cmd_sweep(args):
     """xi_n over an H grid in one xi_grid batch; fails with a loop's first
     error, then at the first H whose xi did not converge."""
-    if args.seed_figures:
-        preset = FIGURE_SWEEPS[args.seed_figures]
-        n, H_from, H_to, steps = (preset["n"], preset["H_from"],
-                                  preset["H_to"], preset["steps"])
-    else:
-        n, H_from, H_to, steps = args.n, args.H_from, args.H_to, args.steps
-    Hs = np.linspace(H_from, H_to, steps).tolist()
+    Hs = np.linspace(args.H_from, args.H_to, args.steps).tolist()
     rows = []
-    for H, res in zip(Hs, xi_grid(n, Hs, tol=args.tol)):
+    for H, res in zip(Hs, xi_grid(args.n, Hs, tol=args.tol)):
         require_converged(res, f"xi quadrature at H={H!r}", args.tol)
         rows.append([H, res.value])
     _emit_csv(["H", "xi"], rows, args.output)
@@ -408,8 +393,13 @@ def main(argv=None) -> int:
         for count in ("fibers", "steps"):
             if getattr(args, count, 0) < 0:
                 raise DomainError(f"--{count} must be >= 0")
+        if getattr(args, "seed_figures", None):
+            figures = {**FIGURE_PROFILES, **FIGURE_SWEEPS}[args.seed_figures]
+            for option, value in figures.items():
+                if not (option == "clip" and args.clip is not None):
+                    setattr(args, option, value)
         for f in REQUIRED_WITHOUT_SEED.get(args.command, ()):
-            if not args.seed_figures and getattr(args, f) is None:
+            if getattr(args, f) is None:
                 print(json.dumps(
                     {"error": f"--{f.replace('_', '-')} is required "
                               "without --seed-figures"}), file=sys.stderr)

@@ -1,5 +1,9 @@
 """Potential function q, its relatives (p, q-tilde, Q, h), landmark
-constants and the oscillation roots.
+constants and the roots of the polynomials p and Q.
+
+Every root of p (t1 < t2) and of Q (t2~, xi's upper end) is found by one
+rule, Brent's method on the Horner loop and then two Newton steps:
+_brent_root on one bracket, _brent_root_lanes on a batch of them.
 
 All formulas are closed-form in the shape parameters (n, H, C).  The
 convention throughout the package: n >= 2 is an integer, H < -1 is the
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateOscillationError,
     DomainError,
+    LandmarkError,
     ParameterRangeError,
 )
 
@@ -142,7 +147,7 @@ def eval_p(params: ShapeParams, v):
     if params.C is None:
         raise DomainError("eval_p requires C to be present")
     v = _check_positive(v)
-    out = np.polyval(p_coefficients(params.n, params.H, params.C), v)
+    out = horner(p_coefficients(params.n, params.H, params.C), v)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -198,6 +203,45 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
     )
 
 
+# Brent's xtol and rtol for every root of p and of Q
+_BRENT_TOL = (1e-15, 8.9e-16)
+
+
+def _polish(coeffs, dcoeffs, x):
+    """Two Newton steps from x (a float, or lanes with a coefficient column
+    each): the relative residual reaches machine level even where Brent
+    stopped on its xtol test."""
+    for _ in range(2):
+        x = x - horner(coeffs, x) / horner(dcoeffs, x)
+    return x
+
+
+def _brent_root(coeffs: tuple, dcoeffs: tuple, lo: float, hi: float) -> float:
+    """The root in (lo, hi) of the polynomial ``coeffs`` (floats, highest
+    first) with derivative ``dcoeffs``: brentq, then _polish."""
+    root = brentq(functools.partial(horner, coeffs), lo, hi, *_BRENT_TOL).root
+    return float(_polish(coeffs, dcoeffs, root))
+
+
+def _brent_root_lanes(coeffs, lo, hi):
+    """_brent_root on each lane i, the polynomial coeffs[:, i] in
+    (lo[i], hi[i]), as the columns (roots, settled).
+
+    The lane contract of every batched root solve: a settled root is what
+    _brent_root returns, bit for bit (_brentq_lanes, then _polish on
+    columns).  Where brentq would raise, Brent leaves the lane: it is not
+    settled, with a NaN root, for the caller to run the scalar routine, so
+    errors come as from a loop.  The values at the bracket ends must be
+    finite.
+    """
+    roots, _, settled = _brentq_lanes(coeffs, lo, hi, *_BRENT_TOL)
+    # an unsettled lane holds 0, where the derivative may vanish
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _polish(coeffs, _derivative(coeffs), roots)
+    roots[~settled] = math.nan
+    return roots, settled
+
+
 def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     """The two positive roots t1 < t2 of q, via the polynomial p.
 
@@ -217,40 +261,29 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
             "the oscillation interval is numerically degenerate"
         )
     coeffs = tuple(p_coefficients(n, H, C).tolist())
-    dcoeffs = _derivative(coeffs)
-    p = functools.partial(horner, coeffs)
-    if not p(_v0) > 0:
+    at_v0 = horner(coeffs, _v0)
+    if not at_v0 > 0:
         raise DegenerateOscillationError(
-            f"p(v0) = {p(_v0)!r} <= 0 at C={C!r}: in floats the oscillation "
+            f"p(v0) = {at_v0!r} <= 0 at C={C!r}: in floats the oscillation "
             "interval is degenerate")
-
-    t1 = brentq(p, 1e-9 * _v0, _v0, 1e-15, 8.9e-16).root
     hi = 2 * _v0
-    while p(hi) >= 0:
+    while horner(coeffs, hi) >= 0:
         hi *= 2
         if hi > 1e12:
             raise ParameterRangeError("upper root bracket expansion failed")
-    t2 = brentq(p, _v0, hi, 1e-15, 8.9e-16).root
-
-    # One Newton polish per root pushes the relative residual of q to
-    # machine level even when brentq stops on the xtol criterion.
-    for _ in range(2):
-        t1 -= p(t1) / horner(dcoeffs, t1)
-        t2 -= p(t2) / horner(dcoeffs, t2)
-    return float(t1), float(t2)
+    dcoeffs = _derivative(coeffs)
+    return (_brent_root(coeffs, dcoeffs, 1e-9 * _v0, _v0),
+            _brent_root(coeffs, dcoeffs, _v0, hi))
 
 
 def oscillation_roots_grid(n: int, H: float, Cs):
     """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
 
-    Returns arrays (t1, t2, settled), one entry per C.  Where settled, the
-    entry is the (t1, t2) that oscillation_roots(ShapeParams(n, H, C))
-    returns, bit for bit: the same brackets, upper-bracket expansion,
-    Brent steps (_brentq_lanes) and two Newton polishes, on columns of
-    coefficients.  An entry is not settled, with NaN roots, where the
-    scalar routine would raise (C outside (C0, 0) or degenerate,
-    p(v0) <= 0, bracket expansion failed) or where Brent did not settle,
-    for the caller to run the scalar routine.
+    Returns arrays (t1, t2, settled), one entry per C, under the lane
+    contract of _brent_root_lanes, from oscillation_roots' brackets on
+    columns.  An entry is also not settled, with NaN roots, where the
+    scalar routine raises before its solves (C outside (C0, 0) or
+    degenerate, p(v0) <= 0, bracket expansion failed).
     """
     ShapeParams(n=n, H=H)  # raises for an invalid n or H
     Cs = np.asarray(Cs, dtype=float)
@@ -272,15 +305,10 @@ def oscillation_roots_grid(n: int, H: float, Cs):
 
     # the lower and the upper root of every C as one set of lanes
     count = len(lanes)
-    both = np.concatenate([coeffs, coeffs], axis=1)
-    lower = np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)])
-    upper = np.concatenate([np.full(count, _v0), hi])
-    roots, _, settled = _brentq_lanes(both, lower, upper, 1e-15, 8.9e-16)
-    dcoeffs = _derivative(both)
-    # an unsettled lane holds 0, where p' may vanish; it is dropped below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            roots -= horner(both, roots) / horner(dcoeffs, roots)
+    roots, settled = _brent_root_lanes(
+        np.concatenate([coeffs, coeffs], axis=1),
+        np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)]),
+        np.concatenate([np.full(count, _v0), hi]))
     settled = settled[:count] & settled[count:]
     found = np.zeros(len(Cs), dtype=bool)
     found[lanes[settled]] = True
@@ -363,15 +391,10 @@ def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
     after as many iterations.  A lane retires at the step where its own
     test passes.  Only + - * /, abs and comparisons run on the lanes.
 
-    The polynomial values must not be NaN (brentq raises on NaN).  It
-    has two callers: oscillation_roots_grid (the roots of p), whose
-    values are finite on the brackets of a C in range, and
-    quadrature._Q_upper_root_grid (the upper root of Q), which masks
-    non-finite coefficients and bracket-end values before it runs and
-    leaves those H to the scalar brentq.  Returns
-    (roots, iterations, settled).  A lane is not settled where brentq
-    raises: f(a) and f(b) of one sign, or no convergence within maxiter
-    iterations.
+    The polynomial values must not be NaN (brentq raises on NaN).
+    Returns (roots, iterations, settled).  A lane is not settled where
+    brentq raises: f(a) and f(b) of one sign, or no convergence within
+    maxiter iterations.  _brent_root_lanes states what its callers rely on.
     """
     lanes = len(xa)
     roots = np.zeros(lanes)
@@ -462,6 +485,77 @@ def Q_coefficients(n: int, H) -> np.ndarray:
     return coeffs
 
 
+# 1 + delta for delta = 1e-9 * 2^k, k = -1..73: every delta that
+# _Q_bracket's doubling from 1e-9 reaches, and half the first.  Each delta
+# is exact in binary, so each point is the one the doubling forms.
+_Q_POINTS = 1.0 + 1e-9 * 2.0 ** np.arange(-1, 74)
+
+
+def _Q_bracket(coeffs):
+    """Brent's bracket (lo, hi) on the root of Q above 1, for each column
+    of Q's coefficients ``coeffs``, as columns (lo, hi, found, finite).
+
+    The rule doubles delta from 1e-9 until Q(1 + delta) >= 0 fails, and
+    finds no root (found is False) past delta = 1e13; then hi = 1 + delta,
+    and lo = 1 + delta/2 where Q is positive there, else 1 + 1e-9 (so
+    lo == hi where Q(1 + 1e-9) is not positive).  Every delta it reaches
+    is in _Q_POINTS, so Q runs at all of them in one Horner pass and each
+    column reads its first stop.  ``finite`` is whether Q is finite at
+    1 + delta/2 and at hi.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = horner(coeffs, _Q_POINTS[:, None])
+    stop = ~(table[1:] >= 0)
+    k = stop.argmax(axis=0)
+    cols = np.arange(table.shape[1])
+    half, end = table[k, cols], table[k + 1, cols]
+    lo = np.where(half > 0, _Q_POINTS[k], _Q_POINTS[1])
+    return (lo, _Q_POINTS[k + 1], stop[k, cols],
+            np.isfinite(half) & np.isfinite(end))
+
+
+def _Q_upper_root(n: int, H: float) -> float:
+    """The root t2~ of Q above 1 (the scaled upper turning point at
+    C = Ctilde), after xi's checks of n and H."""
+    _check_n(n)
+    if H > -1:
+        raise DomainError(f"xi requires H <= -1, got {H}")
+    coeffs = Q_coefficients(n, H)
+    (lo,), (hi,), (found,), _ = (column.tolist()
+                                 for column in _Q_bracket(coeffs[:, None]))
+    if not found:
+        raise LandmarkError(
+            f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
+        )
+    coeffs = tuple(coeffs.tolist())
+    if lo == hi:  # Q(1 + 1e-9) is not positive: no bracket
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
+        raise DegenerateOscillationError(
+            f"Q(1 + 1e-9) = {horner(coeffs, lo)!r} is not positive at n={n}, "
+            f"H={H!r}: in floats the interval (1, t2~) is degenerate")
+    return _brent_root(coeffs, _derivative(coeffs), lo, hi)
+
+
+def _Q_upper_root_grid(n: int, Hs):
+    """_Q_upper_root at every H of ``Hs``, the Brent solves run as lanes.
+
+    Returns the columns (t2, settled), under the lane contract of
+    _brent_root_lanes, from _Q_bracket's brackets.  An H is also not
+    settled, with a NaN root, where _Q_upper_root raises before its solve
+    (H > -1, no root, lo == hi) or where Q is not finite at the bracket
+    ends (as where its coefficients are not).
+    """
+    Hs = np.asarray(Hs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = Q_coefficients(n, Hs)
+    lo, hi, found, finite = _Q_bracket(coeffs)
+    lanes = np.flatnonzero(~(Hs > -1) & found & finite & (lo < hi))
+    t2 = np.full(len(Hs), math.nan)
+    t2[lanes] = _brent_root_lanes(coeffs[:, lanes], lo[lanes], hi[lanes])[0]
+    return t2, np.isfinite(t2)
+
+
 def eval_h(n: int, H: float, v):
     """h(v) = 2 H v^(1-n) (1 + v + ... + v^(n-1)) / (1 + v).
 
@@ -469,7 +563,7 @@ def eval_h(n: int, H: float, v):
     sum) so the removable point v = 1 is regular: h(1) = n H exactly.
     """
     v = _check_positive(v)
-    geom = np.polyval(np.ones(n), v)
+    geom = horner((1.0,) * n, v)
     out = 2 * H * v ** (1 - n) * geom / (1 + v)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -36,7 +36,7 @@ g(jT) = t1, g(jT + T/2) = t2 and theta(jT/2) = jK/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,7 +134,9 @@ class ProfileCurve:
 
     @property
     def samples(self) -> list[ProfileSample]:
-        return _samples(self.params, self.t, self.g, self.g_prime, self.theta)
+        fields = zip(self.t, self.g, self.g_prime, self.r, self.lam, self.mu,
+                     self.theta, self.theta_prime)
+        return [ProfileSample(*map(float, row)) for row in fields]
 
     def state(self, t: float) -> ProfileSample:
         """The state at an arbitrary t inside the sampled range."""
@@ -143,7 +145,8 @@ class ProfileCurve:
     def states(self, ts: Sequence[float]) -> list[ProfileSample]:
         """The states at times inside the sampled range, as one Newton system."""
         ts = np.array(ts, dtype=float)
-        return _samples(self.params, ts, *self.state_arrays(ts))
+        g, gp, theta = self.state_arrays(ts)
+        return replace(self, t=ts, g=g, g_prime=gp, theta=theta).samples
 
     def state_arrays(self, ts):
         """(g, g', theta) at times inside the sampled range, as arrays of
@@ -158,16 +161,6 @@ class ProfileCurve:
                 f"[{self.t[0]}, {self.t[-1]}]"
             )
         return self._phase.at(ts)
-
-
-def _samples(params: ShapeParams, t, g, gp, theta) -> list[ProfileSample]:
-    """One ProfileSample per entry of the aligned arrays, with the derived
-    fields computed as the ProfileCurve properties compute them."""
-    n, H, C = params.n, params.H, params.C
-    lam = H + g ** (-n)
-    fields = zip(t, g, gp, g / math.sqrt(-C), lam, n * H - (n - 1) * lam,
-                 theta, math.sqrt(-C) * g * lam / (g * g + C))
-    return [ProfileSample(*map(float, row)) for row in fields]
 
 
 def _cosine_series(f, what: str) -> np.ndarray:

@@ -15,9 +15,9 @@ profile, use tanh-sinh quadrature whose integrands may receive the
 endpoint x rounds onto it long before da underflows, so offset-aware
 integrands keep full relative accuracy right into the singularity.
 
-Both rules evaluate the potential in deflated form
-q = (v - t1)(t2 - v) s(v), with s from synthetically dividing
-p(v) = v^(2n-2) q(v) by its two computed roots.
+Both rules take the roots from potential and evaluate the potential in
+deflated form q = (v - t1)(t2 - v) s(v), with s from synthetically
+dividing p(v) = v^(2n-2) q(v) by them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateOscillationError,
     DomainError,
     EvaluationError,
     GuardBandError,
@@ -43,10 +42,9 @@ from .potential import (
     Ctilde,
     Q_coefficients,
     ShapeParams,
-    _brentq_lanes,
+    _Q_upper_root,
+    _Q_upper_root_grid,
     _check_n,
-    _derivative,
-    brentq,
     eval_h,
     horner,
     oscillation_roots,
@@ -257,9 +255,11 @@ def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
     return tuple(out)
 
 
-def _deflated_coefficients(coeffs: np.ndarray, r1: float, r2: float) -> tuple:
-    """Coefficients of coeffs / ((v - r1)(v - r2)), as floats."""
-    return _synthetic_deflate(_synthetic_deflate(coeffs.tolist(), r1), r2)
+def _deflated_coefficients(coeffs: np.ndarray, r1, r2) -> np.ndarray:
+    """Coefficients of coeffs / ((v - r1)(v - r2)), a column per entry of
+    array roots."""
+    rem = _synthetic_deflate(_synthetic_deflate(tuple(coeffs), r1), r2)
+    return np.array(rem)
 
 
 def _s(n, rem, v):
@@ -327,8 +327,7 @@ def _angle_rate(n: int, H: float, C, t1, t2) -> _AngleRate:
     per entry, so each entry is the arithmetic of its C alone.  An entry
     with d <= 0 has a NaN pole.
     """
-    rem = np.array(_synthetic_deflate(
-        _synthetic_deflate(tuple(p_coefficients(n, H, C)), t1), t2))
+    rem = _deflated_coefficients(p_coefficients(n, H, C), t1, t2)
     vc = np.sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
@@ -483,102 +482,10 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     return columns
 
 
-# 1 + delta for delta = 1e-9 * 2^k, k = -1..73: every delta that
-# _Q_bracket's doubling from 1e-9 reaches, and half the first.  Each delta
-# is exact in binary, so each point is the one the doubling forms.
-_Q_POINTS = 1.0 + 1e-9 * 2.0 ** np.arange(-1, 74)
-
-
-def _Q_bracket(coeffs):
-    """Brent's bracket (lo, hi) on the root of Q above 1, for each column
-    of Q's coefficients ``coeffs``, as columns (lo, hi, found, finite).
-
-    The rule doubles delta from 1e-9 until Q(1 + delta) >= 0 fails, and
-    finds no root (found is False) past delta = 1e13; then hi = 1 + delta,
-    and lo = 1 + delta/2 where Q is positive there, else 1 + 1e-9 (so
-    lo == hi where Q(1 + 1e-9) is not positive).  Every delta it reaches
-    is in _Q_POINTS, so Q runs at all of them in one Horner pass and each
-    column reads its first stop.  ``finite`` is whether Q is finite at
-    1 + delta/2 and at hi.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = horner(coeffs, _Q_POINTS[:, None])
-    stop = ~(table[1:] >= 0)
-    k = stop.argmax(axis=0)
-    cols = np.arange(table.shape[1])
-    half, end = table[k, cols], table[k + 1, cols]
-    lo = np.where(half > 0, _Q_POINTS[k], _Q_POINTS[1])
-    return (lo, _Q_POINTS[k + 1], stop[k, cols],
-            np.isfinite(half) & np.isfinite(end))
-
-
-def _Q_upper_root(n: int, H: float) -> float:
-    """The root of Q above 1 (the scaled upper turning point at C = Ctilde)."""
-    coeffs = Q_coefficients(n, H)
-    (lo,), (hi,), (found,), _ = (column.tolist()
-                                 for column in _Q_bracket(coeffs[:, None]))
-    if not found:
-        raise LandmarkError(
-            f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
-        )
-    coeffs = tuple(coeffs.tolist())
-    dcoeffs = _derivative(coeffs)
-    pq = functools.partial(horner, coeffs)
-    if lo == hi:  # Q(1 + 1e-9) is not positive: no bracket
-        if not all(map(math.isfinite, coeffs)):
-            raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
-        raise DegenerateOscillationError(
-            f"Q(1 + 1e-9) = {pq(lo)!r} is not positive at n={n}, H={H!r}: in "
-            "floats the interval (1, t2~) is degenerate")
-    t2 = brentq(pq, lo, hi, 1e-15, 8.9e-16).root
-    for _ in range(2):
-        t2 -= pq(t2) / horner(dcoeffs, t2)
-    return float(t2)
-
-
-def _Q_upper_root_grid(n: int, Hs):
-    """_Q_upper_root at every H of ``Hs``, the Brent solves run as lanes.
-
-    Returns the columns (t2, settled).  Where settled, t2 is what
-    _Q_upper_root(n, H) returns, bit for bit: the same bracket
-    (_Q_bracket), Brent steps (_brentq_lanes) and two Newton polishes, on
-    columns of coefficients.  An H is not settled, with a NaN root, where
-    _xi_root would raise (H > -1, no root, lo == hi), where Q is not
-    finite at the bracket ends (as where its coefficients are not), or
-    where Brent did not settle, for the caller to run _xi_root.
-    """
-    Hs = np.asarray(Hs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = Q_coefficients(n, Hs)
-    lo, hi, found, finite = _Q_bracket(coeffs)
-    lanes = np.flatnonzero(~(Hs > -1) & found & finite & (lo < hi))
-    coeffs = coeffs[:, lanes]
-    roots, _, settled = _brentq_lanes(coeffs, lo[lanes], hi[lanes], 1e-15,
-                                      8.9e-16)
-    dcoeffs = _derivative(coeffs)
-    # an unsettled lane holds 0, where Q' may vanish; it is dropped below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            roots -= horner(coeffs, roots) / horner(dcoeffs, roots)
-    t2 = np.full(len(Hs), math.nan)
-    t2[lanes[settled]] = roots[settled]
-    return t2, np.isfinite(t2)
-
-
-def _xi_root(n: int, H: float) -> float:
-    """The upper root t2~ of Q, after xi's checks of n and H."""
-    _check_n(n)
-    if H > -1:
-        raise DomainError(f"xi requires H <= -1, got {H}")
-    return _Q_upper_root(n, H)
-
-
 def _xi_rows(n: int, H, t2, tol: float):
     """xi at the H of the 1-D array ``H``, with the upper roots ``t2`` of
-    Q, as the columns of one phase rule.  Q is deflated by 1 and t2~ on
-    columns."""
-    rem = np.array(_synthetic_deflate(
-        _synthetic_deflate(tuple(Q_coefficients(n, H)), 1.0), t2))[..., None]
+    Q, as the columns of one phase rule."""
+    rem = _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)[..., None]
     H, a = H[:, None], ((t2 - 1) / 2)[:, None]
 
     def integrand(live, phi):
@@ -597,9 +504,8 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     v = 1 + 2a sin^2(phi/2), a = (t2~ - 1)/2 and Q = (v - 1)(t2~ - v) s(v),
     pi times the mean over phi of h(v) / sqrt(s(v)).
     """
-    t2 = _xi_root(n, H)
-    return _result(_xi_rows(n, np.array([H], dtype=float), np.array([t2]),
-                            tol), 0)
+    t2 = np.array([_Q_upper_root(n, H)])
+    return _result(_xi_rows(n, np.array([H], dtype=float), t2, tol), 0)
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
@@ -608,7 +514,7 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
 
     The upper roots of Q are found as lanes (_Q_upper_root_grid), and Q is
     deflated on columns.  An H that the lanes do not settle takes the
-    scalar set-up (_xi_root) in grid order.  Each result equals
+    scalar set-up (_Q_upper_root) in grid order.  Each result equals
     ``xi(n, H, tol)`` in all four fields, and errors are raised in the
     order of ``Hs``, as a loop over xi would raise them; with
     ``missing_as_none`` an H where Q has no upper root (LandmarkError)
@@ -622,7 +528,7 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
     errors = {}  # grid index -> the error of its scalar set-up
     for i in np.flatnonzero(~ok).tolist():
         try:
-            t2[i] = _xi_root(n, Hs[i].item())
+            t2[i] = _Q_upper_root(n, Hs[i].item())
             ok[i] = True
         except LandmarkError as exc:
             if not missing_as_none:

@@ -293,6 +293,29 @@ def test_profile_clip(capsys):
     assert max(tp) <= 5.0
 
 
+def test_sweep_seed_figures_equals_its_options(capsys):
+    # a preset sets every option it names: the same bytes as given by hand
+    seeded = run_cli(capsys, "sweep", "--seed-figures", "fig6")
+    assert seeded[0] == 0
+    assert seeded == run_cli(capsys, "sweep", "--n", "3", "--H-from", "-10",
+                             "--H-to", "-1", "--steps", "128")
+
+
+def test_profile_seed_figures_keeps_a_given_clip(capsys):
+    # fig4 clips at 5 unless --clip is given
+    _, out, _ = run_cli(capsys, "profile", "--seed-figures", "fig4",
+                        "--clip", "2", "--samples", "32")
+    assert max(abs(float(r[6])) for r in _parse_csv(out)[1:]) == 2.0
+
+
+def test_profile_seed_figures_sets_periods(capsys):
+    # the preset's periods win over --periods
+    code, out, _ = run_cli(capsys, "profile", "--seed-figures", "fig2",
+                           "--periods", "3", "--samples", "32")
+    assert code == 0
+    assert len(_parse_csv(out)) == 1 + 5 * 32 + 1
+
+
 def test_profile_missing_args_exit_2(capsys):
     code, _, err = run_cli(capsys, "profile", "--n", "2", "--H", "-1.1")
     assert code == 2

@@ -10,12 +10,12 @@ import hypcmc as h
 from hypcmc import potential
 from hypcmc.potential import (
     DEGENERATE_REL_GAP,
+    _Q_upper_root,
     _brentq_lanes,
     horner,
     oscillation_roots_grid,
     p_coefficients,
 )
-from hypcmc.quadrature import _Q_upper_root
 
 from oracles import (
     polyval_oscillation_roots,

@@ -133,6 +133,24 @@ def test_profile_sample_fields_consistent():
     assert np.all(curve.r >= 1.0 - 1e-12)
 
 
+def test_samples_read_the_curve_properties():
+    # every field of every sample, from samples and from states, is the
+    # ProfileCurve property at its index, bit for bit
+    curve = h.integrate_profile(h.ShapeParams(3, -1.5, -0.7),
+                                samples_per_period=64)
+    fields = ("t", "g", "g_prime", "r", "lam", "mu", "theta", "theta_prime")
+    for k, s in enumerate(curve.samples):
+        for name in fields:
+            assert _bits(getattr(s, name)) == _bits(getattr(curve, name)[k])
+    ts = curve.t[[3, 40, 64]]
+    g, gp, theta = curve.state_arrays(ts)
+    lam = -1.5 + g ** -3
+    for k, s in enumerate(curve.states(ts.tolist())):
+        assert (s.t, s.g, s.g_prime, s.theta) == (ts[k], g[k], gp[k], theta[k])
+        assert (s.r, s.lam, s.mu) == (g[k] / math.sqrt(0.7), lam[k],
+                                      3 * -1.5 - 2 * lam[k])
+
+
 def test_state_interpolation_and_range():
     params = h.ShapeParams(2, -1.1, -0.5)
     curve = h.integrate_profile(params, samples_per_period=128)

@@ -575,17 +575,42 @@ def test_Q_upper_root_grid_equals_scalar():
                          -np.geomspace(1.0000001, 1e5, 300),
                          -10.0 ** rng.uniform(0.0, 5.0, 300)])
     for n in range(2, 9):
-        t2, settled = quadrature._Q_upper_root_grid(n, Hs)
+        t2, settled = potential._Q_upper_root_grid(n, Hs)
         raised = 0
         for H, root, ok in zip(Hs.tolist(), t2.tolist(), settled.tolist()):
             try:
-                expected = quadrature._Q_upper_root(n, H)
+                expected = potential._Q_upper_root(n, H)
             except h.HypcmcError:
                 raised += 1
                 assert not ok, (n, H)
             else:
                 assert ok and root == expected, (n, H)
         assert raised >= 2  # -1e300, and -1.0 (n = 2) or a degenerate H
+
+
+def test_xi_grid_unsettled_root_runs_the_scalar_path(monkeypatch):
+    # an H whose upper root of Q the lanes leave unsettled runs through
+    # scalar _Q_upper_root once, and every result stays equal to scalar xi
+    n = 3
+    Hs = list(np.linspace(-10.0, -1.0, 12))
+    roots_grid = quadrature._Q_upper_root_grid
+
+    def leave_one_unsettled(n, Hs):
+        t2, settled = roots_grid(n, Hs)
+        t2[5] = math.nan
+        settled[5] = False
+        return t2, settled
+
+    scalar_calls = []
+    upper_root = quadrature._Q_upper_root
+    monkeypatch.setattr(quadrature, "_Q_upper_root_grid", leave_one_unsettled)
+    monkeypatch.setattr(quadrature, "_Q_upper_root",
+                        lambda n, H: scalar_calls.append(H)
+                        or upper_root(n, H))
+    batch = h.xi_grid(n, Hs)
+    assert scalar_calls == [Hs[5]]
+    monkeypatch.undo()
+    assert batch == [h.xi(n, H) for H in Hs]
 
 
 def test_xi_grid_against_frozen_values():
