@@ -1,9 +1,12 @@
 """Potential function q, its relatives (p, q-tilde, Q, h), landmark
 constants and the roots of the polynomials p and Q.
 
-Every root of p (t1 < t2) and of Q (t2~, xi's upper end) is found by one
-rule, Brent's method on the Horner loop and then two Newton steps:
-_brent_root on one bracket, _brent_root_lanes on a batch of them.
+The roots t1 < t2 of p are found by Brent's method on the Horner loop,
+then two Newton steps; a grid of C runs as lanes (_brentq_lanes) that
+hand their last few stragglers to brentq's scalar loop.  Q's upper root
+t2~ = 1 + x, xi's upper end, is found in the shifted variable, where
+v^(2n-2) Q(1 + x) = x R(x): a fixed count of Newton steps on R, the same
+steps on one H and on a column of them.
 
 All formulas are closed-form in the shape parameters (n, H, C).  The
 convention throughout the package: n >= 2 is an integer, H < -1 is the
@@ -203,43 +206,25 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
     )
 
 
-# Brent's xtol and rtol for every root of p and of Q
+# Brent's xtol and rtol for every root of p
 _BRENT_TOL = (1e-15, 8.9e-16)
 
 
-def _polish(coeffs, dcoeffs, x):
-    """Two Newton steps from x (a float, or lanes with a coefficient column
-    each): the relative residual reaches machine level even where Brent
-    stopped on its xtol test."""
-    for _ in range(2):
+def _newton(coeffs, dcoeffs, x, steps):
+    """``steps`` Newton steps from x: a float, or lanes with a coefficient
+    column each, every lane taking the float steps bit for bit."""
+    for _ in range(steps):
         x = x - horner(coeffs, x) / horner(dcoeffs, x)
     return x
 
 
 def _brent_root(coeffs: tuple, dcoeffs: tuple, lo: float, hi: float) -> float:
     """The root in (lo, hi) of the polynomial ``coeffs`` (floats, highest
-    first) with derivative ``dcoeffs``: brentq, then _polish."""
+    first) with derivative ``dcoeffs``: brentq, then two Newton steps, so
+    the relative residual reaches machine level even where Brent stopped
+    on its xtol test."""
     root = brentq(functools.partial(horner, coeffs), lo, hi, *_BRENT_TOL).root
-    return float(_polish(coeffs, dcoeffs, root))
-
-
-def _brent_root_lanes(coeffs, lo, hi):
-    """_brent_root on each lane i, the polynomial coeffs[:, i] in
-    (lo[i], hi[i]), as the columns (roots, settled).
-
-    The lane contract of every batched root solve: a settled root is what
-    _brent_root returns, bit for bit (_brentq_lanes, then _polish on
-    columns).  Where brentq would raise, Brent leaves the lane: it is not
-    settled, with a NaN root, for the caller to run the scalar routine, so
-    errors come as from a loop.  The values at the bracket ends must be
-    finite.
-    """
-    roots, _, settled = _brentq_lanes(coeffs, lo, hi, *_BRENT_TOL)
-    # an unsettled lane holds 0, where the derivative may vanish
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = _polish(coeffs, _derivative(coeffs), roots)
-    roots[~settled] = math.nan
-    return roots, settled
+    return float(_newton(coeffs, dcoeffs, root, 2))
 
 
 def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
@@ -279,11 +264,12 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
 def oscillation_roots_grid(n: int, H: float, Cs):
     """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
 
-    Returns arrays (t1, t2, settled), one entry per C, under the lane
-    contract of _brent_root_lanes, from oscillation_roots' brackets on
-    columns.  An entry is also not settled, with NaN roots, where the
-    scalar routine raises before its solves (C outside (C0, 0) or
-    degenerate, p(v0) <= 0, bracket expansion failed).
+    Returns arrays (t1, t2, settled), one entry per C.  Settled roots are
+    what oscillation_roots returns, bit for bit: its brackets on columns,
+    _brentq_lanes, then the same Newton steps.  Where the scalar routine
+    raises (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket
+    expansion failed, a Brent error), the entry is not settled, with NaN
+    roots, for the caller to run it, so errors come as from a loop.
     """
     ShapeParams(n=n, H=H)  # raises for an invalid n or H
     Cs = np.asarray(Cs, dtype=float)
@@ -305,10 +291,13 @@ def oscillation_roots_grid(n: int, H: float, Cs):
 
     # the lower and the upper root of every C as one set of lanes
     count = len(lanes)
-    roots, settled = _brent_root_lanes(
-        np.concatenate([coeffs, coeffs], axis=1),
-        np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)]),
-        np.concatenate([np.full(count, _v0), hi]))
+    coeffs = np.concatenate([coeffs, coeffs], axis=1)
+    lo = np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)])
+    roots, _, settled = _brentq_lanes(
+        coeffs, lo, np.concatenate([np.full(count, _v0), hi]), *_BRENT_TOL)
+    # an unsettled lane holds 0, where the derivative may vanish
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _newton(coeffs, _derivative(coeffs), roots, 2)
     settled = settled[:count] & settled[count:]
     found = np.zeros(len(Cs), dtype=bool)
     found[lanes[settled]] = True
@@ -329,21 +318,30 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
     maxiter iterations.  A bracket end that is a root takes 0 iterations
     (SciPy leaves that count unset).  As in SciPy, xtol > 0, rtol >= 4 eps.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
     if fpre == 0 or fcur == 0:
         return BrentResult(xpre if fpre == 0 else xcur, 0, 2)
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for i in range(maxiter):
+    return _brent_steps(f, (xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0), 0,
+                        xtol, rtol, maxiter)
+
+
+def _brent_value(f, x):
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(
+            f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent_steps(f, state, i, xtol, rtol, maxiter):
+    """brentq's iterations i, i + 1, ... up to maxiter, from ``state``, the
+    floats (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur) at the top of
+    iteration i; the counts of the BrentResult run from brentq's start."""
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    for i in range(i, maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -375,8 +373,17 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
 
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = _brent_value(f, xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# Fewer live lanes than this leave _brentq_lanes for _brent_steps: a lane
+# step costs about as much NumPy overhead for 2 lanes as for 128, and on a
+# scan grid 1-3 lanes run 20-37 iterations where the rest stop by 16.
+# oscillation_roots_grid on 64 C at (2, -1.1), (3, -1.5), (5, -2.9) took
+# 1.8-2.7 ms for any count from 4 to 64, 2.9-4.3 ms with no handoff; on
+# 4096 C, 11.5-16.6 ms against 12.7-17.2 ms (2 vCPU, NumPy 2.4).
+_SCALAR_LANES = 8
 
 
 def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
@@ -390,11 +397,13 @@ def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
     ends where brentq(p_i, xa[i], xb[i], xtol, rtol, maxiter) ends and
     after as many iterations.  A lane retires at the step where its own
     test passes.  Only + - * /, abs and comparisons run on the lanes.
+    Once fewer than _SCALAR_LANES are live, each of them finishes in
+    _brent_steps, from its own state and iteration number.
 
     The polynomial values must not be NaN (brentq raises on NaN).
     Returns (roots, iterations, settled).  A lane is not settled where
     brentq raises: f(a) and f(b) of one sign, or no convergence within
-    maxiter iterations.  _brent_root_lanes states what its callers rely on.
+    maxiter iterations.
     """
     lanes = len(xa)
     roots = np.zeros(lanes)
@@ -413,7 +422,17 @@ def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
                                       fcur[ids], coeffs[:, ids])
     xblk = fblk = spre = scur = np.zeros(len(ids))
     for i in range(maxiter):
-        if not len(ids):
+        if len(ids) < _SCALAR_LANES:
+            state = zip(*(a.tolist() for a in (xpre, xcur, xblk, fpre, fcur,
+                                                fblk, spre, scur)))
+            for j, (lane, lane_state) in enumerate(zip(ids.tolist(), state)):
+                f = functools.partial(horner, tuple(coeffs[:, j].tolist()))
+                try:
+                    roots[lane], iterations[lane], _ = _brent_steps(
+                        f, lane_state, i, xtol, rtol, maxiter)
+                except RuntimeError:
+                    continue
+                settled[lane] = True
             break
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(flip, xpre, xblk)
@@ -471,89 +490,109 @@ def eval_Q(n: int, H: float, v):
     return float(out) if out.ndim == 0 else out
 
 
-def Q_coefficients(n: int, H) -> np.ndarray:
-    """Coefficients (highest first) of v^(2n-2) Q(v), a degree-2n polynomial.
-
-    For an array of H the result has one column per H.
-    """
-    H2 = H * H
-    coeffs = np.zeros((2 * n + 1,) + np.shape(H))
-    coeffs[0] = 1 - H2
-    coeffs[2] += -1.0
-    coeffs[n] += 2 * H2
-    coeffs[2 * n] += -H2
-    return coeffs
+def _Q_shifted(n: int, H) -> tuple:
+    """Coefficients (highest first, a column each for an array of H) of R,
+    v^(2n-2) Q(v) = x R(x) at v = 1 + x; R(0) = 2.  R's x^(k-1) coefficient
+    is (H^2 - 1)(2 C(n,k) - C(2n,k)) + 2 C(n,k) - C(2n-2,k), with H^2 - 1
+    formed as (H - 1)(H + 1), which keeps its digits as H -> -1."""
+    h = (H - 1) * (H + 1)
+    return tuple(h * (2 * math.comb(n, k) - math.comb(2 * n, k))
+                 + (2 * math.comb(n, k) - math.comb(2 * n - 2, k))
+                 for k in range(2 * n, 0, -1))
 
 
-# 1 + delta for delta = 1e-9 * 2^k, k = -1..73: every delta that
-# _Q_bracket's doubling from 1e-9 reaches, and half the first.  Each delta
-# is exact in binary, so each point is the one the doubling forms.
-_Q_POINTS = 1.0 + 1e-9 * 2.0 ** np.arange(-1, 74)
+# Newton steps on R from hi in [x*, 2 x*], the last with R(x) by
+# compensated Horner.  R is concave on x > 0 (by Vandermonde's identity
+# each coefficient of x^2 and above is <= 0 for H^2 >= 1), so the steps
+# fall monotonically onto its one positive root x*.  For n = 2..8 at 2000
+# geometric H in [-1e6, -1.0000001], 6 plain steps and the compensated one
+# settle every root, and a further step moves none; plain steps alone
+# leave x cycling by up to 3 ulps in the rounding noise of R.
+_Q_NEWTON_STEPS = 8
 
 
-def _Q_bracket(coeffs):
-    """Brent's bracket (lo, hi) on the root of Q above 1, for each column
-    of Q's coefficients ``coeffs``, as columns (lo, hi, found, finite).
+def _Q_newton(coeffs, x):
+    """_Q_NEWTON_STEPS Newton steps on R from x, on floats or columns."""
+    dcoeffs = _derivative(coeffs)
+    x = _newton(coeffs, dcoeffs, x, _Q_NEWTON_STEPS - 1)
+    return x - _compensated_horner(coeffs, x) / horner(dcoeffs, x)
 
-    The rule doubles delta from 1e-9 until Q(1 + delta) >= 0 fails, and
-    finds no root (found is False) past delta = 1e13; then hi = 1 + delta,
-    and lo = 1 + delta/2 where Q is positive there, else 1 + 1e-9 (so
-    lo == hi where Q(1 + 1e-9) is not positive).  Every delta it reaches
-    is in _Q_POINTS, so Q runs at all of them in one Horner pass and each
-    column reads its first stop.  ``finite`` is whether Q is finite at
-    1 + delta/2 and at hi.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = horner(coeffs, _Q_POINTS[:, None])
-    stop = ~(table[1:] >= 0)
-    k = stop.argmax(axis=0)
-    cols = np.arange(table.shape[1])
-    half, end = table[k, cols], table[k + 1, cols]
-    lo = np.where(half > 0, _Q_POINTS[k], _Q_POINTS[1])
-    return (lo, _Q_POINTS[k + 1], stop[k, cols],
-            np.isfinite(half) & np.isfinite(end))
+
+def _split(a):
+    """Dekker's split of a into halves of 26 bits, a = hi + lo."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _compensated_horner(coeffs, v):
+    """horner(coeffs, v) as if run in twice the working precision, then
+    rounded (Graillat, Langlois & Louvet 2005): each step's product and
+    sum errors, exact by Dekker's and Knuth's error-free transformations,
+    are run through a second Horner loop and added at the end."""
+    vh, vl = _split(v)
+    y, err = coeffs[0], 0.0
+    for c in coeffs[1:]:
+        p = y * v
+        yh, yl = _split(y)
+        perr = yl * vl - (((p - yh * vh) - yl * vh) - yh * vl)
+        y = p + c
+        z = y - p
+        err = err * v + (perr + ((p - (y - z)) + (c - z)))
+    return y + err
 
 
 def _Q_upper_root(n: int, H: float) -> float:
-    """The root t2~ of Q above 1 (the scaled upper turning point at
-    C = Ctilde), after xi's checks of n and H."""
+    """The root t2~ = 1 + x of Q above 1 (the scaled upper turning point
+    at C = Ctilde), as its offset x > 0, the one positive root of R, after
+    xi's checks of n and H.  From R's tangent root at 0 (1 where R'(0) >=
+    0), hi is doubled until R(hi) < 0 and halved while R(hi/2) < 0."""
     _check_n(n)
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
-    coeffs = Q_coefficients(n, H)
-    (lo,), (hi,), (found,), _ = (column.tolist()
-                                 for column in _Q_bracket(coeffs[:, None]))
-    if not found:
-        raise LandmarkError(
-            f"Q(n={n}, H={H}) has no root above 1; xi is not defined here"
-        )
-    coeffs = tuple(coeffs.tolist())
-    if lo == hi:  # Q(1 + 1e-9) is not positive: no bracket
-        if not all(map(math.isfinite, coeffs)):
-            raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
+    coeffs = _Q_shifted(n, H)
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
+    hi = -coeffs[-1] / coeffs[-2] if coeffs[-2] < 0 else 1.0
+    while horner(coeffs, hi) >= 0:
+        if hi > 1e13:  # R has no sign change on (0, 1e13]
+            raise LandmarkError(
+                f"Q(n={n}, H={H}) has no root above 1; xi is not defined here")
+        hi *= 2
+    while horner(coeffs, hi / 2) < 0:
+        hi /= 2
+    x = _Q_newton(coeffs, hi)
+    if not 1 + x > 1:
         raise DegenerateOscillationError(
-            f"Q(1 + 1e-9) = {horner(coeffs, lo)!r} is not positive at n={n}, "
-            f"H={H!r}: in floats the interval (1, t2~) is degenerate")
-    return _brent_root(coeffs, _derivative(coeffs), lo, hi)
+            f"t2~ = 1 + x rounds to 1 at n={n}, H={H!r}: in floats the "
+            "interval (1, t2~) is degenerate")
+    return x
 
 
 def _Q_upper_root_grid(n: int, Hs):
-    """_Q_upper_root at every H of ``Hs``, the Brent solves run as lanes.
+    """_Q_upper_root at every H of ``Hs``, its steps run on columns.
 
-    Returns the columns (t2, settled), under the lane contract of
-    _brent_root_lanes, from _Q_bracket's brackets.  An H is also not
-    settled, with a NaN root, where _Q_upper_root raises before its solve
-    (H > -1, no root, lo == hi) or where Q is not finite at the bracket
-    ends (as where its coefficients are not).
+    Returns the columns (x, settled): a settled x is what _Q_upper_root
+    returns, bit for bit; where it raises, x is NaN and not settled.
     """
     Hs = np.asarray(Hs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = Q_coefficients(n, Hs)
-    lo, hi, found, finite = _Q_bracket(coeffs)
-    lanes = np.flatnonzero(~(Hs > -1) & found & finite & (lo < hi))
-    t2 = np.full(len(Hs), math.nan)
-    t2[lanes] = _brent_root_lanes(coeffs[:, lanes], lo[lanes], hi[lanes])[0]
-    return t2, np.isfinite(t2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs = _Q_shifted(n, Hs)
+        ok = ~(Hs > -1) & np.isfinite(coeffs).all(axis=0)
+        hi = np.where(coeffs[-2] < 0, -coeffs[-1] / coeffs[-2], 1.0)
+        grow = ok & (horner(coeffs, hi) >= 0)
+        while (grow := grow & (hi <= 1e13)).any():
+            hi = np.where(grow, 2 * hi, hi)
+            grow &= horner(coeffs, hi) >= 0
+        ok &= horner(coeffs, hi) < 0
+        shrink = ok & (horner(coeffs, hi / 2) < 0)
+        while shrink.any():
+            hi = np.where(shrink, hi / 2, hi)
+            shrink &= horner(coeffs, hi / 2) < 0
+        x = _Q_newton(coeffs, hi)
+    ok &= 1 + x > 1
+    x[~ok] = math.nan
+    return x, ok
 
 
 def eval_h(n: int, H: float, v):

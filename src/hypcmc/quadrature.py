@@ -17,7 +17,8 @@ integrands keep full relative accuracy right into the singularity.
 
 Both rules take the roots from potential and evaluate the potential in
 deflated form q = (v - t1)(t2 - v) s(v), with s from synthetically
-dividing p(v) = v^(2n-2) q(v) by them.
+dividing p(v) = v^(2n-2) q(v) by them.  xi deflates Q the same way, in
+the offset from its fixed root 1 (potential's shifted polynomial R).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (
 )
 from .potential import (
     Ctilde,
-    Q_coefficients,
     ShapeParams,
+    _Q_shifted,
     _Q_upper_root,
     _Q_upper_root_grid,
     _check_n,
@@ -482,16 +483,18 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     return columns
 
 
-def _xi_rows(n: int, H, t2, tol: float):
-    """xi at the H of the 1-D array ``H``, with the upper roots ``t2`` of
-    Q, as the columns of one phase rule."""
-    rem = _deflated_coefficients(Q_coefficients(n, H), 1.0, t2)[..., None]
-    H, a = H[:, None], ((t2 - 1) / 2)[:, None]
+def _xi_rows(n: int, H, x, tol: float):
+    """xi at the H of the 1-D array ``H``, with the upper roots 1 + ``x``
+    of Q, as the columns of one phase rule."""
+    # v^(2n-2) Q(v) = u R(u) at v = 1 + u, and R = (u - x) S(u)
+    rem = np.array(_synthetic_deflate(_Q_shifted(n, H), x))[..., None]
+    H, a = H[:, None], (x / 2)[:, None]
 
     def integrand(live, phi):
-        v = 1 + 2 * a[live] * np.sin(phi / 2) ** 2
+        u = 2 * a[live] * np.sin(phi / 2) ** 2
+        v = 1 + u
         return math.pi * eval_h(n, H[live], v) / np.sqrt(
-            _s(n, rem[:, live], v))
+            -horner(rem[:, live], u) * v ** (2 - 2 * n))
 
     return _phase_mean(integrand, len(H), tol)
 
@@ -502,18 +505,21 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     The integral over (1, t2~) of h(v) / sqrt(Q(v)) dv, where Q has a
     simple zero at both ends and h(1) = n H is finite: with
     v = 1 + 2a sin^2(phi/2), a = (t2~ - 1)/2 and Q = (v - 1)(t2~ - v) s(v),
-    pi times the mean over phi of h(v) / sqrt(s(v)).
+    pi times the mean over phi of h(v) / sqrt(s(v)).  Both a = x/2 and s
+    come from the offset u = v - 1: potential's x = t2~ - 1 and R, with
+    v^(2n-2) Q(1 + u) = u R(u), deflated by x.  They keep their digits
+    where t2~ is close to 1 (large |H|).
     """
-    t2 = np.array([_Q_upper_root(n, H)])
-    return _result(_xi_rows(n, np.array([H], dtype=float), t2, tol), 0)
+    x = np.array([_Q_upper_root(n, H)])
+    return _result(_xi_rows(n, np.array([H], dtype=float), x, tol), 0)
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
             missing_as_none: bool = False) -> list[Optional[QuadResult]]:
     """xi_n(H) at every H of ``Hs``, as rows of one phase rule.
 
-    The upper roots of Q are found as lanes (_Q_upper_root_grid), and Q is
-    deflated on columns.  An H that the lanes do not settle takes the
+    The upper roots of Q are found on columns (_Q_upper_root_grid), and R
+    is deflated on columns.  An H that the lanes do not settle takes the
     scalar set-up (_Q_upper_root) in grid order.  Each result equals
     ``xi(n, H, tol)`` in all four fields, and errors are raised in the
     order of ``Hs``, as a loop over xi would raise them; with
@@ -524,16 +530,16 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
     if not len(Hs):
         return []
     _check_n(n)  # every H's set-up checks n first
-    t2, ok = _Q_upper_root_grid(n, Hs)
+    x, ok = _Q_upper_root_grid(n, Hs)
     errors = {}  # grid index -> the error of its scalar set-up
     for i in np.flatnonzero(~ok).tolist():
         try:
-            t2[i] = _Q_upper_root(n, Hs[i].item())
+            x[i] = _Q_upper_root(n, Hs[i].item())
             ok[i] = True
         except LandmarkError as exc:
             if not missing_as_none:
                 errors[i] = exc
-        except (HypcmcError, ValueError, RuntimeError) as exc:
+        except HypcmcError as exc:
             errors[i] = exc
     rows = np.flatnonzero(ok).tolist()
     if rows:
@@ -543,7 +549,7 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
             errors[rows[0]] = exc
         else:
             columns = [c.tolist()
-                       for c in _xi_rows(n, Hs[rows], t2[rows], tol)]
+                       for c in _xi_rows(n, Hs[rows], x[rows], tol)]
     if errors:
         raise errors[min(errors)]
     results = [None] * len(Hs)

@@ -187,26 +187,6 @@ def polyval_oscillation_roots(n, H, C):
     return _two_newton_steps(coeffs, t1), _two_newton_steps(coeffs, t2)
 
 
-def polyval_Q_upper_root(n, H):
-    """The root above 1 of v^(2n-2) Q(v), found as above with np.polyval."""
-    H2 = H * H
-    coeffs = np.zeros(2 * n + 1)
-    coeffs[0] = 1 - H2
-    coeffs[2] += -1.0
-    coeffs[n] += 2 * H2
-    coeffs[2 * n] += -H2
-
-    def p(v):
-        return np.polyval(coeffs, v)
-
-    delta = 1e-9
-    while p(1.0 + delta) >= 0:
-        delta *= 2
-    lo = 1.0 + delta / 2 if p(1.0 + delta / 2) > 0 else 1.0 + 1e-9
-    t2 = brentq(p, lo, 1.0 + delta, xtol=1e-15, rtol=8.9e-16)
-    return _two_newton_steps(coeffs, t2)
-
-
 def _two_newton_steps(coeffs, root):
     dcoeffs = np.polyder(coeffs)
     for _ in range(2):

@@ -102,24 +102,46 @@ def test_profile_degenerate_in_floats_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, kind", [
-    (("xi", "--n", "3", "--H", "-4750.260380087513"),
+    (("xi", "--n", "3", "--H=-1e9"), "DegenerateOscillationError"),
+    (("sweep", "--n", "3", "--H-from=-1e9", "--H-to=-1e8", "--steps", "2"),
      "DegenerateOscillationError"),
-    (("sweep", "--n", "3", "--H-from=-4750.260380087513", "--H-to=-4000",
-      "--steps", "2"), "DegenerateOscillationError"),
     (("h0", "--n", "2", "--lo=-1e9", "--hi=-1e8"),
      "DegenerateOscillationError"),
     (("xi", "--n", "2", "--H=-1e300"), "DomainError"),
 ])
 def test_xi_at_large_H_exit_2(capsys, argv, kind):
-    # at large |H| the float Q(1 + 1e-9) is not positive, so Q's upper
-    # root cannot be bracketed, and at H = -1e300 Q's coefficients are
-    # not finite: a JSON error naming n and H, not a traceback; h0 does
-    # not read the degenerate interval as a missing landmark
+    # at |H| >= 1e8 Q's upper root t2~ = 1 + x rounds to 1, and at
+    # H = -1e300 Q's coefficients are not finite: a JSON error naming n
+    # and H, not a traceback; h0 does not read the degenerate interval as
+    # a missing landmark
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     msg = json.loads(err)
     assert msg["kind"] == kind
     assert "n=" in msg["error"] and "H=" in msg["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("xi", "--n", "3", "--H", "-4750.260380087513"),
+    ("sweep", "--n", "3", "--H-from=-4750.260380087513", "--H-to=-4000",
+     "--steps", "2"),
+])
+def test_xi_at_large_H_exit_0(capsys, argv):
+    # where the float bracket of Q's upper root used to be degenerate,
+    # xi answers within 1e-14 of mpmath
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    value = (json.loads(out)["value"] if argv[0] == "xi"
+             else float(_parse_csv(out)[1][1]))
+    ref = frozen.XI_LARGE_H[(3, -4750.260380087513)]
+    assert abs(value - ref) <= 1e-14
+
+
+def test_sweep_out_to_minus_1e6(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n", "8", "--H-from=-1e6",
+                           "--H-to=-1e3", "--steps", "400")
+    assert code == 0
+    assert len(_parse_csv(out)) == 401  # the header and 400 rows
 
 
 def test_env_tol_override(capsys, monkeypatch):

@@ -27,7 +27,7 @@ def _mpref():
 def test_frozen_values_match_mpmath_references():
     mpref = _mpref()
     # inputs as decimal strings, the way the frozen values were computed
-    for (n, H), stored in frozen.XI.items():
+    for (n, H), stored in {**frozen.XI, **frozen.XI_LARGE_H}.items():
         assert float(mpref.xi(n, repr(H))) == pytest.approx(stored, rel=1e-15)
     K = mpref.flux_K(2, "-1.1", "-0.9091743461769703")
     assert float(K) == pytest.approx(frozen.K_NEAR_AXIS_N2, rel=1e-15)

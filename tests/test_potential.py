@@ -17,11 +17,7 @@ from hypcmc.potential import (
     p_coefficients,
 )
 
-from oracles import (
-    polyval_oscillation_roots,
-    polyval_Q_upper_root,
-    roots_closed_form_n2,
-)
+from oracles import polyval_oscillation_roots, roots_closed_form_n2
 
 
 def test_q_direct_substitution():
@@ -119,14 +115,10 @@ def test_root_monotonicity_in_C():
 
 
 def test_roots_bit_identical_to_polyval_reference():
-    # the float-Horner root finders take brentq through the same steps as
-    # np.polyval would: every root equals the reference exactly
+    # the float-Horner root finder of p takes brentq through the same
+    # steps as np.polyval would: every root equals the reference exactly
     for n in range(2, 9):
-        for H in (-1.0, -1.02, -1.1, -1.5, -3.0, -10.0):
-            if (n, H) != (2, -1.0):  # Q has no root above 1 there
-                assert _Q_upper_root(n, H) == polyval_Q_upper_root(n, H)
-            if H == -1.0:  # C is only defined for H < -1
-                continue
+        for H in (-1.02, -1.1, -1.5, -3.0, -10.0):
             c0, ct = h.C0(n, H), h.Ctilde(n, H)
             cs = [c0 + f * abs(c0) for f in (1e-11, 1e-6, 1e-3, 0.3, 0.7)]
             cs += [ct * (1 + rel) for rel in (1e-3, 1e-8, -1e-8, -1e-3)
@@ -135,6 +127,41 @@ def test_roots_bit_identical_to_polyval_reference():
             for C in cs:
                 assert (h.oscillation_roots(h.ShapeParams(n, H, C))
                         == polyval_oscillation_roots(n, H, C))
+
+
+def test_Q_upper_root_against_mpmath():
+    # x = t2~ - 1 against the root above 1 of Q written directly (not
+    # through R) at 60 digits, at the exact float H: relative error at
+    # most 4 eps, out to H = -1e6 where x is about 5e-13 / n^2
+    mp = pytest.importorskip("mpmath")
+    for n in range(2, 9):
+        for H in (-np.geomspace(1.0000001, 1e6, 40)).tolist():
+            x = _Q_upper_root(n, H)
+            with mp.workdps(60):
+                Hm = mp.mpf(H)
+
+                def Q(v):
+                    return (-1 + v * v - Hm * Hm * v * v
+                            - Hm * Hm * v ** (2 - 2 * n)
+                            + 2 * Hm * Hm * v ** (2 - n))
+
+                lo, hi = 1 + mp.mpf(x) * (1 - 1e-9), 1 + mp.mpf(x) * (1 + 1e-9)
+                assert Q(lo) > 0 > Q(hi), (n, H)
+                ref = mp.findroot(Q, (lo, hi), solver="anderson") - 1
+                assert abs(x - ref) <= 4 * np.finfo(float).eps * ref, (n, H)
+
+
+def test_Q_newton_steps_settle_every_root():
+    # _Q_NEWTON_STEPS is enough: on a dense grid of H a further step (the
+    # compensated one that ends the rule) moves no root by more than 1 ulp
+    Hs = -np.geomspace(1.0000001, 1e6, 4000)
+    for n in range(2, 9):
+        x, settled = potential._Q_upper_root_grid(n, Hs)
+        assert settled.all()
+        coeffs = potential._Q_shifted(n, Hs)
+        step = (potential._compensated_horner(coeffs, x)
+                / horner(potential._derivative(coeffs), x))
+        assert (np.abs(step) <= np.spacing(x)).all(), n
 
 
 def _scalar_roots(n, H, C):
@@ -234,6 +261,55 @@ def test_brent_lanes_unsettled_where_brentq_raises():
     with pytest.raises(ValueError) as port:
         potential.brentq(nan_inside, -1.0, 1.0, 1e-12, 8.9e-16)
     assert str(port.value) == str(ref.value)
+
+
+def test_brent_lanes_hand_stragglers_to_the_scalar_loop(monkeypatch):
+    # on a 64-point scan grid of C at (2, -1.1), two of the 128 root lanes
+    # run 21 and 24 iterations where the rest stop by 13: once fewer than
+    # _SCALAR_LANES are live, each of them finishes in _brent_steps from
+    # its own state and iteration number.  Roots and iteration counts equal
+    # scalar brentq's, and with maxiter = 20 the stragglers reach it after
+    # the handoff and come back unsettled, where brentq raises
+    n, H = 2, -1.1
+    c0, v0 = h.C0(n, H), h.v0(n, H)
+    Cs = -np.geomspace(-c0 * (1 - 1e-6), 1e-9, 64)
+    columns, brackets = [], []
+    for C in Cs.tolist():
+        coeffs = tuple(p_coefficients(n, H, C).tolist())
+        hi = 2 * v0
+        while horner(coeffs, hi) >= 0:
+            hi *= 2
+        columns += [coeffs, coeffs]
+        brackets += [(1e-9 * v0, v0), (v0, hi)]
+    coeffs = np.array(columns).T
+    a, b = (np.array(ends) for ends in zip(*brackets))
+    steps = potential._brent_steps
+    for maxiter in (100, 20):
+        expected = []
+        for column, (lo, hi) in zip(columns, brackets):
+            try:
+                expected.append(potential.brentq(
+                    lambda v: horner(column, v), lo, hi, 1e-15, 8.9e-16,
+                    maxiter))
+            except RuntimeError:
+                expected.append(None)
+        handed = []  # the iteration each handed-off lane starts at
+        monkeypatch.setattr(potential, "_brent_steps",
+                            lambda f, state, i, *rest: handed.append(i)
+                            or steps(f, state, i, *rest))
+        roots, iterations, settled = _brentq_lanes(coeffs, a, b, 1e-15,
+                                                   8.9e-16, maxiter)
+        monkeypatch.undo()
+        assert 0 < len(handed) < potential._SCALAR_LANES
+        assert 0 < handed[0] < 20 and len(set(handed)) == 1
+        unsettled = [j for j, res in enumerate(expected) if res is None]
+        assert len(unsettled) == (2 if maxiter == 20 else 0)
+        for j, res in enumerate(expected):
+            if res is None:
+                assert not settled[j]
+            else:
+                assert settled[j] and roots[j] == res.root, (maxiter, j)
+                assert iterations[j] == res.iterations, (maxiter, j)
 
 
 def test_degenerate_oscillation_reported():

@@ -457,6 +457,28 @@ def test_xi_against_frozen_values():
         assert res.value == pytest.approx(ref, abs=1e-11), (n, H)
 
 
+def test_xi_at_large_H_against_frozen_values():
+    # out to H = -1e6, through xi and xi_grid, within 1e-14 of mpmath
+    for n in (2, 3, 5, 8):
+        entries = [(H, ref) for (m, H), ref in frozen.XI_LARGE_H.items()
+                   if m == n]
+        batch = h.xi_grid(n, [H for H, _ in entries])
+        for (H, ref), res in zip(entries, batch):
+            assert res.converged, (n, H)
+            assert abs(res.value - ref) <= 1e-14, (n, H)
+            assert abs(h.xi(n, H).value - ref) <= 1e-14, (n, H)
+
+
+def test_xi_answers_on_400_H_out_to_minus_1e6():
+    # no H of a 400-point geometric grid in [-1e6, -1e3] raises, for
+    # n = 2..8, and each grid value equals the scalar one
+    Hs = (-np.geomspace(1e3, 1e6, 400)).tolist()
+    for n in range(2, 9):
+        batch = h.xi_grid(n, Hs)
+        assert all(res.converged for res in batch), n
+        assert batch == [h.xi(n, H) for H in Hs], n
+
+
 def test_xi_against_direct_trig_form_n2():
     for H in (-1.05, -1.5, -8.0):
         assert h.xi(2, H).value == pytest.approx(xi2_direct(H), abs=1e-9)
@@ -544,15 +566,15 @@ def test_xi_grid_errors_in_grid_order():
              (3, [-1.5, -1.2], {"tol": 0.0}), (2, [-1.0, -1.5], {"tol": 0.0}),
              (3, [-1.5, -0.9, -1.2], {"tol": -1.0})]
     # an H > -1 (Q has an upper root at H = 1.5), Q's coefficients
-    # overflowing (-1e300) or not (-1e150), and the degenerate float
-    # brackets from about -4750 (n = 3) and -23766 (n = 2), all of which
-    # the lanes leave to the scalar set-up
+    # overflowing (-1e300) or not (-1e150, -1e9, where t2~ = 1 + x rounds
+    # to 1), all of which the lanes leave to the scalar set-up
+    near_4750 = [-4750.0, *np.geomspace(-4700.0, -4800.0, 40).tolist()]
+    near_23766 = [-23766.0, *np.geomspace(-23700.0, -23800.0, 40).tolist()]
     cases += [(2, [-1.5, -1e150, -0.5, -1e300], {}),
               (3, [-1.2, 1.5, -1e300, -0.5], {}),
               (2, [-1.0, -1e150, -1e300, -1.2], {}),
-              (3, [-4750.0, *np.geomspace(-4700.0, -4800.0, 40).tolist()], {}),
-              (2, [-1.0, -23766.0,
-                   *np.geomspace(-23700.0, -23800.0, 40).tolist()], {}),
+              (3, [near_4750[0], -1e9, *near_4750[1:]], {}),
+              (2, [-1.0, *near_23766], {}),
               (2, [-23766.0, -1e300], {"tol": 0.0})]
     for n, Hs, kw in cases:
         expected = _first_error(lambda: [h.xi(n, H, **kw) for H in Hs])
@@ -563,17 +585,23 @@ def test_xi_grid_errors_in_grid_order():
             _first_error(lambda: [_xi_or_none(n, H, **kw) for H in Hs]))
     assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
     assert h.xi_grid(3, []) == []
+    # where the float bracket of Q's root was degenerate (from about -4750
+    # at n = 3 and -23766 at n = 2), xi answers, within 1e-14 of mpmath
+    for n, Hs in ((3, near_4750), (2, near_23766)):
+        batch = h.xi_grid(n, Hs)
+        assert batch == [h.xi(n, H) for H in Hs]
+        assert abs(batch[0].value - frozen.XI_LARGE_H[(n, Hs[0])]) <= 1e-14
 
 
 def test_Q_upper_root_grid_equals_scalar():
     # the lane roots equal _Q_upper_root bit for bit for n = 2..8, at H = -1,
-    # on a geometric grid out to -1e5, at random H and where Q's
-    # coefficients are near or past overflow; settled is False exactly
-    # where the scalar routine raises
+    # on a geometric grid out to -1e6, at random H, where t2~ rounds to 1
+    # and where Q's coefficients are near or past overflow; settled is
+    # False exactly where the scalar routine raises
     rng = np.random.default_rng(20240817)
-    Hs = np.concatenate([[-1.0, -1e150, -1e300],
-                         -np.geomspace(1.0000001, 1e5, 300),
-                         -10.0 ** rng.uniform(0.0, 5.0, 300)])
+    Hs = np.concatenate([[-1.0, -1e9, -1e150, -1e300],
+                         -np.geomspace(1.0000001, 1e6, 300),
+                         -10.0 ** rng.uniform(0.0, 6.0, 300)])
     for n in range(2, 9):
         t2, settled = potential._Q_upper_root_grid(n, Hs)
         raised = 0
@@ -585,7 +613,8 @@ def test_Q_upper_root_grid_equals_scalar():
                 assert not ok, (n, H)
             else:
                 assert ok and root == expected, (n, H)
-        assert raised >= 2  # -1e300, and -1.0 (n = 2) or a degenerate H
+        # -1e9 and -1e150 (degenerate), -1e300, and -1.0 at n = 2 (no root)
+        assert raised == 3 + (n == 2)
 
 
 def test_xi_grid_unsettled_root_runs_the_scalar_path(monkeypatch):
