@@ -5,8 +5,8 @@ The public API re-exports the main types and operations of the six
 submodules: potential (q, landmark constants and the roots of p and Q),
 quadrature (the integrals T, K and xi: K and xi over a phase variable, T
 by tanh-sinh), shooting (closure solvers), profile (the profile curve as
-series in the same phase variable), lorentz (ambient geometry) and
-planar (polygon diagnostics).
+series in the same phase variable, which also set its period), lorentz
+(ambient geometry) and planar (polygon diagnostics).
 """
 
 from .errors import (

@@ -192,8 +192,9 @@ def curvature_rows(params: ShapeParams, curve, ts, fd_step: float = 1e-5,
     """verify_cmc at each of the times ``ts``, as arrays
     (evaluated, lambda_est, mu_est, H_est), NaN where not evaluated.  The
     states at t, t +- fd_step/2 and t +- fd_step come from one
-    ``curve.state_arrays`` call with one row per t, so each row has the
-    bits of a lone verify_cmc call.
+    ``curve.state_arrays`` call with one row per t; each state has the
+    bits of a lone ``state`` call, so each row has those of a lone
+    verify_cmc call.
     """
     if fd_step <= 0:
         raise DomainError("fd_step must be positive")

@@ -28,9 +28,12 @@ closed form; it carries the sharp angle spike of a profile that grazes
 the rotation axis (d -> 0).  The time rate and the smooth remainder of
 the angle rate are integrated term by term from their cosine series,
 whose trapezoid coefficients converge geometrically (Trefethen &
-Weideman, SIAM Rev. 56, 2014).  A sample at time t takes its phase from
-Newton's method on t(phi).  So the energy identity holds to rounding,
-g(jT) = t1, g(jT + T/2) = t2 and theta(jT/2) = jK/2.
+Weideman, SIAM Rev. 56, 2014).  The constant term c0 of the time series
+gives the period T = 2 pi c0, which is also the time axis.  A sample at
+time t takes its phase from Newton's method on t(phi), on its own: its
+bits do not depend on the other times of the call.  So the energy
+identity holds to rounding, g(jT) = t1, g(jT + T/2) = t2 and
+theta(jT/2) = jK/2.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .quadrature import (
     _angle_remainder,
     _flux_setup,
     _in_guard_band,
-    _period,
     _rows,
     _s,
 )
@@ -91,14 +93,11 @@ class ProfileCurve:
     Arrays are aligned: entry i of each array is the state at t[i].  The
     phase series are retained, so ``state`` evaluates the curve at any t
     inside the sampled range by Newton's method on t(phi), as the samples
-    are taken.  One Newton system iterates until its slowest time has
-    converged, so the bits of a state depend on the times that share its
-    call: ``state(t[k])`` can differ from sample k in the last bits.
-    ``period_T`` is the tanh-sinh period and the time axis; ``period_ode``
-    and ``K_value`` are the period and the angle per period of the phase
-    series.  ``period_ode`` is independent of ``period_T``; ``K_value``
-    takes the trapezoid mean of flux_K's integrand, so it is compared
-    with the tanh-sinh flux over v instead.
+    are taken, and ``state(t[k])`` is sample k bit for bit.
+    ``period_T`` and ``K_value`` are the period and the angle per period
+    of the phase series, and ``period_T`` is the time axis.  ``check``
+    compares both with tanh-sinh quadrature over v (quadrature.period_T
+    and quadrature._flux_over_v), an independent rule.
     """
 
     params: ShapeParams
@@ -107,7 +106,6 @@ class ProfileCurve:
     g_prime: np.ndarray
     theta: np.ndarray
     period_T: float
-    period_ode: float
     K_value: float
     periods_covered: int
     t1: float
@@ -143,15 +141,14 @@ class ProfileCurve:
         return self.states([t])[0]
 
     def states(self, ts: Sequence[float]) -> list[ProfileSample]:
-        """The states at times inside the sampled range, as one Newton system."""
+        """The states at times inside the sampled range."""
         ts = np.array(ts, dtype=float)
         g, gp, theta = self.state_arrays(ts)
         return replace(self, t=ts, g=g, g_prime=gp, theta=theta).samples
 
     def state_arrays(self, ts):
         """(g, g', theta) at times inside the sampled range, as arrays of
-        the shape of ``ts``.  Each row of a 2-D ``ts`` is its own Newton
-        system, so it gets the bits of a ``states`` call on that row alone.
+        the shape of ``ts``; each entry has the bits of a lone ``state`` call.
         """
         ts = np.asarray(ts, dtype=float)
         outside = np.flatnonzero(~((self.t[0] <= ts) & (ts <= self.t[-1])))
@@ -200,10 +197,9 @@ def _sine_sum(b, phi):
 class _Phase:
     """One period of the profile as series in the phase phi.
 
-    Times are mapped onto the curve's time axis of period T, the
-    tanh-sinh period: a time tau has the phase phi with
-    t(phi) / t(2 pi) = tau / T, so every period mark falls on phi = 0
-    mod 2 pi, and the series period is reported apart, as ``period``.
+    The time t(phi) = rate (phi + sum of b_time[k - 1] sin(k phi)) sets
+    the period T = t(2 pi) = 2 pi rate, so every period mark j T falls
+    on phi = 0 mod 2 pi.
     """
 
     def __init__(self, params: ShapeParams):
@@ -211,17 +207,12 @@ class _Phase:
         t1, t2, rate = _flux_setup(params)
         rate = _rows(rate, 0)
         a, rem = rate.a, rate.rem
-        # the roots and the deflated p serve the tanh-sinh period too
-        Tq = _period(n, t1, t2, rem)
-        if not Tq.converged:
-            raise IntegrationFailureError("period quadrature did not converge")
-        T = Tq.value
-        self.n, self.T, self.t1, self.t2, self.a, self.rem = n, T, t1, t2, a, rem
+        self.n, self.t1, self.t2, self.a, self.rem = n, t1, t2, a, rem
 
         dt = _cosine_series(lambda phi: 1 / np.sqrt(_s(n, rem, self.g_of(phi))),
                             "time")
         self.rate = dt[0]
-        self.period = 2 * math.pi * dt[0]
+        self.T = 2 * math.pi * dt[0]
         self.b_time = dt[1:] / (np.arange(1, len(dt)) * dt[0])
 
         # the angle's pole part, in closed form (see _angle_rate)
@@ -245,32 +236,32 @@ class _Phase:
     def _phase_of(self, target):
         """phi with t(phi) / rate = target, by Newton's method from phi = target.
 
-        Each row of a 2-D target is its own Newton system and stops at its
-        own PHASE_TOL test on its largest step; a 1-D target is one row.
+        Each phase stops at its own PHASE_TOL test on its step, so it has
+        the bits of a lone call.
         """
-        phi = np.array(target, dtype=float, ndmin=2)
-        goal = phi.copy()
-        live = np.arange(len(phi))
+        goal = np.array(target, dtype=float).ravel()
+        phi = goal.copy()
+        live = np.arange(phi.size)
         for _ in range(NEWTON_MAX_STEPS):
-            at, aim = phi[live], goal[live]
-            miss = at + _sine_sum(self.b_time, at) - aim
+            at = phi[live]
+            miss = at + _sine_sum(self.b_time, at) - goal[live]
             # dt/dphi = 1 / sqrt(s(g)) > 0
             step = miss * self.rate * np.sqrt(_s(self.n, self.rem, self.g_of(at)))
             phi[live] = at - step
-            live = live[~(np.max(np.abs(step), axis=1, initial=0.0) <= PHASE_TOL)]
+            live = live[~(np.abs(step) <= PHASE_TOL)]
             if not live.size:
                 return phi.reshape(np.shape(target))
         raise IntegrationFailureError("Newton's method on t(phi) did not converge")
 
     def at(self, ts):
-        """(g, g', theta) at the times ``ts`` of the curve's time axis.
+        """(g, g', theta) at the times ``ts``.
 
         Each time is taken from its nearest period mark j T, so its phase
         lies in [-pi, pi] (g is even in phi, t and theta odd) and is
         small next to t1, where the angle turns fastest.
         """
         j = np.round(ts / self.T)
-        phi = self._phase_of(2 * math.pi * (ts - j * self.T) / self.T)
+        phi = self._phase_of((ts - j * self.T) / self.rate)
         g = self.g_of(phi)
         gp = self.a * np.sin(phi) * np.sqrt(_s(self.n, self.rem, g))
         return g, gp, j * self.K + self._angle(phi)
@@ -286,11 +277,12 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
                       samples_per_period: int = 1024) -> ProfileCurve:
     """The profile (g, g', theta) over m periods from the g-minimum.
 
-    Samples are uniform in t on the tanh-sinh period ``period_T``; each
-    takes its phase from Newton's method on the series t(phi).  The phase
-    convention puts t = 0 at the r-minimum, so g oscillates
-    t1 -> t2 -> t1 over one period.  A series that does not converge by
-    its node cap raises IntegrationFailureError.
+    Samples are uniform in t on the period ``period_T`` of the phase
+    series; each takes its phase from Newton's method on the series
+    t(phi).  No tanh-sinh rule is run.  The phase convention puts t = 0
+    at the r-minimum, so g oscillates t1 -> t2 -> t1 over one period.  A
+    series that does not converge by its node cap raises
+    IntegrationFailureError.
     """
     if params.C is None:
         raise DomainError("integrate_profile requires C")
@@ -304,12 +296,12 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
             "itself is xi(n, H)"
         )
     phase = _Phase(params)
-    T = phase.T
-    ts = np.linspace(0.0, m_periods * T, m_periods * samples_per_period + 1)
+    ts = np.linspace(0.0, m_periods * phase.T,
+                     m_periods * samples_per_period + 1)
     g, gp, theta = phase.at(ts)
     return ProfileCurve(
         params=params, t=ts, g=g, g_prime=gp, theta=theta,
-        period_T=T, period_ode=phase.period, K_value=phase.K,
+        period_T=phase.T, K_value=phase.K,
         periods_covered=m_periods, t1=phase.t1, t2=phase.t2,
         _phase=phase,
     )

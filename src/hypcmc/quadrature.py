@@ -9,11 +9,13 @@ singularities cancel, and the integrands are smooth, even and
 (Trefethen & Weideman, SIAM Rev. 56, 2014).  The pole of the flux
 integrand at v = sqrt(-C), just below t1, is integrated in closed form.
 
-The period T, and the reference flux that check compares with the
-profile, use tanh-sinh quadrature whose integrands may receive the
-*offsets* da = x - lower, db = upper - x from the endpoints: near an
-endpoint x rounds onto it long before da underflows, so offset-aware
-integrands keep full relative accuracy right into the singularity.
+The period T (period_T) and the flux over v (_flux_over_v) are check's
+references for the period and the angle per period of the profile's
+phase series, by an independent rule: tanh-sinh quadrature, whose
+integrands may receive the *offsets* da = x - lower, db = upper - x
+from the endpoints.  Near an endpoint x rounds onto it long before da
+underflows, so offset-aware integrands keep full relative accuracy
+right into the singularity.
 
 Both rules take the roots from potential and evaluate the potential in
 deflated form q = (v - t1)(t2 - v) s(v), with s from synthetically
@@ -280,19 +282,16 @@ def _pow(x, y):
 
 def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
              max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
-    """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v))."""
+    """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v)).
+
+    Taken by tanh-sinh quadrature over v, a rule independent of the
+    profile's phase series, for check's period residual and the tests.
+    """
     if params.C is None:
         raise DomainError("period_T requires C")
+    n = params.n
     t1, t2 = oscillation_roots(params)
-    rem = _deflated_coefficients(p_coefficients(params.n, params.H, params.C),
-                                 t1, t2)
-    return _period(params.n, t1, t2, rem, tol, max_level)
-
-
-def _period(n: int, t1: float, t2: float, rem, tol: float = DEFAULT_TOL,
-            max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
-    """period_T from the roots t1, t2 and the coefficients ``rem`` of p
-    deflated by both (see _s), for a caller that already has them."""
+    rem = _deflated_coefficients(p_coefficients(n, params.H, params.C), t1, t2)
 
     def fo(v, da, db):
         return 1.0 / np.sqrt(da * db * _s(n, rem, v))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -464,6 +465,25 @@ def test_check_report(capsys):
                 "gauss_tangency_max_deviation", "cmc_fd_max_error"):
         assert data[key]["pass"] is True, key
     assert data["all_pass"] is True
+
+
+def test_check_period_compares_two_rules(capsys, monkeypatch):
+    # check's period residual sets the profile's series period against
+    # the tanh-sinh period_T: a reference 1e-6 off makes it fail
+    rule = h.quadrature.period_T
+
+    def off(*args, **kwargs):
+        res = rule(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value * (1 + 1e-6))
+
+    monkeypatch.setattr(h.quadrature, "period_T", off)
+    code, out, _ = run_cli(capsys, "check", "--n", "2", "--H", "-1.1",
+                           "--C", "-0.5", "--samples", "64")
+    assert code == 0
+    data = json.loads(out)
+    assert data["period_rel_diff"]["pass"] is False
+    assert data["period_rel_diff"]["value"] == pytest.approx(1e-6, rel=1e-3)
+    assert data["all_pass"] is False
 
 
 def test_check_report_near_axis(capsys):

@@ -26,10 +26,10 @@ def _mpref():
 
 def test_frozen_values_match_mpmath_references():
     mpref = _mpref()
-    # inputs as decimal strings, the way the frozen values were computed
+    # the exact float inputs, the question the package answers
     for (n, H), stored in {**frozen.XI, **frozen.XI_LARGE_H}.items():
-        assert float(mpref.xi(n, repr(H))) == pytest.approx(stored, rel=1e-15)
-    K = mpref.flux_K(2, "-1.1", "-0.9091743461769703")
+        assert float(mpref.xi(n, H)) == pytest.approx(stored, rel=1e-15)
+    K = mpref.flux_K(2, -1.1, -0.9091743461769703)
     assert float(K) == pytest.approx(frozen.K_NEAR_AXIS_N2, rel=1e-15)
 
 
@@ -38,8 +38,16 @@ def test_flux_values_match_mpmath(table):
     # one mpref.flux_K per entry: about 9 s for K_GRID, 3 s for the edge
     mpref = _mpref()
     for (n, H, C), stored in getattr(frozen, table).items():
-        K = mpref.flux_K(n, repr(H), repr(C))
+        K = mpref.flux_K(n, H, C)
         assert float(K) == pytest.approx(stored, rel=1e-15), (n, H, C)
+
+
+def test_periods_match_mpmath():
+    # one mpref.period_T per entry, about 1 s for the table
+    mpref = _mpref()
+    for (n, H, C), stored in frozen.T_GRID.items():
+        T = mpref.period_T(n, H, C)
+        assert float(T) == pytest.approx(stored, rel=1e-15), (n, H, C)
 
 
 def _half_way(mpref, n, H, C):
@@ -68,6 +76,6 @@ def _half_way(mpref, n, H, C):
 def test_half_way_values_match_mpmath():
     mpref = _mpref()
     for (n, H, C), stored in frozen.HALF_WAY.items():
-        got = _half_way(mpref, n, repr(H), repr(C))
+        got = _half_way(mpref, n, H, C)
         for value, want in zip(got, stored):
             assert float(value) == pytest.approx(want, rel=1e-15)

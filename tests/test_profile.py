@@ -39,7 +39,7 @@ def test_profile_oscillation_bounds_and_period():
         curve.t2, abs=1e-9)
     assert curve.state(curve.period_T).g == pytest.approx(
         curve.t1, abs=1e-9)
-    assert curve.period_ode == pytest.approx(curve.period_T, rel=1e-9)
+    assert curve.period_T == pytest.approx(h.period_T(params).value, rel=1e-9)
 
 
 def test_profile_energy_conservation():
@@ -165,11 +165,12 @@ def test_state_interpolation_and_range():
 @pytest.mark.parametrize("n, H, C", [(2, -1.1, -0.9091743461769703),
                                      (3, -1.5, -0.7), (5, -2.9, -0.6)])
 def test_state_rows_equal_separate_states_calls(n, H, C):
-    # each row of a 2-D call is its own Newton system: it has the bits of
-    # a states call on that row alone, however many steps its neighbours
-    # need (a row next to the r-minimum needs the most)
-    curve = h.integrate_profile(h.ShapeParams(n, H, C),
-                                samples_per_period=256)
+    # each time retires on its own Newton step test, so a state has the
+    # bits of a lone state() call whatever shares its call, however many
+    # steps its neighbours need (a time next to the r-minimum needs the
+    # most): a row of a 2-D call, an entry of a row, a stored sample
+    curve = h.integrate_profile(h.ShapeParams(n, H, C))
+    fields = ("g", "g_prime", "theta")
     rng = np.random.default_rng(5)
     base = np.concatenate(([2e-5, curve.t[-1] / 2], rng.uniform(
         2e-5, curve.t[-1] - 2e-5, 60)))
@@ -178,11 +179,52 @@ def test_state_rows_equal_separate_states_calls(n, H, C):
     rows = curve.state_arrays(ts)
     for k, row in enumerate(ts):
         alone = curve.states(row.tolist())
-        for got, field in zip(rows, ("g", "g_prime", "theta")):
+        for got, field in zip(rows, fields):
             ref = [getattr(s, field) for s in alone]
             assert np.array_equal(_bits(got[k]), _bits(ref)), (k, field)
+        for j, t in enumerate(row.tolist()):
+            lone = curve.state(t)
+            for got, field in zip(rows, fields):
+                assert _bits(got[k, j]) == _bits(getattr(lone, field)), (k, j)
+    stored = (curve.g, curve.g_prime, curve.theta)
+    for got, want in zip(curve.state_arrays(curve.t), stored):
+        assert np.array_equal(_bits(got), _bits(want))
+    for k in range(200):
+        lone = curve.state(float(curve.t[k]))
+        for want, field in zip(stored, fields):
+            assert _bits(getattr(lone, field)) == _bits(want[k]), (k, field)
     with pytest.raises(h.ParameterRangeError):
         curve.state_arrays([[0.0, 1.0], [curve.t[-1] + 1.0, 0.5]])
+
+
+@pytest.mark.parametrize("params", [
+    NEAR_AXIS, h.ShapeParams(3, -1.5, h.Ctilde(3, -1.5) * (1 + 1e-6))],
+    ids=["fig1", "near-ctilde"])
+def test_profile_runs_no_tanh_sinh_rule(monkeypatch, params):
+    # the phase series alone sets the period and the time axis
+    def refuse(*args, **kwargs):
+        raise AssertionError("tanh-sinh quadrature called")
+
+    monkeypatch.setattr(h.quadrature, "de_integrate", refuse)
+    curve = h.integrate_profile(params, m_periods=2)
+    with pytest.raises(AssertionError):
+        h.period_T(params)
+    monkeypatch.undo()
+    assert curve.period_T == pytest.approx(h.period_T(params).value,
+                                           rel=1e-13)
+    assert curve.t[-1] == 2 * curve.period_T
+
+
+def test_period_against_frozen_references():
+    # the series period is no farther from the 50-digit period than the
+    # tanh-sinh period_T, give or take 2 ulps: near C0 and on both sides
+    # of Ctilde, for n up to 8
+    for (n, H, C), ref in frozen.T_GRID.items():
+        params = h.ShapeParams(n, H, C)
+        series = h.integrate_profile(params, samples_per_period=16).period_T
+        rule = h.period_T(params).value
+        assert (abs(series - ref)
+                <= abs(rule - ref) + 2 * np.spacing(ref)), (n, H, C)
 
 
 def test_integrate_profile_validation():

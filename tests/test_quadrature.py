@@ -454,7 +454,7 @@ def test_xi_against_frozen_values():
     for (n, H), ref in frozen.XI.items():
         res = h.xi(n, H, tol=1e-12)
         assert res.converged, (n, H)
-        assert res.value == pytest.approx(ref, abs=1e-11), (n, H)
+        assert res.value == pytest.approx(ref, abs=1e-14), (n, H)
 
 
 def test_xi_at_large_H_against_frozen_values():
@@ -654,4 +654,4 @@ def test_xi_grid_against_frozen_values():
         assert batch == [h.xi(n, H, tol=1e-12) for H in Hs]
         for (H, ref), res in zip(entries, batch):
             assert res.converged, (n, H)
-            assert res.value == pytest.approx(ref, abs=1e-11), (n, H)
+            assert res.value == pytest.approx(ref, abs=1e-14), (n, H)
