@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -93,31 +94,44 @@ def _held(value: float, bound: float) -> dict:
     return {"value": value, "bound": bound, "pass": bool(value <= bound)}
 
 
-def _emit(text: str, output_path):
+def _emit(chunks, output_path):
+    """Write the strings of chunks, in order, to output_path or stdout."""
     if output_path:
         with open(output_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(obj, output_path):
-    _emit(json.dumps(_jsonable(obj), indent=2) + "\n", output_path)
+    _emit([json.dumps(_jsonable(obj), indent=2) + "\n"], output_path)
+
+
+def _csv_lines(block, index):
+    """The CSV lines of a block of float rows, each float in shortest
+    round-trip form (repr), after the row's ``index`` entry if given.
+
+    Each distinct float bit pattern is formatted once: keying on bits
+    keeps 0.0 apart from -0.0 and gives each NaN payload its own entry,
+    and the strings are gathered back through the inverse index."""
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    lines = map(",".join, text[inverse].reshape(block.shape).tolist())
+    if index is not None:
+        lines = map("{},{}".format, index.tolist(), lines)
+    return "\r\n".join([*lines, ""])
 
 
 def _emit_csv(header, table, output_path, index=None):
     """CSV with CRLF line endings: the header, then one line per row of
-    the float table, each float in shortest round-trip form (repr), after
-    the integer ``index`` entry of the row if given.  No field needs
-    quoting, so the bytes equal those of csv.writer."""
-    table = np.asarray(table, dtype=float)
-    # rows are converted in blocks, so no whole table of floats is held
-    rows = (row for i in range(0, len(table), CSV_BLOCK)
-            for row in table[i:i + CSV_BLOCK].tolist())
-    lines = map(",".join, (map(repr, row) for row in rows))
-    if index is not None:
-        lines = map("{},{}".format, index.tolist(), lines)
-    _emit("\r\n".join([",".join(header), *lines, ""]), output_path)
+    the float table, as _csv_lines writes it.  No field needs quoting, so
+    the bytes equal those of csv.writer.  Rows are formatted and written
+    in blocks of CSV_BLOCK, so no whole table of strings is held."""
+    table = np.ascontiguousarray(table, dtype=float)
+    blocks = (_csv_lines(table[i:i + CSV_BLOCK],
+                         None if index is None else index[i:i + CSV_BLOCK])
+              for i in range(0, len(table), CSV_BLOCK))
+    _emit(itertools.chain([",".join(header) + "\r\n"], blocks), output_path)
 
 
 def _outcome_dict(out, parameter_name):

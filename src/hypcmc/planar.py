@@ -1,5 +1,6 @@
 """Planar polygon diagnostics for profile curves: closure, winding
-number, and self-intersection by a segment sweep.
+number, and self-intersection by a segment sweep whose candidate pairs
+are tested as arrays.
 
 These are diagnostics on sampled polygons, never proofs about the
 underlying smooth curve.
@@ -38,27 +39,28 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+def _spans_overlap(p, q, r, s, tol):
+    """Whether the intervals [p, q] and [r, s] (either order) overlap by
+    more than tol, row by row."""
+    return ((np.maximum(p, q) - np.minimum(r, s) > tol)
+            & (np.maximum(r, s) - np.minimum(p, q) > tol))
+
+
 def _segments_cross(p, q, r, s, tol):
-    """Proper crossing test with an area tolerance: touches within tol
-    of a shared point do not count."""
-    d1 = _orient(r[0], r[1], s[0], s[1], p[0], p[1])
-    d2 = _orient(r[0], r[1], s[0], s[1], q[0], q[1])
-    d3 = _orient(p[0], p[1], q[0], q[1], r[0], r[1])
-    d4 = _orient(p[0], p[1], q[0], q[1], s[0], s[1])
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and \
-       ((d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)):
-        return True
+    """Proper crossing test of segments pq and rs, row by row over (m, 2)
+    arrays, with an area tolerance: touches within tol of a shared point
+    do not count."""
+    d1 = _orient(r[:, 0], r[:, 1], s[:, 0], s[:, 1], p[:, 0], p[:, 1])
+    d2 = _orient(r[:, 0], r[:, 1], s[:, 0], s[:, 1], q[:, 0], q[:, 1])
+    d3 = _orient(p[:, 0], p[:, 1], q[:, 0], q[:, 1], r[:, 0], r[:, 1])
+    d4 = _orient(p[:, 0], p[:, 1], q[:, 0], q[:, 1], s[:, 0], s[:, 1])
+    proper = ((((d1 > tol) & (d2 < -tol)) | ((d1 < -tol) & (d2 > tol)))
+              & (((d3 > tol) & (d4 < -tol)) | ((d3 < -tol) & (d4 > tol))))
     # collinear overlap: all orientations vanish and projections overlap
-    if max(abs(d1), abs(d2), abs(d3), abs(d4)) <= tol:
-        lo1, hi1 = sorted((p[0], q[0]))
-        lo2, hi2 = sorted((r[0], s[0]))
-        if hi1 - lo2 > tol and hi2 - lo1 > tol:
-            return True
-        lo1, hi1 = sorted((p[1], q[1]))
-        lo2, hi2 = sorted((r[1], s[1]))
-        if hi1 - lo2 > tol and hi2 - lo1 > tol:
-            return True
-    return False
+    flat = np.maximum.reduce([abs(d1), abs(d2), abs(d3), abs(d4)]) <= tol
+    overlap = flat & (_spans_overlap(p[:, 0], q[:, 0], r[:, 0], s[:, 0], tol)
+                      | _spans_overlap(p[:, 1], q[:, 1], r[:, 1], s[:, 1], tol))
+    return proper | overlap
 
 
 def has_self_intersection(points, closed: bool = True,
@@ -67,8 +69,13 @@ def has_self_intersection(points, closed: bool = True,
 
     Consecutive segments (and the wrap-around pair when closed) are
     skipped since they legitimately share a vertex.  Segments are sorted
-    by their minimum x and pruned by their maximum x, which keeps the
-    pair tests near-linear for non-pathological curves.
+    by their (minimum x, maximum x), and a pair is a candidate when the
+    later one starts at most tol beyond where the earlier one ends
+    (Shamos & Hoey's x-sorted pruning).  Each segment's candidates are
+    the next ones in that order up to its window end, so round k tests
+    every pair (s, s + k) still inside its window as one array; the
+    rounds stop at the widest window or at the first crossing.  Memory
+    is linear in the number of segments.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
@@ -76,25 +83,22 @@ def has_self_intersection(points, closed: bool = True,
     if closed and np.hypot(*(pts[0] - pts[-1])) <= tol:
         pts = pts[:-1]
     nseg = len(pts) if closed else len(pts) - 1
-    a = pts
+    a = pts[:nseg]
     b = np.roll(pts, -1, axis=0) if closed else pts[1:]
-    segs = [(min(a[i][0], b[i][0]), max(a[i][0], b[i][0]), i)
-            for i in range(nseg)]
-    segs.sort()
-
-    def adjacent(i, j):
-        if abs(i - j) == 1:
+    xmin = np.minimum(a[:, 0], b[:, 0])
+    xmax = np.maximum(a[:, 0], b[:, 0])
+    order = np.lexsort((xmax, xmin))
+    # segment order[s] meets the segments order[s + 1 : end[s]]
+    end = np.searchsorted(xmin[order], xmax[order] + tol, side="right")
+    live = np.arange(nseg)
+    for k in range(1, nseg):
+        live = live[end[live] - live > k]
+        if not len(live):
+            return False
+        i, j = order[live], order[live + k]
+        gap = np.abs(i - j)
+        pair = (gap != 1) & ~(closed & (gap == nseg - 1))
+        i, j = i[pair], j[pair]
+        if _segments_cross(a[i], b[i], a[j], b[j], tol).any():
             return True
-        return closed and {i, j} == {0, nseg - 1}
-
-    for si in range(nseg):
-        xmin_i, xmax_i, i = segs[si]
-        for sj in range(si + 1, nseg):
-            xmin_j, _, j = segs[sj]
-            if xmin_j > xmax_i + tol:
-                break
-            if adjacent(i, j):
-                continue
-            if _segments_cross(a[i], b[i], a[j], b[j], tol):
-                return True
     return False

@@ -225,7 +225,10 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     mode "embedded" restricts the search to (C0, Ctilde), requires the
     (1, 1) winding and the criterion xi_n(H) > -2*pi; mode "any" searches
     all of (C0, 0) by scan-then-bracket.  The first verified crossing
-    from the C0 side is returned; multiple solutions may exist.
+    from the C0 side is returned; multiple solutions may exist.  Raises
+    DomainError when the gaps at the ends leave no interval to scan, as
+    in embedded mode at large |H|, where (C0, Ctilde) is narrower than
+    the gap above C0.
     """
     if mode not in ("embedded", "any"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -250,6 +253,10 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
             )
         ct = Ctilde(n, H)
         hi = ct - CTILDE_GUARD_REL * abs(ct)
+    if not lo < hi:
+        raise DomainError(
+            f"empty search interval ({lo!r}, {hi!r}) at n={n}, H={H!r}: "
+            f"C0 = {c0!r}, Ctilde = {Ctilde(n, H)!r}")
 
     def scan(grid):
         in_band = _in_guard_band(n, H, grid).any()

@@ -6,7 +6,8 @@ Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the flux from the
 profile's curvature equation in the orbit plane, the polynomial
 root finders written with np.polyval, and the immersion, Gauss map and
-finite-difference curvature written one point at a time with math.
+finite-difference curvature written one point at a time with math,
+and the planar self-intersection sweep as a loop over segment pairs.
 """
 
 import math
@@ -295,3 +296,63 @@ def scalar_verify_cmc(params, curve, t, fd_step=1e-5, fiber_direction=0):
     mu_est = (4 * mu[0] - mu[1]) / 3
     lam_est = (4 * lam[0] - lam[1]) / 3
     return lam_est, mu_est, ((n - 1) * lam_est + mu_est) / n
+
+
+def _loop_orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _loop_segments_cross(p, q, r, s, tol):
+    """Proper crossing test of one pair of segments with an area
+    tolerance: touches within tol of a shared point do not count."""
+    d1 = _loop_orient(r[0], r[1], s[0], s[1], p[0], p[1])
+    d2 = _loop_orient(r[0], r[1], s[0], s[1], q[0], q[1])
+    d3 = _loop_orient(p[0], p[1], q[0], q[1], r[0], r[1])
+    d4 = _loop_orient(p[0], p[1], q[0], q[1], s[0], s[1])
+    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and \
+       ((d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)):
+        return True
+    # collinear overlap: all orientations vanish and projections overlap
+    if max(abs(d1), abs(d2), abs(d3), abs(d4)) <= tol:
+        lo1, hi1 = sorted((p[0], q[0]))
+        lo2, hi2 = sorted((r[0], s[0]))
+        if hi1 - lo2 > tol and hi2 - lo1 > tol:
+            return True
+        lo1, hi1 = sorted((p[1], q[1]))
+        lo2, hi2 = sorted((r[1], s[1]))
+        if hi1 - lo2 > tol and hi2 - lo1 > tol:
+            return True
+    return False
+
+
+def loop_has_self_intersection(points, closed=True, tol=1e-9):
+    """planar.has_self_intersection as a loop over the sorted segments:
+    each one against the following ones until one starts more than tol
+    beyond its maximum x, skipping consecutive segments and, when closed,
+    the wrap-around pair."""
+    pts = np.asarray(points, dtype=float)
+    if closed and np.hypot(*(pts[0] - pts[-1])) <= tol:
+        pts = pts[:-1]
+    nseg = len(pts) if closed else len(pts) - 1
+    a = pts
+    b = np.roll(pts, -1, axis=0) if closed else pts[1:]
+    segs = [(min(a[i][0], b[i][0]), max(a[i][0], b[i][0]), i)
+            for i in range(nseg)]
+    segs.sort()
+
+    def adjacent(i, j):
+        if abs(i - j) == 1:
+            return True
+        return closed and {i, j} == {0, nseg - 1}
+
+    for si in range(nseg):
+        xmin_i, xmax_i, i = segs[si]
+        for sj in range(si + 1, nseg):
+            xmin_j, _, j = segs[sj]
+            if xmin_j > xmax_i + tol:
+                break
+            if adjacent(i, j):
+                continue
+            if _loop_segments_cross(a[i], b[i], a[j], b[j], tol):
+                return True
+    return False

@@ -236,6 +236,17 @@ def test_solve_c_embedded_precondition_exit_2(capsys):
     assert json.loads(err)["kind"] == "EmbeddingPreconditionError"
 
 
+def test_solve_c_empty_search_interval_exit_2(capsys):
+    # at (8, -1000) the branch (C0, Ctilde) is narrower than the gap of
+    # 1e-6 |C0| above C0, so no interval is left to scan
+    code, out, err = run_cli(capsys, "solve-c", "--n", "8", "--H=-1000",
+                             "--k", "1", "--m", "1", "--embedded")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["kind"] == "DomainError"
+    assert "n=8, H=-1000.0" in error["error"]
+
+
 def test_solve_c_noncoprime_exit_2(capsys):
     code, _, err = run_cli(capsys, "solve-c", "--n", "2", "--H", "-1.1",
                            "--k", "2", "--m", "4")
@@ -379,6 +390,17 @@ def test_surface_csv(capsys):
         -1.0, abs=1e-10)
 
 
+def _csv_writer_bytes(header, table, index=None):
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\r\n")
+    writer.writerow(header)
+    rows = ([repr(x) for x in row] for row in table.tolist())
+    if index is not None:
+        rows = ([i] + row for i, row in zip(index.tolist(), rows))
+    writer.writerows(rows)
+    return ref.getvalue()
+
+
 def test_emit_csv_matches_csv_writer(capsys):
     import hypcmc.cli as cli_mod
 
@@ -390,15 +412,46 @@ def test_emit_csv_matches_csv_writer(capsys):
     cli_mod._emit_csv(["fiber", "a", "b", "c"], table, None, index=index)
     cli_mod._emit_csv(["a", "b", "c"], table, None)
     cli_mod._emit_csv(["a"], np.empty((0, 1)), None)
-    ref = io.StringIO()
-    writer = csv.writer(ref, lineterminator="\r\n")
-    writer.writerow(["fiber", "a", "b", "c"])
-    writer.writerows([i] + [repr(x) for x in row]
-                     for i, row in zip(index.tolist(), table.tolist()))
-    writer.writerow(["a", "b", "c"])
-    writer.writerows([repr(x) for x in row] for row in table.tolist())
-    writer.writerow(["a"])
-    assert capsys.readouterr().out == ref.getvalue()
+    assert capsys.readouterr().out == (
+        _csv_writer_bytes(["fiber", "a", "b", "c"], table, index)
+        + _csv_writer_bytes(["a", "b", "c"], table)
+        + _csv_writer_bytes(["a"], np.empty((0, 1))))
+
+    # more than two blocks, values repeated inside blocks and across
+    # block edges, and one block holding 0.0, -0.0 and NaNs with two
+    # payloads: each block formats its distinct bit patterns once
+    block = cli_mod.CSV_BLOCK
+    rows = 2 * block + 37
+    rng = np.random.default_rng(22)
+    pool = np.concatenate((rng.standard_normal(50), [1e300, -5e-324, 0.5]))
+    table = rng.choice(pool, size=(rows, 4))
+    table[:, 0] = np.arange(rows) // 3 * 0.25  # repeats across edges
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                    dtype=np.int64).view(float)
+    table[block + 5, :] = [0.0, -0.0, nans[0], nans[1]]
+    table[block + 6, :] = [-0.0, 0.0, nans[1], math.inf]
+    index = np.repeat(np.arange(rows // 5 + 1), 5)[:rows]
+    header = ["fiber", "a", "b", "c", "d"]
+    cli_mod._emit_csv(header, table, None, index=index)
+    cli_mod._emit_csv(header[1:], table, None)
+    out = capsys.readouterr().out
+    assert out == (_csv_writer_bytes(header, table, index)
+                   + _csv_writer_bytes(header[1:], table))
+    assert "0.0,-0.0,nan,nan\r\n" in out
+    assert "-0.0,0.0,nan,inf\r\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--seed-figures", "fig2"],
+    ["surface", "--n", "4", "--H", "-2.907464", "--C", "-0.5864626590566793"],
+])
+def test_output_file_bytes_equal_stdout(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / "out.csv"
+    code, to_file, _ = run_cli(capsys, *argv, "--output", str(dest))
+    assert (code, to_file) == (0, "")
+    assert dest.read_bytes() == out.encode()
 
 
 def test_check_fd_draws_as_a_loop(capsys, monkeypatch):

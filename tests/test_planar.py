@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import hypcmc as h
+from hypcmc import cli
+
+import oracles
 
 
 def _circle(n=100, r=1.0, center=(0.0, 0.0), turns=1):
@@ -91,3 +94,58 @@ def test_profile_curve_diagnostics_integration():
     assert h.polygon_is_closed(alpha, tol=1e-5)
     assert h.winding_number(alpha) == -1
     assert h.has_self_intersection(alpha)
+
+
+def _seeded_polygons(count, seed=22):
+    """Polygons of five kinds in turn: Gaussian points, Gaussian points
+    on a 0.1 grid, small integer grids (collinear overlaps and touches),
+    multi-turn circles, and star-shaped polygons (simple)."""
+    rng = np.random.default_rng(seed)
+    for c in range(count):
+        m = int(rng.integers(3, 40))
+        kind = c % 5
+        if kind == 0:
+            yield rng.standard_normal((m, 2))
+        elif kind == 1:
+            yield np.round(rng.standard_normal((m, 2)), 1)
+        elif kind == 2:
+            yield rng.integers(0, 4, (m, 2)).astype(float)
+        elif kind == 3:
+            yield _circle(n=3 * m, r=rng.uniform(0.5, 2.0),
+                          turns=int(rng.integers(1, 4)))
+        else:
+            t = np.sort(rng.uniform(0, 2 * np.pi, m))
+            r = rng.uniform(0.5, 1.5, m)
+            yield np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+
+@pytest.mark.parametrize("tol", [h.planar.SWEEP_TOL, 0.0])
+def test_self_intersection_matches_the_loop_on_seeded_polygons(tol):
+    # tol = 0 makes the window ends and overlaps on integer grids exact
+    # ties, which the default tol never meets
+    answers = []
+    for pts in _seeded_polygons(2000):
+        for closed in (True, False):
+            expected = oracles.loop_has_self_intersection(pts, closed, tol)
+            assert h.has_self_intersection(pts, closed, tol) == expected
+            answers.append(expected)
+    assert 0.1 < np.mean(answers) < 0.9  # both answers are exercised
+
+
+@pytest.mark.parametrize("params, periods", [
+    *((cli.FIGURE_PROFILES[f], cli.FIGURE_PROFILES[f]["periods"])
+      for f in sorted(cli.FIGURE_PROFILES)),
+    # one seeded profile op of the benchmark per n
+    (dict(n=2, H=-1.733154, C=-0.5769160343971688), 1),
+    (dict(n=3, H=-1.959374, C=-0.48695027), 1),
+    (dict(n=4, H=-2.118797, C=-0.46352155), 1),
+    (dict(n=5, H=-2.931498, C=-0.6503856814449517), 1),
+], ids=[*sorted(cli.FIGURE_PROFILES), "n2", "n3", "n4", "n5"])
+def test_self_intersection_matches_the_loop_on_profiles(params, periods):
+    curve = h.integrate_profile(
+        h.ShapeParams(params["n"], params["H"], params["C"]),
+        m_periods=periods, samples_per_period=1024)
+    alpha = h.profile_alpha(curve)
+    for closed in (True, False):
+        assert h.has_self_intersection(alpha, closed=closed) == \
+            oracles.loop_has_self_intersection(alpha, closed=closed)

@@ -160,6 +160,45 @@ def test_solve_C_embedded_mode_no_root():
     assert out.target == pytest.approx(-2 * math.pi)
 
 
+def test_solve_C_embedded_interval_is_inside_the_branch(monkeypatch):
+    # the embedded scan runs only on an interval strictly inside
+    # (C0, Ctilde); where the gaps above C0 and below Ctilde leave none,
+    # solve_C raises DomainError naming n, H, C0 and Ctilde instead of
+    # scanning lo >= hi.  Ctilde is a single power, taken from mpmath;
+    # C0 is the float landmark the lower gap is measured from, since it
+    # loses digits at large |H| (cancellation in its numerator)
+    mp = pytest.importorskip("mpmath")
+    seen = []
+
+    def no_scan(lo, hi, *args, **kwargs):
+        seen.append((lo, hi))
+        return h.NoRootReport((lo, hi), 0, 0.0, 0.0, -2 * math.pi, "")
+
+    monkeypatch.setattr(shooting, "_scan_solve", no_scan)
+    refused = set()
+    for n in range(2, 9):
+        for H in (-np.geomspace(1.02, 1e6, 40)).tolist():
+            try:
+                h.solve_C(n, H, h.WindingTarget(1, 1), mode="embedded")
+            except h.DomainError as exc:
+                message = str(exc)
+                assert f"n={n}, H={H!r}" in message
+                assert f"C0 = {h.C0(n, H)!r}" in message
+                assert f"Ctilde = {h.Ctilde(n, H)!r}" in message
+                refused.add((n, H))
+                continue
+            lo, hi = seen.pop()
+            with mp.workdps(50):
+                ct = -(mp.mpf(-H) ** (mp.mpf(-2) / n))
+            assert h.C0(n, H) < lo < hi < ct, (n, H)
+    assert not seen
+    # the interval exists near H = -1 and is gone by |H| = 1000 for every
+    # n; not at every larger |H|, where the float C0 can lie so far below
+    # the true one that lo < hi again
+    assert not any(H > -2 for _, H in refused)
+    assert {n for n, H in refused if H <= -1000} == set(range(2, 9))
+
+
 def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
     # the columns of the last, 4096-point grid of the (2, -1.1) embedded
     # scan equal, bit for bit, a loop over scalar flux_K (scalar Brent
