@@ -1,12 +1,15 @@
 """Potential function q, its relatives (p, q-tilde, Q, h), landmark
 constants and the roots of the polynomials p and Q.
 
-The roots t1 < t2 of p are found by Brent's method on the Horner loop,
-then two Newton steps; a grid of C runs as lanes (_brentq_lanes) that
-hand their last few stragglers to brentq's scalar loop.  Q's upper root
-t2~ = 1 + x, xi's upper end, is found in the shifted variable, where
-v^(2n-2) Q(1 + x) = x R(x): a fixed count of Newton steps on R, the same
-steps on one H and on a column of them.
+The roots t1 < t2 of p are found by safeguarded Newton steps, stopped
+by Horner's running error bound, then polished by one step with p by
+compensated Horner over the exact-input coefficients (1 - H^2 and, at
+n = 2, C - 2H carried as hi + lo), so each comes out correctly rounded
+unless p is close to a double root.  The same arithmetic runs on a float
+C and on coefficient columns, one lane per root of a grid of C.  Q's
+upper root t2~ = 1 + x, xi's upper end, is found in the shifted
+variable, where v^(2n-2) Q(1 + x) = x R(x): a fixed count of Newton
+steps on R, the same steps on one H and on a column of them.
 
 All formulas are closed-form in the shape parameters (n, H, C).  The
 convention throughout the package: n >= 2 is an integer, H < -1 is the
@@ -16,9 +19,7 @@ meaningful inside (C0, 0).
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateOscillationError,
     DomainError,
     LandmarkError,
+    NonConvergenceError,
     ParameterRangeError,
 )
 
@@ -109,19 +111,20 @@ def eval_q_prime(params: ShapeParams, v):
     return float(out) if out.ndim == 0 else out
 
 
-def p_coefficients(n: int, H: float, C) -> np.ndarray:
+def p_coefficients(n: int, H: float, C) -> tuple:
     """Coefficients (highest degree first) of p(v) = v^(2n-2) q(v).
 
     p is a degree-2n polynomial: (1-H^2) v^(2n) + C v^(2n-2) - 2H v^n - 1.
-    For n = 2 the C and -2H terms share the v^2 slot.  For an array of C
-    the result has one column per C.
+    For n = 2 the C and -2H terms share the v^2 slot.  The coefficients
+    are floats; for an array of C the C slot is that array, a column of
+    lanes that horner broadcasts against.
     """
-    coeffs = np.zeros((2 * n + 1,) + np.shape(C))
+    coeffs = [0.0] * (2 * n + 1)
     coeffs[0] = 1 - H * H
-    coeffs[2] += C
-    coeffs[n] += -2 * H
-    coeffs[2 * n] += -1.0
-    return coeffs
+    coeffs[2] = coeffs[2] + C
+    coeffs[n] = coeffs[n] + -2 * H
+    coeffs[2 * n] = -1.0
+    return tuple(coeffs)
 
 
 def horner(coeffs, v):
@@ -169,8 +172,9 @@ def C0(n: int, H: float) -> float:
 
 
 def C1(H: float) -> float:
-    """n = 2 closed form of the lower bound: 2 (H + sqrt(H^2 - 1))."""
-    return 2 * (H + math.sqrt(H * H - 1))
+    """n = 2 closed form of the lower bound, 2 (H + sqrt(H^2 - 1)), written
+    as 2 / (H - sqrt((H - 1)(H + 1))) so that no close numbers cancel."""
+    return 2 / (H - math.sqrt((H - 1) * (H + 1)))
 
 
 def Ctilde(n: int, H: float) -> float:
@@ -206,8 +210,11 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
     )
 
 
-# Brent's xtol and rtol for every root of p
-_BRENT_TOL = (1e-15, 8.9e-16)
+# Safeguarded Newton steps allowed per root of p.  On 4096-point scan
+# grids (C from C0 + 1e-6 |C0| to -1e-9) at nine (n, H) from (2, -1.02)
+# to (8, -100), the median root settled in 1-2 steps and the slowest in 10.
+_P_ROOT_STEPS = 100
+_EPS = 2.0 ** -52  # the spacing of the floats at 1
 
 
 def _newton(coeffs, dcoeffs, x, steps):
@@ -218,13 +225,126 @@ def _newton(coeffs, dcoeffs, x, steps):
     return x
 
 
-def _brent_root(coeffs: tuple, dcoeffs: tuple, lo: float, hi: float) -> float:
-    """The root in (lo, hi) of the polynomial ``coeffs`` (floats, highest
-    first) with derivative ``dcoeffs``: brentq, then two Newton steps, so
-    the relative residual reaches machine level even where Brent stopped
-    on its xtol test."""
-    root = brentq(functools.partial(horner, coeffs), lo, hi, *_BRENT_TOL).root
-    return float(_newton(coeffs, dcoeffs, root, 2))
+def _select(cond, a, b):
+    """a where cond holds, else b, on floats or on lanes."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _sqrt(x):
+    """The correctly rounded square root of a float or of lanes."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _p_lows(n: int, H: float, C):
+    """The low parts of p's coefficients, highest first: coefficient i is
+    exactly p_coefficients' float plus lows[i] for the float inputs H and
+    C.  Only 1 - H^2 (Dekker's product, then Knuth's sum) and, at n = 2,
+    C - 2H are not floats already; their floats are the rounded values
+    p_coefficients holds."""
+    hh, hh_lo = _two_product(H, H)
+    lows = [0.0] * (2 * n + 1)
+    lows[0] = _two_sum(1.0, -hh)[1] - hh_lo
+    if n == 2:
+        lows[2] = _two_sum(C, -2 * H)[1]
+    return tuple(lows)
+
+
+def _p_starts(n: int, H: float, C, v0: float, c0: float):
+    """Newton's starts for t1 and t2: v0 + (r - v0) sqrt((C - C0)/(-C0)),
+    with r the root (1 - H)^(-1/n) or (-1 - H)^(-1/n) of p at C = 0.  They
+    are exact at C = C0, where v0 is p's double root, and at C = 0, and
+    have the square-root shape of the roots next to C0."""
+    shape = _sqrt((C - c0) / -c0)
+    return tuple(v0 + (r - v0) * shape
+                 for r in ((1 - H) ** (-1.0 / n), (-1 - H) ** (-1.0 / n)))
+
+
+def _nonzero(d):
+    """d where it is not 0, else inf: a Newton step divided by it is 0."""
+    return _select(d == 0, math.inf, d)
+
+
+def _inside(x, lo, hi):
+    """x if it lies inside the bracket (lo, hi), else its midpoint."""
+    return _select((lo < x) & (x < hi), x, (lo + hi) / 2)
+
+
+def _p_settled(abs_coeffs, x, px):
+    """Whether p(x) = px is rounding noise: within Horner's running error
+    bound 2 (2n + 1) eps sum |c_i| x^i (Higham 2002, sec. 5.1), where
+    abs_coeffs are the |c_i|."""
+    return abs(px) <= 2 * len(abs_coeffs) * _EPS * horner(abs_coeffs, x)
+
+
+def _p_step(dcoeffs, x, px, lo, hi, rising):
+    """One safeguarded Newton step from x, p(x) = px, in the bracket
+    (lo, hi) of a root where p rises (t1) or falls (t2): the bracket
+    shrinks to the root's side of x, and a step that leaves it (also one
+    on p'(x) = 0, which stays at x) is a bisection.  Returns the new
+    (lo, hi, x)."""
+    left = (px < 0) == rising
+    lo, hi = _select(left, x, lo), _select(left, hi, x)
+    x = x - px / _nonzero(horner(dcoeffs, x))
+    return lo, hi, _inside(x, lo, hi)
+
+
+def _p_root(coeffs, x, lo, hi, rising):
+    """The root of p in (lo, hi) by safeguarded Newton steps from x, at
+    the first iterate that _p_settled accepts; None after _P_ROOT_STEPS
+    steps."""
+    dcoeffs, abs_coeffs = _derivative(coeffs), tuple(map(abs, coeffs))
+    x = _inside(x, lo, hi)
+    for _ in range(_P_ROOT_STEPS):
+        px = horner(coeffs, x)
+        if _p_settled(abs_coeffs, x, px):
+            return x
+        lo, hi, x = _p_step(dcoeffs, x, px, lo, hi, rising)
+    return None
+
+
+def _lanes(coeffs, index) -> tuple:
+    """The lanes ``index`` of coefficients that are floats or columns."""
+    return tuple(c[index] if isinstance(c, np.ndarray) else c for c in coeffs)
+
+
+def _p_root_lanes(coeffs, x, lo, hi, rising):
+    """_p_root on lanes, the coefficients floats or a column each: every
+    lane takes the float steps bit for bit and retires at its own stop
+    test.  Returns (roots, settled), NaN where a lane did not settle."""
+    roots = np.full(len(x), math.nan)
+    ids = np.arange(len(x))
+    dcoeffs, abs_coeffs = _derivative(coeffs), tuple(map(abs, coeffs))
+    x = _inside(x, lo, hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_P_ROOT_STEPS):
+            px = horner(coeffs, x)
+            done = _p_settled(abs_coeffs, x, px)
+            if done.any():
+                roots[ids[done]] = x[done]
+                live = ~done
+                ids, x, px, lo, hi, rising = (
+                    a[live] for a in (ids, x, px, lo, hi, rising))
+                coeffs, dcoeffs, abs_coeffs = (
+                    _lanes(c, live) for c in (coeffs, dcoeffs, abs_coeffs))
+                if not len(ids):
+                    break
+            lo, hi, x = _p_step(dcoeffs, x, px, lo, hi, rising)
+    return roots, ~np.isnan(roots)
+
+
+def _p_polish(coeffs, lows, x):
+    """A settled root of p after one plain Newton step and one with p(x)
+    by compensated Horner over the exact-input coefficients (coeffs plus
+    lows), on floats or lanes: the root of p at the float inputs,
+    correctly rounded wherever p is not close to a double root (at
+    |H| <= 100 and C - C0 >= 1e-6 |C0| in tests/root_sweep.py).  Where
+    p'(x) = 0 a step leaves x as it is."""
+    dcoeffs = _derivative(coeffs)
+    x = x - horner(coeffs, x) / _nonzero(horner(dcoeffs, x))
+    return x - (_compensated_horner(coeffs, x, lows)
+                / _nonzero(horner(dcoeffs, x)))
 
 
 def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
@@ -232,8 +352,10 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
 
     Root finding runs on p(v) = v^(2n-2) q(v) to avoid the negative-power
     cancellation of q near v -> 0: p(0) = -1 and the leading coefficient
-    1 - H^2 is negative, so brackets (eps*v0, v0) and (v0, V) with V
-    doubled until p(V) < 0 are guaranteed to straddle sign changes.
+    1 - H^2 is negative, so brackets (1e-9 v0, v0) and (v0, V) with V
+    doubled until p(V) < 0 straddle the roots.  Each root takes
+    safeguarded Newton steps (_p_root) from _p_starts, then _p_polish.
+    NonConvergenceError if a root does not settle in _P_ROOT_STEPS steps.
     """
     if params.C is None:
         raise ParameterRangeError("oscillation_roots requires C")
@@ -245,7 +367,7 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
             f"C - C0 = {C - _c0:.3e} is below {DEGENERATE_REL_GAP}*|C0|; "
             "the oscillation interval is numerically degenerate"
         )
-    coeffs = tuple(p_coefficients(n, H, C).tolist())
+    coeffs = p_coefficients(n, H, C)
     at_v0 = horner(coeffs, _v0)
     if not at_v0 > 0:
         raise DegenerateOscillationError(
@@ -256,29 +378,35 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
         hi *= 2
         if hi > 1e12:
             raise ParameterRangeError("upper root bracket expansion failed")
-    dcoeffs = _derivative(coeffs)
-    return (_brent_root(coeffs, dcoeffs, 1e-9 * _v0, _v0),
-            _brent_root(coeffs, dcoeffs, _v0, hi))
+    lows, roots = _p_lows(n, H, C), []
+    for x, lo, up, rising in zip(_p_starts(n, H, C, _v0, _c0),
+                                 (1e-9 * _v0, _v0), (_v0, hi), (True, False)):
+        x = _p_root(coeffs, x, lo, up, rising)
+        if x is None:
+            raise NonConvergenceError(
+                f"a root of p did not settle in {_P_ROOT_STEPS} Newton steps "
+                f"at n={n}, H={H!r}, C={C!r}")
+        roots.append(_p_polish(coeffs, lows, x))
+    return roots[0], roots[1]
 
 
 def oscillation_roots_grid(n: int, H: float, Cs):
     """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
 
     Returns arrays (t1, t2, settled), one entry per C.  Settled roots are
-    what oscillation_roots returns, bit for bit: its brackets on columns,
-    _brentq_lanes, then the same Newton steps.  Where the scalar routine
-    raises (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket
-    expansion failed, a Brent error), the entry is not settled, with NaN
-    roots, for the caller to run it, so errors come as from a loop.
+    what oscillation_roots returns, bit for bit: its brackets, starts,
+    Newton steps (_p_root_lanes) and polish on columns.  Where the scalar
+    routine raises (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket
+    expansion failed, a root not settled), the entry is not settled, with
+    NaN roots, for the caller to run it, so errors come as from a loop.
     """
     ShapeParams(n=n, H=H)  # raises for an invalid n or H
     Cs = np.asarray(Cs, dtype=float)
     _v0 = v0(n, H)
     _c0 = C0(n, H)
-    coeffs = p_coefficients(n, H, Cs)
     lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
-                           & (horner(coeffs, _v0) > 0))
-    coeffs = coeffs[:, lanes]
+                           & (horner(p_coefficients(n, H, Cs), _v0) > 0))
+    coeffs = p_coefficients(n, H, Cs[lanes])
 
     hi = np.full(len(lanes), 2 * _v0)
     grow = horner(coeffs, hi) >= 0
@@ -287,196 +415,25 @@ def oscillation_roots_grid(n: int, H: float, Cs):
         grow &= hi <= 1e12
         grow &= horner(coeffs, hi) >= 0
     expanded = hi <= 1e12
-    lanes, coeffs, hi = lanes[expanded], coeffs[:, expanded], hi[expanded]
+    lanes, hi = lanes[expanded], hi[expanded]
 
     # the lower and the upper root of every C as one set of lanes
     count = len(lanes)
-    coeffs = np.concatenate([coeffs, coeffs], axis=1)
-    lo = np.concatenate([np.full(count, 1e-9 * _v0), np.full(count, _v0)])
-    roots, _, settled = _brentq_lanes(
-        coeffs, lo, np.concatenate([np.full(count, _v0), hi]), *_BRENT_TOL)
-    # an unsettled lane holds 0, where the derivative may vanish
+    C = np.tile(Cs[lanes], 2)
+    coeffs = p_coefficients(n, H, C)
+    roots, settled = _p_root_lanes(
+        coeffs, np.concatenate(_p_starts(n, H, Cs[lanes], _v0, _c0)),
+        np.repeat([1e-9 * _v0, _v0], count),
+        np.concatenate([np.full(count, _v0), hi]),
+        np.repeat([True, False], count))
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = _newton(coeffs, _derivative(coeffs), roots, 2)
+        roots = _p_polish(coeffs, _p_lows(n, H, C), roots)
     settled = settled[:count] & settled[count:]
     found = np.zeros(len(Cs), dtype=bool)
     found[lanes[settled]] = True
     t1, t2 = np.full((2, len(Cs)), math.nan)
     t1[found], t2[found] = roots[:count][settled], roots[count:][settled]
     return t1, t2, found
-
-
-BrentResult = namedtuple("BrentResult", "root iterations function_calls")
-
-
-def brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """A root of f in the bracket (xa, xb) by Brent's method (Brent 1973).
-
-    A port of SciPy's brentq.c: the same steps, float operations and f
-    calls, so the same root, counts (a BrentResult) and errors: ValueError
-    for f(xa), f(xb) of one sign or a NaN value, RuntimeError after
-    maxiter iterations.  A bracket end that is a root takes 0 iterations
-    (SciPy leaves that count unset).  As in SciPy, xtol > 0, rtol >= 4 eps.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
-    if fpre == 0 or fcur == 0:
-        return BrentResult(xpre if fpre == 0 else xcur, 0, 2)
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    return _brent_steps(f, (xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0), 0,
-                        xtol, rtol, maxiter)
-
-
-def _brent_value(f, x):
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(
-            f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
-
-
-def _brent_steps(f, state, i, xtol, rtol, maxiter):
-    """brentq's iterations i, i + 1, ... up to maxiter, from ``state``, the
-    floats (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur) at the top of
-    iteration i; the counts of the BrentResult run from brentq's start."""
-    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
-    for i in range(i, maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return BrentResult(xcur, i + 1, i + 2)
-
-        stry = math.inf  # bisect unless an interpolated step is short
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # C's step is then inf or NaN
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _brent_value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-# Fewer live lanes than this leave _brentq_lanes for _brent_steps: a lane
-# step costs about as much NumPy overhead for 2 lanes as for 128, and on a
-# scan grid 1-3 lanes run 20-37 iterations where the rest stop by 16.
-# oscillation_roots_grid on 64 C at (2, -1.1), (3, -1.5), (5, -2.9) took
-# 1.8-2.7 ms for any count from 4 to 64, 2.9-4.3 ms with no handoff; on
-# 4096 C, 11.5-16.6 ms against 12.7-17.2 ms (2 vCPU, NumPy 2.4).
-_SCALAR_LANES = 8
-
-
-def _brentq_lanes(coeffs, xa, xb, xtol, rtol, maxiter=100):
-    """brentq on each lane's polynomial in its bracket, all lanes at once.
-
-    Lane i is the polynomial with highest-first coefficients coeffs[:, i]
-    on the bracket (xa[i], xb[i]).  Every lane takes the steps of the
-    scalar brentq above: the same bracket swap, inverse quadratic
-    extrapolation, secant interpolation or bisection, the same tolerance
-    delta = (xtol + rtol |x|) / 2 and the same float operations, so it
-    ends where brentq(p_i, xa[i], xb[i], xtol, rtol, maxiter) ends and
-    after as many iterations.  A lane retires at the step where its own
-    test passes.  Only + - * /, abs and comparisons run on the lanes.
-    Once fewer than _SCALAR_LANES are live, each of them finishes in
-    _brent_steps, from its own state and iteration number.
-
-    The polynomial values must not be NaN (brentq raises on NaN).
-    Returns (roots, iterations, settled).  A lane is not settled where
-    brentq raises: f(a) and f(b) of one sign, or no convergence within
-    maxiter iterations.
-    """
-    lanes = len(xa)
-    roots = np.zeros(lanes)
-    iterations = np.zeros(lanes, dtype=np.int64)
-    xpre = np.asarray(xa, dtype=float)
-    xcur = np.asarray(xb, dtype=float)
-    fpre = horner(coeffs, xpre)
-    fcur = horner(coeffs, xcur)
-    at_a = fpre == 0
-    at_b = ~at_a & (fcur == 0)
-    roots[at_a] = xpre[at_a]
-    roots[at_b] = xcur[at_b]
-    settled = at_a | at_b
-    ids = np.flatnonzero(~settled & (np.signbit(fpre) != np.signbit(fcur)))
-    xpre, xcur, fpre, fcur, coeffs = (xpre[ids], xcur[ids], fpre[ids],
-                                      fcur[ids], coeffs[:, ids])
-    xblk = fblk = spre = scur = np.zeros(len(ids))
-    for i in range(maxiter):
-        if len(ids) < _SCALAR_LANES:
-            state = zip(*(a.tolist() for a in (xpre, xcur, xblk, fpre, fcur,
-                                                fblk, spre, scur)))
-            for j, (lane, lane_state) in enumerate(zip(ids.tolist(), state)):
-                f = functools.partial(horner, tuple(coeffs[:, j].tolist()))
-                try:
-                    roots[lane], iterations[lane], _ = _brent_steps(
-                        f, lane_state, i, xtol, rtol, maxiter)
-                except RuntimeError:
-                    continue
-                settled[lane] = True
-            break
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(flip, xpre, xblk)
-        fblk = np.where(flip, fpre, fblk)
-        step = xcur - xpre
-        spre = np.where(flip, step, spre)
-        scur = np.where(flip, step, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            roots[ids[done]] = xcur[done]
-            iterations[ids[done]] = i + 1
-            settled[ids[done]] = True
-            live = ~done
-            (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
-             sbis) = (a[live] for a in (ids, xpre, xcur, xblk, fpre, fcur,
-                                        fblk, spre, scur, delta, sbis))
-            coeffs = coeffs[:, live]
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
-                           / (dblk * dpre * (fblk - fpre)))
-        stry = np.where(xpre == xblk, interpolate, extrapolate)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry)
-                    < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre = np.where(short, scur, sbis)
-        scur = np.where(short, stry, sbis)
-
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0, delta, -delta))
-        fcur = horner(coeffs, xcur)
-    return roots, iterations, settled
 
 
 def eval_Q(n: int, H: float, v):
@@ -525,20 +482,36 @@ def _split(a):
     return hi, a - hi
 
 
-def _compensated_horner(coeffs, v):
+def _two_product(a, b, b_split=None):
+    """a * b as its float and the exact rounding error (Dekker); b_split
+    is _split(b), given where b recurs."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = b_split or _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    """a + b as its float and the exact rounding error (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _compensated_horner(coeffs, v, lows=None):
     """horner(coeffs, v) as if run in twice the working precision, then
     rounded (Graillat, Langlois & Louvet 2005): each step's product and
     sum errors, exact by Dekker's and Knuth's error-free transformations,
-    are run through a second Horner loop and added at the end."""
-    vh, vl = _split(v)
-    y, err = coeffs[0], 0.0
-    for c in coeffs[1:]:
-        p = y * v
-        yh, yl = _split(y)
-        perr = yl * vl - (((p - yh * vh) - yl * vh) - yh * vl)
-        y = p + c
-        z = y - p
-        err = err * v + (perr + ((p - (y - z)) + (c - z)))
+    are run through a second Horner loop and added at the end.  With
+    ``lows``, coefficient i is coeffs[i] + lows[i], and the low parts
+    join the error loop."""
+    lows = lows or (0.0,) * len(coeffs)
+    v_split = _split(v)
+    y, err = coeffs[0], lows[0]
+    for c, low in zip(coeffs[1:], lows[1:]):
+        p, perr = _two_product(y, v, v_split)
+        y, serr = _two_sum(p, c)
+        err = err * v + (perr + serr + low)
     return y + err
 
 

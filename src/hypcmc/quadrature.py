@@ -17,10 +17,15 @@ from the endpoints.  Near an endpoint x rounds onto it long before da
 underflows, so offset-aware integrands keep full relative accuracy
 right into the singularity.
 
-Both rules take the roots from potential and evaluate the potential in
-deflated form q = (v - t1)(t2 - v) s(v), with s from synthetically
-dividing p(v) = v^(2n-2) q(v) by them.  xi deflates Q the same way, in
-the offset from its fixed root 1 (potential's shifted polynomial R).
+Both rules take the roots from potential, correctly rounded roots of p
+at the float inputs, and evaluate the potential in deflated form
+q = (v - t1)(t2 - v) s(v), with s from synthetically dividing
+p(v) = v^(2n-2) q(v) by them.  The division runs on p's exact-input
+coefficients in double-double and rounds once (_deflated_coefficients),
+so s belongs to the polynomial whose roots t1 and t2 are; at one C it
+runs on floats, on a grid on columns, with the same bits.  xi deflates
+Q in plain floats, in the offset from its fixed root 1 (potential's
+shifted polynomial R).
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ from .potential import (
     _Q_upper_root,
     _Q_upper_root_grid,
     _check_n,
+    _p_lows,
+    _split,
+    _two_product,
+    _two_sum,
     eval_h,
     horner,
     oscillation_roots,
@@ -258,11 +267,29 @@ def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
     return tuple(out)
 
 
-def _deflated_coefficients(coeffs: np.ndarray, r1, r2) -> np.ndarray:
-    """Coefficients of coeffs / ((v - r1)(v - r2)), a column per entry of
-    array roots."""
-    rem = _synthetic_deflate(_synthetic_deflate(tuple(coeffs), r1), r2)
-    return np.array(rem)
+def _deflated_coefficients(n: int, H: float, C, t1, t2) -> tuple:
+    """Coefficients (highest first) of p / ((v - t1)(v - t2)), floats for
+    a float C, else a column each.
+
+    p's exact-input coefficients (p_coefficients plus _p_lows) are divided
+    by t1 and then t2 with a double-double accumulator (Dekker's product,
+    Knuth's sum), and rounded once: the deflation of the polynomial whose
+    correctly rounded roots t1 and t2 are, not of its rounded copy.
+    """
+    his, los = p_coefficients(n, H, C), _p_lows(n, H, C)
+    for root in (t1, t2):
+        root_split = _split(root)
+        acc, acc_lo = his[0], los[0]
+        out = [(acc, acc_lo)]
+        for c, c_lo in zip(his[1:-1], los[1:-1]):
+            p, p_lo = _two_product(acc, root, root_split)
+            s, s_lo = _two_sum(p, c)
+            s_lo = s_lo + (p_lo + root * acc_lo + c_lo)
+            acc = s + s_lo
+            acc_lo = s_lo - (acc - s)
+            out.append((acc, acc_lo))
+        his, los = zip(*out)
+    return tuple(hi + lo for hi, lo in zip(his, los))
 
 
 def _s(n, rem, v):
@@ -291,7 +318,7 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
         raise DomainError("period_T requires C")
     n = params.n
     t1, t2 = oscillation_roots(params)
-    rem = _deflated_coefficients(p_coefficients(n, params.H, params.C), t1, t2)
+    rem = _deflated_coefficients(n, params.H, params.C, t1, t2)
 
     def fo(v, da, db):
         return 1.0 / np.sqrt(da * db * _s(n, rem, v))
@@ -314,7 +341,7 @@ def _rows(rate: _AngleRate, index) -> _AngleRate:
     return _AngleRate(*(f[..., index] for f in rate))
 
 
-def _angle_rate(n: int, H: float, C, t1, t2) -> _AngleRate:
+def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
     """The profile's angle rate dtheta/dphi = F(g) / (g - vc) over its
     phase phi (see the profile module), split at the pole vc = sqrt(-C).
 
@@ -323,11 +350,11 @@ def _angle_rate(n: int, H: float, C, t1, t2) -> _AngleRate:
     to pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2)), so over
     a period to pi * pole; it carries the angle spike of a profile that
     grazes the rotation axis (d -> 0).  _angle_remainder is the smooth
-    rest.  C, t1 and t2 are 1-D arrays, one entry per C; powers are taken
-    per entry, so each entry is the arithmetic of its C alone.  An entry
-    with d <= 0 has a NaN pole.
+    rest.  C, t1 and t2 are 1-D arrays, one entry per C, and rem is p
+    deflated by the roots (_deflated_coefficients), a row per coefficient;
+    powers are taken per entry, so each entry is the arithmetic of its C
+    alone.  An entry with d <= 0 has a NaN pole.
     """
-    rem = _deflated_coefficients(p_coefficients(n, H, C), t1, t2)
     vc = np.sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
@@ -373,9 +400,11 @@ def _flux_setup(params: ShapeParams):
 
     Raises DomainError where d = t1 - sqrt(-C) is not positive.
     """
+    n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
-    rate = _angle_rate(params.n, params.H, np.array([params.C]),
-                       np.array([t1]), np.array([t2]))
+    rem = np.array(_deflated_coefficients(n, H, C, t1, t2))[:, None]
+    rate = _angle_rate(n, H, np.array([C]), np.array([t1]), np.array([t2]),
+                       rem)
     if not rate.d[0] > 0:
         raise DomainError(
             f"sqrt(-C)={rate.vc[0]} is not below t1={t1}; the profile would "
@@ -465,7 +494,10 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     t1, t2, settled = oscillation_roots_grid(n, H, Cs)
     band = _in_guard_band(n, H, Cs)
     rows = settled & ~band
-    rate = _angle_rate(n, H, Cs[rows], t1[rows], t2[rows])
+    C, t1, t2 = Cs[rows], t1[rows], t2[rows]
+    rem = np.array(np.broadcast_arrays(
+        *_deflated_coefficients(n, H, C, t1, t2)))
+    rate = _angle_rate(n, H, C, t1, t2, rem)
     ok = rate.d > 0
     rows[rows] = ok  # the C that the phase rule takes
     columns = tuple(np.empty(len(Cs), dtype=dtype)

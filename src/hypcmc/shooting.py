@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -41,7 +42,7 @@ from .errors import (
     GuardBandError,
     LandmarkError,
 )
-from .potential import C0, Ctilde, ShapeParams, brentq
+from .potential import C0, Ctilde, ShapeParams
 from .quadrature import (
     CTILDE_GUARD_REL,
     _in_guard_band,
@@ -107,6 +108,77 @@ class NoRootReport:
     value_max: float
     target: float
     message: str
+
+
+BrentResult = namedtuple("BrentResult", "root iterations function_calls")
+
+
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f in the bracket (xa, xb) by Brent's method (Brent 1973).
+
+    A port of SciPy's brentq.c: the same steps, float operations and f
+    calls, so the same root, counts (a BrentResult) and errors: ValueError
+    for f(xa), f(xb) of one sign or a NaN value, RuntimeError after
+    maxiter iterations.  A bracket end that is a root takes 0 iterations
+    (SciPy leaves that count unset).  As in SciPy, xtol > 0, rtol >= 4 eps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    if fpre == 0 or fcur == 0:
+        return BrentResult(xpre if fpre == 0 else xcur, 0, 2)
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    return _brent_steps(f, (xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0), 0,
+                        xtol, rtol, maxiter)
+
+
+def _brent_value(f, x):
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(
+            f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent_steps(f, state, i, xtol, rtol, maxiter):
+    """brentq's iterations i, i + 1, ... up to maxiter, from ``state``, the
+    floats (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur) at the top of
+    iteration i; the counts of the BrentResult run from brentq's start."""
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    for i in range(i, maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return BrentResult(xcur, i + 1, i + 2)
+
+        stry = math.inf  # bisect unless an interpolated step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's step is then inf or NaN
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _brent_value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,

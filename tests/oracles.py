@@ -4,10 +4,10 @@ These deliberately share no code with the package's quadrature: an
 adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the flux from the
-profile's curvature equation in the orbit plane, the polynomial
-root finders written with np.polyval, and the immersion, Gauss map and
-finite-difference curvature written one point at a time with math,
-and the planar self-intersection sweep as a loop over segment pairs.
+profile's curvature equation in the orbit plane, the immersion, Gauss
+map and finite-difference curvature written one point at a time with
+math, and the planar self-intersection sweep as a loop over segment
+pairs.
 """
 
 import math
@@ -160,39 +160,6 @@ def geometric_flux(n, H, C):
                     rtol=1e-12, atol=1e-14, events=back_at_minimum)
     return float(sol.y_events[0][0][1])
 
-
-
-def polyval_oscillation_roots(n, H, C):
-    """The roots t1 < t2 of q found on p(v) = v^(2n-2) q(v) with np.polyval.
-
-    The reference for the package's root finder: the same brackets,
-    brentq settings and two Newton steps, with p evaluated by np.polyval
-    on NumPy scalars, so the two must agree bit for bit.
-    """
-    s = math.sqrt(n * n * H * H - 4 * n + 4)
-    v0 = ((H * (n - 2) + s) / (2 * H * H - 2)) ** (1.0 / n)
-    coeffs = np.zeros(2 * n + 1)
-    coeffs[0] = 1 - H * H
-    coeffs[2] += C
-    coeffs[n] += -2 * H
-    coeffs[2 * n] += -1.0
-
-    def p(v):
-        return np.polyval(coeffs, v)
-
-    t1 = brentq(p, 1e-9 * v0, v0, xtol=1e-15, rtol=8.9e-16)
-    hi = 2 * v0
-    while p(hi) >= 0:
-        hi *= 2
-    t2 = brentq(p, v0, hi, xtol=1e-15, rtol=8.9e-16)
-    return _two_newton_steps(coeffs, t1), _two_newton_steps(coeffs, t2)
-
-
-def _two_newton_steps(coeffs, root):
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(2):
-        root -= np.polyval(coeffs, root) / np.polyval(dcoeffs, root)
-    return float(root)
 
 
 def unmemoised_scan_solve(lo, hi, max_points, target, scan, f, tol, restol,

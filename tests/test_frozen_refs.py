@@ -1,8 +1,9 @@
 """The frozen reference values against the benchmark's mpmath references.
 
 ``perfbench/mpref.py`` integrates in the angle variable at 50 digits and
-never imports hypcmc, so agreement here shows the values the suite
-checks against did not come from the package itself.
+never imports hypcmc, and the roots of p come from ``mpmath.polyroots``,
+so agreement here shows the values the suite checks against did not
+come from the package itself.
 """
 
 import importlib.util
@@ -79,3 +80,20 @@ def test_half_way_values_match_mpmath():
         got = _half_way(mpref, n, H, C)
         for value, want in zip(got, stored):
             assert float(value) == pytest.approx(want, rel=1e-15)
+
+
+def test_roots_match_mpmath_polyroots():
+    # the two positive roots of p at the exact float inputs, by polyroots
+    # at 60 digits, about 10 s for the table; each stored 50-digit string
+    # is within 1e-48 relative of them
+    mpref = _mpref()
+    with mp.workdps(60):
+        for (n, H, C), stored in frozen.ROOTS.items():
+            coeffs = mpref._poly_p(n, mp.mpf(H), mp.mpf(C))
+            roots = mp.polyroots(coeffs, maxsteps=100, extraprec=60)
+            real = sorted(mp.re(r) for r in roots
+                          if abs(mp.im(r)) < mp.mpf(10) ** -30 and mp.re(r) > 0)
+            assert len(real) == 2, (n, H, C)
+            for got, want in zip(real, stored):
+                assert abs(got - mp.mpf(want)) <= mp.mpf(10) ** -48 * got, (
+                    n, H, C)

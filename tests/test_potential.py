@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
+import frozen
 import hypcmc as h
 from hypcmc import potential
+from hypcmc.cli import main
 from hypcmc.potential import (
     DEGENERATE_REL_GAP,
     _Q_upper_root,
-    _brentq_lanes,
     horner,
     oscillation_roots_grid,
-    p_coefficients,
 )
 
-from oracles import polyval_oscillation_roots, roots_closed_form_n2
+from oracles import roots_closed_form_n2
 
 
 def test_q_direct_substitution():
@@ -114,19 +113,32 @@ def test_root_monotonicity_in_C():
     assert all(a < b for a, b in zip(t2s, t2s[1:]))  # t2 increasing
 
 
-def test_roots_bit_identical_to_polyval_reference():
-    # the float-Horner root finder of p takes brentq through the same
-    # steps as np.polyval would: every root equals the reference exactly
-    for n in range(2, 9):
-        for H in (-1.02, -1.1, -1.5, -3.0, -10.0):
-            c0, ct = h.C0(n, H), h.Ctilde(n, H)
-            cs = [c0 + f * abs(c0) for f in (1e-11, 1e-6, 1e-3, 0.3, 0.7)]
-            cs += [ct * (1 + rel) for rel in (1e-3, 1e-8, -1e-8, -1e-3)
-                   if ct * (1 + rel) > c0]
-            cs += [0.5 * ct, -1e-3, -1e-9]
-            for C in cs:
-                assert (h.oscillation_roots(h.ShapeParams(n, H, C))
-                        == polyval_oscillation_roots(n, H, C))
+def test_roots_are_correctly_rounded():
+    # each root is the double nearest its 50-digit value at the exact float
+    # inputs (float() of a decimal string rounds correctly): next to C0,
+    # mid-branch, on both sides of Ctilde and next to C = 0, for n = 2..8
+    # and H from -1.0001 to -100.  The grid gives the same doubles
+    by_nH = {}
+    for (n, H, C), refs in frozen.ROOTS.items():
+        roots = h.oscillation_roots(h.ShapeParams(n, H, C))
+        assert roots == tuple(map(float, refs)), (n, H, C)
+        by_nH.setdefault((n, H), []).append((C, roots))
+    for (n, H), entries in by_nH.items():
+        t1, t2, settled = oscillation_roots_grid(n, H, [C for C, _ in entries])
+        assert settled.all()
+        assert list(zip(t1.tolist(), t2.tolist())) == [r for _, r in entries]
+
+
+def test_C1_keeps_its_digits_at_large_H():
+    # C1 = 2 / (H - sqrt((H - 1)(H + 1))) subtracts no close numbers:
+    # within 1 eps of 2 (H + sqrt(H^2 - 1)) at 50 digits, at the float H
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for H in (-np.geomspace(1.0001, 1e6, 400)).tolist():
+        with mp.workdps(50):
+            ref = 2 * (mp.mpf(H) + mp.sqrt(mp.mpf(H) ** 2 - 1))
+            worst = max(worst, float(abs((h.C1(H) - ref) / ref)))
+    assert worst <= np.finfo(float).eps, worst
 
 
 def test_Q_upper_root_against_mpmath():
@@ -183,11 +195,10 @@ def _bits(roots):
                      max_size=4),
        spread=st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
-    # the lane-wise roots of a whole grid equal the scalar brentq roots and
-    # the np.polyval reference bit for bit: next to the degenerate edge at
-    # C0 (inside it the lane is not settled and its roots are NaN, where
-    # the scalar call raises), on both sides of Ctilde, and spread
-    # geometrically from C0 to -1e-9
+    # the lane-wise roots of a whole grid equal the scalar roots bit for
+    # bit: next to the degenerate edge at C0 (inside it the lane is not
+    # settled and its roots are NaN, where the scalar call raises), on
+    # both sides of Ctilde, and spread geometrically from C0 to -1e-9
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + f * DEGENERATE_REL_GAP * abs(c0) for f in edge]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in near]
@@ -199,117 +210,31 @@ def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
             for a, b, ok in zip(t1.tolist(), t2.tolist(), settled.tolist())]
     scalar = [_scalar_roots(n, H, C) for C in Cs]
     assert [_bits(r) for r in grid] == [_bits(r) for r in scalar]
-    valid = [C for C, r in zip(Cs, scalar) if r is not None]
-    assert [_bits(r) for r in scalar if r is not None] == [
-        _bits(polyval_oscillation_roots(n, H, C)) for C in valid]
-
-    # every lane takes as many Brent iterations as brentq, to the same root
-    v0 = h.v0(n, H)
-    brackets, expected = [], []
-    for C in valid:
-        coeffs = p_coefficients(n, H, C).tolist()
-        hi = 2 * v0
-        while horner(coeffs, hi) >= 0:
-            hi *= 2
-        for a, b in ((1e-9 * v0, v0), (v0, hi)):
-            brackets.append((C, a, b))
-            expected.append(brentq(lambda v: horner(coeffs, v), a, b,
-                                   xtol=1e-15, rtol=8.9e-16, full_output=True))
-    C, a, b = (np.array(col) for col in zip(*brackets))
-    roots, iterations, settled = _brentq_lanes(p_coefficients(n, H, C), a, b,
-                                               1e-15, 8.9e-16)
-    assert settled.all()
-    assert _bits(roots) == _bits([root for root, _ in expected])
-    assert iterations.tolist() == [res.iterations for _, res in expected]
 
 
-def test_brent_lanes_unsettled_where_brentq_raises():
-    # lanes whose bracket has no sign change, or that do not converge
-    # within maxiter, are left unsettled; SciPy's brentq raises for exactly
-    # those, and the scalar port raises the same error.  Elsewhere the
-    # port gives SciPy's root and counts, and the lanes its root and
-    # iterations
-    rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=(6, 200))
-    a, b = rng.uniform(-3.0, 0.0, 200), rng.uniform(0.0, 3.0, 200)
-    for maxiter in (10, 100):
-        roots, iterations, settled = _brentq_lanes(coeffs, a, b, 1e-12,
-                                                   8.9e-16, maxiter)
-        for i in range(200):
-            column = coeffs[:, i].tolist()
-            args = (lambda v: horner(column, v), a[i], b[i])
-            try:
-                root, res = brentq(*args, xtol=1e-12, rtol=8.9e-16,
-                                   maxiter=maxiter, full_output=True)
-            except (ValueError, RuntimeError) as exc:
-                assert not settled[i]
-                with pytest.raises((ValueError, RuntimeError)) as port:
-                    potential.brentq(*args, 1e-12, 8.9e-16, maxiter)
-                assert port.type is type(exc)
-                continue
-            assert settled[i]
-            assert roots[i] == root and iterations[i] == res.iterations
-            assert potential.brentq(*args, 1e-12, 8.9e-16, maxiter) == (
-                root, res.iterations, res.function_calls)
-
-    # a NaN value met inside the bracket, at its third evaluation
-    def nan_inside(v):
-        return math.nan if 0 < v < 0.5 else v - 0.3
-
-    with pytest.raises(ValueError) as ref:
-        brentq(nan_inside, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
-    with pytest.raises(ValueError) as port:
-        potential.brentq(nan_inside, -1.0, 1.0, 1e-12, 8.9e-16)
-    assert str(port.value) == str(ref.value)
+def test_polish_keeps_x_where_the_derivative_vanishes():
+    # a Newton step at p'(x) = 0 leaves x as it is, on a float and on
+    # lanes alike, instead of dividing by zero
+    coeffs, lows = (1.0, 0.0, -1.0), (0.0, 0.0, 0.0)
+    assert potential._p_polish(coeffs, lows, 0.0) == 0.0
+    lanes = potential._p_polish(coeffs, lows, np.array([0.0, 2.0]))
+    assert lanes.tolist() == [0.0, potential._p_polish(coeffs, lows, 2.0)]
 
 
-def test_brent_lanes_hand_stragglers_to_the_scalar_loop(monkeypatch):
-    # on a 64-point scan grid of C at (2, -1.1), two of the 128 root lanes
-    # run 21 and 24 iterations where the rest stop by 13: once fewer than
-    # _SCALAR_LANES are live, each of them finishes in _brent_steps from
-    # its own state and iteration number.  Roots and iteration counts equal
-    # scalar brentq's, and with maxiter = 20 the stragglers reach it after
-    # the handoff and come back unsettled, where brentq raises
-    n, H = 2, -1.1
-    c0, v0 = h.C0(n, H), h.v0(n, H)
-    Cs = -np.geomspace(-c0 * (1 - 1e-6), 1e-9, 64)
-    columns, brackets = [], []
-    for C in Cs.tolist():
-        coeffs = tuple(p_coefficients(n, H, C).tolist())
-        hi = 2 * v0
-        while horner(coeffs, hi) >= 0:
-            hi *= 2
-        columns += [coeffs, coeffs]
-        brackets += [(1e-9 * v0, v0), (v0, hi)]
-    coeffs = np.array(columns).T
-    a, b = (np.array(ends) for ends in zip(*brackets))
-    steps = potential._brent_steps
-    for maxiter in (100, 20):
-        expected = []
-        for column, (lo, hi) in zip(columns, brackets):
-            try:
-                expected.append(potential.brentq(
-                    lambda v: horner(column, v), lo, hi, 1e-15, 8.9e-16,
-                    maxiter))
-            except RuntimeError:
-                expected.append(None)
-        handed = []  # the iteration each handed-off lane starts at
-        monkeypatch.setattr(potential, "_brent_steps",
-                            lambda f, state, i, *rest: handed.append(i)
-                            or steps(f, state, i, *rest))
-        roots, iterations, settled = _brentq_lanes(coeffs, a, b, 1e-15,
-                                                   8.9e-16, maxiter)
-        monkeypatch.undo()
-        assert 0 < len(handed) < potential._SCALAR_LANES
-        assert 0 < handed[0] < 20 and len(set(handed)) == 1
-        unsettled = [j for j, res in enumerate(expected) if res is None]
-        assert len(unsettled) == (2 if maxiter == 20 else 0)
-        for j, res in enumerate(expected):
-            if res is None:
-                assert not settled[j]
-            else:
-                assert settled[j] and roots[j] == res.root, (maxiter, j)
-                assert iterations[j] == res.iterations, (maxiter, j)
+def test_root_that_does_not_settle_raises(monkeypatch, capsys):
+    # with one Newton step allowed, a root of p does not settle: the
+    # scalar call raises NonConvergenceError naming n, H and C, the grid
+    # leaves the lane unsettled, and solve-c exits 3 with a JSON error
+    n, H, C = 2, -1.1, -0.5
+    monkeypatch.setattr(potential, "_P_ROOT_STEPS", 1)
+    with pytest.raises(h.NonConvergenceError,
+                       match=r"n=2, H=-1\.1, C=-0\.5"):
+        h.oscillation_roots(h.ShapeParams(n, H, C))
+    t1, t2, settled = oscillation_roots_grid(n, H, [C])
+    assert settled.tolist() == [False] and np.isnan([t1[0], t2[0]]).all()
+    rc = main(["solve-c", "--n", "2", "--H", "-1.1", "--k", "1", "--m", "5"])
+    assert rc == 3
+    assert "NonConvergenceError" in capsys.readouterr().err
 
 
 def test_degenerate_oscillation_reported():

@@ -239,13 +239,41 @@ def test_flux_matches_geometric_ode():
         assert K == pytest.approx(geometric_flux(n, H, C), abs=1e-9)
 
 
+def test_deflation_rounds_once():
+    # p's exact-input coefficients divided by the float roots in
+    # double-double: every coefficient of the quotient is the exact one
+    # (mpmath, 80 digits) correctly rounded, at each C of frozen.ROOTS;
+    # on a grid the columns hold the same bits
+    mp = pytest.importorskip("mpmath")
+    by_nH = {}
+    for n, H, C in frozen.ROOTS:
+        t1, t2 = h.oscillation_roots(h.ShapeParams(n, H, C))
+        rem = quadrature._deflated_coefficients(n, H, C, t1, t2)
+        with mp.workdps(80):
+            Hm = mp.mpf(H)
+            exact = [1 - Hm * Hm] + [mp.mpf(0)] * (2 * n)
+            exact[2] += mp.mpf(C)
+            exact[n] += -2 * Hm
+            exact[2 * n] += -1
+            for root in (mp.mpf(t1), mp.mpf(t2)):
+                quotient = [exact[0]]
+                for c in exact[1:-1]:
+                    quotient.append(c + root * quotient[-1])
+                exact = quotient
+            assert rem == tuple(float(c) for c in exact), (n, H, C)
+        by_nH.setdefault((n, H), []).append((C, t1, t2, rem))
+    for (n, H), entries in by_nH.items():
+        C, t1, t2, rem = (np.array(col) for col in zip(*entries))
+        columns = quadrature._deflated_coefficients(n, H, C, t1, t2)
+        assert np.array(np.broadcast_arrays(*columns)).T.tolist() == rem.tolist()
+
+
 def test_flux_against_frozen_grid():
     # flux_K and flux_K_grid against 50-digit mpmath values: to 1e-12
     # where C - C0 >= 1e-2 |C0| (worst 1.1e-14 here, 9.2e-13 over 188
-    # such points at n = 2..8, H = -1.1..-10).  Closer to C0 the float
-    # roots limit the accuracy: 1e-10 holds here (worst 2.1e-11, at
-    # (4, -10)); over 283 points at 1e-6..1e-2 |C0| from C0 and
-    # H = -1.1..-10 the worst was 1.6e-9, at H = -100 7.9e-7
+    # such points at n = 2..8, H = -1.1..-10), and to 1e-10 closer to C0,
+    # down to 1e-6 |C0| from C0 at H = -100 (1.5e-12, 1.4e-11 and 5.7e-12
+    # for n = 2, 5, 8 there)
     by_nH = {}
     for (n, H, C), ref in frozen.K_GRID.items():
         res = h.flux_K(h.ShapeParams(n, H, C))
@@ -261,11 +289,12 @@ def test_flux_against_frozen_grid():
 
 def test_flux_at_guard_edge_against_mpmath():
     # the last C of the embedded scan at H = -100, 1.6e-6 to 1.1e-5 |C0|
-    # from C0, where the float roots limit the flux to 2.9e-7
+    # from C0, where the flux is 3.0e-12, 3.9e-12 and 6.6e-11 off for
+    # n = 3, 5, 8
     for (n, H, C), ref in frozen.K_GUARD_EDGE.items():
         res = h.flux_K(h.ShapeParams(n, H, C))
         assert res.converged, (n, H, C)
-        assert abs(res.value - ref) <= 5e-7, (n, H, C, res.value - ref)
+        assert abs(res.value - ref) <= 1e-9, (n, H, C, res.value - ref)
 
 
 def test_flux_guard_band():

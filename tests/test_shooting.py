@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 import hypcmc as h
 from hypcmc import shooting
+from hypcmc.potential import horner
 
 import frozen
 import oracles
@@ -585,3 +586,36 @@ def test_solve_C_refuses_non_converged_flux(monkeypatch):
         m.setattr(shooting, "flux_K", refine_not_converged)
         with pytest.raises(h.NonConvergenceError):
             h.classify(n, H, frozen.CSTAR_N2_M5, winding)
+
+
+def test_brentq_port_matches_scipy():
+    # the scalar port, which solves in C and H, gives SciPy's root and
+    # counts, and raises SciPy's error where SciPy raises: for brackets
+    # with no sign change and for no convergence within maxiter
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(6, 200))
+    a, b = rng.uniform(-3.0, 0.0, 200), rng.uniform(0.0, 3.0, 200)
+    for maxiter in (10, 100):
+        for i in range(200):
+            column = coeffs[:, i].tolist()
+            args = (lambda v: horner(column, v), a[i], b[i])
+            try:
+                root, res = brentq(*args, xtol=1e-12, rtol=8.9e-16,
+                                   maxiter=maxiter, full_output=True)
+            except (ValueError, RuntimeError) as exc:
+                with pytest.raises((ValueError, RuntimeError)) as port:
+                    shooting.brentq(*args, 1e-12, 8.9e-16, maxiter)
+                assert port.type is type(exc)
+                continue
+            assert shooting.brentq(*args, 1e-12, 8.9e-16, maxiter) == (
+                root, res.iterations, res.function_calls)
+
+    # a NaN value met inside the bracket, at its third evaluation
+    def nan_inside(v):
+        return math.nan if 0 < v < 0.5 else v - 0.3
+
+    with pytest.raises(ValueError) as ref:
+        brentq(nan_inside, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+    with pytest.raises(ValueError) as port:
+        shooting.brentq(nan_inside, -1.0, 1.0, 1e-12, 8.9e-16)
+    assert str(port.value) == str(ref.value)
