@@ -422,13 +422,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NonConvergenceError, IntegrationFailureError,
             EvaluationError) as exc:
-        print(json.dumps({"error": str(exc),
-                          "kind": type(exc).__name__}), file=sys.stderr)
-        return 3
-    except HypcmcError as exc:
-        print(json.dumps({"error": str(exc),
-                          "kind": type(exc).__name__}), file=sys.stderr)
-        return 2
+        error, code = exc, 3
+    except (HypcmcError, OSError) as exc:  # OSError: --output unwritable
+        error, code = exc, 2
+    print(json.dumps({"error": str(error), "kind": type(error).__name__}),
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -130,14 +130,17 @@ def p_coefficients(n: int, H: float, C) -> tuple:
 def horner(coeffs, v):
     """Polynomial with highest-first coefficients at v, as np.polyval does it.
 
-    Runs the same operation sequence (y = y * v + c from y = 0), so the
-    result is bit-identical, without polyval's array conversions: on a
-    float v with float coefficients it is plain float arithmetic, and
-    coefficient columns of shape (rows, 1) broadcast against v of shape
-    (rows, nodes).
+    Runs polyval's steps y = y * v + c from y = c0 rather than y = 0: its
+    first step 0 * v + c0 is c0 for finite v (up to the sign of a zero,
+    which the first nonzero coefficient absorbs), so for finite v and a
+    nonzero coefficient the result is polyval's bit for bit (at v = +-inf
+    polyval gives NaN; no caller passes inf).  On a float v with float
+    coefficients it is plain float arithmetic, and coefficient columns of
+    shape (rows, 1) broadcast against v of shape (rows, nodes).  It takes
+    two coefficients or more.
     """
-    y = 0.0
-    for c in coeffs:
+    y, *rest = coeffs
+    for c in rest:
         y = y * v + c
     return y
 

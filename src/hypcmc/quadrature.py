@@ -23,9 +23,10 @@ q = (v - t1)(t2 - v) s(v), with s from synthetically dividing
 p(v) = v^(2n-2) q(v) by them.  The division runs on p's exact-input
 coefficients in double-double and rounds once (_deflated_coefficients),
 so s belongs to the polynomial whose roots t1 and t2 are; at one C it
-runs on floats, on a grid on columns, with the same bits.  xi deflates
-Q in plain floats, in the offset from its fixed root 1 (potential's
-shifted polynomial R).
+runs on floats, on a grid on columns, with the same bits, and so do the
+flux's powers (np.float_power, libm pow per entry).  xi deflates Q in
+plain floats, in the offset from its fixed root 1 (potential's shifted
+polynomial R).
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ def _s(n, rem, v):
     return -horner(rem, v) * v ** (2 - 2 * n)
 
 
-def _pow(x, y):
-    """x ** y for each entry of a 1-D array, in float arithmetic (an
-    array power may take a SIMD path whose last bit differs)."""
-    return np.array([v ** y for v in x.tolist()])
-
-
 def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
              max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
     """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v)).
@@ -337,7 +332,7 @@ _AngleRate = namedtuple("_AngleRate",
 
 def _rows(rate: _AngleRate, index) -> _AngleRate:
     """The rate of the C at ``index``: 0 gives floats for one C, an
-    (rows, 1) index array gives columns."""
+    (rows, 1) index array gives columns, None every C as column views."""
     return _AngleRate(*(f[..., index] for f in rate))
 
 
@@ -351,28 +346,30 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
     a period to pi * pole; it carries the angle spike of a profile that
     grazes the rotation axis (d -> 0).  _angle_remainder is the smooth
     rest.  C, t1 and t2 are 1-D arrays, one entry per C, and rem is p
-    deflated by the roots (_deflated_coefficients), a row per coefficient;
-    powers are taken per entry, so each entry is the arithmetic of its C
-    alone.  An entry with d <= 0 has a NaN pole.
+    deflated by the roots (_deflated_coefficients), a row per coefficient.
+    Powers are np.float_power, libm pow on each entry as ** on one float
+    (np.power's SIMD path may differ in the last bit), so each entry is the
+    arithmetic of its C alone; none overflows for C0 < C < 0 (where **
+    would raise and float_power give inf).  d <= 0 gives a NaN pole.
     """
     vc = np.sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
     # q(vc) = -(-C) (H + (-C)^(-n/2))^2 with the deflated form of q,
     # which gives d in terms of relatively accurate quantities.
-    delta = H + _pow(-C, -n / 2)
+    delta = H + np.float_power(-C, -n / 2)
     P_vc = -horner(rem, vc)   # P(vc) = vc^(2n-2) s(vc)
-    d = (-C) * delta * delta / ((t2 - vc) * (P_vc * _pow(vc, 2 - 2 * n)))
+    d = (-C) * delta * delta / ((t2 - vc) * (P_vc * np.float_power(vc, 2 - 2 * n)))
     a = (t2 - t1) / 2
     with np.errstate(invalid="ignore"):
         root_vc = np.sqrt(P_vc)
         # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
-        F_vc = _pow(-C, n / 2) * delta / (2 * root_vc)
+        F_vc = np.float_power(-C, n / 2) * delta / (2 * root_vc)
         pole = 2 * F_vc / np.sqrt(d * (d + 2 * a))
     U_vc = 2 * vc * root_vc
     return _AngleRate(t1, a, d, pole, rem, np.array(_synthetic_deflate(rem, vc)),
                       vc, root_vc, U_vc, F_vc * U_vc,
-                      np.array([_pow(vc, k) for k in range(n)]))
+                      np.float_power(vc, np.arange(n)[:, None]))
 
 
 def _angle_remainder(n: int, H: float, rate: _AngleRate, phi):
@@ -417,8 +414,8 @@ def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
     """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
     all with d > 0, as the columns of one phase rule (_phase_mean)."""
     # the live rows only shrink, so their count names them: the rate is
-    # gathered again only after a row retired
-    last = [-1, None]  # the live count of the last gather, and its rate
+    # viewed whole, and gathered (copied) only after a row retired
+    last = [len(rate.d), _rows(rate, None)]  # the live count and its rate
 
     def integrand(live, phi):
         if last[0] != len(live):
@@ -500,9 +497,10 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     rate = _angle_rate(n, H, C, t1, t2, rem)
     ok = rate.d > 0
     rows[rows] = ok  # the C that the phase rule takes
+    rate = rate if ok.all() else _rows(rate, ok)  # copied only if some d <= 0
     columns = tuple(np.empty(len(Cs), dtype=dtype)
                     for dtype in (float, float, np.int64, bool))
-    for column, part in zip(columns, _flux_rows(n, H, _rows(rate, ok), tol)):
+    for column, part in zip(columns, _flux_rows(n, H, rate, tol)):
         column[rows] = part
     for i in np.flatnonzero(~rows).tolist():
         params = ShapeParams(n=n, H=H, C=Cs[i].item())

@@ -1,0 +1,150 @@
+"""Print where one no-root flux scan spends its time, layer by layer.
+
+    python3 tests/layer_times.py [--repeats 15]
+
+Runs on the ``noroot`` benchmark's anchor (n = 2, H = -1.1, embedded)
+and its first ``below`` entry, read from ``perfbench/refs/noroot.json``,
+with hypcmc imported from this checkout's ``src/``.  For each it builds
+the grids ``solve_C`` scans (64 and 4096 points over its search
+interval) and prints the median wall time of:
+
+* one 4096-row ``flux_K_grid``, split into its layers: the roots
+  (``oscillation_roots_grid``), the deflation (``_deflated_coefficients``),
+  the angle rate (``_angle_rate``), the gather of the rate's rows
+  (``_rows``), the phase rule (``_phase_mean`` less the gathers it
+  makes) and the rest;
+* one 64-row ``flux_K_grid``;
+* the whole ``solve_C``.
+
+The layers are timed by wrapping those module functions around a real
+``flux_K_grid`` call, so the script runs unchanged on any checkout that
+has them.  It also prints the rows the phase rule takes and their nodes
+per row (minimum, mean and maximum), which do not depend on the
+machine.  It takes about half a minute.  Two checkouts compare with
+
+    diff <(python3 old/tests/layer_times.py) <(python3 new/tests/layer_times.py)
+
+``perfbench`` is only read.  The file name does not start with
+``test_``, so pytest does not collect it.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ("roots", "deflation", "angle_rate", "gather", "phase_rule", "rest")
+WRAPPED = {"oscillation_roots_grid": "roots",
+           "_deflated_coefficients": "deflation",
+           "_angle_rate": "angle_rate", "_rows": "gather",
+           "_phase_mean": "phase_rule"}
+
+
+def cases():
+    """(label, entry) of the anchor and the first below entry."""
+    refs = json.loads((ROOT / "perfbench" / "refs" / "noroot.json")
+                      .read_text())["noroot"]
+    return [("anchor", refs["anchor"][0]), ("below", refs["below"][0])]
+
+
+def scan_grid(h, entry, points):
+    """solve_C's grid of ``points`` over its search interval."""
+    from hypcmc import quadrature, shooting
+
+    n, H = entry["n"], entry["H"]
+    c0 = h.C0(n, H)
+    lo, hi = c0 + shooting.C_GAP_LOWER_REL * abs(c0), -shooting.C_GAP_UPPER
+    if entry["mode"] == "embedded":
+        ct = h.Ctilde(n, H)
+        hi = ct - quadrature.CTILDE_GUARD_REL * abs(ct)
+    return -np.geomspace(-lo, -hi, points)
+
+
+def layer_split(quadrature, n, H, grid, xi_result):
+    """Seconds per layer of one flux_K_grid call, and its rows' nodes."""
+    spent = dict.fromkeys(LAYERS, 0.0)
+    originals = {name: getattr(quadrature, name) for name in WRAPPED}
+    rows = []
+
+    def wrap(name, fn):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[WRAPPED[name]] += time.perf_counter() - start
+        return timed
+
+    def phase_mean(integrand, count, tol):
+        rows.append(count)
+        gathered = spent["gather"]
+        start = time.perf_counter()
+        out = originals["_phase_mean"](integrand, count, tol)
+        # the gathers made inside the phase rule count as gathers
+        spent["phase_rule"] += (time.perf_counter() - start
+                                - (spent["gather"] - gathered))
+        return out
+
+    for name, fn in originals.items():
+        setattr(quadrature, name, wrap(name, fn))
+    quadrature._phase_mean = phase_mean
+    try:
+        start = time.perf_counter()
+        columns = quadrature.flux_K_grid(n, H, grid, xi_result=xi_result)
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in originals.items():
+            setattr(quadrature, name, fn)
+    spent["rest"] = total - sum(spent[k] for k in LAYERS[:-1])
+    return spent, total, sum(rows), columns[2]
+
+
+def median_ms(samples):
+    return 1e3 * statistics.median(samples)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    import hypcmc as h
+    from hypcmc import quadrature, shooting
+
+    for label, e in cases():
+        n, H = e["n"], e["H"]
+        winding = h.WindingTarget(e["k"], e["m"])
+        xi_result = h.xi(n, H)
+        big, small = scan_grid(h, e, 4096), scan_grid(h, e, 64)
+        layer_split(quadrature, n, H, big, xi_result)  # warm-up
+        per_layer = {k: [] for k in LAYERS}
+        totals, small_s, solve_s = [], [], []
+        for _ in range(args.repeats):
+            spent, total, rows, nodes = layer_split(
+                quadrature, n, H, big, xi_result)
+            for k in LAYERS:
+                per_layer[k].append(spent[k])
+            totals.append(total)
+            start = time.perf_counter()
+            quadrature.flux_K_grid(n, H, small, xi_result=xi_result)
+            small_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            shooting.solve_C(n, H, winding, mode=e["mode"])
+            solve_s.append(time.perf_counter() - start)
+        print(f"{label} n={n} H={H!r} k/m={e['k']}/{e['m']} mode={e['mode']}")
+        print(f"  rows={rows}/4096  nodes_per_row min={nodes.min()} "
+              f"mean={nodes.mean():.2f} max={nodes.max()}")
+        print("  flux_K_grid 4096 rows: " + "  ".join(
+            f"{k}={median_ms(per_layer[k]):.2f}" for k in LAYERS)
+            + f"  total={median_ms(totals):.2f} ms")
+        print(f"  flux_K_grid 64 rows: {median_ms(small_s):.3f} ms")
+        print(f"  solve_C: {median_ms(solve_s):.2f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,11 +3,12 @@
 These deliberately share no code with the package's quadrature: an
 adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
-form), the n = 2 closed-form profile g(t), the flux from the
-profile's curvature equation in the orbit plane, the immersion, Gauss
-map and finite-difference curvature written one point at a time with
-math, and the planar self-intersection sweep as a loop over segment
-pairs.
+form), the n = 2 closed-form profile g(t), the n = 2 threshold flux
+xi_2 by the arithmetic-geometric mean, the flux from the profile's
+curvature equation in the orbit plane, the immersion, Gauss map and
+finite-difference curvature written one point at a time with math, the
+flux's angle rate with one Python power per entry, and the planar
+self-intersection sweep as a loop over segment pairs.
 """
 
 import math
@@ -116,6 +117,63 @@ def xi2_direct(H, tol=1e-13):
         lambda t: math.sqrt(2) * H / math.sqrt(2 * H * H + math.sin(2 * t) - 1),
         0.0, math.pi, tol=tol,
     )
+
+
+def agm_xi2(H):
+    """xi_2(H) = -2 ellipk(m) = -pi / AGM(1, sqrt(1 - m)), m = 1/H^2, and
+    its excess xi_2 + pi, in floats.
+
+    The AGM iteration a' = (a + b)/2, b' = sqrt(a b) from (1, sqrt(1 - m))
+    carries the differences d_j = a_j - b_j, d_0 = m / (1 + sqrt(1 - m))
+    and d_{j+1} = d_j^2 / (2 (sqrt(a_j) + sqrt(b_j))^2), so no close
+    numbers are subtracted: AGM = 1 - (1/2) sum d_j and
+    xi_2 + pi = -pi ((1/2) sum d_j) / AGM keep their relative precision
+    as m -> 0 (Abramowitz & Stegun 17.6).  sqrt(1 - m) is formed as
+    sqrt((H - 1)(H + 1)) / |H|, which keeps its digits as H -> -1.
+    """
+    m = 1.0 / (H * H)
+    a, b = 1.0, math.sqrt((H - 1) * (H + 1)) / -H  # sqrt(1 - m)
+    d = m / (1.0 + b)
+    half_sum = 0.0
+    while half_sum + d / 2 != half_sum:
+        half_sum += d / 2
+        d = d * d / (2 * (math.sqrt(a) + math.sqrt(b)) ** 2)
+        a, b = (a + b) / 2, math.sqrt(a * b)
+    agm = 1.0 - half_sum
+    return -math.pi / agm, -math.pi * half_sum / agm
+
+
+def loop_angle_rate(n, H, C, t1, t2, rem):
+    """quadrature._angle_rate's fields (t1, a, d, pole, rem, quotient, vc,
+    root_vc, U_vc, N_vc, powers) with each power taken by one Python **
+    per entry and p evaluated in np.polyval's sequence from y = 0: the
+    per-C arithmetic the array form must reproduce bit for bit."""
+
+    def power(x, y):
+        return np.array([v ** y for v in x.tolist()])
+
+    def polyval(coeffs, v):
+        y = 0.0
+        for c in coeffs:
+            y = y * v + c
+        return y
+
+    vc = np.sqrt(-C)
+    delta = H + power(-C, -n / 2)
+    P_vc = -polyval(rem, vc)
+    d = (-C) * delta * delta / ((t2 - vc) * (P_vc * power(vc, 2 - 2 * n)))
+    a = (t2 - t1) / 2
+    with np.errstate(invalid="ignore"):
+        root_vc = np.sqrt(P_vc)
+        F_vc = power(-C, n / 2) * delta / (2 * root_vc)
+        pole = 2 * F_vc / np.sqrt(d * (d + 2 * a))
+    U_vc = 2 * vc * root_vc
+    quotient, acc = [], rem[0]
+    for c in rem[1:]:
+        quotient.append(acc)
+        acc = c + vc * acc
+    return (t1, a, d, pole, rem, np.array(quotient), vc, root_vc, U_vc,
+            F_vc * U_vc, np.array([power(vc, k) for k in range(n)]))
 
 
 def geometric_flux(n, H, C):

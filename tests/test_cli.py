@@ -210,6 +210,14 @@ def test_h0_json(capsys):
     assert data["classification"] == "Embedded"
 
 
+def test_h0_n2_within_2_ulp_of_the_closed_form(capsys):
+    # frozen.H0_N2 = -1/sqrt(m*), ellipk(m*) = pi (test_frozen_refs.py)
+    code, out, _ = run_cli(capsys, "h0", "--n", "2")
+    assert code == 0
+    H0 = json.loads(out)["H0"]
+    assert abs(H0 - frozen.H0_N2) <= 2 * np.spacing(abs(frozen.H0_N2))
+
+
 def test_h0_no_root_json(capsys):
     code, out, _ = run_cli(capsys, "h0", "--n", "3")
     assert code == 0
@@ -452,6 +460,22 @@ def test_output_file_bytes_equal_stdout(tmp_path, capsys, argv):
     code, to_file, _ = run_cli(capsys, *argv, "--output", str(dest))
     assert (code, to_file) == (0, "")
     assert dest.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("where, kind", [
+    ("missing/x.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+], ids=["missing-dir", "a-directory"])
+def test_output_path_that_cannot_be_opened_exit_2(tmp_path, capsys, where,
+                                                   kind):
+    # one JSON error line on stderr, no traceback
+    dest = tmp_path / where
+    code, out, err = run_cli(capsys, "xi", "--n", "2", "--H", "-1.1",
+                             "--output", str(dest))
+    assert (code, out) == (2, "")
+    msg = json.loads(err)
+    assert msg["kind"] == kind and str(dest) in msg["error"]
+    assert err.count("\n") == 1
 
 
 def test_check_fd_draws_as_a_loop(capsys, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 import frozen  # noqa: E402
+from oracles import agm_xi2  # noqa: E402
 
 MPREF = Path(__file__).resolve().parents[1] / "perfbench" / "mpref.py"
 
@@ -97,3 +98,25 @@ def test_roots_match_mpmath_polyroots():
             for got, want in zip(real, stored):
                 assert abs(got - mp.mpf(want)) <= mp.mpf(10) ** -48 * got, (
                     n, H, C)
+
+
+def test_agm_oracle_matches_mpmath_ellipk():
+    # xi_2 = -2 ellipk(1/H^2) and its excess xi_2 + pi, at enough digits
+    # for the excess (about 2 log10|H| more); measured worst 8.1e-16 and
+    # 1.1e-15, both at -1.0001
+    Hs = [-1.0001 * (1e6 / 1.0001) ** (k / 39) for k in range(40)]
+    for H in Hs + [-1e10, -1e50, -1e150]:
+        xi, excess = agm_xi2(H)
+        with mp.workdps(40 + 2 * int(mp.log10(-H))):
+            ref = -2 * mp.ellipk(1 / mp.mpf(H) ** 2)
+            assert abs(xi - ref) <= 2e-15 * abs(ref), H
+            assert abs(excess - (ref + mp.pi)) <= 4e-15 * abs(ref + mp.pi), H
+
+
+def test_h0_n2_is_the_root_of_ellipk():
+    # at n = 2 the closure xi_2(H0) = -2 pi is ellipk(1/H0^2) = pi: H0 is
+    # -1/sqrt(m*), and frozen.H0_N2 is its float
+    with mp.workdps(40):
+        m = mp.re(mp.findroot(lambda m: mp.ellipk(m) - mp.pi, 0.97))
+        assert abs(m - mp.mpf("0.96910737326711927754")) < mp.mpf(10) ** -20
+        assert float(-1 / mp.sqrt(m)) == frozen.H0_N2

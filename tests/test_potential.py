@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import frozen
@@ -320,3 +320,60 @@ def test_shape_params_validation():
         h.ShapeParams(0, -1.1, -0.5)
     with pytest.raises(h.ParameterRangeError):
         h.ShapeParams(2, -1.1, -10.0)
+
+
+# --- horner against polyval's sequence -----------------------------------
+
+
+def _polyval_from_zero(coeffs, v):
+    """np.polyval's operation sequence: y = y * v + c from y = 0."""
+    y = 0.0
+    for c in coeffs:
+        y = y * v + c
+    return y
+
+
+def _same_bits(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_horner_equals_polyval_sequence_for_degrees_1_to_16():
+    # horner starts from the leading coefficient; polyval's first step
+    # 0 * v + c0 gives the same bits for finite v, on floats and on
+    # (rows, 1) coefficient columns against (rows, nodes) v
+    rng = np.random.default_rng(24)
+    for degree in range(1, 17):
+        coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(
+            -3, 4, degree + 1)
+        coeffs[rng.random(degree + 1) < 0.2] = 0.0
+        coeffs[0] = rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)
+        for v in rng.uniform(-3.0, 3.0, 50).tolist() + [0.0, -0.0, 1.0]:
+            got = horner(tuple(coeffs.tolist()), v)
+            assert type(got) is float
+            assert _same_bits(got, _polyval_from_zero(coeffs.tolist(), v))
+            assert _same_bits(got, np.polyval(coeffs, v))
+        rows, nodes = 37, 9
+        columns = rng.normal(size=(degree + 1, rows, 1))
+        v = rng.uniform(-2.0, 2.0, size=(rows, nodes))
+        got = horner(columns, v)
+        assert got.shape == (rows, nodes)
+        assert _same_bits(got, _polyval_from_zero(columns, v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=17),
+       v=st.floats(-10.0, 10.0),
+       rows=st.integers(1, 5))
+def test_horner_equals_polyval_sequence_property(coeffs, v, rows):
+    # wherever some coefficient is nonzero and v is finite; the columns
+    # scale the coefficients per row and v per node
+    assume(any(c != 0 for c in coeffs))
+    assert _same_bits(horner(coeffs, v), _polyval_from_zero(coeffs, v))
+    scale = np.arange(1, rows + 1, dtype=float)[:, None]
+    columns = [c * scale for c in coeffs]
+    nodes = v * np.array([1.0, -0.5, 0.25, 0.0])
+    assert _same_bits(horner(columns, nodes),
+                      _polyval_from_zero(columns, nodes))

@@ -9,14 +9,16 @@ import hypcmc as h
 from hypcmc import potential, quadrature
 from hypcmc.potential import DEGENERATE_REL_GAP
 from hypcmc.quadrature import CTILDE_GUARD_REL
-from hypcmc.shooting import C_GAP_LOWER_REL
+from hypcmc.shooting import C_GAP_LOWER_REL, C_GAP_UPPER, SCAN_POINTS_MAX
 
 import frozen
 from oracles import (
     adaptive_simpson,
+    agm_xi2,
     gauss_chebyshev_flux_n2,
     gauss_chebyshev_period_n2,
     geometric_flux,
+    loop_angle_rate,
     singular_integral_extrapolated,
     xi2_direct,
 )
@@ -388,6 +390,72 @@ def test_flux_grid_builds_no_per_C_objects(monkeypatch):
     assert evaluations.min() >= 17
 
 
+# the (n, H) of the scan grids on which the powers are pinned
+POWER_GRIDS = [(2, -1.02), (2, -1.1), (2, -1.658229), (3, -1.5), (5, -2.9),
+               (8, -1.05), (4, -10.0), (8, -100.0)]
+# every exponent _angle_rate raises -C or sqrt(-C) to, over n = 2..8
+POWER_EXPONENTS = sorted({y for n in range(2, 9)
+                          for y in (-n / 2, n / 2, 2 - 2 * n, *range(n))})
+
+
+def _scan_grid(n, H):
+    """solve_C's final grid over (C0, 0) at (n, H)."""
+    c0 = h.C0(n, H)
+    return -np.geomspace(-(c0 + C_GAP_LOWER_REL * abs(c0)), C_GAP_UPPER,
+                         SCAN_POINTS_MAX)
+
+
+def _power_per_entry(x, y):
+    """x ** y by Python's float power (libm pow) on each entry."""
+    x, y = np.broadcast_arrays(x, y)
+    return np.array([a ** b for a, b in zip(x.ravel().tolist(),
+                                            y.ravel().tolist())]
+                    ).reshape(x.shape)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_float_power_is_per_entry_power_on_scan_grids():
+    # bit for bit, for all 23 exponents of _angle_rate on -C and sqrt(-C)
+    # of eight 4096-point scan grids (1.5M entries); whether np.power
+    # differs depends on the CPU, so it is not asserted
+    assert len(POWER_EXPONENTS) == 23
+    for n, H in POWER_GRIDS:
+        C = _scan_grid(n, H)
+        for base in (-C, np.sqrt(-C)):
+            for y in POWER_EXPONENTS:
+                assert _same_bits(np.float_power(base, y),
+                                  _power_per_entry(base, y)), (n, H, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=64),
+       y=st.sampled_from(POWER_EXPONENTS))
+def test_float_power_is_per_entry_power_property(x, y):
+    x = np.array(x)
+    assert _same_bits(np.float_power(x, y), _power_per_entry(x, y))
+
+
+def test_angle_rate_equals_its_per_entry_loop():
+    # every field of the rate of a whole scan grid, powers included,
+    # equals the loop that takes each power by ** on one float
+    for n, H in POWER_GRIDS:
+        C = _scan_grid(n, H)
+        t1, t2, ok = potential.oscillation_roots_grid(n, H, C)
+        C, t1, t2 = C[ok], t1[ok], t2[ok]
+        assert len(C) > 4000
+        rem = np.array(np.broadcast_arrays(
+            *quadrature._deflated_coefficients(n, H, C, t1, t2)))
+        rate = quadrature._angle_rate(n, H, C, t1, t2, rem)
+        loop = loop_angle_rate(n, H, C, t1, t2, rem)
+        for name, got, want in zip(rate._fields, rate, loop):
+            assert _same_bits(got, want), (n, H, name)
+
+
 def _first_error(call):
     try:
         call()
@@ -511,6 +579,13 @@ def test_xi_answers_on_400_H_out_to_minus_1e6():
 def test_xi_against_direct_trig_form_n2():
     for H in (-1.05, -1.5, -8.0):
         assert h.xi(2, H).value == pytest.approx(xi2_direct(H), abs=1e-9)
+
+
+def test_xi_n2_against_the_agm_oracle():
+    # xi_2 = -pi / AGM(1, sqrt(1 - 1/H^2)); measured worst 3.1e-16 at
+    # -1.0001, where the oracle itself is 8.1e-16 off mpmath's ellipk
+    for H in (-np.geomspace(1.0001, 1e6, 400)).tolist():
+        assert h.xi(2, H).value == pytest.approx(agm_xi2(H)[0], rel=1e-14), H
 
 
 def test_xi_limits():

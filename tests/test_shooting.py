@@ -34,6 +34,12 @@ def test_find_H0_n2():
     assert out.bracket_used[0] <= out.parameter_value <= out.bracket_used[1]
 
 
+def test_find_H0_n2_within_2_ulp_of_the_closed_form():
+    # frozen.H0_N2 = -1/sqrt(m*), ellipk(m*) = pi (test_frozen_refs.py)
+    H0 = h.find_H0(2).parameter_value
+    assert abs(H0 - frozen.H0_N2) <= 2 * np.spacing(abs(frozen.H0_N2))
+
+
 def test_find_H0_tight_interval():
     out = h.find_H0(2, search=(-1.02, -1.01))
     assert isinstance(out, h.SolveOutcome)
