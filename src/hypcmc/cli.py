@@ -31,7 +31,7 @@ from .errors import (
 )
 from .potential import C0, Ctilde, ShapeParams
 from .profile import integrate_profile, profile_alpha, theta_prime_trace
-from .quadrature import require_converged, xi, xi_grid
+from .quadrature import _result, _xi_columns, require_converged, xi
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
@@ -57,16 +57,15 @@ REQUIRED_WITHOUT_SEED = {
 
 
 def _default_tol() -> float:
+    """HYPCMC_TOL as a float, else the default; the quadrature checks it
+    as it checks --tol (DomainError unless positive and finite)."""
     raw = os.environ.get(ENV_TOL)
     if raw is None:
         return quadrature.DEFAULT_TOL
     try:
-        tol = float(raw)
+        return float(raw)
     except ValueError as exc:
-        raise NonConvergenceError(f"bad {ENV_TOL} value {raw!r}") from exc
-    if tol <= 0:
-        raise NonConvergenceError(f"{ENV_TOL} must be positive, got {raw!r}")
-    return tol
+        raise DomainError(f"bad {ENV_TOL} value {raw!r}") from exc
 
 
 def _jsonable(obj):
@@ -224,14 +223,15 @@ def _cmd_surface(args):
 
 
 def _cmd_sweep(args):
-    """xi_n over an H grid in one xi_grid batch; fails with a loop's first
-    error, then at the first H whose xi did not converge."""
-    Hs = np.linspace(args.H_from, args.H_to, args.steps).tolist()
-    rows = []
-    for H, res in zip(Hs, xi_grid(args.n, Hs, tol=args.tol)):
-        require_converged(res, f"xi quadrature at H={H!r}", args.tol)
-        rows.append([H, res.value])
-    _emit_csv(["H", "xi"], rows, args.output)
+    """xi_n over an H grid, written from the value column of one xi grid
+    call (quadrature._xi_columns); fails with a loop's first error, then
+    at the first H whose xi did not converge."""
+    Hs = np.linspace(args.H_from, args.H_to, args.steps)
+    columns, _ = _xi_columns(args.n, Hs, args.tol)
+    for i in np.flatnonzero(~columns[3]).tolist():
+        require_converged(_result(columns, i),
+                          f"xi quadrature at H={Hs[i].item()!r}", args.tol)
+    _emit_csv(["H", "xi"], np.column_stack((Hs, columns[0])), args.output)
     return 0
 
 
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", None) is None:
+        if "tol" in vars(args) and args.tol is None:
             args.tol = _default_tol()
         if getattr(args, "samples", None) is not None and args.samples < 16:
             raise DomainError("samples must be >= 16")

@@ -522,7 +522,9 @@ def _Q_upper_root(n: int, H: float) -> float:
     """The root t2~ = 1 + x of Q above 1 (the scaled upper turning point
     at C = Ctilde), as its offset x > 0, the one positive root of R, after
     xi's checks of n and H.  From R's tangent root at 0 (1 where R'(0) >=
-    0), hi is doubled until R(hi) < 0 and halved while R(hi/2) < 0."""
+    0), hi is doubled until R(hi) < 0 and halved while R(hi/2) < 0.  Where
+    no coefficient is negative, R = 2 + sum c_k x^k has no positive root,
+    and that is settled before any doubling (n = 2 at H = -1)."""
     _check_n(n)
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
@@ -530,8 +532,9 @@ def _Q_upper_root(n: int, H: float) -> float:
     if not all(map(math.isfinite, coeffs)):
         raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
     hi = -coeffs[-1] / coeffs[-2] if coeffs[-2] < 0 else 1.0
-    while horner(coeffs, hi) >= 0:
-        if hi > 1e13:  # R has no sign change on (0, 1e13]
+    rootless = min(coeffs) >= 0
+    while rootless or horner(coeffs, hi) >= 0:
+        if rootless or hi > 1e13:  # R has no sign change on (0, 1e13]
             raise LandmarkError(
                 f"Q(n={n}, H={H}) has no root above 1; xi is not defined here")
         hi *= 2
@@ -549,12 +552,14 @@ def _Q_upper_root_grid(n: int, Hs):
     """_Q_upper_root at every H of ``Hs``, its steps run on columns.
 
     Returns the columns (x, settled): a settled x is what _Q_upper_root
-    returns, bit for bit; where it raises, x is NaN and not settled.
+    returns, bit for bit; where it raises, x is NaN and not settled.  A
+    lane with no negative coefficient of R is not settled and not doubled.
     """
     Hs = np.asarray(Hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs = _Q_shifted(n, Hs)
-        ok = ~(Hs > -1) & np.isfinite(coeffs).all(axis=0)
+        ok = (~(Hs > -1) & np.isfinite(coeffs).all(axis=0)
+              & (np.array(coeffs) < 0).any(axis=0))
         hi = np.where(coeffs[-2] < 0, -coeffs[-1] / coeffs[-2], 1.0)
         grow = ok & (horner(coeffs, hi) >= 0)
         while (grow := grow & (hi <= 1e13)).any():

@@ -107,8 +107,11 @@ class SingularIntegrand:
 
 
 def _check_tol(tol):
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    """DomainError unless tol is positive and finite (at inf every rule
+    would report its first level converged)."""
+    if not 0 < tol < math.inf:
+        need = "finite" if tol > 0 else "positive"
+        raise DomainError(f"tol must be {need}, got {tol}")
 
 
 def _call_integrand(f, x, da, db, offset_aware):
@@ -208,6 +211,18 @@ def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
     return QuadResult(float(value), float(err), evaluations, False)
 
 
+@functools.cache
+def _phase_nodes(N: int):
+    """The phases at which the phase rule's step to N nodes evaluates
+    (read-only): the midpoints (2j + 1) pi / N, j < N/2, and at N = 16,
+    the first step, after the nodes j pi / 8, j <= 8, of N = 8."""
+    phi = (2 * np.arange(N // 2) + 1) * (math.pi / N)
+    if N == 16:
+        phi = np.concatenate([np.arange(9) * (math.pi / 8), phi])
+    phi.setflags(write=False)
+    return phi
+
+
 def _phase_mean(integrand, rows: int, tol: float):
     """Trapezoid means over phi in [0, pi] of ``rows`` smooth, even,
     2 pi-periodic integrands, as columns (value, error, evaluations,
@@ -216,10 +231,13 @@ def _phase_mean(integrand, rows: int, tol: float):
     ``integrand(live, phi)`` gives the rows ``live`` (an index array) at
     the nodes ``phi``, broadcastable to (len(live), len(phi)).  The nodes
     are j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the
-    new midpoints.  A row retires, converged, at the first N where its
-    mean moves by at most ``tol``, the move being its error estimate;
-    each row takes the operations it would take alone.  A non-finite
-    value raises EvaluationError.
+    new midpoints; no row can retire before N = 16, so the first call
+    takes the 17 nodes of N = 16, those of N = 8 first, and the N = 8 sum
+    is formed from them before the midpoints are added.  A row retires,
+    converged, at the first N where its mean moves by at most ``tol``, the
+    move being its error estimate; each row takes the operations it
+    would take alone.  A non-finite value raises EvaluationError at the
+    first such phi in that node order.
     """
     _check_tol(tol)
     value, error = np.empty(rows), np.empty(rows)
@@ -227,7 +245,9 @@ def _phase_mean(integrand, rows: int, tol: float):
     live = np.arange(rows)
 
     def evaluate(phi):
-        vals = np.broadcast_to(integrand(live, phi), (len(live), len(phi)))
+        vals = integrand(live, phi)
+        if np.shape(vals) != (len(live), len(phi)):
+            vals = np.broadcast_to(vals, (len(live), len(phi)))
         if not np.isfinite(vals).all():
             where = float(phi[~np.isfinite(vals).all(axis=0)][0])
             raise EvaluationError(
@@ -236,14 +256,15 @@ def _phase_mean(integrand, rows: int, tol: float):
             )
         return vals
 
-    N = 8
-    ends = np.ones(N + 1)
-    ends[0] = ends[N] = 0.5
-    total = np.sum(evaluate(np.arange(N + 1) * (math.pi / N)) * ends, axis=1)
+    ends = np.ones(9)
+    ends[0] = ends[8] = 0.5
+    vals = evaluate(_phase_nodes(16))
+    N, total, mids = 8, np.sum(vals[:, :9] * ends, axis=1), vals[:, 9:]
     mean = total / N
     while len(live) and N < MAX_NODES:
-        total = total + np.sum(
-            evaluate((2 * np.arange(N) + 1) * (math.pi / (2 * N))), axis=1)
+        if N > 8:
+            mids = evaluate(_phase_nodes(2 * N))
+        total = total + np.sum(mids, axis=1)
         N *= 2
         move = np.abs(total / N - mean)
         mean = total / N
@@ -543,21 +564,27 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     return _result(_xi_rows(n, np.array([H], dtype=float), x, tol), 0)
 
 
-def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
-            missing_as_none: bool = False) -> list[Optional[QuadResult]]:
-    """xi_n(H) at every H of ``Hs``, as rows of one phase rule.
+def _xi_columns(n: int, Hs: Sequence[float], tol: float,
+                missing_as_none: bool = False):
+    """xi_n(H) at every H of ``Hs`` as columns (value, error, evaluations,
+    converged), from one phase rule over the rows, and the mask of the H
+    where Q has no upper root (LandmarkError; its row holds NaN, NaN, 0,
+    False).
 
-    The upper roots of Q are found on columns (_Q_upper_root_grid), and R
-    is deflated on columns.  An H that the lanes do not settle takes the
-    scalar set-up (_Q_upper_root) in grid order.  Each result equals
-    ``xi(n, H, tol)`` in all four fields, and errors are raised in the
-    order of ``Hs``, as a loop over xi would raise them; with
-    ``missing_as_none`` an H where Q has no upper root (LandmarkError)
-    gives None instead.
+    The upper roots of Q are found on columns (_Q_upper_root_grid, which
+    neither doubles nor settles a lane whose R has no negative
+    coefficient), and R is deflated on columns.  An H that the lanes do
+    not settle takes the scalar set-up (_Q_upper_root) in grid order.
+    Entry i equals ``xi(n, Hs[i], tol)`` in all four fields, and errors
+    are raised in the order of ``Hs``, as a loop over xi would raise
+    them; with ``missing_as_none`` a missing landmark is only masked.
     """
-    Hs = np.array([float(H) for H in Hs])
+    Hs = np.array(Hs, dtype=float)
+    columns = (np.full(len(Hs), math.nan), np.full(len(Hs), math.nan),
+               np.zeros(len(Hs), dtype=np.int64), np.zeros(len(Hs), dtype=bool))
+    missing = np.zeros(len(Hs), dtype=bool)
     if not len(Hs):
-        return []
+        return columns, missing
     _check_n(n)  # every H's set-up checks n first
     x, ok = _Q_upper_root_grid(n, Hs)
     errors = {}  # grid index -> the error of its scalar set-up
@@ -566,25 +593,33 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
             x[i] = _Q_upper_root(n, Hs[i].item())
             ok[i] = True
         except LandmarkError as exc:
+            missing[i] = True
             if not missing_as_none:
                 errors[i] = exc
         except HypcmcError as exc:
             errors[i] = exc
-    rows = np.flatnonzero(ok).tolist()
-    if rows:
+    if ok.any():
         try:
             _check_tol(tol)
         except DomainError as exc:
-            errors[rows[0]] = exc
+            errors[np.flatnonzero(ok)[0].item()] = exc
         else:
-            columns = [c.tolist()
-                       for c in _xi_rows(n, Hs[rows], x[rows], tol)]
+            for column, part in zip(columns, _xi_rows(n, Hs[ok], x[ok], tol)):
+                column[ok] = part
     if errors:
         raise errors[min(errors)]
-    results = [None] * len(Hs)
-    for j, i in enumerate(rows):
-        results[i] = QuadResult(*(c[j] for c in columns))
-    return results
+    return columns, missing
+
+
+def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
+            missing_as_none: bool = False) -> list[Optional[QuadResult]]:
+    """The rows of _xi_columns as a list of QuadResult, each equal to
+    ``xi(n, H, tol)``; with ``missing_as_none`` an H where Q has no upper
+    root (LandmarkError) gives None."""
+    columns, missing = _xi_columns(n, Hs, tol, missing_as_none)
+    rows = zip(*(c.tolist() for c in columns))
+    return [None if gone else QuadResult(*row)
+            for row, gone in zip(rows, missing.tolist())]
 
 
 def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:

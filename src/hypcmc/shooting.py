@@ -11,8 +11,9 @@ alone), and refines each sign change in order with Brent's method (Brent
 is accepted when its value, Brent's own value at the point it returns,
 is within a residual bound, so no value is computed twice.
 
-- find_H0 scans one grid with one xi_grid call.  xi is continuous in H,
-  so Brent's first root is accepted as it is (the bound is infinite).
+- find_H0 scans one grid as the columns of one xi grid call
+  (quadrature._xi_columns).  xi is continuous in H, so Brent's first
+  root is accepted as it is (the bound is infinite).
 - solve_C scans grids of SCAN_POINTS and SCAN_POINTS_MAX points, each as
   the columns of one flux_K_grid call, equal to scalar flux_K exactly.
   A root must be within max(RESIDUAL_TOL, 10 * tol) of the target,
@@ -47,11 +48,11 @@ from .quadrature import (
     CTILDE_GUARD_REL,
     _in_guard_band,
     _result,
+    _xi_columns,
     flux_K,
     flux_K_grid,
     require_converged,
     xi,
-    xi_grid,
 )
 
 TWO_PI = 2 * math.pi
@@ -227,9 +228,7 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
 
 
 def _xi_offset(n: int, H: float, res, tol: float) -> float:
-    """xi_n(H) + 2*pi, or -inf where the landmark is missing (res None)."""
-    if res is None:
-        return -math.inf
+    """xi_n(H) + 2*pi, or NonConvergenceError naming H."""
     return require_converged(res, f"xi_{n}({H!r})", tol).value + TWO_PI
 
 
@@ -238,23 +237,25 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             quad_tol: float = 1e-11) -> Union[SolveOutcome, NoRootReport]:
     """Solve xi_n(H) = -2*pi for H in the search interval.
 
-    Scans one geometric grid (one xi_grid batch) for a sign change of
-    xi_n + 2*pi, then refines with Brent bracketing to |dH| <= tol.
-    Brent's root is not verified: xi is continuous in H, and its residual
-    (about |xi_n'| * tol) may exceed a value bound at a loose tol.  A
-    missing landmark counts as xi = -inf; a non-converged xi raises
-    NonConvergenceError.  If no sign change exists the scan statistics
-    are returned as a NoRootReport (the expected outcome for n = 3, 4, 5,
-    where xi_n stays above -2*pi).
+    Scans one geometric grid for a sign change of xi_n + 2*pi, read from
+    the columns of one _xi_columns call as one array, -inf where the
+    landmark is missing (n = 2, H = -1: R has no negative coefficient,
+    settled without a search); the grid's first error is raised, then a
+    NonConvergenceError at its first non-converged H.  Brent refines to
+    |dH| <= tol, unverified: xi is continuous in H, and its residual
+    (about |xi_n'| * tol) may exceed a value bound at a loose tol.  If no
+    sign change exists the scan statistics are returned as a NoRootReport
+    (the expected outcome for n = 3, 4, 5, where xi_n stays above -2*pi).
     """
     H_lo, H_hi = search
     if not (H_lo < H_hi and H_hi <= -1):
         raise DomainError(f"invalid search interval ({H_lo}, {H_hi})")
 
     def scan(grid):
-        return np.array([
-            _xi_offset(n, H, res, quad_tol) for H, res in
-            zip(grid, xi_grid(n, grid, tol=quad_tol, missing_as_none=True))])
+        columns, missing = _xi_columns(n, grid, quad_tol, missing_as_none=True)
+        for i in np.flatnonzero(~(columns[3] | missing)).tolist():
+            _xi_offset(n, grid[i], _result(columns, i), quad_tol)  # raises
+        return np.where(missing, -math.inf, columns[0] + TWO_PI)
 
     def offset(H):
         try:

@@ -16,6 +16,13 @@ interval) and prints the median wall time of:
 * one 64-row ``flux_K_grid``;
 * the whole ``solve_C``.
 
+A second table gives the per-call medians of the closure kernels, whose
+cost is fixed per call rather than per row: one scalar ``flux_K`` (the
+anchor at the middle of its 64-point grid), one scalar ``xi`` (at the
+anchor's H), the anchor's 64-row ``flux_K_grid``, a 64-row ``xi_grid``
+(``find_H0``'s scan at n = 2) and a 128-row one (the fig6 sweep, n = 3),
+and a whole ``find_H0(2)``.
+
 The layers are timed by wrapping those module functions around a real
 ``flux_K_grid`` call, so the script runs unchanged on any checkout that
 has them.  It also prints the rows the phase rule takes and their nodes
@@ -144,6 +151,37 @@ def main():
             + f"  total={median_ms(totals):.2f} ms")
         print(f"  flux_K_grid 64 rows: {median_ms(small_s):.3f} ms")
         print(f"  solve_C: {median_ms(solve_s):.2f} ms")
+    kernel_table(h, args.repeats)
+
+
+def kernel_table(h, repeats):
+    """Print the median ms per call of each closure kernel."""
+    e = cases()[0][1]
+    n, H = e["n"], e["H"]
+    flux_grid = scan_grid(h, e, 64)
+    xi_result = h.xi(n, H)
+    h0_grid = -np.geomspace(10.0, 1.0, 64)
+    sweep_grid = np.linspace(-10.0, -1.0, 128)
+    kernels = {
+        "flux_K": lambda: h.flux_K(h.ShapeParams(n, H, flux_grid[32].item())),
+        "xi": lambda: h.xi(n, H),
+        "flux_K_grid 64": lambda: h.flux_K_grid(n, H, flux_grid,
+                                                xi_result=xi_result),
+        "xi_grid 64": lambda: h.xi_grid(2, h0_grid, missing_as_none=True),
+        "xi_grid 128": lambda: h.xi_grid(3, sweep_grid),
+        "find_H0(2)": lambda: h.find_H0(2),
+    }
+    samples = {name: [] for name in kernels}
+    for name, call in kernels.items():  # warm-up
+        call()
+    for _ in range(repeats):
+        for name, call in kernels.items():
+            start = time.perf_counter()
+            call()
+            samples[name].append(time.perf_counter() - start)
+    print("closure kernels, median ms per call:")
+    print("  " + "  ".join(f"{name}={median_ms(s):.3f}"
+                           for name, s in samples.items()))
 
 
 if __name__ == "__main__":

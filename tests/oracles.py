@@ -7,8 +7,9 @@ form), the n = 2 closed-form profile g(t), the n = 2 threshold flux
 xi_2 by the arithmetic-geometric mean, the flux from the profile's
 curvature equation in the orbit plane, the immersion, Gauss map and
 finite-difference curvature written one point at a time with math, the
-flux's angle rate with one Python power per entry, and the planar
-self-intersection sweep as a loop over segment pairs.
+flux's angle rate with one Python power per entry, the phase rule with
+one integrand call per level, and the planar self-intersection sweep as
+a loop over segment pairs.
 """
 
 import math
@@ -174,6 +175,42 @@ def loop_angle_rate(n, H, C, t1, t2, rem):
         acc = c + vc * acc
     return (t1, a, d, pole, rem, np.array(quotient), vc, root_vc, U_vc,
             F_vc * U_vc, np.array([power(vc, k) for k in range(n)]))
+
+
+def two_call_phase_mean(integrand, rows, tol, max_nodes):
+    """quadrature._phase_mean as the rule with one integrand call per
+    level: the 9 nodes of N = 8, then the midpoints of each doubling up to
+    max_nodes.  The one-call-per-N = 16 form must give its four columns
+    bit for bit and raise its EvaluationError at the same phi."""
+    from hypcmc.errors import EvaluationError
+
+    value, error = np.empty(rows), np.empty(rows)
+    evaluations = np.empty(rows, dtype=np.int64)
+    live = np.arange(rows)
+
+    def evaluate(phi):
+        vals = np.broadcast_to(integrand(live, phi), (len(live), len(phi)))
+        if not np.isfinite(vals).all():
+            where = float(phi[~np.isfinite(vals).all(axis=0)][0])
+            raise EvaluationError(
+                f"integrand returned a non-finite value at phi={where!r}",
+                abscissa=where)
+        return vals
+
+    N = 8
+    ends = np.ones(N + 1)
+    ends[0] = ends[N] = 0.5
+    total = np.sum(evaluate(np.arange(N + 1) * (math.pi / N)) * ends, axis=1)
+    mean = total / N
+    while len(live) and N < max_nodes:
+        total = total + np.sum(
+            evaluate((2 * np.arange(N) + 1) * (math.pi / (2 * N))), axis=1)
+        N *= 2
+        move = np.abs(total / N - mean)
+        mean = total / N
+        value[live], error[live], evaluations[live] = mean, move, N + 1
+        live, total, mean = (x[move > tol] for x in (live, total, mean))
+    return value, error, evaluations, error <= tol
 
 
 def geometric_flux(n, H, C):

@@ -66,14 +66,14 @@ def test_sweep_nonconvergence_exit_3(capsys, monkeypatch):
     # instead of being written out
     import hypcmc.cli as cli_mod
 
-    xi_grid = cli_mod.xi_grid
+    xi_columns = cli_mod._xi_columns
 
     def one_row_not_converged(n, Hs, tol):
-        out = xi_grid(n, Hs, tol=tol)
-        out[2] = h.QuadResult(out[2].value, 1.0, out[2].evaluations, False)
-        return out
+        (value, error, evaluations, converged), missing = xi_columns(n, Hs, tol)
+        error[2], converged[2] = 1.0, False
+        return (value, error, evaluations, converged), missing
 
-    monkeypatch.setattr(cli_mod, "xi_grid", one_row_not_converged)
+    monkeypatch.setattr(cli_mod, "_xi_columns", one_row_not_converged)
     code, out, err = run_cli(capsys, "sweep", "--n", "3", "--H-from", "-3",
                              "--H-to", "-2", "--steps", "5")
     assert code == 3
@@ -198,8 +198,30 @@ def test_parser_reuse_keeps_no_state(capsys, monkeypatch):
 
 def test_env_tol_invalid(capsys, monkeypatch):
     monkeypatch.setenv("HYPCMC_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "xi", "--n", "2", "--H", "-1.1")
-    assert code == 3
+    code, out, err = run_cli(capsys, "xi", "--n", "2", "--H", "-1.1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "bad HYPCMC_TOL value 'not-a-number'",
+                               "kind": "DomainError"}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+def test_bad_tol_is_the_same_domain_error_from_flag_and_env(capsys,
+                                                             monkeypatch,
+                                                             tol):
+    # a tolerance that is not positive and finite is refused with exit 2
+    # and one text, whether it comes from --tol or from HYPCMC_TOL; an
+    # infinite one would report every quadrature converged at 17 nodes
+    argv = ["xi", "--n", "2", "--H", "-1.1"]
+    flag = run_cli(capsys, *argv, f"--tol={tol}")
+    monkeypatch.setenv("HYPCMC_TOL", tol)
+    env = run_cli(capsys, *argv)
+    assert flag == env
+    code, out, err = flag
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "DomainError"
+    assert "tol must be" in json.loads(err)["error"]
+    # profile and surface take no tolerance, so they do not read it
+    assert run_cli(capsys, "profile", "--seed-figures", "fig1")[0] == 0
 
 
 def test_h0_json(capsys):

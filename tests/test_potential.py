@@ -163,6 +163,32 @@ def test_Q_upper_root_against_mpmath():
                 assert abs(x - ref) <= 4 * np.finfo(float).eps * ref, (n, H)
 
 
+def test_rootless_R_is_settled_without_doubling(monkeypatch):
+    # at n = 2, H = -1 no coefficient of R is negative (R = x + 2), so Q
+    # has no root above 1: the scalar set-up raises the LandmarkError it
+    # raised after doubling hi about 44 times toward 1e13, with no Horner
+    # call, and the lane of H = -1 adds no Horner call to a grid
+    calls = []
+    monkeypatch.setattr(potential, "horner",
+                        lambda c, v: calls.append(v) or horner(c, v))
+    text = "Q(n=2, H=-1.0) has no root above 1; xi is not defined here"
+    with pytest.raises(h.LandmarkError) as exc:
+        _Q_upper_root(2, -1.0)
+    assert (str(exc.value), len(calls)) == (text, 0)
+    grid = -np.geomspace(10.0, 1.0, 64)  # find_H0's scan, ending at -1
+    counts = []
+    for Hs in (grid, grid[:-1], [-1.5, -1.0], [-1.5]):
+        calls.clear()
+        x, settled = potential._Q_upper_root_grid(2, Hs)
+        assert settled.tolist() == [H != -1.0 for H in Hs]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[2] == counts[3]
+    with pytest.raises(h.LandmarkError) as exc:
+        h.xi_grid(2, [-1.5, -1.0])
+    assert str(exc.value) == text
+    assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
+
+
 def test_Q_newton_steps_settle_every_root():
     # _Q_NEWTON_STEPS is enough: on a dense grid of H a further step (the
     # compensated one that ends the rule) moves no root by more than 1 ulp

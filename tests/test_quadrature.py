@@ -20,6 +20,7 @@ from oracles import (
     geometric_flux,
     loop_angle_rate,
     singular_integral_extrapolated,
+    two_call_phase_mean,
     xi2_direct,
 )
 
@@ -175,6 +176,77 @@ def test_phase_mean_rows_retire_on_their_own():
         quadrature._phase_mean(lambda live, phi: 1 / np.sin(phi), 1, 1e-12)
     with pytest.raises(h.DomainError):
         quadrature._phase_mean(f, len(b), 0.0)
+
+
+def test_phase_rule_equals_the_two_call_rule(monkeypatch):
+    # the first call takes the 17 nodes of N = 16, and the four columns
+    # stay those of the rule with one call per level, bit for bit: the
+    # flux on the noroot benchmark anchor's scan grids (n = 2, H = -1.1,
+    # embedded; 64 and 4096 points), and xi on find_H0's grid (n = 2..5)
+    # and the fig6-fig8 sweep grids
+    phase_mean, rows = quadrature._phase_mean, []
+
+    def both(integrand, count, tol):
+        new = phase_mean(integrand, count, tol)
+        old = two_call_phase_mean(integrand, count, tol, quadrature.MAX_NODES)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        rows.append(count)
+        return new
+
+    monkeypatch.setattr(quadrature, "_phase_mean", both)
+    n, H = 2, -1.1
+    c0, ct = h.C0(n, H), h.Ctilde(n, H)
+    lo, hi = c0 + C_GAP_LOWER_REL * abs(c0), ct - CTILDE_GUARD_REL * abs(ct)
+    for points in (64, SCAN_POINTS_MAX):
+        h.flux_K_grid(n, H, -np.geomspace(-lo, -hi, points))
+    for n in (2, 3, 4, 5):
+        h.xi_grid(n, -np.geomspace(10.0, 1.0, 64), missing_as_none=True)
+    for n in (3, 4, 5):
+        h.xi_grid(n, np.linspace(-10.0, -1.0, 128))
+    # every grid is one phase rule; find_H0's n = 2 grid ends at H = -1
+    assert rows == [64, SCAN_POINTS_MAX, 63, 64, 64, 64, 128, 128, 128]
+
+
+def test_phase_rule_calls_per_flux(monkeypatch):
+    # a C that converges at N = 32 takes two integrand calls (17 nodes,
+    # then 16 midpoints), where one call per level made three; one that
+    # converges at N = 16 takes one call
+    phase_mean, calls = quadrature._phase_mean, []
+
+    def counted(integrand, count, tol):
+        return phase_mean(lambda live, phi: calls.append(len(phi))
+                          or integrand(live, phi), count, tol)
+
+    monkeypatch.setattr(quadrature, "_phase_mean", counted)
+    for C, evaluations, nodes in ((-0.5, 33, [17, 16]), (-1.0, 17, [17])):
+        calls.clear()
+        res = h.flux_K(h.ShapeParams(2, -1.1, C))
+        assert (res.evaluations, calls) == (evaluations, nodes)
+
+
+def test_phase_rule_non_finite_at_the_n8_node_first():
+    # non-finite values at the N = 8 node pi/4 (row 1) and at the earlier
+    # N = 16 midpoint pi/16 (row 0) are reported at pi/4, as by the rule
+    # with one call per level, which evaluated N = 8 first; a midpoint
+    # alone is reported at its own phi
+    for bad, expected in (({1: math.pi / 4, 0: math.pi / 16}, math.pi / 4),
+                          ({0: math.pi / 16}, math.pi / 16)):
+
+        def f(live, phi):
+            vals = np.ones((len(live), len(phi)))
+            for row, where in bad.items():
+                vals[live == row, phi == where] = np.inf
+            return vals
+
+        raised = []
+        for rule in (quadrature._phase_mean,
+                     lambda *a: two_call_phase_mean(*a, quadrature.MAX_NODES)):
+            with pytest.raises(h.EvaluationError) as exc:
+                rule(f, 2, 1e-12)
+            raised.append((str(exc.value), exc.value.abscissa))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == expected
 
 
 # --- period T -----------------------------------------------------------

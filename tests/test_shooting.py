@@ -536,16 +536,16 @@ def _not_converged(res):
 def test_find_H0_refuses_non_converged_xi(monkeypatch):
     # a non-converged xi in the scan or in the refine step raises,
     # naming H, instead of being used
-    xi_grid = shooting.xi_grid
+    xi_columns = shooting._xi_columns
 
-    def scan_with_one_bad(n, Hs, **kw):
-        out = xi_grid(n, Hs, **kw)
-        out[10] = _not_converged(out[10])
-        return out
+    def scan_with_one_bad(n, Hs, tol, **kw):
+        columns, missing = xi_columns(n, Hs, tol, **kw)
+        columns[1][10], columns[3][10] = 1.0, False
+        return columns, missing
 
     grid = -np.geomspace(10.0, 1.0, shooting.SCAN_POINTS)
     with monkeypatch.context() as m:
-        m.setattr(shooting, "xi_grid", scan_with_one_bad)
+        m.setattr(shooting, "_xi_columns", scan_with_one_bad)
         with pytest.raises(h.NonConvergenceError, match=re.escape(repr(float(grid[10])))):
             h.find_H0(3)
     xi = shooting.xi
