@@ -73,6 +73,11 @@ DEFAULT_MAX_LEVEL = 12
 CTILDE_GUARD_REL = 1e-9
 # the phase rule doubles its nodes per half-period up to MAX_NODES
 MAX_NODES = 1 << 13
+# and runs at most PHASE_BLOCK rows at a time: a (rows, 17) temporary of
+# a 4096-row scan is 557 KB, which the allocator hands back to the system
+# when it is freed, so every call faults its pages in afresh; one of 256
+# rows (35 KB) is reused from the heap and stays in cache
+PHASE_BLOCK = 256
 
 # abscissa cutoff: beyond this |t| the transformed node offsets underflow
 _T_CUTOFF = 6.1
@@ -228,23 +233,27 @@ def _phase_mean(integrand, rows: int, tol: float):
     2 pi-periodic integrands, as columns (value, error, evaluations,
     converged) with one entry per row.
 
-    ``integrand(live, phi)`` gives the rows ``live`` (an index array) at
-    the nodes ``phi``, broadcastable to (len(live), len(phi)).  The nodes
-    are j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the
-    new midpoints; no row can retire before N = 16, so the first call
-    takes the 17 nodes of N = 16, those of N = 8 first, and the N = 8 sum
-    is formed from them before the midpoints are added.  A row retires,
+    ``integrand(live, phi)`` gives the rows ``live`` (a sorted index
+    array) at the nodes ``phi``, broadcastable to (len(live), len(phi)).
+    The rows run in blocks of at most PHASE_BLOCK consecutive rows, one
+    block after the other, and ``live`` is the same array object from
+    call to call until a row of its block retires.  The nodes are
+    j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the new
+    midpoints; no row can retire before N = 16, so the first call takes
+    the 17 nodes of N = 16, those of N = 8 first, and the N = 8 sum is
+    formed from them before the midpoints are added.  A row retires,
     converged, at the first N where its mean moves by at most ``tol``, the
     move being its error estimate; each row takes the operations it
     would take alone.  A non-finite value raises EvaluationError at the
-    first such phi in that node order.
+    first such phi in that node order, in the first block that has one.
     """
     _check_tol(tol)
     value, error = np.empty(rows), np.empty(rows)
     evaluations = np.empty(rows, dtype=np.int64)
-    live = np.arange(rows)
+    ends = np.ones(9)
+    ends[0] = ends[8] = 0.5
 
-    def evaluate(phi):
+    def evaluate(live, phi):
         vals = integrand(live, phi)
         if np.shape(vals) != (len(live), len(phi)):
             vals = np.broadcast_to(vals, (len(live), len(phi)))
@@ -256,21 +265,23 @@ def _phase_mean(integrand, rows: int, tol: float):
             )
         return vals
 
-    ends = np.ones(9)
-    ends[0] = ends[8] = 0.5
-    vals = evaluate(_phase_nodes(16))
-    N, total, mids = 8, np.sum(vals[:, :9] * ends, axis=1), vals[:, 9:]
-    mean = total / N
-    while len(live) and N < MAX_NODES:
-        if N > 8:
-            mids = evaluate(_phase_nodes(2 * N))
-        total = total + np.sum(mids, axis=1)
-        N *= 2
-        move = np.abs(total / N - mean)
+    for start in range(0, rows, PHASE_BLOCK):
+        live = np.arange(start, min(start + PHASE_BLOCK, rows))
+        vals = evaluate(live, _phase_nodes(16))
+        N, total, mids = 8, np.sum(vals[:, :9] * ends, axis=1), vals[:, 9:]
         mean = total / N
-        # every live row is written; a retiring row keeps what it has
-        value[live], error[live], evaluations[live] = mean, move, N + 1
-        live, total, mean = (x[move > tol] for x in (live, total, mean))
+        while len(live) and N < MAX_NODES:
+            if N > 8:
+                mids = evaluate(live, _phase_nodes(2 * N))
+            total = total + np.sum(mids, axis=1)
+            N *= 2
+            move = np.abs(total / N - mean)
+            mean = total / N
+            # every live row is written; a retiring row keeps what it has
+            value[live], error[live], evaluations[live] = mean, move, N + 1
+            keep = move > tol
+            if not keep.all():
+                live, total, mean = live[keep], total[keep], mean[keep]
     return value, error, evaluations, error <= tol
 
 
@@ -434,13 +445,20 @@ def _flux_setup(params: ShapeParams):
 def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
     """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
     all with d > 0, as the columns of one phase rule (_phase_mean)."""
-    # the live rows only shrink, so their count names them: the rate is
-    # viewed whole, and gathered (copied) only after a row retired
-    last = [len(rate.d), _rows(rate, None)]  # the live count and its rate
+    # the rate of the live rows is re-indexed only when live changes (a
+    # new block, or a row retired): a run of consecutive rows, as every
+    # block starts, is viewed, and only a run with gaps is gathered
+    last = [None, None]  # the live rows and their rate
 
     def integrand(live, phi):
-        if last[0] != len(live):
-            last[:] = len(live), _rows(rate, live[:, None])
+        if last[0] is not live:
+            lo, hi = live[0].item(), live[-1].item() + 1
+            if hi - lo != len(live):
+                last[:] = live, _rows(rate, live[:, None])
+            else:
+                run = rate if hi - lo == len(rate.d) else _rows(
+                    rate, slice(lo, hi))
+                last[:] = live, _rows(run, None)
         return 2 * math.pi * _angle_remainder(n, H, last[1], phi)
 
     value, *rest = _phase_mean(integrand, len(rate.d), tol)

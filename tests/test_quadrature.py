@@ -249,6 +249,38 @@ def test_phase_rule_non_finite_at_the_n8_node_first():
         assert raised[0][1] == expected
 
 
+def test_phase_rule_columns_do_not_depend_on_the_block(monkeypatch):
+    # the rows run in blocks of at most PHASE_BLOCK; a flux grid whose C
+    # converge at different N and an xi grid give the same four columns,
+    # bit for bit, in blocks of 3 rows as in one block.  The first three
+    # C of the any-mode scan at (2, -1.1) converge at N = 16 and the rest
+    # at N = 32; interleaved, they leave gaps in a block's live rows, whose
+    # rate is then gathered rather than viewed
+    n, H = 2, -1.1
+    c0 = h.C0(n, H)
+    scan = -np.geomspace(-(c0 + C_GAP_LOWER_REL * abs(c0)), C_GAP_UPPER, 64)
+    Cs = scan[np.r_[3, 0, 4, 1, 5, 2, 6:64]]
+    Hs = np.linspace(-10.0, -1.0, 128)
+    phase_mean, lives = quadrature._phase_mean, []
+
+    def recorded(integrand, count, tol):
+        return phase_mean(lambda live, phi: lives.append(live)
+                          or integrand(live, phi), count, tol)
+
+    monkeypatch.setattr(quadrature, "_phase_mean", recorded)
+    columns = {}
+    for block in (3, len(Hs)):
+        monkeypatch.setattr(quadrature, "PHASE_BLOCK", block)
+        lives.clear()
+        columns[block] = (*h.flux_K_grid(n, H, Cs),
+                          *quadrature._xi_columns(3, Hs, 1e-11)[0])
+        assert max(len(live) for live in lives) == block
+        assert any((np.diff(live) > 1).any() for live in lives)
+    assert columns[3][2].tolist() == [33, 17] * 3 + [33] * 58
+    for a, b in zip(columns[3], columns[len(Hs)]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # --- period T -----------------------------------------------------------
 
 
