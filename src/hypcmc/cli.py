@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -301,12 +302,22 @@ def _cmd_check(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number with an exponent,
+    such as -1e6, as a value, as argparse itself takes -2 and -0.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.  It holds no per-call
     state: each parse gives a fresh Namespace, and main reads HYPCMC_TOL
     on each call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypcmc",
         description="CMC hypersurfaces of hyperbolic rotational type: "
                     "potentials, singular quadrature, shooting, profiles.",
@@ -415,10 +426,8 @@ def main(argv=None) -> int:
                     setattr(args, option, value)
         for f in REQUIRED_WITHOUT_SEED.get(args.command, ()):
             if getattr(args, f) is None:
-                print(json.dumps(
-                    {"error": f"--{f.replace('_', '-')} is required "
-                              "without --seed-figures"}), file=sys.stderr)
-                return 2
+                raise DomainError(f"--{f.replace('_', '-')} is required "
+                                  "without --seed-figures")
         return args.func(args)
     except (NonConvergenceError, IntegrationFailureError,
             EvaluationError) as exc:

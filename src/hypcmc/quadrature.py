@@ -228,17 +228,17 @@ def _phase_nodes(N: int):
     return phi
 
 
-def _phase_mean(integrand, rows: int, tol: float):
-    """Trapezoid means over phi in [0, pi] of ``rows`` smooth, even,
-    2 pi-periodic integrands, as columns (value, error, evaluations,
-    converged) with one entry per row.
+def _phase_mean(integrand, columns, tol: float):
+    """Trapezoid means over phi in [0, pi] of smooth, even, 2 pi-periodic
+    integrands, one per row of ``columns`` (arrays with the row on the last
+    axis), as columns (value, error, evaluations, converged).
 
-    ``integrand(live, phi)`` gives the rows ``live`` (a sorted index
-    array) at the nodes ``phi``, broadcastable to (len(live), len(phi)).
-    The rows run in blocks of at most PHASE_BLOCK consecutive rows, one
-    block after the other, and ``live`` is the same array object from
-    call to call until a row of its block retires.  The nodes are
-    j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the new
+    ``integrand(cols, phi)`` gives the live rows at the nodes ``phi``,
+    broadcastable to (rows, len(phi)), from their columns, each cut as
+    ``c[..., rows, None]``.  The rows run in blocks of at most PHASE_BLOCK
+    consecutive rows, and are cut anew when a row retires: as views where
+    the rows left are one run, gathered where they have gaps.  The nodes
+    are j pi / N, N doubled from 8 up to MAX_NODES, evaluating only the new
     midpoints; no row can retire before N = 16, so the first call takes
     the 17 nodes of N = 16, those of N = 8 first, and the N = 8 sum is
     formed from them before the midpoints are added.  A row retires,
@@ -248,13 +248,20 @@ def _phase_mean(integrand, rows: int, tol: float):
     first such phi in that node order, in the first block that has one.
     """
     _check_tol(tol)
+    rows = np.shape(columns[0])[-1]
     value, error = np.empty(rows), np.empty(rows)
     evaluations = np.empty(rows, dtype=np.int64)
     ends = np.ones(9)
     ends[0] = ends[8] = 0.5
 
-    def evaluate(live, phi):
-        vals = integrand(live, phi)
+    def cut(live):
+        lo, hi = live[0].item(), live[-1].item() + 1
+        if hi - lo == len(live):
+            return tuple(c[..., lo:hi, None] for c in columns)
+        return tuple(c[..., live[:, None]] for c in columns)
+
+    def evaluate(cols, live, phi):
+        vals = integrand(cols, phi)
         if np.shape(vals) != (len(live), len(phi)):
             vals = np.broadcast_to(vals, (len(live), len(phi)))
         if not np.isfinite(vals).all():
@@ -267,12 +274,13 @@ def _phase_mean(integrand, rows: int, tol: float):
 
     for start in range(0, rows, PHASE_BLOCK):
         live = np.arange(start, min(start + PHASE_BLOCK, rows))
-        vals = evaluate(live, _phase_nodes(16))
+        cols = cut(live)
+        vals = evaluate(cols, live, _phase_nodes(16))
         N, total, mids = 8, np.sum(vals[:, :9] * ends, axis=1), vals[:, 9:]
         mean = total / N
-        while len(live) and N < MAX_NODES:
+        while N < MAX_NODES:
             if N > 8:
-                mids = evaluate(live, _phase_nodes(2 * N))
+                mids = evaluate(cols, live, _phase_nodes(2 * N))
             total = total + np.sum(mids, axis=1)
             N *= 2
             move = np.abs(total / N - mean)
@@ -282,6 +290,9 @@ def _phase_mean(integrand, rows: int, tol: float):
             keep = move > tol
             if not keep.all():
                 live, total, mean = live[keep], total[keep], mean[keep]
+                if not len(live):
+                    break
+                cols = cut(live)
     return value, error, evaluations, error <= tol
 
 
@@ -363,8 +374,8 @@ _AngleRate = namedtuple("_AngleRate",
 
 
 def _rows(rate: _AngleRate, index) -> _AngleRate:
-    """The rate of the C at ``index``: 0 gives floats for one C, an
-    (rows, 1) index array gives columns, None every C as column views."""
+    """The rate of the C at ``index``: 0 gives floats for one C, a mask
+    the rate of the C it selects."""
     return _AngleRate(*(f[..., index] for f in rate))
 
 
@@ -445,23 +456,9 @@ def _flux_setup(params: ShapeParams):
 def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
     """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
     all with d > 0, as the columns of one phase rule (_phase_mean)."""
-    # the rate of the live rows is re-indexed only when live changes (a
-    # new block, or a row retired): a run of consecutive rows, as every
-    # block starts, is viewed, and only a run with gaps is gathered
-    last = [None, None]  # the live rows and their rate
-
-    def integrand(live, phi):
-        if last[0] is not live:
-            lo, hi = live[0].item(), live[-1].item() + 1
-            if hi - lo != len(live):
-                last[:] = live, _rows(rate, live[:, None])
-            else:
-                run = rate if hi - lo == len(rate.d) else _rows(
-                    rate, slice(lo, hi))
-                last[:] = live, _rows(run, None)
-        return 2 * math.pi * _angle_remainder(n, H, last[1], phi)
-
-    value, *rest = _phase_mean(integrand, len(rate.d), tol)
+    value, *rest = _phase_mean(
+        lambda cols, phi: 2 * math.pi * _angle_remainder(n, H, cols, phi),
+        rate, tol)
     return (value + math.pi * rate.pole, *rest)
 
 
@@ -555,16 +552,16 @@ def _xi_rows(n: int, H, x, tol: float):
     """xi at the H of the 1-D array ``H``, with the upper roots 1 + ``x``
     of Q, as the columns of one phase rule."""
     # v^(2n-2) Q(v) = u R(u) at v = 1 + u, and R = (u - x) S(u)
-    rem = np.array(_synthetic_deflate(_Q_shifted(n, H), x))[..., None]
-    H, a = H[:, None], (x / 2)[:, None]
+    rem = np.array(_synthetic_deflate(_Q_shifted(n, H), x))
 
-    def integrand(live, phi):
-        u = 2 * a[live] * np.sin(phi / 2) ** 2
+    def integrand(cols, phi):
+        H, a, rem = cols
+        u = 2 * a * np.sin(phi / 2) ** 2
         v = 1 + u
-        return math.pi * eval_h(n, H[live], v) / np.sqrt(
-            -horner(rem[:, live], u) * v ** (2 - 2 * n))
+        return math.pi * eval_h(n, H, v) / np.sqrt(
+            -horner(rem, u) * v ** (2 - 2 * n))
 
-    return _phase_mean(integrand, len(H), tol)
+    return _phase_mean(integrand, (H, x / 2, rem), tol)
 
 
 def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:

@@ -129,24 +129,8 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
         return BrentResult(xpre if fpre == 0 else xcur, 0, 2)
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    return _brent_steps(f, (xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0), 0,
-                        xtol, rtol, maxiter)
-
-
-def _brent_value(f, x):
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(
-            f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
-
-
-def _brent_steps(f, state, i, xtol, rtol, maxiter):
-    """brentq's iterations i, i + 1, ... up to maxiter, from ``state``, the
-    floats (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur) at the top of
-    iteration i; the counts of the BrentResult run from brentq's start."""
-    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
-    for i in range(i, maxiter):
+    xblk = fblk = spre = scur = 0.0
+    for i in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -180,6 +164,14 @@ def _brent_steps(f, state, i, xtol, rtol, maxiter):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = _brent_value(f, xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _brent_value(f, x):
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(
+            f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
 
 
 def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,

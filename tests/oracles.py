@@ -177,19 +177,22 @@ def loop_angle_rate(n, H, C, t1, t2, rem):
             F_vc * U_vc, np.array([power(vc, k) for k in range(n)]))
 
 
-def two_call_phase_mean(integrand, rows, tol, max_nodes):
+def two_call_phase_mean(integrand, columns, tol, max_nodes):
     """quadrature._phase_mean as the rule with one integrand call per
-    level: the 9 nodes of N = 8, then the midpoints of each doubling up to
+    level, on all rows at once, the live rows' columns gathered at every
+    call: the 9 nodes of N = 8, then the midpoints of each doubling up to
     max_nodes.  The one-call-per-N = 16 form must give its four columns
     bit for bit and raise its EvaluationError at the same phi."""
     from hypcmc.errors import EvaluationError
 
+    rows = np.shape(columns[0])[-1]
     value, error = np.empty(rows), np.empty(rows)
     evaluations = np.empty(rows, dtype=np.int64)
     live = np.arange(rows)
 
     def evaluate(phi):
-        vals = np.broadcast_to(integrand(live, phi), (len(live), len(phi)))
+        cols = tuple(c[..., live[:, None]] for c in columns)
+        vals = np.broadcast_to(integrand(cols, phi), (len(live), len(phi)))
         if not np.isfinite(vals).all():
             where = float(phi[~np.isfinite(vals).all(axis=0)][0])
             raise EvaluationError(

@@ -145,6 +145,31 @@ def test_sweep_out_to_minus_1e6(capsys):
     assert len(_parse_csv(out)) == 401  # the header and 400 rows
 
 
+NEGATIVE_EXPONENT_VALUES = [
+    ("--H", "-1e2", ("xi", "--n", "2")),
+    ("--C", "-5e-1", ("profile", "--n", "2", "--H", "-1.1", "--samples", "16")),
+    ("--lo", "-1e1", ("h0", "--n", "2")),
+    ("--hi", "-1.01e0", ("h0", "--n", "2")),
+    ("--H-from", "-1e6", ("sweep", "--n", "3", "--H-to=-1.02", "--steps", "3")),
+    ("--H-to", "-1.02e0", ("sweep", "--n", "3", "--H-from=-1e6", "--steps", "3")),
+    ("--tol", "-1e-9", ("xi", "--n", "2", "--H", "-1.1")),
+    ("--solver-tol", "-1e-12", ("h0", "--n", "2")),
+    ("--clip", "-5e0", ("profile", "--seed-figures", "fig4", "--samples", "16")),
+    ("--fiber-span", "-1.5e0", ("surface", "--n", "2", "--H", "-1.1", "--C",
+                                "-0.5", "--samples", "16", "--fibers", "3")),
+]
+
+
+@pytest.mark.parametrize("option, value, argv", NEGATIVE_EXPONENT_VALUES,
+                         ids=[case[0] for case in NEGATIVE_EXPONENT_VALUES])
+def test_negative_value_with_exponent(capsys, option, value, argv):
+    # a negative number with an exponent is a value after a space too, as
+    # after "=": the same exit code and bytes (argparse's own test of a
+    # negative number stops at the exponent, and read -1e6 as an option)
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+
+
 def test_env_tol_override(capsys, monkeypatch):
     # the environment tolerance must reach the quadrature call, and an
     # explicit --tol must win over it
@@ -190,7 +215,8 @@ def test_parser_reuse_keeps_no_state(capsys, monkeypatch):
     assert evaluations[0] < evaluations[1]
     monkeypatch.delenv("HYPCMC_TOL")
 
-    missing = '{"error": "--H is required without --seed-figures"}\n'
+    missing = ('{"error": "--H is required without --seed-figures", '
+               '"kind": "DomainError"}\n')
     assert run_cli(capsys, "profile", "--n", "2") == (2, "", missing)
     assert run_cli(capsys, "profile", "--seed-figures", "fig1")[0] == 0
     assert run_cli(capsys, "profile", "--n", "2") == (2, "", missing)
@@ -391,10 +417,12 @@ def test_sweep_missing_args_exit_2(capsys):
     # one JSON line on stderr
     code, out, err = run_cli(capsys, "sweep", "--n", "3", "--H-from", "-3")
     assert (code, out) == (2, "")
-    assert err == '{"error": "--H-to is required without --seed-figures"}\n'
+    assert err == ('{"error": "--H-to is required without --seed-figures", '
+                   '"kind": "DomainError"}\n')
     code, out, err = run_cli(capsys, "profile", "--H", "-1.1")
     assert (code, out) == (2, "")
-    assert err == '{"error": "--n is required without --seed-figures"}\n'
+    assert err == ('{"error": "--n is required without --seed-figures", '
+                   '"kind": "DomainError"}\n')
 
 
 def test_profile_output_file(tmp_path, capsys):

@@ -154,18 +154,18 @@ def test_phase_mean_rows_retire_on_their_own():
     # not converged
     b = np.array([10.0, 1.5, 1.01, 1 + 1e-12])
 
-    def f(live, phi):
-        return 1 / (b[live, None] - np.cos(phi))
+    def f(cols, phi):
+        return 1 / (cols[0] - np.cos(phi))
 
     for tol in (1e-6, 1e-13):
-        rows = _as_results(quadrature._phase_mean(f, len(b), tol))
+        rows = _as_results(quadrature._phase_mean(f, (b,), tol))
         for i in range(3):
-            mean, nodes = _first_settled_mean(lambda phi: f([i], phi)[0], tol)
+            mean, nodes = _first_settled_mean(lambda phi: f((b[i],), phi), tol)
             assert rows[i].converged and rows[i].abs_error_estimate <= tol
             assert rows[i].evaluations == nodes
             assert rows[i].value == pytest.approx(mean, rel=1e-14)
             assert rows[i] == _as_results(quadrature._phase_mean(
-                lambda live, phi, i=i: f(live + i, phi), 1, tol))[0]
+                f, (b[i:i + 1],), tol))[0]
     for i in range(3):
         assert rows[i].value == pytest.approx(1 / math.sqrt(b[i] ** 2 - 1),
                                               rel=1e-13)
@@ -173,9 +173,10 @@ def test_phase_mean_rows_retire_on_their_own():
     assert not rows[3].converged
     assert rows[3].evaluations == quadrature.MAX_NODES + 1
     with pytest.raises(h.EvaluationError), np.errstate(divide="ignore"):
-        quadrature._phase_mean(lambda live, phi: 1 / np.sin(phi), 1, 1e-12)
+        quadrature._phase_mean(lambda cols, phi: 1 / np.sin(phi),
+                               (np.zeros(1),), 1e-12)
     with pytest.raises(h.DomainError):
-        quadrature._phase_mean(f, len(b), 0.0)
+        quadrature._phase_mean(f, (b,), 0.0)
 
 
 def test_phase_rule_equals_the_two_call_rule(monkeypatch):
@@ -186,12 +187,13 @@ def test_phase_rule_equals_the_two_call_rule(monkeypatch):
     # and the fig6-fig8 sweep grids
     phase_mean, rows = quadrature._phase_mean, []
 
-    def both(integrand, count, tol):
-        new = phase_mean(integrand, count, tol)
-        old = two_call_phase_mean(integrand, count, tol, quadrature.MAX_NODES)
+    def both(integrand, columns, tol):
+        new = phase_mean(integrand, columns, tol)
+        old = two_call_phase_mean(integrand, columns, tol,
+                                  quadrature.MAX_NODES)
         for a, b in zip(new, old):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        rows.append(count)
+        rows.append(len(new[0]))
         return new
 
     monkeypatch.setattr(quadrature, "_phase_mean", both)
@@ -214,9 +216,9 @@ def test_phase_rule_calls_per_flux(monkeypatch):
     # converges at N = 16 takes one call
     phase_mean, calls = quadrature._phase_mean, []
 
-    def counted(integrand, count, tol):
-        return phase_mean(lambda live, phi: calls.append(len(phi))
-                          or integrand(live, phi), count, tol)
+    def counted(integrand, columns, tol):
+        return phase_mean(lambda cols, phi: calls.append(len(phi))
+                          or integrand(cols, phi), columns, tol)
 
     monkeypatch.setattr(quadrature, "_phase_mean", counted)
     for C, evaluations, nodes in ((-0.5, 33, [17, 16]), (-1.0, 17, [17])):
@@ -233,7 +235,8 @@ def test_phase_rule_non_finite_at_the_n8_node_first():
     for bad, expected in (({1: math.pi / 4, 0: math.pi / 16}, math.pi / 4),
                           ({0: math.pi / 16}, math.pi / 16)):
 
-        def f(live, phi):
+        def f(cols, phi):
+            live = cols[0][:, 0]  # the rows' own numbers
             vals = np.ones((len(live), len(phi)))
             for row, where in bad.items():
                 vals[live == row, phi == where] = np.inf
@@ -243,7 +246,7 @@ def test_phase_rule_non_finite_at_the_n8_node_first():
         for rule in (quadrature._phase_mean,
                      lambda *a: two_call_phase_mean(*a, quadrature.MAX_NODES)):
             with pytest.raises(h.EvaluationError) as exc:
-                rule(f, 2, 1e-12)
+                rule(f, (np.arange(2),), 1e-12)
             raised.append((str(exc.value), exc.value.abscissa))
         assert raised[0] == raised[1]
         assert raised[0][1] == expected
@@ -255,27 +258,30 @@ def test_phase_rule_columns_do_not_depend_on_the_block(monkeypatch):
     # bit for bit, in blocks of 3 rows as in one block.  The first three
     # C of the any-mode scan at (2, -1.1) converge at N = 16 and the rest
     # at N = 32; interleaved, they leave gaps in a block's live rows, whose
-    # rate is then gathered rather than viewed
+    # columns are then gathered rather than viewed
     n, H = 2, -1.1
     c0 = h.C0(n, H)
     scan = -np.geomspace(-(c0 + C_GAP_LOWER_REL * abs(c0)), C_GAP_UPPER, 64)
     Cs = scan[np.r_[3, 0, 4, 1, 5, 2, 6:64]]
     Hs = np.linspace(-10.0, -1.0, 128)
-    phase_mean, lives = quadrature._phase_mean, []
+    phase_mean, cuts = quadrature._phase_mean, []
 
-    def recorded(integrand, count, tol):
-        return phase_mean(lambda live, phi: lives.append(live)
-                          or integrand(live, phi), count, tol)
+    def recorded(integrand, columns, tol):
+        # each call's live rows, and whether their columns are a view
+        return phase_mean(lambda cols, phi: cuts.append(
+            (len(cols[0]), np.shares_memory(cols[0], columns[0])))
+            or integrand(cols, phi), columns, tol)
 
     monkeypatch.setattr(quadrature, "_phase_mean", recorded)
     columns = {}
     for block in (3, len(Hs)):
         monkeypatch.setattr(quadrature, "PHASE_BLOCK", block)
-        lives.clear()
+        cuts.clear()
         columns[block] = (*h.flux_K_grid(n, H, Cs),
                           *quadrature._xi_columns(3, Hs, 1e-11)[0])
-        assert max(len(live) for live in lives) == block
-        assert any((np.diff(live) > 1).any() for live in lives)
+        assert max(rows for rows, _ in cuts) == block
+        # both a viewed run and a gathered run with gaps occur
+        assert {viewed for _, viewed in cuts} == {True, False}
     assert columns[3][2].tolist() == [33, 17] * 3 + [33] * 58
     for a, b in zip(columns[3], columns[len(Hs)]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
