@@ -6,7 +6,8 @@ CSV for sample tables.  Identical invocations produce byte-identical
 output.  The default quadrature tolerance can be overridden globally
 with the HYPCMC_TOL environment variable or per-call with --tol.
 
-Exit codes: 0 success, 2 domain/precondition error, 3 non-convergence.
+Exit codes: 0 success, 2 usage/domain/precondition error, 3 non-convergence;
+an error is one JSON line on stderr, with its kind.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import lorentz, profile, quadrature
+from . import _shortest, lorentz, profile, quadrature
 from .errors import (
     DomainError,
     EvaluationError,
@@ -37,6 +38,11 @@ from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
 CSV_BLOCK = 1024
+# A CSV block with at least this many distinct floats is formatted by the
+# array kernel, whose fixed cost per call repr one by one beats below it
+# (the two cross at about 350-380 distinct floats).
+CSV_KERNEL_MIN = 384
+CSV_CELL = _shortest.LONGEST + 2  # a value and its CRLF
 
 FIGURE_PROFILES = {
     "fig1": dict(n=2, H=-1.1, C=-0.9091743461769703, periods=1, clip=None),
@@ -112,14 +118,51 @@ def _csv_lines(block, index):
     round-trip form (repr), after the row's ``index`` entry if given.
 
     Each distinct float bit pattern is formatted once: keying on bits
-    keeps 0.0 apart from -0.0 and gives each NaN payload its own entry,
-    and the strings are gathered back through the inverse index."""
+    keeps 0.0 apart from -0.0 and gives each NaN payload its own entry.
+    From CSV_KERNEL_MIN distinct floats on they are formatted together by
+    _shortest.repr_text and the lines are cut from its text as bytes
+    (_csv_cells); below it, by repr one by one, joined as strings."""
     bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    if len(bits) >= CSV_KERNEL_MIN:
+        return str(_csv_cells(bits.view(float),
+                              inverse.reshape(block.shape), index), "ascii")
     text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     lines = map(",".join, text[inverse].reshape(block.shape).tolist())
     if index is not None:
         lines = map("{},{}".format, index.tolist(), lines)
     return "\r\n".join([*lines, ""])
+
+
+def _csv_cells(values, cells, index):
+    """The CSV bytes of a table of cells (indices into values), each row
+    after its ``index`` entry if given.
+
+    Each cell is taken as a CSV_CELL-byte slot of _shortest.repr_text's
+    text, which holds the value, then "," or, in the row's last cell,
+    CRLF, then bytes that a mask drops (a slot stays inside the ROOM
+    bytes that belong to its value)."""
+    text, starts, lengths, _ = _shortest.repr_text(values)
+    if index is not None:
+        # the index words go after the floats, each in a slot of its own
+        keys, at = np.unique(index, return_inverse=True)
+        words = np.array([str(key) for key in keys.tolist()],
+                         f"S{_shortest.ROOM}")
+        cells = np.column_stack((at + len(values), cells))
+        starts = np.concatenate(
+            (starts, len(text) + np.arange(len(words)) * _shortest.ROOM))
+        lengths = np.concatenate((lengths, np.char.str_len(words)))
+        text = np.concatenate((text, words.view(np.uint8)))
+    text[starts + lengths] = ord(",")
+    slots = np.ndarray((len(text) - CSV_CELL + 1,), f"V{CSV_CELL}", text,
+                       0, (1,))
+    out = slots[starts[cells]].view(np.uint8).reshape(*cells.shape, CSV_CELL)
+    size = lengths[cells] + 1
+    size[:, -1] += 1
+    rows = np.arange(len(out))
+    out[rows, -1, size[:, -1] - 2] = ord("\r")
+    out[rows, -1, size[:, -1] - 1] = ord("\n")
+    return out[np.arange(CSV_CELL, dtype=np.uint8)
+               < size.astype(np.uint8)[..., None]]
 
 
 def _emit_csv(header, table, output_path, index=None):
@@ -304,12 +347,19 @@ def _cmd_check(args):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes a negative number with an exponent,
-    such as -1e6, as a value, as argparse itself takes -2 and -0.5."""
+    such as -1e6, and -inf, -infinity and -nan as values, as argparse
+    itself takes -2 and -0.5; and that reports a usage error as one JSON
+    line on stderr, with exit code 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
+
+    def error(self, message):
+        _print_error(message, "UsageError")
+        sys.exit(2)
 
 
 @functools.cache
@@ -419,11 +469,15 @@ def main(argv=None) -> int:
         for count in ("fibers", "steps"):
             if getattr(args, count, 0) < 0:
                 raise DomainError(f"--{count} must be >= 0")
+        if "solver_tol" in vars(args):
+            quadrature._check_tol(args.solver_tol, "--solver-tol")
         if getattr(args, "seed_figures", None):
             figures = {**FIGURE_PROFILES, **FIGURE_SWEEPS}[args.seed_figures]
             for option, value in figures.items():
                 if not (option == "clip" and args.clip is not None):
                     setattr(args, option, value)
+        if getattr(args, "periods", 1) < 1:
+            raise DomainError("--periods must be >= 1")
         for f in REQUIRED_WITHOUT_SEED.get(args.command, ()):
             if getattr(args, f) is None:
                 raise DomainError(f"--{f.replace('_', '-')} is required "
@@ -434,9 +488,12 @@ def main(argv=None) -> int:
         error, code = exc, 3
     except (HypcmcError, OSError) as exc:  # OSError: --output unwritable
         error, code = exc, 2
-    print(json.dumps({"error": str(error), "kind": type(error).__name__}),
-          file=sys.stderr)
+    _print_error(str(error), type(error).__name__)
     return code
+
+
+def _print_error(message, kind):
+    print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -111,12 +111,12 @@ class SingularIntegrand:
             raise DomainError("need an integrand or an offset_integrand")
 
 
-def _check_tol(tol):
+def _check_tol(tol, name="tol"):
     """DomainError unless tol is positive and finite (at inf every rule
-    would report its first level converged)."""
+    would report its first level converged); the message calls it name."""
     if not 0 < tol < math.inf:
         need = "finite" if tol > 0 else "positive"
-        raise DomainError(f"tol must be {need}, got {tol}")
+        raise DomainError(f"{name} must be {need}, got {tol}")
 
 
 def _call_integrand(f, x, da, db, offset_aware):

@@ -46,6 +46,7 @@ from .errors import (
 from .potential import C0, Ctilde, ShapeParams
 from .quadrature import (
     CTILDE_GUARD_REL,
+    _check_tol,
     _in_guard_band,
     _result,
     _xi_columns,
@@ -190,8 +191,7 @@ def _scan_solve(lo, hi, max_points, target, scan, f, tol, restol, message,
     root whose |value| <= ``restol``, else a NoRootReport over the finite
     values of the final grid.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     for points in sorted({SCAN_POINTS, max_points}):
         grid = -np.geomspace(-lo, -hi, points)
         vals = scan(grid)
@@ -240,7 +240,7 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
     (the expected outcome for n = 3, 4, 5, where xi_n stays above -2*pi).
     """
     H_lo, H_hi = search
-    if not (H_lo < H_hi and H_hi <= -1):
+    if not (-math.inf < H_lo < H_hi <= -1):
         raise DomainError(f"invalid search interval ({H_lo}, {H_hi})")
 
     def scan(grid):

@@ -22,6 +22,13 @@ anchor's H), the anchor's 64-row ``flux_K_grid``, a 64-row ``xi_grid``
 (``find_H0``'s scan at n = 2) and a 128-row one (the fig6 sweep, n = 3),
 and a whole ``find_H0(2)``.
 
+A third table gives the cost of the CSV output, block by block, for the
+tables of ``profile --seed-figures fig2`` and ``surface --n 4 --H -1.5
+--C -0.5``: each block's distinct floats, the median ms of ``repr`` over
+them, of the array kernel ``_shortest.repr_text`` over them (where the
+checkout has it), and of the whole block's ``cli._csv_lines``, and the
+lanes the kernel left to repr.
+
 The layers are timed by wrapping those module functions around a real
 ``flux_K_grid`` call, so the script runs unchanged on any checkout that
 has them.  It also prints the rows the phase rule takes and their nodes
@@ -143,6 +150,7 @@ def main():
         print(f"  flux_K_grid 64 rows: {median_ms(small_s):.3f} ms")
         print(f"  solve_C: {median_ms(solve_s):.2f} ms")
     kernel_table(h, args.repeats)
+    csv_table(args.repeats)
 
 
 def kernel_table(h, repeats):
@@ -173,6 +181,52 @@ def kernel_table(h, repeats):
     print("closure kernels, median ms per call:")
     print("  " + "  ".join(f"{name}={median_ms(s):.3f}"
                            for name, s in samples.items()))
+
+
+def csv_table(repeats):
+    """Print, per CSV block of two geometry tables, the distinct floats
+    and the median ms of repr, of the kernel and of the whole block."""
+    import hypcmc.cli as cli
+    try:
+        from hypcmc import _shortest as kernel
+    except ImportError:  # a checkout from before the kernel
+        kernel = None
+    print("CSV blocks, median ms: distinct floats, repr, kernel, whole "
+          "block (_csv_lines), lanes left to repr")
+    for argv in (["profile", "--seed-figures", "fig2"],
+                 ["surface", "--n", "4", "--H", "-1.5", "--C", "-0.5"]):
+        tables = []
+        emit = cli._emit_csv
+        cli._emit_csv = lambda header, table, *_, **kw: tables.append(
+            (np.ascontiguousarray(table, dtype=float), kw.get("index")))
+        try:
+            cli.main(argv)
+        finally:
+            cli._emit_csv = emit
+        table, index = tables[0]
+        print("  " + " ".join(argv))
+        for start in range(0, len(table), cli.CSV_BLOCK):
+            block = table[start:start + cli.CSV_BLOCK]
+            rows = None if index is None else index[
+                start:start + cli.CSV_BLOCK]
+            values = np.unique(block.view(np.int64)).view(float)
+            calls = {"repr": lambda: list(map(repr, values.tolist())),
+                     "block": lambda: cli._csv_lines(block, rows)}
+            if kernel is not None:
+                calls["kernel"] = lambda: kernel.repr_text(values)
+            samples = {name: [] for name in calls}
+            for _ in range(repeats):
+                for name, call in calls.items():
+                    begin = time.perf_counter()
+                    call()
+                    samples[name].append(time.perf_counter() - begin)
+            ms = {name: f"{median_ms(s):.3f}" for name, s in samples.items()}
+            left = ("-" if kernel is None
+                    else int((~kernel.repr_text(values)[3]).sum()))
+            print(f"    rows {start}-{start + len(block) - 1}: "
+                  f"distinct={len(values)} repr={ms['repr']} "
+                  f"kernel={ms.get('kernel', '-')} block={ms['block']} "
+                  f"left_to_repr={left}")
 
 
 if __name__ == "__main__":

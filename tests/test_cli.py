@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +171,60 @@ def test_negative_value_with_exponent(capsys, option, value, argv):
     assert spaced == run_cli(capsys, *argv, f"{option}={value}")
 
 
+NON_FINITE_VALUES = [
+    ("--H", "-inf", ("xi", "--n", "2")),
+    ("--H", "-nan", ("xi", "--n", "2")),
+    ("--H", "-Infinity", ("xi", "--n", "2")),
+    ("--hi", "-inf", ("h0", "--n", "2")),
+    ("--lo", "-inf", ("h0", "--n", "2")),
+    ("--solver-tol", "-inf", ("h0", "--n", "2")),
+    ("--C", "-nan", ("profile", "--n", "2", "--H", "-1.1", "--samples", "16")),
+]
+
+
+@pytest.mark.parametrize("option, value, argv", NON_FINITE_VALUES,
+                         ids=[f"{o}{v}" for o, v, _ in NON_FINITE_VALUES])
+def test_negative_non_finite_value(capsys, option, value, argv):
+    # -inf, -infinity and -nan are values after a space too, answered as
+    # the "=" form is (a JSON domain error), not refused as unknown options
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+    code, out, err = spaced
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] != "UsageError"
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("xi", "--n", "2"), "required: --H"),
+    (("xi", "--n", "two", "--H", "-1.1"), "invalid int value: 'two'"),
+    (("xi", "--n", "2", "--H", "-1.1", "--bad"), "unrecognized"),
+    (("bogus",), "invalid choice: 'bogus'"),
+    (("profile", "--seed-figures", "fig9"), "invalid choice: 'fig9'"),
+    ((), "required: command"),
+], ids=["missing", "type", "unknown", "command", "choice", "empty"])
+def test_usage_error_is_one_json_line(capsys, argv, words):
+    # argparse's errors follow the README's error format: one JSON line
+    # on stderr with a kind, exit code 2 through SystemExit as before
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "UsageError"
+    assert words in error["error"]
+
+
+@pytest.mark.parametrize("command", ["profile", "surface", "check"])
+@pytest.mark.parametrize("periods", ["0", "-3"])
+def test_periods_below_one_exit_2(capsys, command, periods):
+    code, out, err = run_cli(capsys, command, "--n", "2", "--H", "-1.1",
+                             "--C", "-0.5", "--periods", periods)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "--periods must be >= 1",
+                               "kind": "DomainError"}
+
+
 def test_env_tol_override(capsys, monkeypatch):
     # the environment tolerance must reach the quadrature call, and an
     # explicit --tol must win over it
@@ -330,6 +385,20 @@ def test_bad_tolerance_count_or_span_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["kind"] == "DomainError"
+
+
+@pytest.mark.parametrize("command", [("h0", "--n", "2"), SOLVE_C],
+                         ids=["h0", "solve-c"])
+@pytest.mark.parametrize("tol", ["-1e-12", "0", "inf", "nan"])
+def test_bad_solver_tol_exit_2(capsys, command, tol):
+    # refused before any scan, naming the option and the value; at inf
+    # the residual bound max(1e-9, 10 tol) accepted any bracket's end
+    code, out, err = run_cli(capsys, *command, f"--solver-tol={tol}")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["kind"] == "DomainError"
+    assert error["error"].startswith("--solver-tol must be ")
+    assert error["error"].endswith(f", got {float(tol)}")
 
 
 def test_zero_counts_print_the_header_only(capsys):
@@ -497,6 +566,32 @@ def test_emit_csv_matches_csv_writer(capsys):
                    + _csv_writer_bytes(header[1:], table))
     assert "0.0,-0.0,nan,nan\r\n" in out
     assert "-0.0,0.0,nan,inf\r\n" in out
+
+    # blocks on both sides of the kernel's threshold of distinct floats,
+    # the kernel's blocks holding every kind of lane it leaves to repr
+    # (zeros, non-finite values, NaN payloads, subnormals, powers of two,
+    # an exact tie) and texts of every layout, with and without an index
+    specials = np.concatenate((
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 0.5, -1024.0,
+         2816394241744067.5, 1e16, 1.5e-5, 1e-4, -9.999999999999999e22,
+         1.7976931348623157e308, 123.0, -1e22],
+        nans, rng.standard_normal(20) * 10.0 ** rng.integers(-30, 30, 20)))
+    kernel_min = cli_mod.CSV_KERNEL_MIN
+    for distinct in (kernel_min - 1, kernel_min, 3 * kernel_min):
+        values = np.concatenate(
+            (specials, rng.standard_normal(distinct - len(specials))))
+        assert len(np.unique(values.view(np.int64))) == distinct
+        table = rng.choice(values, size=(block, 3))
+        table.ravel()[:distinct] = values  # each value at least once
+        index = rng.integers(0, 40, block)
+        with mock.patch.object(cli_mod._shortest, "repr_text",
+                               wraps=cli_mod._shortest.repr_text) as kernel:
+            cli_mod._emit_csv(header[:4], table, None, index=index)
+            cli_mod._emit_csv(header[1:4], table, None)
+        assert kernel.call_count == (0 if distinct < kernel_min else 2)
+        assert capsys.readouterr().out == (
+            _csv_writer_bytes(header[:4], table, index)
+            + _csv_writer_bytes(header[1:4], table))
 
 
 @pytest.mark.parametrize("argv", [

@@ -65,6 +65,10 @@ def test_find_H0_validation():
         h.find_H0(2, search=(-1.0, -2.0))
     with pytest.raises(h.DomainError):
         h.find_H0(2, tol=0.0)
+    # refused before a scan grid is built from them
+    for lo in (-math.inf, math.nan):
+        with pytest.raises(h.DomainError, match="invalid search interval"):
+            h.find_H0(2, search=(lo, -1.0))
 
 
 def test_solve_C_m5_and_m10():
@@ -140,6 +144,16 @@ def test_solve_C_jump_is_not_a_root():
         assert K == pytest.approx(target.target, abs=1e-8)
     else:
         assert isinstance(out, h.NoRootReport)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, 0.0, math.inf, math.nan])
+def test_solver_tolerance_must_be_positive_and_finite(tol):
+    # the quadrature's rule: at tol = inf the residual bound
+    # max(RESIDUAL_TOL, 10 tol) was inf, and any bracket end passed
+    for solve in (lambda: h.find_H0(2, tol=tol),
+                  lambda: h.solve_C(2, -1.1, h.WindingTarget(1, 5), tol=tol)):
+        with pytest.raises(h.DomainError, match=r"^tol must be "):
+            solve()
 
 
 def test_solve_C_validation():
