@@ -60,7 +60,6 @@ from .profile import (
 from .quadrature import (
     K_limit_at_C0,
     QuadResult,
-    SingularIntegrand,
     b2,
     de_integrate,
     flux_K,

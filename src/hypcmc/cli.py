@@ -254,9 +254,13 @@ def _cmd_surface(args):
     curve = integrate_profile(params, m_periods=args.periods,
                               samples_per_period=args.samples)
     # the fiber H^1 for n = 2, else a geodesic slice of it through the axis
-    fibers = [[math.sinh(v)] + [0.0] * (args.n - 2) + [math.cosh(v)]
-              for v in np.linspace(-args.fiber_span, args.fiber_span,
-                                   args.fibers).tolist()]
+    try:
+        fibers = [[math.sinh(v)] + [0.0] * (args.n - 2) + [math.cosh(v)]
+                  for v in np.linspace(-args.fiber_span, args.fiber_span,
+                                       args.fibers).tolist()]
+    except OverflowError:
+        raise DomainError(f"--fiber-span {args.fiber_span} overflows the "
+                          "fiber points") from None
     grid = profile.surface_grid(curve, fibers)
     header = ["fiber", "t"] + [f"x{i + 1}" for i in range(args.n + 2)]
     F, N = grid.shape[:2]

@@ -60,7 +60,11 @@ class ShapeParams:
         if not self.H < -1:
             raise DomainError(f"H must be < -1, got {self.H}")
         if self.C is not None:
+            if math.isnan(self.C):
+                raise ParameterRangeError(f"C={self.C} is not a number")
             c0 = C0(self.n, self.H)
+            if not math.isfinite(c0):
+                raise DomainError(f"H={self.H} is too large: C0={c0}")
             if not (c0 < self.C < 0):
                 raise ParameterRangeError(
                     f"C={self.C} outside (C0, 0) with C0={c0}: "

@@ -322,7 +322,7 @@ def theta_prime_trace(curve: ProfileCurve,
     """(t, theta') pairs, optionally clipped to |theta'| <= clip."""
     tp = curve.theta_prime
     if clip is not None:
-        if clip <= 0:
+        if not clip > 0:
             raise DomainError("clip must be positive")
         tp = np.clip(tp, -clip, clip)
     return np.column_stack((curve.t, tp))

@@ -12,8 +12,8 @@ integrand at v = sqrt(-C), just below t1, is integrated in closed form.
 The period T (period_T) and the flux over v (_flux_over_v) are check's
 references for the period and the angle per period of the profile's
 phase series, by an independent rule: tanh-sinh quadrature, whose
-integrands may receive the *offsets* da = x - lower, db = upper - x
-from the endpoints.  Near an endpoint x rounds onto it long before da
+integrands receive the *offsets* da = x - lower, db = upper - x from
+the endpoints.  Near an endpoint x rounds onto it long before da
 underflows, so offset-aware integrands keep full relative accuracy
 right into the singularity.
 
@@ -35,7 +35,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import astuple, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .potential import (
 )
 
 DEFAULT_TOL = 1e-11
-DEFAULT_MAX_LEVEL = 12
+MAX_LEVEL = 12  # the last level of the tanh-sinh rule
 # Relative half-width of the band around Ctilde inside which flux_K
 # refuses to run (the flux jumps by 2 pi across Ctilde); the Ctilde
 # value itself is served exactly by xi().
@@ -91,26 +91,6 @@ class QuadResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SingularIntegrand:
-    """An integrand on (lower, upper), finite on the open interval.
-
-    ``integrand`` maps a point to a value.  When ``offset_integrand`` is
-    provided it is preferred: it receives (x, da, db) with da = x - lower
-    and db = upper - x computed in the transformed variable, which stays
-    accurate where x itself has rounded onto an endpoint.
-    """
-
-    lower: float
-    upper: float
-    integrand: Optional[Callable[[float], float]] = None
-    offset_integrand: Optional[Callable[[float, float, float], float]] = None
-
-    def __post_init__(self):
-        if self.integrand is None and self.offset_integrand is None:
-            raise DomainError("need an integrand or an offset_integrand")
-
-
 def _check_tol(tol, name="tol"):
     """DomainError unless tol is positive and finite (at inf every rule
     would report its first level converged); the message calls it name."""
@@ -119,18 +99,7 @@ def _check_tol(tol, name="tol"):
         raise DomainError(f"{name} must be {need}, got {tol}")
 
 
-def _call_integrand(f, x, da, db, offset_aware):
-    if offset_aware:
-        return np.asarray(f(x, da, db), dtype=float)
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(xi) for xi in x], dtype=float)
-
-
+@functools.cache
 def _level_nodes(level: int):
     """The interval-independent node data of one level (read-only).
 
@@ -152,36 +121,30 @@ def _level_nodes(level: int):
     return (h,) + tables
 
 
-# built on first use; deeper levels than the default are rebuilt per use
-# rather than held (level 20 alone would hold about 160 MB)
-_cached_level_nodes = functools.lru_cache(maxsize=None)(_level_nodes)
+def de_integrate(f, lower: float, upper: float,
+                 tol: float = DEFAULT_TOL) -> QuadResult:
+    """Tanh-sinh quadrature of ``f`` over (lower, upper) with level
+    doubling, open rule: check's references period_T and _flux_over_v.
 
-
-def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
-                 max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
-    """Tanh-sinh quadrature with level doubling, open rule.
-
-    Levels are doubled until two successive values agree within ``tol``
-    at two consecutive levels from level 3 on (a narrow interior spike
-    is invisible to coarse levels, and one small difference can be a
-    false plateau), or ``max_level`` is reached; the reported error
-    estimate is the last inter-level difference.  Endpoints are never
-    evaluated, and nodes whose offsets underflow are dropped.  A
-    non-finite value raises EvaluationError.
+    ``f(x, da, db)`` is vectorised over the nodes x and their offsets
+    da = x - lower, db = upper - x (see the module docstring).  Levels
+    are doubled until two successive values agree within ``tol`` at two
+    consecutive levels from level 3 on (a narrow interior spike is
+    invisible to coarse levels, and one small difference can be a false
+    plateau), or MAX_LEVEL is reached; the reported error estimate is the
+    last inter-level difference.  Endpoints are never evaluated, and
+    nodes whose offsets underflow are dropped.  A non-finite value raises
+    EvaluationError.
     """
     _check_tol(tol)
-    a, b = float(spec.lower), float(spec.upper)
+    a, b = float(lower), float(upper)
     if not a < b:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
-    offset_aware = spec.offset_integrand is not None
-    f = spec.offset_integrand if offset_aware else spec.integrand
     width = b - a
     total = 0.0  # running sum of F * weight (without h)
     value, err, evaluations = 0.0, math.inf, 0
-    for level in range(max_level + 1):
-        h, lower_half, em, onep, pct = (
-            _cached_level_nodes(level) if level <= DEFAULT_MAX_LEVEL
-            else _level_nodes(level))
+    for level in range(MAX_LEVEL + 1):
+        h, lower_half, em, onep, pct = _level_nodes(level)
         near = width * em / onep   # offset from the nearer endpoint
         far = width / onep         # offset from the farther endpoint
         da = np.where(lower_half, near, far)
@@ -189,12 +152,8 @@ def de_integrate(spec: SingularIntegrand, tol: float = DEFAULT_TOL,
         x = np.where(lower_half, a + da, b - db)
         weight = pct * da * db / width
         keep = (da > 0) & (db > 0) & np.isfinite(weight)
-        if not offset_aware:
-            # a plain integrand only takes nodes still interior after
-            # rounding, which limits it to ~sqrt(eps) at singular ends
-            keep &= (x > a) & (x < b)
         x, da, db, weight = x[keep], da[keep], db[keep], weight[keep]
-        vals = _call_integrand(f, x, da, db, offset_aware)
+        vals = np.asarray(f(x, da, db), dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             where = float(x[bad][0])
@@ -345,8 +304,7 @@ def _s(n, rem, v):
     return -horner(rem, v) * v ** (2 - 2 * n)
 
 
-def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
-             max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+def period_T(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     """Period of g: T = 2 * integral over (t1, t2) of dv / sqrt(q(v)).
 
     Taken by tanh-sinh quadrature over v, a rule independent of the
@@ -361,8 +319,7 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL,
     def fo(v, da, db):
         return 1.0 / np.sqrt(da * db * _s(n, rem, v))
 
-    res = de_integrate(SingularIntegrand(lower=t1, upper=t2, offset_integrand=fo),
-                       tol=tol, max_level=max_level)
+    res = de_integrate(fo, t1, t2, tol=tol)
     return QuadResult(2 * res.value, 2 * res.abs_error_estimate,
                       res.evaluations, res.converged)
 
@@ -505,8 +462,7 @@ def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
         return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
                 / ((da + d) * (v + vc) * np.sqrt(da * db * _s(n, rem, v))))
 
-    return de_integrate(SingularIntegrand(lower=t1, upper=t2,
-                                          offset_integrand=fo), tol=tol)
+    return de_integrate(fo, t1, t2, tol=tol)
 
 
 def flux_K_grid(n: int, H: float, Cs: Sequence[float],

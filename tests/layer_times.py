@@ -22,7 +22,12 @@ anchor's H), the anchor's 64-row ``flux_K_grid``, a 64-row ``xi_grid``
 (``find_H0``'s scan at n = 2) and a 128-row one (the fig6 sweep, n = 3),
 and a whole ``find_H0(2)``.
 
-A third table gives the cost of the CSV output, block by block, for the
+A third table gives ``check``'s two tanh-sinh references,
+``quadrature.period_T`` and the flux over v (``_flux_over_v``), at the
+fig1 constant and at (3, -1.5, -0.7): the levels each ran, its integrand
+evaluations and its median ms per call.
+
+A fourth table gives the cost of the CSV output, block by block, for the
 tables of ``profile --seed-figures fig2`` and ``surface --n 4 --H -1.5
 --C -0.5``: each block's distinct floats, the median ms of ``repr`` over
 them, of the array kernel ``_shortest.repr_text`` over them (where the
@@ -150,6 +155,7 @@ def main():
         print(f"  flux_K_grid 64 rows: {median_ms(small_s):.3f} ms")
         print(f"  solve_C: {median_ms(solve_s):.2f} ms")
     kernel_table(h, args.repeats)
+    reference_table(h, args.repeats)
     csv_table(args.repeats)
 
 
@@ -181,6 +187,37 @@ def kernel_table(h, repeats):
     print("closure kernels, median ms per call:")
     print("  " + "  ".join(f"{name}={median_ms(s):.3f}"
                            for name, s in samples.items()))
+
+
+def reference_table(h, repeats):
+    """Print, per reference of check and shape, the tanh-sinh levels run,
+    the evaluations and the median ms per call."""
+    from hypcmc import quadrature
+    # older checkouts look the per-level node tables up as
+    # _cached_level_nodes
+    name = ("_cached_level_nodes" if hasattr(quadrature, "_cached_level_nodes")
+            else "_level_nodes")
+    nodes = getattr(quadrature, name)
+    print("check's references, tanh-sinh: levels, evaluations, median ms")
+    for n, H, C in ((2, -1.1, -0.9091743461769703), (3, -1.5, -0.7)):
+        params = h.ShapeParams(n, H, C)
+        for label, call in (("period_T", quadrature.period_T),
+                            ("flux over v", quadrature._flux_over_v)):
+            levels = []
+            setattr(quadrature, name,
+                    lambda level: levels.append(level) or nodes(level))
+            try:
+                res = call(params)
+            finally:
+                setattr(quadrature, name, nodes)
+            samples = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                call(params)
+                samples.append(time.perf_counter() - start)
+            print(f"  ({n}, {H!r}, {C!r}) {label}: levels={len(levels)} "
+                  f"evaluations={res.evaluations} "
+                  f"ms={median_ms(samples):.3f}")
 
 
 def csv_table(repeats):

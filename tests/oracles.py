@@ -4,7 +4,8 @@ These deliberately share no code with the package's quadrature: an
 adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the n = 2 threshold flux
-xi_2 by the arithmetic-geometric mean, the flux from the profile's
+xi_2 by the arithmetic-geometric mean, the n = 2 flux in closed form by
+Carlson's symmetric integrals, the flux from the profile's
 curvature equation in the orbit plane, the immersion, Gauss map and
 finite-difference curvature written one point at a time with math, the
 flux's angle rate with one Python power per entry, the phase rule with
@@ -142,6 +143,134 @@ def agm_xi2(H):
         a, b = (a + b) / 2, math.sqrt(a * b)
     agm = 1.0 - half_sum
     return -math.pi / agm, -math.pi * half_sum / agm
+
+
+# Carlson's duplication algorithm stops once 4^-m Q < |A_m|, with Q the
+# spread of the arguments scaled by r^(-1/6) for relative error r
+_CARLSON_R = 2.0 ** -53
+
+
+def carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) by duplication (Carlson, Numer. Algorithms
+    10, 1995, section 2; DLMF 19.36.1), in floats, for x, y, z >= 0 with
+    at most one zero."""
+    A = A0 = (x + y + z) / 3
+    x0, y0 = x, y
+    Q = (3 * _CARLSON_R) ** (-1 / 6) * max(abs(A - x), abs(A - y),
+                                           abs(A - z))
+    scale = 1.0  # 4^-m
+    while scale * Q >= abs(A):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, A = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (A + lam) / 4
+        scale /= 4
+    X, Y = scale * (A0 - x0) / A, scale * (A0 - y0) / A
+    Z = -X - Y
+    E2, E3 = X * Y - Z * Z, X * Y * Z
+    return (1 - E2 / 10 + E3 / 14 + E2 * E2 / 24 - 3 * E2 * E3 / 44) / math.sqrt(A)
+
+
+def _carlson_rc1(t):
+    """R_C(1, 1 + t) for t >= 0: atan(sqrt t) / sqrt t."""
+    s = math.sqrt(t)
+    return math.atan(s) / s if s else 1.0
+
+
+def carlson_rj(x, y, z, p):
+    """Carlson's R_J(x, y, z, p) by duplication (Carlson 1995, section 2;
+    DLMF 19.36.1), in floats, for x, y, z >= 0 with at most one zero and
+    p > 0 below y and z, so that (p - x)(p - y)(p - z) >= 0 and every
+    R_C term takes the atan form."""
+    A = A0 = (x + y + z + 2 * p) / 5
+    x0, y0, z0 = x, y, z
+    delta = (p - x) * (p - y) * (p - z)
+    Q = (_CARLSON_R / 4) ** (-1 / 6) * max(abs(A - x), abs(A - y),
+                                           abs(A - z), abs(A - p))
+    scale, total = 1.0, 0.0
+    while scale * Q >= abs(A):
+        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
+        lam = sx * sy + sx * sz + sy * sz
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        total += scale / d * _carlson_rc1(scale ** 3 * delta / (d * d))
+        x, y, z, p, A = ((u + lam) / 4 for u in (x, y, z, p, A))
+        scale /= 4
+    X, Y, Z = (scale * (A0 - u) / A for u in (x0, y0, z0))
+    P = -(X + Y + Z) / 2
+    E2 = X * Y + X * Z + Y * Z - 3 * P * P
+    E3 = X * Y * Z + 2 * E2 * P + 4 * P ** 3
+    E4 = (2 * X * Y * Z + E2 * P + 3 * P ** 3) * P
+    E5 = X * Y * Z * P * P
+    series = (1 - 3 * E2 / 14 + E3 / 6 + 9 * E2 * E2 / 88 - 3 * E4 / 22
+              - 9 * E2 * E3 / 52 + 3 * E5 / 26)
+    return scale * series / (A * math.sqrt(A)) + 6 * total
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and a b = p + e exactly (Dekker)."""
+    split = 134217729.0  # 2^27 + 1
+    ah, bh = split * a, split * b
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def carlson_flux2(H, C):
+    """The n = 2 flux K(C, H) in closed form, in floats.
+
+    At n = 2, v^2 q(v) = -(H^2 - 1)(w - w1)(w - w2) in w = v^2, and
+    w = w1 cos^2 phi + w2 sin^2 phi with (1 + H w)/(w + C) =
+    H + (1 - H C)/(w + C) turn the flux integral into
+        K = 2 sqrt(-C) / sqrt(H^2 - 1)
+            * [H R_F(0, w1, w2) + (1 - H C) Pi(nu, k) / ((w2 + C) sqrt(w2))]
+    with k^2 = (w2 - w1)/w2, nu = (w2 - w1)/(w2 + C) and
+    Pi(nu, k) = R_F(0, 1 - k^2, 1) + (nu/3) R_J(0, 1 - k^2, 1, 1 - nu).
+
+    No close numbers are subtracted.  1 - H C is formed in double-word
+    arithmetic (Dekker's product, and 1 - fl(H C) is exact wherever it
+    is small), and so is the discriminant C^2 + 4 (1 - H C), which
+    vanishes at C0; it sets the gap w2 - w1 = sqrt(disc)/(H^2 - 1).
+    Since v^2 q(v) = -(1 - H C)^2 at w = -C, the shifted roots u = w + C
+    have the product (1 - H C)^2/(H^2 - 1), so they follow from the gap
+    and that product as sums of positive terms; w2 = u2 - C and
+    w1 = 1/((H^2 - 1) w2).  So u1 = w1 + C keeps its digits next to
+    Ctilde = 1/H, where it vanishes with 1 - H C, and u2 = w2 + C next
+    to a small C.
+    """
+    A = (H - 1) * (H + 1)
+    hc, hc_lo = _two_product(H, C)
+    one_minus_hc = (1 - hc) - hc_lo
+    cc, cc_lo = _two_product(C, C)
+    disc = (cc + 4 * (1 - hc)) + (cc_lo - 4 * hc_lo)
+    gap = math.sqrt(disc) / A  # w2 - w1 = u2 - u1
+    product = one_minus_hc * one_minus_hc / A  # u1 u2
+    u2 = (gap + math.sqrt(gap * gap + 4 * product)) / 2
+    u1 = product / u2
+    w2 = u2 - C
+    w1 = 1 / (A * w2)
+    y = w1 / w2  # 1 - k^2
+    # nu = gap / u2 and 1 - nu = u1 / u2
+    pi_nu = carlson_rf(0.0, y, 1.0) + gap / u2 / 3 * carlson_rj(
+        0.0, y, 1.0, u1 / u2)
+    return (2 * math.sqrt(-C) / math.sqrt(A)
+            * (H * carlson_rf(0.0, w1, w2)
+               + one_minus_hc * pi_nu / (u2 * math.sqrt(w2))))
+
+
+FLUX2_H = (-1.0001, -1.01, -1.1, -1.5, -3.0, -10.0, -30.0, -100.0)
+
+
+def flux2_grid(H):
+    """C on both n = 2 branches at H: above C0 by 1e-9 and 1e-7 of |C0|,
+    fractions of the lower branch, both sides of Ctilde = 1/H at relative
+    distances 1e-8 to 1e-2, and fractions of the upper branch (Ctilde, 0);
+    C0 = 2 (H + sqrt(H^2 - 1)) written as 2/(H - sqrt(H^2 - 1))."""
+    c0, ct = 2 / (H - math.sqrt((H - 1) * (H + 1))), 1 / H
+    Cs = [c0 * (1 - gap) for gap in (1e-9, 1e-7)]
+    Cs += [c0 + f * (ct - c0) for f in (1e-3, 0.1, 0.5, 0.9, 0.999)]
+    Cs += [ct * (1 + side * e) for e in (1e-8, 1e-5, 1e-2) for side in (1, -1)]
+    Cs += [ct * (1 - f) for f in (0.1, 0.5, 0.9, 0.999)]
+    return [C for C in Cs if c0 < C < 0]
 
 
 def loop_angle_rate(n, H, C, t1, t2, rem):

@@ -379,6 +379,9 @@ SWEEP = ("sweep", "--n", "3", "--H-from", "-3", "--H-to", "-2")
     SWEEP + ("--steps", "-1"),
     SURFACE + ("--fiber-span", "nan", "--fibers", "3"),
     ("profile", "--n", "2", "--H", "-1.1", "--C", "-0.5", "--samples", "8"),
+    SURFACE + ("--fiber-span", "800"),
+    SURFACE + ("--fiber-span", "-800", "--fibers", "1"),
+    ("profile", "--n", "2", "--H", "-1.1", "--C", "-0.5", "--clip", "nan"),
 ])
 def test_bad_tolerance_count_or_span_exit_2(capsys, argv):
     # a JSON DomainError, not a traceback or rows of NaN

@@ -14,7 +14,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 import frozen  # noqa: E402
-from oracles import agm_xi2  # noqa: E402
+from oracles import FLUX2_H, agm_xi2, carlson_flux2, flux2_grid  # noqa: E402
 
 MPREF = Path(__file__).resolve().parents[1] / "perfbench" / "mpref.py"
 
@@ -111,6 +111,38 @@ def test_agm_oracle_matches_mpmath_ellipk():
             ref = -2 * mp.ellipk(1 / mp.mpf(H) ** 2)
             assert abs(xi - ref) <= 2e-15 * abs(ref), H
             assert abs(excess - (ref + mp.pi)) <= 4e-15 * abs(ref + mp.pi), H
+
+
+def _mp_flux2(H, C):
+    """carlson_flux2's closed form at 40 digits with mpmath's elliprf and
+    elliprj, the roots w1 < w2 of the quadratic in w = v^2 taken as they
+    stand."""
+    with mp.workdps(40):
+        H, C = mp.mpf(H), mp.mpf(C)
+        A = H * H - 1
+        w2 = (C - 2 * H + mp.sqrt(C * C - 4 * H * C + 4)) / (2 * A)
+        w1 = 1 / (A * w2)
+        nu = (w2 - w1) / (w2 + C)
+        Pi = (mp.elliprf(0, w1 / w2, 1)
+              + nu / 3 * mp.elliprj(0, w1 / w2, 1, 1 - nu))
+        return 2 * mp.sqrt(-C) / mp.sqrt(A) * (
+            H * mp.elliprf(0, w1, w2) + (1 - H * C) * Pi / ((w2 + C) * mp.sqrt(w2)))
+
+
+def test_carlson_flux2_matches_mpmath():
+    # the error is absolute on the scale of the two terms (about pi each),
+    # which cancel where K is small on the upper branch: measured worst
+    # 2.3e-15 max(|K|, 1) at (-100, Ctilde (1 - 1e-8)), K = -7.9e-5
+    for H in FLUX2_H:
+        for C in flux2_grid(H):
+            K = _mp_flux2(H, C)
+            assert abs(carlson_flux2(H, C) - K) <= 4e-15 * max(abs(K), 1), (
+                H, C)
+    # and the 50-digit frozen fluxes at n = 2 (measured worst 8.3e-16, at
+    # C = Ctilde / 1000 where K = -0.042)
+    for (n, H, C), stored in frozen.K_GRID.items():
+        if n == 2:
+            assert carlson_flux2(H, C) == pytest.approx(stored, rel=2e-15)
 
 
 def test_h0_n2_is_the_root_of_ellipk():

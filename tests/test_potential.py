@@ -93,6 +93,21 @@ def test_landmarks_validation():
         h.landmarks(2, -1.1, C=0.5)
 
 
+def test_shape_params_name_the_bound_a_nan_breaks():
+    # a NaN C compares false with both bounds, so it is not said to
+    # violate one; a C0 that overflows to NaN is H's fault, not C's
+    with pytest.raises(h.ParameterRangeError) as exc:
+        h.ShapeParams(2, -1.1, math.nan)
+    assert str(exc.value) == "C=nan is not a number"
+    with pytest.raises(h.DomainError) as exc:
+        h.ShapeParams(2, -1e200, -1e-300)
+    assert str(exc.value) == "H=-1e+200 is too large: C0=nan"
+    with pytest.raises(h.ParameterRangeError) as exc:
+        h.ShapeParams(2, -1.1, 0.5)
+    assert str(exc.value) == (
+        f"C=0.5 outside (C0, 0) with C0={h.C0(2, -1.1)}: violates C < 0")
+
+
 def test_landmark_ordering():
     lm = h.landmarks(3, -1.4, C=-0.35)
     assert 0 < lm.t1 <= lm.v0 <= lm.t2
