@@ -255,9 +255,10 @@ def _cmd_surface(args):
                               samples_per_period=args.samples)
     # the fiber H^1 for n = 2, else a geodesic slice of it through the axis
     try:
+        with np.errstate(invalid="ignore"):  # an infinite span gives NaN
+            span = np.linspace(-args.fiber_span, args.fiber_span, args.fibers)
         fibers = [[math.sinh(v)] + [0.0] * (args.n - 2) + [math.cosh(v)]
-                  for v in np.linspace(-args.fiber_span, args.fiber_span,
-                                       args.fibers).tolist()]
+                  for v in span.tolist()]
     except OverflowError:
         raise DomainError(f"--fiber-span {args.fiber_span} overflows the "
                           "fiber points") from None
@@ -274,7 +275,8 @@ def _cmd_sweep(args):
     """xi_n over an H grid, written from the value column of one xi grid
     call (quadrature._xi_columns); fails with a loop's first error, then
     at the first H whose xi did not converge."""
-    Hs = np.linspace(args.H_from, args.H_to, args.steps)
+    with np.errstate(invalid="ignore"):  # an infinite end gives NaN
+        Hs = np.linspace(args.H_from, args.H_to, args.steps)
     columns, _ = _xi_columns(args.n, Hs, args.tol)
     for i in np.flatnonzero(~columns[3]).tolist():
         require_converged(_result(columns, i),

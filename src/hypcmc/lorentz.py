@@ -61,7 +61,8 @@ class FiberPoint:
         arr = np.asarray(y, dtype=float)
         if arr.ndim != 1 or len(arr) < 2:
             raise DimensionError("fiber point needs at least 2 coordinates")
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        # an overflowed square, or inf - inf (NaN), is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
             self_inner = float(inner_rows(arr, arr))
         # written so that a NaN or infinite coordinate fails each check
         if not abs(self_inner + 1.0) <= FIBER_TOL:

@@ -44,32 +44,37 @@ def _check_n(n):
         raise DomainError(f"n must be an integer >= 2, got {n}")
 
 
+def _check_shape(n, H):
+    """DomainError unless n is an integer >= 2 and H < -1."""
+    _check_n(n)
+    if not H < -1:
+        raise DomainError(f"H must be < -1, got {H}")
+
+
 @dataclass(frozen=True)
 class ShapeParams:
-    """The triple (n, H, C) parametrizing one candidate hypersurface.
-
-    C may be omitted (None) while only H-level quantities are needed.
-    """
+    """The triple (n, H, C) parametrizing one candidate hypersurface,
+    checked once, here (n >= 2 an integer, H < -1, C0 < C < 0), and by
+    no function that takes one."""
 
     n: int
     H: float
-    C: Optional[float] = None
+    C: float
 
     def __post_init__(self):
-        _check_n(self.n)
-        if not self.H < -1:
-            raise DomainError(f"H must be < -1, got {self.H}")
-        if self.C is not None:
-            if math.isnan(self.C):
-                raise ParameterRangeError(f"C={self.C} is not a number")
-            c0 = C0(self.n, self.H)
-            if not math.isfinite(c0):
-                raise DomainError(f"H={self.H} is too large: C0={c0}")
-            if not (c0 < self.C < 0):
-                raise ParameterRangeError(
-                    f"C={self.C} outside (C0, 0) with C0={c0}: "
-                    + ("violates C > C0" if self.C <= c0 else "violates C < 0")
-                )
+        _check_shape(self.n, self.H)
+        if self.C is None:
+            raise DomainError("C is required, got None")
+        if math.isnan(self.C):
+            raise ParameterRangeError(f"C={self.C} is not a number")
+        c0 = C0(self.n, self.H)
+        if not math.isfinite(c0):
+            raise DomainError(f"H={self.H} is too large: C0={c0}")
+        if not (c0 < self.C < 0):
+            raise ParameterRangeError(
+                f"C={self.C} outside (C0, 0) with C0={c0}: "
+                + ("violates C > C0" if self.C <= c0 else "violates C < 0")
+            )
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,6 @@ def _check_positive(v):
 
 def eval_q(params: ShapeParams, v):
     """q(v) = C - v^(2-2n) + (1-H^2) v^2 - 2 H v^(2-n)."""
-    if params.C is None:
-        raise DomainError("eval_q requires C to be present")
     n, H, C = params.n, params.H, params.C
     v = _check_positive(v)
     out = C - v ** (2 - 2 * n) + (1 - H * H) * v * v - 2 * H * v ** (2 - n)
@@ -157,8 +160,6 @@ def _derivative(coeffs) -> tuple:
 
 def eval_p(params: ShapeParams, v):
     """p(v) = v^(2n-2) q(v), a polynomial for integer n."""
-    if params.C is None:
-        raise DomainError("eval_p requires C to be present")
     v = _check_positive(v)
     out = horner(p_coefficients(params.n, params.H, params.C), v)
     return float(out) if np.ndim(out) == 0 else out
@@ -192,29 +193,18 @@ def Ctilde(n: int, H: float) -> float:
 def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks:
     """Compute v0, C0, Ctilde (and C1 at n=2); with C also t1, t2.
 
-    Raises a range error naming the violated bound when C is outside
-    (C0, 0).
+    With C, the shape is checked by ShapeParams, which names the violated
+    bound when C is outside (C0, 0).
     """
-    _check_n(n)
-    if not H < -1:
-        raise DomainError(f"H must be < -1, got {H}")
-    _v0 = v0(n, H)
-    _c0 = C0(n, H)
-    _ct = Ctilde(n, H)
-    _c1 = C1(H) if n == 2 else None
+    roots = {}
     if C is None:
-        return PotentialLandmarks(v0=_v0, C0=_c0, Ctilde=_ct, C1=_c1)
-    if not _c0 < C:
-        raise ParameterRangeError(f"C={C} violates the bound C > C0 = {_c0}")
-    if not C < 0:
-        raise ParameterRangeError(f"C={C} violates the bound C < 0")
-    params = ShapeParams(n=n, H=H, C=C)
-    t1, t2 = oscillation_roots(params)
-    s = math.sqrt(-C)
-    return PotentialLandmarks(
-        v0=_v0, C0=_c0, Ctilde=_ct, C1=_c1,
-        t1=t1, t2=t2, t1_scaled=t1 / s, t2_scaled=t2 / s,
-    )
+        _check_shape(n, H)
+    else:
+        t1, t2 = oscillation_roots(ShapeParams(n=n, H=H, C=C))
+        s = math.sqrt(-C)
+        roots = dict(t1=t1, t2=t2, t1_scaled=t1 / s, t2_scaled=t2 / s)
+    return PotentialLandmarks(v0=v0(n, H), C0=C0(n, H), Ctilde=Ctilde(n, H),
+                              C1=C1(H) if n == 2 else None, **roots)
 
 
 # Safeguarded Newton steps allowed per root of p.  On 4096-point scan
@@ -360,12 +350,11 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     Root finding runs on p(v) = v^(2n-2) q(v) to avoid the negative-power
     cancellation of q near v -> 0: p(0) = -1 and the leading coefficient
     1 - H^2 is negative, so brackets (1e-9 v0, v0) and (v0, V) with V
-    doubled until p(V) < 0 straddle the roots.  Each root takes
+    doubled from 2 v0 until p(V) < 0 (below 4 (-1 - H)^(-1/n) <= 2^28,
+    as t2 < (-1 - H)^(-1/n)) straddle the roots.  Each root takes
     safeguarded Newton steps (_p_root) from _p_starts, then _p_polish.
     NonConvergenceError if a root does not settle in _P_ROOT_STEPS steps.
     """
-    if params.C is None:
-        raise ParameterRangeError("oscillation_roots requires C")
     n, H, C = params.n, params.H, params.C
     _v0 = v0(n, H)
     _c0 = C0(n, H)
@@ -383,8 +372,6 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     hi = 2 * _v0
     while horner(coeffs, hi) >= 0:
         hi *= 2
-        if hi > 1e12:
-            raise ParameterRangeError("upper root bracket expansion failed")
     lows, roots = _p_lows(n, H, C), []
     for x, lo, up, rising in zip(_p_starts(n, H, C, _v0, _c0),
                                  (1e-9 * _v0, _v0), (_v0, hi), (True, False)):
@@ -403,11 +390,11 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     Returns arrays (t1, t2, settled), one entry per C.  Settled roots are
     what oscillation_roots returns, bit for bit: its brackets, starts,
     Newton steps (_p_root_lanes) and polish on columns.  Where the scalar
-    routine raises (C outside (C0, 0) or degenerate, p(v0) <= 0, bracket
-    expansion failed, a root not settled), the entry is not settled, with
-    NaN roots, for the caller to run it, so errors come as from a loop.
+    routine raises (C outside (C0, 0) or degenerate, p(v0) <= 0, a root
+    not settled), the entry is not settled, with NaN roots, for the
+    caller to run it, so errors come as from a loop.
     """
-    ShapeParams(n=n, H=H)  # raises for an invalid n or H
+    _check_shape(n, H)
     Cs = np.asarray(Cs, dtype=float)
     _v0 = v0(n, H)
     _c0 = C0(n, H)
@@ -419,10 +406,7 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     grow = horner(coeffs, hi) >= 0
     while grow.any():
         hi = np.where(grow, hi * 2, hi)
-        grow &= hi <= 1e12
         grow &= horner(coeffs, hi) >= 0
-    expanded = hi <= 1e12
-    lanes, hi = lanes[expanded], hi[expanded]
 
     # the lower and the upper root of every C as one set of lanes
     count = len(lanes)
@@ -594,8 +578,6 @@ def eval_h(n: int, H: float, v):
 
 def eval_q_tilde(params: ShapeParams, v):
     """q-tilde(v) = -(1/C) q(sqrt(-C) v), the unit-normalized potential."""
-    if params.C is None:
-        raise DomainError("eval_q_tilde requires C to be present")
     v = _check_positive(v)
     s = math.sqrt(-params.C)
     return eval_q(params, s * v) / (-params.C)

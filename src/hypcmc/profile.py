@@ -284,8 +284,6 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
     series that does not converge by its node cap raises
     IntegrationFailureError.
     """
-    if params.C is None:
-        raise DomainError("integrate_profile requires C")
     if m_periods < 1:
         raise DomainError("m_periods must be >= 1")
     if _in_guard_band(params.n, params.H, params.C):

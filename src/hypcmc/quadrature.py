@@ -54,6 +54,7 @@ from .potential import (
     _Q_upper_root,
     _Q_upper_root_grid,
     _check_n,
+    _check_shape,
     _p_lows,
     _split,
     _two_product,
@@ -310,8 +311,6 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     Taken by tanh-sinh quadrature over v, a rule independent of the
     profile's phase series, for check's period residual and the tests.
     """
-    if params.C is None:
-        raise DomainError("period_T requires C")
     n = params.n
     t1, t2 = oscillation_roots(params)
     rem = _deflated_coefficients(n, params.H, params.C, t1, t2)
@@ -349,19 +348,23 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
     deflated by the roots (_deflated_coefficients), a row per coefficient.
     Powers are np.float_power, libm pow on each entry as ** on one float
     (np.power's SIMD path may differ in the last bit), so each entry is the
-    arithmetic of its C alone; none overflows for C0 < C < 0 (where **
-    would raise and float_power give inf).  d <= 0 gives a NaN pole.
+    arithmetic of its C alone.  Next to C = 0 the powers of -C in d
+    overflow (where ** would raise, float_power gives inf): at H = -1.1
+    from |C| < 9.3e-45 at n = 8 and 8.1e-309 at n = 2.  d is then inf or
+    NaN, which _flux_setup refuses.  d <= 0 gives a NaN pole.
     """
     vc = np.sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
     # q(vc) = -(-C) (H + (-C)^(-n/2))^2 with the deflated form of q,
     # which gives d in terms of relatively accurate quantities.
-    delta = H + np.float_power(-C, -n / 2)
-    P_vc = -horner(rem, vc)   # P(vc) = vc^(2n-2) s(vc)
-    d = (-C) * delta * delta / ((t2 - vc) * (P_vc * np.float_power(vc, 2 - 2 * n)))
-    a = (t2 - t1) / 2
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = H + np.float_power(-C, -n / 2)
+        P_vc = -horner(rem, vc)   # P(vc) = vc^(2n-2) s(vc)
+        den = (t2 - vc) * (P_vc * np.float_power(vc, 2 - 2 * n))
+        # an overflowed power leaves d inf or NaN, never a finite / inf = 0
+        d = np.where(den < math.inf, (-C) * delta * delta / den, math.nan)
+        a = (t2 - t1) / 2
         root_vc = np.sqrt(P_vc)
         # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
         F_vc = np.float_power(-C, n / 2) * delta / (2 * root_vc)
@@ -395,13 +398,17 @@ def _angle_remainder(n: int, H: float, rate: _AngleRate, phi):
 def _flux_setup(params: ShapeParams):
     """The roots t1, t2 of one C and its angle rate, as one row.
 
-    Raises DomainError where d = t1 - sqrt(-C) is not positive.
+    Raises DomainError where d = t1 - sqrt(-C) is not finite (the powers
+    of -C overflow next to C = 0) or not positive.
     """
     n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
     rem = np.array(_deflated_coefficients(n, H, C, t1, t2))[:, None]
     rate = _angle_rate(n, H, np.array([C]), np.array([t1]), np.array([t2]),
                        rem)
+    if not math.isfinite(rate.d[0]):
+        raise DomainError(f"C={C!r} is too close to 0: the angle rate's "
+                          f"powers of -C overflow at n={n}")
     if not rate.d[0] > 0:
         raise DomainError(
             f"sqrt(-C)={rate.vc[0]} is not below t1={t1}; the profile would "
@@ -437,8 +444,6 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     axis).  Inside the guard band around Ctilde the computation is
     refused: use xi() there.
     """
-    if params.C is None:
-        raise DomainError("flux_K requires C")
     n, H, C = params.n, params.H, params.C
     if _in_guard_band(n, H, C):
         raise GuardBandError(
@@ -605,14 +610,12 @@ def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:
 
 def K_limit_at_C0(n: int, H: float) -> float:
     """Closed-form limit of K(C, H) as C -> C0 (degenerate oscillation)."""
-    if not H < -1:
-        raise DomainError(f"H must be < -1, got {H}")
+    _check_shape(n, H)
     root = math.sqrt(n * n * H * H - 4 * (n - 1))
     return -math.sqrt(2.0) * math.sqrt(1.0 - n * H / root) * math.pi
 
 
 def b2(H: float) -> float:
     """n = 2 closed form of the same limit."""
-    if not H < -1:
-        raise DomainError(f"H must be < -1, got {H}")
+    _check_shape(2, H)
     return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1))

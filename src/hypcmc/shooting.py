@@ -43,7 +43,7 @@ from .errors import (
     GuardBandError,
     LandmarkError,
 )
-from .potential import C0, Ctilde, ShapeParams
+from .potential import C0, Ctilde, ShapeParams, _check_shape
 from .quadrature import (
     CTILDE_GUARD_REL,
     _check_tol,
@@ -297,8 +297,7 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     """
     if mode not in ("embedded", "any"):
         raise DomainError(f"unknown mode {mode!r}")
-    if not H < -1:
-        raise DomainError(f"H must be < -1, got {H}")
+    _check_shape(n, H)
     target = winding.target
     c0 = C0(n, H)
     lo, hi = c0 + C_GAP_LOWER_REL * abs(c0), -C_GAP_UPPER

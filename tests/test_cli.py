@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -402,6 +403,88 @@ def test_bad_solver_tol_exit_2(capsys, command, tol):
     assert error["kind"] == "DomainError"
     assert error["error"].startswith("--solver-tol must be ")
     assert error["error"].endswith(f", got {float(tol)}")
+
+
+def _shape_argv(command, n="2", H="-1.1", C="-0.5", *extra):
+    """argv of a command that takes a shape, with (k, m) = (1, 1) for
+    solve-c, which takes no C."""
+    argv = [command, f"--n={n}", f"--H={H}"]
+    argv += ["--k=1", "--m=1"] if command == "solve-c" else [f"--C={C}"]
+    return argv + list(extra)
+
+
+SHAPE_COMMANDS = ("solve-c", "profile", "surface", "check")
+PROFILE_COMMANDS = ("profile", "surface", "check")
+
+
+def _refusals():
+    """(argv, kind) of each CLI refusal of a bad shape, span or bound."""
+    for n in ("0", "1", "-2"):
+        yield ["xi", f"--n={n}", "--H=-1.5"], "DomainError"
+        yield ["h0", f"--n={n}"], "DomainError"
+        yield ["sweep", f"--n={n}", "--H-from=-3", "--H-to=-1.5",
+               "--steps=3"], "DomainError"
+        for command in SHAPE_COMMANDS:
+            yield _shape_argv(command, n=n), "DomainError"
+    for H in ("nan", "inf", "-inf", "0.5", "-1"):
+        if H != "-1":  # xi is defined at H = -1
+            yield ["xi", "--n=3", f"--H={H}"], "DomainError"
+        for command in SHAPE_COMMANDS:
+            yield _shape_argv(command, H=H), "DomainError"
+    for C in ("nan", "inf", "0", "-100", "-1e-320"):
+        # below about 8e-309 the angle rate's powers of -C overflow at n = 2
+        kind = "DomainError" if C == "-1e-320" else "ParameterRangeError"
+        for command in PROFILE_COMMANDS:
+            yield _shape_argv(command, C=C), kind
+    for span in ("710", "-710", "inf", "-inf", "nan"):
+        yield (_shape_argv("surface", "2", "-1.1", "-0.5",
+                           f"--fiber-span={span}"), "DomainError")
+    for value in ("nan", "-inf"):
+        yield ["h0", "--n=2", f"--lo={value}"], "DomainError"
+        yield ["h0", "--n=2", f"--hi={value}"], "DomainError"
+        yield ["sweep", "--n=3", f"--H-from={value}", "--H-to=-1.5",
+               "--steps=3"], "DomainError"
+        yield ["sweep", "--n=3", "--H-from=-3", f"--H-to={value}",
+               "--steps=3"], "DomainError"
+
+
+@pytest.mark.parametrize("argv, kind", _refusals(),
+                         ids=lambda a: "_".join(a) if isinstance(a, list) else a)
+def test_refusal_is_one_json_line_and_no_warning(capsys, argv, kind):
+    # stderr holds the error line alone: no traceback and no numpy
+    # RuntimeWarning from an overflow on the way to the refusal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code in (2, 3) and out == ""
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == kind
+
+
+def test_solve_c_bad_n_exit_2(capsys):
+    # C0(n, H) divided by n before n was checked
+    code, out, err = run_cli(capsys, "solve-c", "--n", "0", "--H", "-1.1",
+                             "--k", "1", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == ('{"error": "n must be an integer >= 2, got 0", '
+                   '"kind": "DomainError"}\n')
+
+
+def test_C_next_to_0_is_refused_for_its_overflow(capsys):
+    # d = t1 - sqrt(-C) is not finite where the angle rate's powers of
+    # -C overflow; that is named, not a profile leaving r >= 1.  At
+    # C = -7e-309 only d's denominator overflows, which alone gave d = 0
+    for n, C in (("8", "-1e-50"), ("2", "-7e-309"), ("2", "-1e-320")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "profile", f"--n={n}",
+                                     "--H=-1.1", f"--C={C}")
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == (
+            f"C={float(C)!r} is too close to 0: the angle rate's powers of "
+            f"-C overflow at n={n}")
 
 
 def test_zero_counts_print_the_header_only(capsys):

@@ -58,7 +58,7 @@ def test_eval_p_is_v_power_times_q():
             with pytest.raises(h.DomainError):
                 h.eval_p(params, v)
     with pytest.raises(h.DomainError):
-        h.eval_p(h.ShapeParams(2, -1.1), 1.0)
+        h.eval_p(h.ShapeParams(2, -1.1, None), 1.0)
 
 
 def test_q_rejects_nonpositive_v():
@@ -106,6 +106,80 @@ def test_shape_params_name_the_bound_a_nan_breaks():
         h.ShapeParams(2, -1.1, 0.5)
     assert str(exc.value) == (
         f"C=0.5 outside (C0, 0) with C0={h.C0(2, -1.1)}: violates C < 0")
+
+
+def test_landmarks_take_the_C_check_of_ShapeParams():
+    # with C, landmarks builds the ShapeParams first, so a NaN C and an H
+    # whose C0 overflows are named as ShapeParams names them
+    with pytest.raises(h.ParameterRangeError) as exc:
+        h.landmarks(2, -1.1, C=math.nan)
+    assert str(exc.value) == "C=nan is not a number"
+    with pytest.raises(h.DomainError) as exc:
+        h.landmarks(2, -1e200, C=-1e-300)
+    assert str(exc.value) == "H=-1e+200 is too large: C0=nan"
+    lm = h.landmarks(2, -1.1)
+    assert (lm.t1, lm.C0, lm.C1) == (None, h.C0(2, -1.1), h.C1(-1.1))
+
+
+SHAPE_REFUSALS = {
+    "ShapeParams_C_None": (lambda: h.ShapeParams(2, -1.1, None),
+                           "C is required, got None"),
+    "landmarks": (lambda: h.landmarks(2, -0.5), "H must be < -1, got -0.5"),
+    "roots_grid": (lambda: oscillation_roots_grid(0, -1.1, [-0.5]),
+                   "n must be an integer >= 2, got 0"),
+    "K_limit_at_C0_n=2.5": (lambda: h.K_limit_at_C0(2.5, -2.0),
+                            "n must be an integer >= 2, got 2.5"),
+    "K_limit_at_C0_n=1": (lambda: h.K_limit_at_C0(1, -2.0),
+                          "n must be an integer >= 2, got 1"),
+    "K_limit_at_C0_H=-1": (lambda: h.K_limit_at_C0(3, -1.0),
+                           "H must be < -1, got -1.0"),
+    "b2": (lambda: h.b2(math.nan), "H must be < -1, got nan"),
+    "solve_C_n=-2": (lambda: h.solve_C(-2, -1.1, h.WindingTarget(1, 1)),
+                     "n must be an integer >= 2, got -2"),
+    "solve_C_n=0": (lambda: h.solve_C(0, -1.1, h.WindingTarget(1, 1)),
+                    "n must be an integer >= 2, got 0"),
+    "solve_C_H=inf": (lambda: h.solve_C(2, math.inf, h.WindingTarget(1, 1)),
+                      "H must be < -1, got inf"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_REFUSALS.values(),
+                         ids=SHAPE_REFUSALS.keys())
+def test_every_entry_point_refuses_a_bad_shape_alike(call, message):
+    # one (n, H) rule, potential._check_shape, behind every entry point
+    with pytest.raises(h.DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_upper_bracket_stays_below_four_r2(monkeypatch, n):
+    # the upper bracket end, doubled from 2 v0 until p < 0, stops below
+    # 4 r2, r2 = (-1 - H)^(-1/n) the root of p at C = 0: t2 < r2, and
+    # -1 - H >= 2^-52 gives r2 <= 2^26, so the doubling needs no cap.
+    # Every p evaluation of a root solve is at most the bracket end.
+    largest = [0.0]
+
+    def recorded(coeffs, v):
+        largest[0] = float(np.fmax.reduce(np.ravel(v), initial=largest[0]))
+        return horner(coeffs, v)
+
+    monkeypatch.setattr(potential, "horner", recorded)
+    for H in (math.nextafter(-1, -math.inf), -1.02, -1e6):
+        c0, r2 = h.C0(n, H), (-1 - H) ** (-1 / n)
+        if not c0 < 0:
+            # next to H = -1 the float C0 can lose every digit (0 at
+            # n = 6, 7), and then no C makes a shape
+            continue
+        Cs = -np.geomspace(-c0 * (1 - 1e-11), 5e-324, 64)
+        largest[0] = 0.0
+        found = oscillation_roots_grid(n, H, Cs)[2]
+        assert found[-1] and found.sum() >= 63
+        assert largest[0] < 4 * r2
+        for C in Cs[found][[0, -1]].tolist():
+            largest[0] = 0.0
+            h.oscillation_roots(h.ShapeParams(n, H, C))
+            assert largest[0] < 4 * r2
 
 
 def test_landmark_ordering():

@@ -475,8 +475,8 @@ def test_flux_grid_embedded_scan_grids():
 def test_flux_grid_builds_no_per_C_objects(monkeypatch):
     # the work of the last grid of the (2, -1.1) embedded scan outside
     # the integrals: its range test and guard band are masks and its
-    # results columns, so it builds one ShapeParams (the n, H check of
-    # the lane-wise roots) and no QuadResult, where a loop over flux_K
+    # results columns, so it builds no ShapeParams (the lane-wise roots
+    # check n and H alone) and no QuadResult, where a loop over flux_K
     # builds 4096 of each and its phase rule 4096 more QuadResult
     n, H = 2, -1.1
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
@@ -493,7 +493,7 @@ def test_flux_grid_builds_no_per_C_objects(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     value, _, evaluations, converged = h.flux_K_grid(n, H, grid)
-    assert built == {"ShapeParams": 1, "QuadResult": 0}
+    assert built == {"ShapeParams": 0, "QuadResult": 0}
     assert converged.all() and np.isfinite(value).all()
     assert evaluations.min() >= 17
 
