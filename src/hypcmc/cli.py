@@ -33,7 +33,7 @@ from .errors import (
 )
 from .potential import C0, Ctilde, ShapeParams
 from .profile import integrate_profile, profile_alpha, theta_prime_trace
-from .quadrature import _result, _xi_columns, require_converged, xi
+from .quadrature import _result, require_converged, xi, xi_grid
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
@@ -272,12 +272,14 @@ def _cmd_surface(args):
 
 
 def _cmd_sweep(args):
-    """xi_n over an H grid, written from the value column of one xi grid
-    call (quadrature._xi_columns); fails with a loop's first error, then
-    at the first H whose xi did not converge."""
-    with np.errstate(invalid="ignore"):  # an infinite end gives NaN
-        Hs = np.linspace(args.H_from, args.H_to, args.steps)
-    columns, _ = _xi_columns(args.n, Hs, args.tol)
+    """xi_n over an H grid, written from the value column of one xi_grid
+    call; fails with a loop's first error, then at the first H whose xi
+    did not converge."""
+    for option, value in (("--H-from", args.H_from), ("--H-to", args.H_to)):
+        if not math.isfinite(value):
+            raise DomainError(f"{option} must be finite, got {value}")
+    Hs = np.linspace(args.H_from, args.H_to, args.steps)
+    columns, _ = xi_grid(args.n, Hs, args.tol)
     for i in np.flatnonzero(~columns[3]).tolist():
         require_converged(_result(columns, i),
                           f"xi quadrature at H={Hs[i].item()!r}", args.tol)

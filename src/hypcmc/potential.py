@@ -45,10 +45,15 @@ def _check_n(n):
 
 
 def _check_shape(n, H):
-    """DomainError unless n is an integer >= 2 and H < -1."""
+    """C0(n, H), after a DomainError unless n is an integer >= 2, H < -1
+    and C0 is finite (n^2 H^2 overflows from |H| of about 1e153 on)."""
     _check_n(n)
     if not H < -1:
         raise DomainError(f"H must be < -1, got {H}")
+    c0 = C0(n, H)
+    if not math.isfinite(c0):
+        raise DomainError(f"H={H} is too large: C0={c0}")
+    return c0
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,11 @@ class ShapeParams:
     C: float
 
     def __post_init__(self):
-        _check_shape(self.n, self.H)
+        c0 = _check_shape(self.n, self.H)
         if self.C is None:
             raise DomainError("C is required, got None")
         if math.isnan(self.C):
             raise ParameterRangeError(f"C={self.C} is not a number")
-        c0 = C0(self.n, self.H)
-        if not math.isfinite(c0):
-            raise DomainError(f"H={self.H} is too large: C0={c0}")
         if not (c0 < self.C < 0):
             raise ParameterRangeError(
                 f"C={self.C} outside (C0, 0) with C0={c0}: "
@@ -193,17 +195,15 @@ def Ctilde(n: int, H: float) -> float:
 def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks:
     """Compute v0, C0, Ctilde (and C1 at n=2); with C also t1, t2.
 
-    With C, the shape is checked by ShapeParams, which names the violated
-    bound when C is outside (C0, 0).
+    n and H are checked by _check_shape, and C by ShapeParams, which
+    names the violated bound when C is outside (C0, 0).
     """
-    roots = {}
-    if C is None:
-        _check_shape(n, H)
-    else:
+    c0, roots = _check_shape(n, H), {}
+    if C is not None:
         t1, t2 = oscillation_roots(ShapeParams(n=n, H=H, C=C))
         s = math.sqrt(-C)
         roots = dict(t1=t1, t2=t2, t1_scaled=t1 / s, t2_scaled=t2 / s)
-    return PotentialLandmarks(v0=v0(n, H), C0=C0(n, H), Ctilde=Ctilde(n, H),
+    return PotentialLandmarks(v0=v0(n, H), C0=c0, Ctilde=Ctilde(n, H),
                               C1=C1(H) if n == 2 else None, **roots)
 
 
@@ -394,10 +394,9 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     not settled), the entry is not settled, with NaN roots, for the
     caller to run it, so errors come as from a loop.
     """
-    _check_shape(n, H)
+    _c0 = _check_shape(n, H)
     Cs = np.asarray(Cs, dtype=float)
     _v0 = v0(n, H)
-    _c0 = C0(n, H)
     lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
                            & (horner(p_coefficients(n, H, Cs), _v0) > 0))
     coeffs = p_coefficients(n, H, Cs[lanes])

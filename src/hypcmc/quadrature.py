@@ -35,7 +35,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import astuple, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     GuardBandError,
-    HypcmcError,
     LandmarkError,
     NonConvergenceError,
 )
@@ -261,6 +260,21 @@ def _result(columns, i: int) -> QuadResult:
     return QuadResult(*(c[i].item() for c in columns))
 
 
+def _grid_columns(rows, parts, scalar):
+    """The (value, error, evaluations, converged) columns of a grid: the
+    phase rule's columns ``parts`` at the rows of the mask ``rows``, and
+    at every other row i the QuadResult ``scalar(i)``, run in grid order,
+    so errors come as from a loop over the scalar integral."""
+    columns = tuple(np.empty(len(rows), dtype=dtype)
+                    for dtype in (float, float, np.int64, bool))
+    for column, part in zip(columns, parts):
+        column[rows] = part
+    for i in np.flatnonzero(~rows).tolist():
+        for column, field in zip(columns, astuple(scalar(i))):
+            column[i] = field
+    return columns
+
+
 def _synthetic_deflate(coeffs: Sequence[float], root: float) -> tuple:
     """Divide a polynomial (highest-first coefficients) by (v - root)."""
     out = []
@@ -471,23 +485,21 @@ def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 def flux_K_grid(n: int, H: float, Cs: Sequence[float],
-                tol: float = DEFAULT_TOL, xi_result: Optional[QuadResult] = None):
+                tol: float = DEFAULT_TOL):
     """The flux at every C of ``Cs`` as columns (value, error, evaluations,
-    converged), from one phase rule over the rows.
+    converged): a loop over flux_K, its rows run as one phase rule.
 
     Entry i equals ``flux_K(ShapeParams(n, H, Cs[i]), tol)`` in all four
-    fields.  The range test C0 < C < 0 of the lane-wise roots and the
-    guard band are masks.  A C out of range, in the band, whose roots the
-    lanes leave unsettled or with d <= 0 takes the scalar path in grid
-    order, so errors come as from a loop over flux_K: its ShapeParams,
-    then xi(n, H, tol) in the band (at most once, or ``xi_result``), else
-    flux_K.
+    fields, errors included.  The range test C0 < C < 0 of the lane-wise
+    roots and the guard band are masks.  A C out of range, in the band,
+    whose roots the lanes leave unsettled or with d <= 0 runs through
+    flux_K itself (_grid_columns), so a C in the band raises
+    GuardBandError; n, H and tol are checked before any row.
     """
-    _check_tol(tol)
     Cs = np.asarray(Cs, dtype=float)
-    t1, t2, settled = oscillation_roots_grid(n, H, Cs)
-    band = _in_guard_band(n, H, Cs)
-    rows = settled & ~band
+    t1, t2, rows = oscillation_roots_grid(n, H, Cs)
+    _check_tol(tol)
+    rows &= ~_in_guard_band(n, H, Cs)
     C, t1, t2 = Cs[rows], t1[rows], t2[rows]
     rem = np.array(np.broadcast_arrays(
         *_deflated_coefficients(n, H, C, t1, t2)))
@@ -495,18 +507,8 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     ok = rate.d > 0
     rows[rows] = ok  # the C that the phase rule takes
     rate = rate if ok.all() else _rows(rate, ok)  # copied only if some d <= 0
-    columns = tuple(np.empty(len(Cs), dtype=dtype)
-                    for dtype in (float, float, np.int64, bool))
-    for column, part in zip(columns, _flux_rows(n, H, rate, tol)):
-        column[rows] = part
-    for i in np.flatnonzero(~rows).tolist():
-        params = ShapeParams(n=n, H=H, C=Cs[i].item())
-        if band[i] and xi_result is None:
-            xi_result = xi(n, H, tol=tol)
-        res = xi_result if band[i] else flux_K(params, tol=tol)
-        for column, field in zip(columns, astuple(res)):
-            column[i] = field
-    return columns
+    return _grid_columns(rows, _flux_rows(n, H, rate, tol), lambda i: flux_K(
+        ShapeParams(n=n, H=H, C=Cs[i].item()), tol=tol))
 
 
 def _xi_rows(n: int, H, x, tol: float):
@@ -540,62 +542,37 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     return _result(_xi_rows(n, np.array([H], dtype=float), x, tol), 0)
 
 
-def _xi_columns(n: int, Hs: Sequence[float], tol: float,
-                missing_as_none: bool = False):
-    """xi_n(H) at every H of ``Hs`` as columns (value, error, evaluations,
-    converged), from one phase rule over the rows, and the mask of the H
-    where Q has no upper root (LandmarkError; its row holds NaN, NaN, 0,
-    False).
-
-    The upper roots of Q are found on columns (_Q_upper_root_grid, which
-    neither doubles nor settles a lane whose R has no negative
-    coefficient), and R is deflated on columns.  An H that the lanes do
-    not settle takes the scalar set-up (_Q_upper_root) in grid order.
-    Entry i equals ``xi(n, Hs[i], tol)`` in all four fields, and errors
-    are raised in the order of ``Hs``, as a loop over xi would raise
-    them; with ``missing_as_none`` a missing landmark is only masked.
-    """
-    Hs = np.array(Hs, dtype=float)
-    columns = (np.full(len(Hs), math.nan), np.full(len(Hs), math.nan),
-               np.zeros(len(Hs), dtype=np.int64), np.zeros(len(Hs), dtype=bool))
-    missing = np.zeros(len(Hs), dtype=bool)
-    if not len(Hs):
-        return columns, missing
-    _check_n(n)  # every H's set-up checks n first
-    x, ok = _Q_upper_root_grid(n, Hs)
-    errors = {}  # grid index -> the error of its scalar set-up
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            x[i] = _Q_upper_root(n, Hs[i].item())
-            ok[i] = True
-        except LandmarkError as exc:
-            missing[i] = True
-            if not missing_as_none:
-                errors[i] = exc
-        except HypcmcError as exc:
-            errors[i] = exc
-    if ok.any():
-        try:
-            _check_tol(tol)
-        except DomainError as exc:
-            errors[np.flatnonzero(ok)[0].item()] = exc
-        else:
-            for column, part in zip(columns, _xi_rows(n, Hs[ok], x[ok], tol)):
-                column[ok] = part
-    if errors:
-        raise errors[min(errors)]
-    return columns, missing
-
-
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
-            missing_as_none: bool = False) -> list[Optional[QuadResult]]:
-    """The rows of _xi_columns as a list of QuadResult, each equal to
-    ``xi(n, H, tol)``; with ``missing_as_none`` an H where Q has no upper
-    root (LandmarkError) gives None."""
-    columns, missing = _xi_columns(n, Hs, tol, missing_as_none)
-    rows = zip(*(c.tolist() for c in columns))
-    return [None if gone else QuadResult(*row)
-            for row, gone in zip(rows, missing.tolist())]
+            missing_as_none: bool = False):
+    """xi_n(H) at every H of ``Hs`` as columns (value, error, evaluations,
+    converged), and the mask of the H where Q has no upper root: a loop
+    over xi, its rows run as one phase rule.
+
+    Entry i equals ``xi(n, Hs[i], tol)`` in all four fields, errors
+    included, after the checks of n and tol.  The upper roots of Q are
+    found on columns (_Q_upper_root_grid, which neither doubles nor
+    settles a lane whose R has no negative coefficient), and R is
+    deflated on columns.  An H that the lanes leave runs through xi
+    itself (_grid_columns); with ``missing_as_none`` its LandmarkError
+    is only masked, and its row holds NaN, NaN, 0, False.
+    """
+    _check_n(n)
+    _check_tol(tol)
+    Hs = np.array(Hs, dtype=float)
+    x, rows = _Q_upper_root_grid(n, Hs)
+    missing = np.zeros(len(Hs), dtype=bool)
+
+    def scalar(i):
+        try:
+            return xi(n, Hs[i].item(), tol)
+        except LandmarkError:
+            if not missing_as_none:
+                raise
+            missing[i] = True
+            return QuadResult(math.nan, math.nan, 0, False)
+
+    columns = _grid_columns(rows, _xi_rows(n, Hs[rows], x[rows], tol), scalar)
+    return columns, missing
 
 
 def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:

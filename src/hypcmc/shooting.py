@@ -11,11 +11,12 @@ alone), and refines each sign change in order with Brent's method (Brent
 is accepted when its value, Brent's own value at the point it returns,
 is within a residual bound, so no value is computed twice.
 
-- find_H0 scans one grid as the columns of one xi grid call
-  (quadrature._xi_columns).  xi is continuous in H, so Brent's first
-  root is accepted as it is (the bound is infinite).
+- find_H0 scans one grid as the columns of one xi_grid call.  xi is
+  continuous in H, so Brent's first root is accepted as it is (the
+  bound is infinite).
 - solve_C scans grids of SCAN_POINTS and SCAN_POINTS_MAX points, each as
-  the columns of one flux_K_grid call, equal to scalar flux_K exactly.
+  the columns of one flux_K_grid call, equal to scalar flux_K exactly,
+  with xi in the guard band around Ctilde, where flux_K refuses to run.
   A root must be within max(RESIDUAL_TOL, 10 * tol) of the target,
   because the flux has a jump across C = Ctilde (the profile grazes the
   rotation axis there and the angle picks up an extra half-turn); a sign
@@ -43,17 +44,17 @@ from .errors import (
     GuardBandError,
     LandmarkError,
 )
-from .potential import C0, Ctilde, ShapeParams, _check_shape
+from .potential import Ctilde, ShapeParams, _check_shape
 from .quadrature import (
     CTILDE_GUARD_REL,
     _check_tol,
     _in_guard_band,
     _result,
-    _xi_columns,
     flux_K,
     flux_K_grid,
     require_converged,
     xi,
+    xi_grid,
 )
 
 TWO_PI = 2 * math.pi
@@ -230,7 +231,7 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
     """Solve xi_n(H) = -2*pi for H in the search interval.
 
     Scans one geometric grid for a sign change of xi_n + 2*pi, read from
-    the columns of one _xi_columns call as one array, -inf where the
+    the columns of one xi_grid call as one array, -inf where the
     landmark is missing (n = 2, H = -1: R has no negative coefficient,
     settled without a search); the grid's first error is raised, then a
     NonConvergenceError at its first non-converged H.  Brent refines to
@@ -244,7 +245,7 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
         raise DomainError(f"invalid search interval ({H_lo}, {H_hi})")
 
     def scan(grid):
-        columns, missing = _xi_columns(n, grid, quad_tol, missing_as_none=True)
+        columns, missing = xi_grid(n, grid, quad_tol, missing_as_none=True)
         for i in np.flatnonzero(~(columns[3] | missing)).tolist():
             _xi_offset(n, grid[i], _result(columns, i), quad_tol)  # raises
         return np.where(missing, -math.inf, columns[0] + TWO_PI)
@@ -297,9 +298,8 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     """
     if mode not in ("embedded", "any"):
         raise DomainError(f"unknown mode {mode!r}")
-    _check_shape(n, H)
+    c0 = _check_shape(n, H)
     target = winding.target
-    c0 = C0(n, H)
     lo, hi = c0 + C_GAP_LOWER_REL * abs(c0), -C_GAP_UPPER
     # the flux in the guard band, computed at most once
     xi_res = functools.cache(lambda: require_converged(
@@ -322,13 +322,19 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
             f"empty search interval ({lo!r}, {hi!r}) at n={n}, H={H!r}: "
             f"C0 = {c0!r}, Ctilde = {Ctilde(n, H)!r}")
 
-    def scan(grid):
-        in_band = _in_guard_band(n, H, grid).any()
-        columns = flux_K_grid(n, H, grid, tol=quad_tol,
-                              xi_result=xi_res() if in_band else None)
+    def flux_scan(Cs):
+        columns = flux_K_grid(n, H, Cs, tol=quad_tol)
         for i in np.flatnonzero(~columns[3]).tolist():  # raises at the first
-            _flux_value(n, H, grid[i].item(), _result(columns, i), quad_tol)
+            _flux_value(n, H, Cs[i].item(), _result(columns, i), quad_tol)
         return columns[0] - target
+
+    def scan(grid):
+        band = _in_guard_band(n, H, grid)
+        if not band.any():
+            return flux_scan(grid)
+        vals = np.full(len(grid), xi_res().value - target)  # as in _flux_at
+        vals[~band] = flux_scan(grid[~band])
+        return vals
 
     restol = max(RESIDUAL_TOL, 10 * tol)
     out = _scan_solve(lo, hi, SCAN_POINTS_MAX, target, scan,

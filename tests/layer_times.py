@@ -43,7 +43,8 @@ machine.  It takes about half a minute.  Two checkouts compare with
     diff <(python3 old/tests/layer_times.py) <(python3 new/tests/layer_times.py)
 
 ``perfbench`` is only read.  The file name does not start with
-``test_``, so pytest does not collect it.
+``test_``, so pytest does not collect it; ``tests/test_source.py`` runs
+it once with one repeat, so it keeps up with the functions it calls.
 """
 
 import argparse
@@ -82,7 +83,7 @@ def scan_grid(h, entry, points):
     return -np.geomspace(-lo, -hi, points)
 
 
-def layer_split(quadrature, n, H, grid, xi_result):
+def layer_split(quadrature, n, H, grid):
     """Seconds per layer of one flux_K_grid call, and its rows' nodes."""
     spent = dict.fromkeys(LAYERS, 0.0)
     originals = {name: getattr(quadrature, name) for name in WRAPPED}
@@ -105,7 +106,7 @@ def layer_split(quadrature, n, H, grid, xi_result):
         setattr(quadrature, name, wrap(name, fn))
     try:
         start = time.perf_counter()
-        columns = quadrature.flux_K_grid(n, H, grid, xi_result=xi_result)
+        columns = quadrature.flux_K_grid(n, H, grid)
         total = time.perf_counter() - start
     finally:
         for name, fn in originals.items():
@@ -118,10 +119,10 @@ def median_ms(samples):
     return 1e3 * statistics.median(samples)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     import hypcmc as h
     from hypcmc import quadrature, shooting
@@ -129,19 +130,17 @@ def main():
     for label, e in cases():
         n, H = e["n"], e["H"]
         winding = h.WindingTarget(e["k"], e["m"])
-        xi_result = h.xi(n, H)
         big, small = scan_grid(h, e, 4096), scan_grid(h, e, 64)
-        layer_split(quadrature, n, H, big, xi_result)  # warm-up
+        layer_split(quadrature, n, H, big)  # warm-up
         per_layer = {k: [] for k in LAYERS}
         totals, small_s, solve_s = [], [], []
         for _ in range(args.repeats):
-            spent, total, rows, nodes = layer_split(
-                quadrature, n, H, big, xi_result)
+            spent, total, rows, nodes = layer_split(quadrature, n, H, big)
             for k in LAYERS:
                 per_layer[k].append(spent[k])
             totals.append(total)
             start = time.perf_counter()
-            quadrature.flux_K_grid(n, H, small, xi_result=xi_result)
+            quadrature.flux_K_grid(n, H, small)
             small_s.append(time.perf_counter() - start)
             start = time.perf_counter()
             shooting.solve_C(n, H, winding, mode=e["mode"])
@@ -164,14 +163,12 @@ def kernel_table(h, repeats):
     e = cases()[0][1]
     n, H = e["n"], e["H"]
     flux_grid = scan_grid(h, e, 64)
-    xi_result = h.xi(n, H)
     h0_grid = -np.geomspace(10.0, 1.0, 64)
     sweep_grid = np.linspace(-10.0, -1.0, 128)
     kernels = {
         "flux_K": lambda: h.flux_K(h.ShapeParams(n, H, flux_grid[32].item())),
         "xi": lambda: h.xi(n, H),
-        "flux_K_grid 64": lambda: h.flux_K_grid(n, H, flux_grid,
-                                                xi_result=xi_result),
+        "flux_K_grid 64": lambda: h.flux_K_grid(n, H, flux_grid),
         "xi_grid 64": lambda: h.xi_grid(2, h0_grid, missing_as_none=True),
         "xi_grid 128": lambda: h.xi_grid(3, sweep_grid),
         "find_H0(2)": lambda: h.find_H0(2),

@@ -68,14 +68,14 @@ def test_sweep_nonconvergence_exit_3(capsys, monkeypatch):
     # instead of being written out
     import hypcmc.cli as cli_mod
 
-    xi_columns = cli_mod._xi_columns
+    xi_grid = cli_mod.xi_grid
 
     def one_row_not_converged(n, Hs, tol):
-        (value, error, evaluations, converged), missing = xi_columns(n, Hs, tol)
+        (value, error, evaluations, converged), missing = xi_grid(n, Hs, tol)
         error[2], converged[2] = 1.0, False
         return (value, error, evaluations, converged), missing
 
-    monkeypatch.setattr(cli_mod, "_xi_columns", one_row_not_converged)
+    monkeypatch.setattr(cli_mod, "xi_grid", one_row_not_converged)
     code, out, err = run_cli(capsys, "sweep", "--n", "3", "--H-from", "-3",
                              "--H-to", "-2", "--steps", "5")
     assert code == 3
@@ -446,6 +446,22 @@ def _refusals():
                "--steps=3"], "DomainError"
         yield ["sweep", "--n=3", "--H-from=-3", f"--H-to={value}",
                "--steps=3"], "DomainError"
+    # an empty grid checks n too
+    yield ["sweep", "--n=1", "--H-from=-3", "--H-to=-1.5",
+           "--steps=0"], "DomainError"
+
+
+# the exact message of the refusals that name the input at fault
+REFUSAL_MESSAGES = {
+    **{("sweep", "--n=3", f"--H-from={v}", "--H-to=-1.5", "--steps=3"):
+       f"--H-from must be finite, got {float(v)}" for v in ("nan", "-inf")},
+    **{("sweep", "--n=3", "--H-from=-3", f"--H-to={v}", "--steps=3"):
+       f"--H-to must be finite, got {float(v)}" for v in ("nan", "-inf")},
+    ("sweep", "--n=1", "--H-from=-3", "--H-to=-1.5", "--steps=0"):
+        "n must be an integer >= 2, got 1",
+    **{tuple(_shape_argv(command, H="-inf")): "H=-inf is too large: C0=nan"
+       for command in SHAPE_COMMANDS},
+}
 
 
 @pytest.mark.parametrize("argv, kind", _refusals(),
@@ -460,6 +476,8 @@ def test_refusal_is_one_json_line_and_no_warning(capsys, argv, kind):
     assert [str(w.message) for w in caught] == []
     assert len(err.splitlines()) == 1
     assert json.loads(err)["kind"] == kind
+    if tuple(argv) in REFUSAL_MESSAGES:
+        assert json.loads(err)["error"] == REFUSAL_MESSAGES[tuple(argv)]
 
 
 def test_solve_c_bad_n_exit_2(capsys):

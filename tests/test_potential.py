@@ -140,6 +140,16 @@ SHAPE_REFUSALS = {
                     "n must be an integer >= 2, got 0"),
     "solve_C_H=inf": (lambda: h.solve_C(2, math.inf, h.WindingTarget(1, 1)),
                       "H must be < -1, got inf"),
+    # n^2 H^2 overflows, and C0 with it
+    "landmarks_H=-1e200": (lambda: h.landmarks(2, -1e200),
+                           "H=-1e+200 is too large: C0=nan"),
+    "K_limit_at_C0_H=-1e200": (lambda: h.K_limit_at_C0(2, -1e200),
+                               "H=-1e+200 is too large: C0=nan"),
+    "b2_H=-1e200": (lambda: h.b2(-1e200), "H=-1e+200 is too large: C0=nan"),
+    "roots_grid_H=-1e200": (lambda: oscillation_roots_grid(3, -1e200, [-0.5]),
+                            "H=-1e+200 is too large: C0=nan"),
+    "solve_C_H=-inf": (lambda: h.solve_C(2, -math.inf, h.WindingTarget(1, 1)),
+                       "H=-inf is too large: C0=nan"),
 }
 
 
@@ -297,7 +307,8 @@ def test_rootless_R_is_settled_without_doubling(monkeypatch):
     with pytest.raises(h.LandmarkError) as exc:
         h.xi_grid(2, [-1.5, -1.0])
     assert str(exc.value) == text
-    assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
+    assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1].tolist() == [
+        False, True]
 
 
 def test_Q_newton_steps_settle_every_root():

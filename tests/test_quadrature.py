@@ -144,6 +144,14 @@ def _as_results(columns):
     return [h.QuadResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
+def _xi_results(n, Hs, **kw):
+    """The rows of xi_grid as QuadResult, None where the landmark is
+    missing (with missing_as_none)."""
+    columns, missing = h.xi_grid(n, Hs, **kw)
+    return [None if gone else res
+            for res, gone in zip(_as_results(columns), missing.tolist())]
+
+
 def test_phase_mean_rows_retire_on_their_own():
     # the mean over [0, pi] of 1 / (b - cos phi) is 1 / sqrt(b^2 - 1); a
     # row closer to the pole at b = 1 needs more nodes, each row stops at
@@ -276,7 +284,7 @@ def test_phase_rule_columns_do_not_depend_on_the_block(monkeypatch):
         monkeypatch.setattr(quadrature, "PHASE_BLOCK", block)
         cuts.clear()
         columns[block] = (*h.flux_K_grid(n, H, Cs),
-                          *quadrature._xi_columns(3, Hs, 1e-11)[0])
+                          *h.xi_grid(3, Hs, 1e-11)[0])
         assert max(rows for rows, _ in cuts) == block
         # both a viewed run and a gathered run with gaps occur
         assert {viewed for _, viewed in cuts} == {True, False}
@@ -428,28 +436,27 @@ def test_flux_jump_across_threshold():
     assert above == pytest.approx(x + math.pi, abs=1e-3)
 
 
-def _flux_or_xi(n, H, C):
-    """The scalar flux, with the guard band resolved to xi as in the scan."""
-    try:
-        return h.flux_K(h.ShapeParams(n, H, C))
-    except h.GuardBandError:
-        return h.xi(n, H)
-
-
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(n=st.integers(2, 8), H=st.floats(-3.0, -1.02),
        rels=st.lists(st.tuples(st.sampled_from([-1, 1]), st.floats(-8.0, -3.0)),
                      min_size=1, max_size=3))
 def test_flux_grid_equals_scalar_flux(n, H, rels):
     # every field of every batched result equals the one-row path: next
-    # to Ctilde on both sides, at the guard-band edge and inside the band
-    # (where the result is xi), at the C0 end and in the middle
+    # to Ctilde on both sides, at the guard-band edge, at the C0 end and
+    # in the middle; a C inside the band (the edge too, where it rounds
+    # into it) is refused by both
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + C_GAP_LOWER_REL * abs(c0), 0.5 * (c0 + ct),
           ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9), 0.5 * ct]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in rels]
-    assert _as_results(h.flux_K_grid(n, H, Cs)) == [
-        _flux_or_xi(n, H, C) for C in Cs]
+    band = quadrature._in_guard_band(n, H, np.array(Cs)).tolist()
+    out = [C for C, inside in zip(Cs, band) if not inside]
+    assert _as_results(h.flux_K_grid(n, H, out)) == [
+        h.flux_K(h.ShapeParams(n, H, C)) for C in out]
+    expected = _first_error(lambda: [h.flux_K(h.ShapeParams(n, H, C))
+                                     for C in Cs])
+    assert expected[0] is h.GuardBandError
+    assert _first_error(lambda: h.flux_K_grid(n, H, Cs)) == expected
 
 
 def test_flux_grid_embedded_scan_grids():
@@ -462,7 +469,7 @@ def test_flux_grid_embedded_scan_grids():
     for points in (64, 128, 256):
         grid = -np.geomspace(-lo, -hi, points)
         batch = h.flux_K_grid(n, H, grid)
-        scalar = [_flux_or_xi(n, H, C) for C in grid]
+        scalar = [h.flux_K(h.ShapeParams(n, H, C)) for C in grid]
         assert _as_results(batch) == scalar
         assert batch[2].sum() == sum(r.evaluations for r in scalar)
     # errors come in grid order, as from a loop over flux_K
@@ -574,7 +581,8 @@ def _first_error(call):
 
 def test_flux_grid_errors_in_grid_order():
     # a degenerate C, a guard-band C and C <= C0 mixed into one grid: the
-    # batch raises the error a loop over flux_K meets first, with its message
+    # batch raises the error a loop over flux_K meets first, with its
+    # message (GuardBandError for the band C)
     n, H = 3, -1.5
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     degenerate = c0 + 0.5 * DEGENERATE_REL_GAP * abs(c0)
@@ -583,7 +591,8 @@ def test_flux_grid_errors_in_grid_order():
              [guard, -0.5, c0, degenerate],
              [-0.3, c0 * 1.01, guard, degenerate]]
     for grid in grids:
-        expected = _first_error(lambda: [_flux_or_xi(n, H, C) for C in grid])
+        expected = _first_error(lambda: [h.flux_K(h.ShapeParams(n, H, C))
+                                         for C in grid])
         assert expected is not None
         assert _first_error(lambda: h.flux_K_grid(n, H, grid)) == expected
 
@@ -667,7 +676,7 @@ def test_xi_at_large_H_against_frozen_values():
     for n in (2, 3, 5, 8):
         entries = [(H, ref) for (m, H), ref in frozen.XI_LARGE_H.items()
                    if m == n]
-        batch = h.xi_grid(n, [H for H, _ in entries])
+        batch = _xi_results(n, [H for H, _ in entries])
         for (H, ref), res in zip(entries, batch):
             assert res.converged, (n, H)
             assert abs(res.value - ref) <= 1e-14, (n, H)
@@ -679,7 +688,7 @@ def test_xi_answers_on_400_H_out_to_minus_1e6():
     # n = 2..8, and each grid value equals the scalar one
     Hs = (-np.geomspace(1e3, 1e6, 400)).tolist()
     for n in range(2, 9):
-        batch = h.xi_grid(n, Hs)
+        batch = _xi_results(n, Hs)
         assert all(res.converged for res in batch), n
         assert batch == [h.xi(n, H) for H in Hs], n
 
@@ -771,7 +780,7 @@ def test_xi_grid_equals_scalar_xi(n, H_lo, H_hi, points, geometric):
         Hs = -np.geomspace(-H_lo, -H_hi, points)
     else:
         Hs = np.linspace(H_lo, H_hi, points)
-    batch = h.xi_grid(n, Hs, missing_as_none=True)
+    batch = _xi_results(n, Hs, missing_as_none=True)
     scalar = [_xi_or_none(n, float(H)) for H in Hs]
     assert batch == scalar
     assert (sum(r.evaluations for r in batch if r)
@@ -783,7 +792,7 @@ def test_xi_grid_figure_and_h0_grids():
     grids = [np.linspace(-10.0, -1.0, 128), -np.geomspace(10.0, 1.0, 64)]
     for n in range(2, 9):
         for Hs in grids:
-            assert (h.xi_grid(n, Hs, missing_as_none=True)
+            assert (_xi_results(n, Hs, missing_as_none=True)
                     == [_xi_or_none(n, float(H)) for H in Hs])
 
 
@@ -793,7 +802,7 @@ def test_xi_grid_errors_in_grid_order():
     # or after an H > -1, a bad n, a bad tolerance
     cases = [(2, [-1.5, -1.0, -0.5], {}), (2, [-1.5, -0.5, -1.0], {}),
              (2, [-1.2, -1.0], {}), (1, [-1.5, -1.2], {}),
-             (3, [-1.5, -1.2], {"tol": 0.0}), (2, [-1.0, -1.5], {"tol": 0.0}),
+             (3, [-1.5, -1.2], {"tol": 0.0}),
              (3, [-1.5, -0.9, -1.2], {"tol": -1.0})]
     # an H > -1 (Q has an upper root at H = 1.5), Q's coefficients
     # overflowing (-1e300) or not (-1e150, -1e9, where t2~ = 1 + x rounds
@@ -813,14 +822,34 @@ def test_xi_grid_errors_in_grid_order():
         assert _first_error(
             lambda: h.xi_grid(n, Hs, missing_as_none=True, **kw)) == (
             _first_error(lambda: [_xi_or_none(n, H, **kw) for H in Hs]))
-    assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1] is None
-    assert h.xi_grid(3, []) == []
+    # the tolerance is checked before any row, where a loop meets the
+    # missing landmark at H = -1 first
+    assert _first_error(lambda: h.xi_grid(2, [-1.0, -1.5], tol=0.0)) == (
+        h.DomainError, "tol must be positive, got 0.0")
+    assert _xi_results(2, [-1.5, -1.0], missing_as_none=True)[1] is None
     # where the float bracket of Q's root was degenerate (from about -4750
     # at n = 3 and -23766 at n = 2), xi answers, within 1e-14 of mpmath
     for n, Hs in ((3, near_4750), (2, near_23766)):
-        batch = h.xi_grid(n, Hs)
+        batch = _xi_results(n, Hs)
         assert batch == [h.xi(n, H) for H in Hs]
         assert abs(batch[0].value - frozen.XI_LARGE_H[(n, Hs[0])]) <= 1e-14
+
+
+def test_both_grids_check_their_arguments_before_any_row():
+    # n (and H) and tol are refused before any row runs, on an empty grid
+    # too, and a bad tol before the error of a bad first row
+    for call in (lambda: h.flux_K_grid(1, -1.1, []), lambda: h.xi_grid(1, [])):
+        assert _first_error(call) == (
+            h.DomainError, "n must be an integer >= 2, got 1")
+    bad_tol = (h.DomainError, "tol must be positive, got 0.0")
+    for call in (lambda: h.flux_K_grid(3, -1.5, [h.C0(3, -1.5), -0.5], tol=0.0),
+                 lambda: h.flux_K_grid(3, -1.5, [], tol=0.0),
+                 lambda: h.xi_grid(3, [-0.5, -1.5], tol=0.0),
+                 lambda: h.xi_grid(3, [], tol=0.0)):
+        assert _first_error(call) == bad_tol
+    for columns in (h.flux_K_grid(3, -1.5, []), h.xi_grid(3, [])[0]):
+        assert [(c.dtype, len(c)) for c in columns] == [
+            (float, 0), (float, 0), (np.int64, 0), (bool, 0)]
 
 
 def test_Q_upper_root_grid_equals_scalar():
@@ -866,7 +895,7 @@ def test_xi_grid_unsettled_root_runs_the_scalar_path(monkeypatch):
     monkeypatch.setattr(quadrature, "_Q_upper_root",
                         lambda n, H: scalar_calls.append(H)
                         or upper_root(n, H))
-    batch = h.xi_grid(n, Hs)
+    batch = _xi_results(n, Hs)
     assert scalar_calls == [Hs[5]]
     monkeypatch.undo()
     assert batch == [h.xi(n, H) for H in Hs]
@@ -880,7 +909,7 @@ def test_xi_grid_against_frozen_values():
         by_n.setdefault(n, []).append((H, ref))
     for n, entries in by_n.items():
         Hs = [H for H, _ in entries]
-        batch = h.xi_grid(n, Hs, tol=1e-12)
+        batch = _xi_results(n, Hs, tol=1e-12)
         assert batch == [h.xi(n, H, tol=1e-12) for H in Hs]
         for (H, ref), res in zip(entries, batch):
             assert res.converged, (n, H)

@@ -223,8 +223,9 @@ def test_solve_C_embedded_interval_is_inside_the_branch(monkeypatch):
 def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
     # the columns of the last, 4096-point grid of the (2, -1.1) embedded
     # scan equal, bit for bit, a loop over scalar flux_K (scalar Brent
-    # roots, not lanes), with xi in the guard band, and the report's
-    # range is that loop's
+    # roots, not lanes), and the report's range is that loop's; this grid
+    # ends outside the guard band (test_scan_takes_xi_in_the_guard_band
+    # has one that ends inside)
     n, H = 2, -1.1
     grids = []
     flux_K_grid = shooting.flux_K_grid
@@ -240,12 +241,7 @@ def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
     assert isinstance(out, h.NoRootReport)
     Cs, columns = grids[-1]
     assert len(Cs) == out.points_scanned == shooting.SCAN_POINTS_MAX
-    loop = []
-    for C in Cs.tolist():
-        try:
-            loop.append(h.flux_K(h.ShapeParams(n, H, C)))
-        except h.GuardBandError:
-            loop.append(h.xi(n, H))
+    loop = [h.flux_K(h.ShapeParams(n, H, C)) for C in Cs.tolist()]
     for column, field in zip(columns, ("value", "abs_error_estimate",
                                        "evaluations", "converged")):
         expected = np.array([getattr(res, field) for res in loop])
@@ -253,6 +249,35 @@ def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
         assert column.tobytes() == expected.tobytes(), field
     values = [res.value for res in loop]
     assert (out.value_min, out.value_max) == (min(values), max(values))
+
+
+def test_scan_takes_xi_in_the_guard_band(monkeypatch):
+    # the last point of each grid of this embedded scan (the noroot
+    # benchmark's edge case) rounds into the Ctilde band, where flux_K
+    # refuses to run: the scan takes xi(n, H) there, and flux_K_grid
+    # runs on the other points
+    n, H = 2, -1.131956
+    scans, fluxes = [], []
+    scan_solve, flux_K_grid = shooting._scan_solve, shooting.flux_K_grid
+
+    def recorded_solve(lo, hi, max_points, target, scan, *rest):
+        def recorded(grid):
+            scans.append((grid, scan(grid)))
+            return scans[-1][1]
+        return scan_solve(lo, hi, max_points, target, recorded, *rest)
+
+    monkeypatch.setattr(shooting, "_scan_solve", recorded_solve)
+    monkeypatch.setattr(shooting, "flux_K_grid", lambda n, H, Cs, **kw:
+                        fluxes.append(Cs) or flux_K_grid(n, H, Cs, **kw))
+    out = h.solve_C(n, H, h.WindingTarget(1, 1), mode="embedded")
+    assert isinstance(out, h.NoRootReport)
+    xi = h.xi(n, H).value + 2 * math.pi
+    assert len(scans) == len(fluxes) == 2
+    for (grid, vals), Cs in zip(scans, fluxes):
+        band = shooting._in_guard_band(n, H, grid)
+        assert np.flatnonzero(band).tolist() == [len(grid) - 1]
+        assert vals[-1] == xi
+        assert Cs.tolist() == grid[:-1].tolist()
 
 
 def test_classify_embedded_at_threshold():
@@ -550,16 +575,16 @@ def _not_converged(res):
 def test_find_H0_refuses_non_converged_xi(monkeypatch):
     # a non-converged xi in the scan or in the refine step raises,
     # naming H, instead of being used
-    xi_columns = shooting._xi_columns
+    xi_grid = shooting.xi_grid
 
     def scan_with_one_bad(n, Hs, tol, **kw):
-        columns, missing = xi_columns(n, Hs, tol, **kw)
+        columns, missing = xi_grid(n, Hs, tol, **kw)
         columns[1][10], columns[3][10] = 1.0, False
         return columns, missing
 
     grid = -np.geomspace(10.0, 1.0, shooting.SCAN_POINTS)
     with monkeypatch.context() as m:
-        m.setattr(shooting, "_xi_columns", scan_with_one_bad)
+        m.setattr(shooting, "xi_grid", scan_with_one_bad)
         with pytest.raises(h.NonConvergenceError, match=re.escape(repr(float(grid[10])))):
             h.find_H0(3)
     xi = shooting.xi

@@ -83,3 +83,15 @@ def test_unread_private_name_is_found():
                        "    pass\n\n\na._used(_Private)\n"),
     }
     assert _unread_private_names(trees) == [("a", "_dead"), ("a", "_Y")]
+
+
+def test_layer_times_runs(capsys):
+    # tests/layer_times.py is a script that pytest does not collect: one
+    # repeat of it calls every function it times, as this checkout has it
+    import layer_times
+
+    layer_times.main(["--repeats", "1"])
+    out = capsys.readouterr().out
+    assert out.count("rows=4096/4096") == 2
+    assert "closure kernels, median ms per call:" in out
+    assert "CSV blocks" in out
