@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     EmbeddingPreconditionError,
     EvaluationError,
-    GuardBandError,
     HypcmcError,
     InconsistentStateError,
     IntegrationFailureError,

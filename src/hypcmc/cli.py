@@ -85,8 +85,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if math.isfinite(x) else repr(x)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -299,7 +297,8 @@ def _cmd_check(args):
     report["energy_residual_max"] = _held(float(energy.max()), bound)
 
     # period: the phase series vs tanh-sinh quadrature over v
-    T = quadrature.period_T(params, tol=args.tol).value
+    T = require_converged(quadrature.period_T(params, tol=args.tol),
+                          "check's tanh-sinh period reference", args.tol).value
     period_diff = abs(curve.period_T - T)
     report["period_rel_diff"] = {
         "value": float(period_diff / T), "bound": 1e-8,
@@ -307,7 +306,8 @@ def _cmd_check(args):
     }
 
     # closure: the phase series' angle per period vs the tanh-sinh flux
-    K = quadrature._flux_over_v(params, tol=args.tol).value
+    K = require_converged(quadrature._flux_over_v(params, tol=args.tol),
+                          "check's tanh-sinh flux reference", args.tol).value
     closure = abs(curve.K_value - K)
     report["closure_residual"] = _held(float(closure), 1e-7)
 

@@ -21,10 +21,6 @@ class DegenerateOscillationError(HypcmcError):
     """C is so close to C0 that the oscillation interval collapses."""
 
 
-class GuardBandError(DomainError):
-    """C is inside the guard band around Ctilde; use the xi route instead."""
-
-
 class LandmarkError(HypcmcError):
     """A required landmark (e.g. the upper root of Q) does not exist."""
 

@@ -44,19 +44,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GuardBandError,
-    IntegrationFailureError,
-    ParameterRangeError,
-)
+from .errors import DomainError, IntegrationFailureError, ParameterRangeError
 from .lorentz import _fiber_array, immerse_rows
-from .potential import Ctilde, ShapeParams
+from .potential import ShapeParams, _two_product, _two_sum, horner
 from .quadrature import (
     MAX_NODES,
     _angle_remainder,
     _flux_setup,
-    _in_guard_band,
     _rows,
     _s,
 )
@@ -127,8 +121,26 @@ class ProfileCurve:
 
     @property
     def theta_prime(self) -> np.ndarray:
-        C = self.params.C
-        return math.sqrt(-C) * self.g * self.lam / (self.g * self.g + C)
+        """theta' = vc g lambda / ((g - vc)(g + vc)), vc = sqrt(-C).
+
+        Next to Ctilde, lambda and g - vc both vanish at g = t1.  So
+        g - vc is taken as g - t1 plus d = t1 - vc = (-C) delta^2 / den,
+        as in quadrature._angle_rate, with delta = H + (-C)^(-n/2) from
+        _axis_lambda; and lambda = H + g^(-n) is also
+        delta - (g - vc) S / (g vc)^n, with S = (g^n - vc^n) / (g - vc)
+        the power sum.  Each sample adds the pair of smaller terms, whose
+        rounding error is the smaller.  At the period marks, where g is
+        t1, this is the rate at the root.
+        """
+        n, H, C = self.params.n, self.params.H, self.params.C
+        g, vc = self.g, math.sqrt(-C)
+        delta = _axis_lambda(n, H, C)
+        den = (self.t2 - vc) * (-horner(self._phase.rem, vc) * vc ** (2 - 2 * n))
+        gap = (g - self.t1) + (-C) * delta * delta / den
+        g_n = g ** (-n)
+        tail = gap * horner(vc ** np.arange(n), g) * g_n / vc ** n
+        lam = np.where(abs(H) + g_n <= abs(delta) + tail, H + g_n, delta - tail)
+        return vc * g * lam / (gap * (g + vc))
 
     @property
     def samples(self) -> list[ProfileSample]:
@@ -158,6 +170,27 @@ class ProfileCurve:
                 f"[{self.t[0]}, {self.t[-1]}]"
             )
         return self._phase.at(ts)
+
+
+def _axis_lambda(n: int, H: float, C: float) -> float:
+    """delta = H + (-C)^(-n/2), lambda at g = sqrt(-C), rounded once.
+
+    (-C)^(n/2) and its reciprocal are carried as unevaluated sums
+    hi + lo (Dekker's products), so delta keeps its relative accuracy
+    where H and (-C)^(-n/2) cancel, next to Ctilde.
+    """
+    x = -C
+    hi, lo = 1.0, 0.0
+    if n % 2:
+        hi = math.sqrt(x)
+        p, e = _two_product(hi, hi)
+        lo = ((x - p) - e) / (2 * hi)
+    for _ in range(n // 2):
+        p, e = _two_product(hi, x)
+        hi, lo = _two_sum(p, e + lo * x)
+    q = 1 / hi
+    p, e = _two_product(q, hi)
+    return (H + q) + q * (((1 - p) - e) - q * lo)
 
 
 def _cosine_series(f, what: str) -> np.ndarray:
@@ -280,19 +313,13 @@ def integrate_profile(params: ShapeParams, m_periods: int = 1,
     Samples are uniform in t on the period ``period_T`` of the phase
     series; each takes its phase from Newton's method on the series
     t(phi).  No tanh-sinh rule is run.  The phase convention puts t = 0
-    at the r-minimum, so g oscillates t1 -> t2 -> t1 over one period.  A
-    series that does not converge by its node cap raises
-    IntegrationFailureError.
+    at the r-minimum, so g oscillates t1 -> t2 -> t1 over one period.  It
+    runs at every C where flux_K does, next to Ctilde too, and refuses
+    where flux_K refuses.  A series that does not converge by its node cap
+    raises IntegrationFailureError.
     """
     if m_periods < 1:
         raise DomainError("m_periods must be >= 1")
-    if _in_guard_band(params.n, params.H, params.C):
-        raise GuardBandError(
-            f"C={params.C} is inside the guard band around "
-            f"Ctilde={Ctilde(params.n, params.H)}; profile integration is "
-            "refused there (the angle rate degenerates); the flux at Ctilde "
-            "itself is xi(n, H)"
-        )
     phase = _Phase(params)
     ts = np.linspace(0.0, m_periods * phase.T,
                      m_periods * samples_per_period + 1)

@@ -42,12 +42,10 @@ import numpy as np
 from .errors import (
     DomainError,
     EvaluationError,
-    GuardBandError,
     LandmarkError,
     NonConvergenceError,
 )
 from .potential import (
-    Ctilde,
     ShapeParams,
     _Q_shifted,
     _Q_upper_root,
@@ -67,10 +65,6 @@ from .potential import (
 
 DEFAULT_TOL = 1e-11
 MAX_LEVEL = 12  # the last level of the tanh-sinh rule
-# Relative half-width of the band around Ctilde inside which flux_K
-# refuses to run (the flux jumps by 2 pi across Ctilde); the Ctilde
-# value itself is served exactly by xi().
-CTILDE_GUARD_REL = 1e-9
 # the phase rule doubles its nodes per half-period up to MAX_NODES
 MAX_NODES = 1 << 13
 # and runs at most PHASE_BLOCK rows at a time: a (rows, 17) temporary of
@@ -413,7 +407,10 @@ def _flux_setup(params: ShapeParams):
     """The roots t1, t2 of one C and its angle rate, as one row.
 
     Raises DomainError where d = t1 - sqrt(-C) is not finite (the powers
-    of -C overflow next to C = 0) or not positive.
+    of -C overflow next to C = 0) or is 0.  d = (-C) delta^2 / den with
+    delta = H + (-C)^(-n/2) is never negative, and is 0 exactly where
+    delta rounds to 0: at C = Ctilde to rounding, where the profile meets
+    the rotation axis.
     """
     n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
@@ -425,8 +422,9 @@ def _flux_setup(params: ShapeParams):
                           f"powers of -C overflow at n={n}")
     if not rate.d[0] > 0:
         raise DomainError(
-            f"sqrt(-C)={rate.vc[0]} is not below t1={t1}; the profile would "
-            "leave r >= 1"
+            f"C={C!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
+            "sqrt(-C) is 0, the profile meets the rotation axis, and the "
+            f"flux there is xi({n}, {H!r})"
         )
     return t1, t2, rate
 
@@ -440,12 +438,6 @@ def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
     return (value + math.pi * rate.pole, *rest)
 
 
-def _in_guard_band(n: int, H: float, C):
-    """Whether C, or each C of an array (a mask), is in the Ctilde band."""
-    ct = Ctilde(n, H)
-    return abs(C - ct) < CTILDE_GUARD_REL * abs(ct)
-
-
 def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     """Flux K(C, H): total turning of theta over one period of g.
 
@@ -455,16 +447,13 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     plus 2 pi times the mean of its remainder (_phase_mean).  The pole
     offset d = t1 - sqrt(-C) keeps its relative accuracy when d is tiny
     (C near Ctilde, where the profile passes close to the rotation
-    axis).  Inside the guard band around Ctilde the computation is
-    refused: use xi() there.
+    axis), so K runs at every C in (C0, 0) with d > 0, on both sides of
+    the jump at Ctilde: K tends to xi - pi from below and to xi + pi from
+    above.  Where d is 0 (C = Ctilde to rounding) it raises DomainError;
+    the flux there is xi(n, H).
     """
-    n, H, C = params.n, params.H, params.C
-    if _in_guard_band(n, H, C):
-        raise GuardBandError(
-            f"C={C} is within the guard band around Ctilde={Ctilde(n, H)}; "
-            "the flux there is xi(n, H)"
-        )
-    return _result(_flux_rows(n, H, _flux_setup(params)[2], tol), 0)
+    return _result(_flux_rows(params.n, params.H, _flux_setup(params)[2],
+                              tol), 0)
 
 
 def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -491,15 +480,14 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
 
     Entry i equals ``flux_K(ShapeParams(n, H, Cs[i]), tol)`` in all four
     fields, errors included.  The range test C0 < C < 0 of the lane-wise
-    roots and the guard band are masks.  A C out of range, in the band,
-    whose roots the lanes leave unsettled or with d <= 0 runs through
-    flux_K itself (_grid_columns), so a C in the band raises
-    GuardBandError; n, H and tol are checked before any row.
+    roots is a mask.  A C out of range, whose roots the lanes leave
+    unsettled or whose d is not positive runs through flux_K itself
+    (_grid_columns), so it raises flux_K's error; n, H and tol are checked
+    before any row.
     """
     Cs = np.asarray(Cs, dtype=float)
     t1, t2, rows = oscillation_roots_grid(n, H, Cs)
     _check_tol(tol)
-    rows &= ~_in_guard_band(n, H, Cs)
     C, t1, t2 = Cs[rows], t1[rows], t2[rows]
     rem = np.array(np.broadcast_arrays(
         *_deflated_coefficients(n, H, C, t1, t2)))

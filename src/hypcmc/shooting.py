@@ -15,13 +15,15 @@ is within a residual bound, so no value is computed twice.
   continuous in H, so Brent's first root is accepted as it is (the
   bound is infinite).
 - solve_C scans grids of SCAN_POINTS and SCAN_POINTS_MAX points, each as
-  the columns of one flux_K_grid call, equal to scalar flux_K exactly,
-  with xi in the guard band around Ctilde, where flux_K refuses to run.
-  A root must be within max(RESIDUAL_TOL, 10 * tol) of the target,
-  because the flux has a jump across C = Ctilde (the profile grazes the
-  rotation axis there and the angle picks up an extra half-turn); a sign
-  change produced by that jump is not a root.  A bracket whose sign
-  change is only the jump is not refined at all.
+  the columns of one flux_K_grid call, equal to scalar flux_K exactly.
+  The flux has a jump across C = Ctilde (the profile grazes the rotation
+  axis there and the angle picks up an extra half-turn): it tends to
+  xi - pi from below and to xi + pi from above, and is xi at Ctilde.
+  flux_K runs on both sides up to Ctilde; the solvers alone take the
+  flux to be xi in a guard band of relative half-width CTILDE_GUARD_REL
+  around it.  A root must be within max(RESIDUAL_TOL, 10 * tol) of the
+  target, because a sign change produced by the jump is not a root.  A
+  bracket whose sign change is only the jump is not refined at all.
 
 No solver uses a flux or xi whose quadrature did not converge: it raises
 NonConvergenceError naming C or H.
@@ -41,14 +43,10 @@ from .errors import (
     ClassificationRefusedError,
     DomainError,
     EmbeddingPreconditionError,
-    GuardBandError,
-    LandmarkError,
 )
 from .potential import Ctilde, ShapeParams, _check_shape
 from .quadrature import (
-    CTILDE_GUARD_REL,
     _check_tol,
-    _in_guard_band,
     _result,
     flux_K,
     flux_K_grid,
@@ -65,6 +63,9 @@ C_GAP_LOWER_REL = 1e-6   # gamma: offset from C0 as a fraction of |C0|
 C_GAP_UPPER = 1e-9       # gamma': offset from 0
 BRENT_TOL = 1e-13
 RESIDUAL_TOL = 1e-9
+# relative half-width of the band around Ctilde in which the solvers take
+# the flux to be xi, its value at Ctilde, and the embedded scan ends below
+CTILDE_GUARD_REL = 1e-9
 
 EMBEDDED = "Embedded"
 IMMERSED_CLOSED = "ImmersedClosed"
@@ -250,14 +251,11 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
             _xi_offset(n, grid[i], _result(columns, i), quad_tol)  # raises
         return np.where(missing, -math.inf, columns[0] + TWO_PI)
 
-    def offset(H):
-        try:
-            return _xi_offset(n, H, xi(n, H, tol=quad_tol), quad_tol)
-        except LandmarkError:
-            return -math.inf
-
-    out = _scan_solve(H_lo, H_hi, SCAN_POINTS, -TWO_PI, scan, offset, tol,
-                      math.inf,
+    # Brent evaluates no bracket end, and the one H whose landmark is
+    # missing (n = 2, H = -1) can only be the grid's last point
+    out = _scan_solve(H_lo, H_hi, SCAN_POINTS, -TWO_PI, scan,
+                      lambda H: _xi_offset(n, H, xi(n, H, tol=quad_tol),
+                                           quad_tol), tol, math.inf,
                       "xi_n + 2*pi has no sign change on the scanned grid")
     if isinstance(out, NoRootReport):
         return out
@@ -274,12 +272,17 @@ def _flux_value(n: int, H: float, C: float, res, tol: float) -> float:
     return require_converged(res, f"K(C={C!r}) at n={n}, H={H!r}", tol).value
 
 
+def _in_guard_band(n: int, H: float, C):
+    """Whether C, or each C of an array (a mask), is in the Ctilde band."""
+    ct = Ctilde(n, H)
+    return abs(C - ct) < CTILDE_GUARD_REL * abs(ct)
+
+
 def _flux_at(n: int, H: float, C: float, tol: float) -> float:
-    """Converged flux, the Ctilde guard band resolved to the exact xi."""
-    try:
-        res = flux_K(ShapeParams(n=n, H=H, C=C), tol=tol)
-    except GuardBandError:
-        res = xi(n, H, tol=tol)
+    """Converged flux, xi in the Ctilde guard band."""
+    params = ShapeParams(n=n, H=H, C=C)
+    res = (xi(n, H, tol=tol) if _in_guard_band(n, H, C)
+           else flux_K(params, tol=tol))
     return _flux_value(n, H, C, res, tol)
 
 

@@ -72,14 +72,14 @@ def cases():
 
 def scan_grid(h, entry, points):
     """solve_C's grid of ``points`` over its search interval."""
-    from hypcmc import quadrature, shooting
+    from hypcmc import shooting
 
     n, H = entry["n"], entry["H"]
     c0 = h.C0(n, H)
     lo, hi = c0 + shooting.C_GAP_LOWER_REL * abs(c0), -shooting.C_GAP_UPPER
     if entry["mode"] == "embedded":
         ct = h.Ctilde(n, H)
-        hi = ct - quadrature.CTILDE_GUARD_REL * abs(ct)
+        hi = ct - shooting.CTILDE_GUARD_REL * abs(ct)
     return -np.geomspace(-lo, -hi, points)
 
 

@@ -491,7 +491,7 @@ def test_solve_c_bad_n_exit_2(capsys):
 
 def test_C_next_to_0_is_refused_for_its_overflow(capsys):
     # d = t1 - sqrt(-C) is not finite where the angle rate's powers of
-    # -C overflow; that is named, not a profile leaving r >= 1.  At
+    # -C overflow; that is named, not C = Ctilde (d = 0).  At
     # C = -7e-309 only d's denominator overflows, which alone gave d = 0
     for n, C in (("8", "-1e-50"), ("2", "-7e-309"), ("2", "-1e-320")):
         with warnings.catch_warnings(record=True) as caught:
@@ -503,6 +503,43 @@ def test_C_next_to_0_is_refused_for_its_overflow(capsys):
         assert json.loads(err)["error"] == (
             f"C={float(C)!r} is too close to 0: the angle rate's powers of "
             f"-C overflow at n={n}")
+
+
+def test_profile_runs_next_to_ctilde_and_refuses_it(capsys):
+    # a profile just below Ctilde runs, with a finite theta_prime column
+    # whose first row is mpmath's -908977073206.92155508 (theta' at t1);
+    # at the float Ctilde of (2, -1.1), where d = 0, each profile command
+    # refuses with a DomainError that names xi as the flux there
+    ct = h.Ctilde(2, -1.1)
+    code, out, err = run_cli(capsys, "profile", "--n=2", "--H=-1.1",
+                             f"--C={ct * (1 + 1e-12)!r}", "--samples=16")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 18 and rows[0][6] == "theta_prime"
+    rate = np.array([float(row[6]) for row in rows[1:]])
+    assert np.all(np.isfinite(rate))
+    assert rate[0] == pytest.approx(-908977073206.92155508, rel=1e-15)
+    for command in PROFILE_COMMANDS:
+        code, out, err = run_cli(capsys, command, "--n=2", "--H=-1.1",
+                                 f"--C={ct!r}")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["kind"] == "DomainError"
+        assert error["error"].endswith("the flux there is xi(2, -1.1)")
+
+
+@pytest.mark.parametrize("n, H, eps", [(2, -1.1, 1e-8), (2, -1.1, 2e-9),
+                                       (3, -1.5, 1e-7), (8, -1.1, 1e-7)])
+def test_check_refuses_an_unconverged_reference(capsys, n, H, eps):
+    # next to Ctilde the tanh-sinh flux reference stops unconverged; check
+    # exits 3 naming it rather than reading its value as a verdict
+    C = h.Ctilde(n, H) * (1 + eps)
+    code, out, err = run_cli(capsys, "check", f"--n={n}", f"--H={H}",
+                             f"--C={C!r}", "--samples=16")
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["kind"] == "NonConvergenceError"
+    assert error["error"].startswith("check's tanh-sinh flux reference ")
 
 
 def test_zero_counts_print_the_header_only(capsys):

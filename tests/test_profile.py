@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcmc as h
+from hypcmc import profile
 
 import frozen
 from oracles import closed_form_g_n2
@@ -232,9 +233,43 @@ def test_integrate_profile_validation():
         h.integrate_profile(h.ShapeParams(2, -1.1, None))
     with pytest.raises(h.DomainError):
         h.integrate_profile(h.ShapeParams(2, -1.1, -0.5), m_periods=0)
-    ct = h.Ctilde(2, -1.1)
-    with pytest.raises(h.GuardBandError):
-        h.integrate_profile(h.ShapeParams(2, -1.1, ct * (1 + 1e-10)))
+
+
+def _mp_theta_prime_at_t1(n, H, C, t1):
+    """theta' at the lower root of p, from mpmath at 50 digits, with the
+    root polished by findroot from the float t1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        H, C = mp.mpf(H), mp.mpf(C)
+        t1 = mp.findroot(lambda v: (1 - H * H) * v ** (2 * n)
+                         + C * v ** (2 * n - 2) - 2 * H * v ** n - 1,
+                         mp.mpf(t1))
+        return mp.sqrt(-C) * t1 * (H + t1 ** -n) / (t1 * t1 + C)
+
+
+@pytest.mark.parametrize("n, H", [(2, -1.1), (3, -1.5), (8, -100.0)])
+def test_profile_next_to_ctilde(n, H):
+    # C = Ctilde (1 +- eps) on both sides of the jump, down to eps = 1e-15:
+    # the energy identity holds to 2e-12 (measured 1.7e-12), theta(T) is
+    # K exactly, and K is within 8.9e-16 of flux_K (one ulp at |K| = 6).
+    # theta' is finite at every sample, and at the period marks (g = t1,
+    # where it is about 1 / eps) within 1e-14 H^2 (relative) of mpmath
+    # (measured 4.9e-16, 7.2e-16 and 3.1e-11 at H = -100)
+    ct = h.Ctilde(n, H)
+    for eps in (1e-9, 1e-12, 1e-15):
+        for side in (1, -1):
+            params = h.ShapeParams(n, H, ct * (1 + side * eps))
+            curve = h.integrate_profile(params)
+            energy = profile._energy_residual(params, curve.g, curve.g_prime)
+            assert energy.max() <= 2e-12, (n, H, eps, side)
+            assert curve.theta[-1] == curve.K_value
+            K = h.flux_K(params).value
+            assert abs(curve.K_value - K) <= 8.9e-16, (n, H, eps, side)
+            rate = curve.theta_prime
+            assert np.all(np.isfinite(rate)), (n, H, eps, side)
+            ref = _mp_theta_prime_at_t1(n, H, params.C, curve.t1)
+            for mark in (rate[0], rate[-1]):
+                assert abs(mark / ref - 1) <= 1e-14 * H * H, (n, H, eps, side)
 
 
 def test_profile_alpha_geometry():

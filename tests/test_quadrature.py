@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 import hypcmc as h
 from hypcmc import potential, quadrature
 from hypcmc.potential import DEGENERATE_REL_GAP
-from hypcmc.quadrature import CTILDE_GUARD_REL, DEFAULT_TOL
-from hypcmc.shooting import C_GAP_LOWER_REL, C_GAP_UPPER, SCAN_POINTS_MAX
+from hypcmc.quadrature import DEFAULT_TOL
+from hypcmc.shooting import (
+    C_GAP_LOWER_REL,
+    C_GAP_UPPER,
+    CTILDE_GUARD_REL,
+    SCAN_POINTS_MAX,
+)
 
 import frozen
 from oracles import (
@@ -415,13 +420,43 @@ def test_flux_at_guard_edge_against_mpmath():
         assert abs(res.value - ref) <= 1e-9, (n, H, C, res.value - ref)
 
 
-def test_flux_guard_band():
-    ct = h.Ctilde(2, -1.1)
-    with pytest.raises(h.GuardBandError):
-        h.flux_K(h.ShapeParams(2, -1.1, ct * (1 + 1e-10)))
-    # just outside the band it must run (slightly relaxed tol: the last
-    # decade before the band costs a couple of digits)
-    assert h.flux_K(h.ShapeParams(2, -1.1, ct * (1 + 1e-7)), tol=1e-10).converged
+def test_flux_runs_up_to_ctilde():
+    # K(Ctilde (1 + eps)) converges on both sides down to eps = 1e-15 and
+    # tends to xi - pi from below, xi + pi from above, within 2 eps + 1e-14
+    # (measured: 0.98 eps + 3e-15); at n = 2 it is also the Carlson closed
+    # form (measured: 4.7e-14 at |H| <= 10, 3.1e-12 at H = -100)
+    for n in range(2, 9):
+        for H in (-1.1, -1.5, -3.0, -10.0, -100.0):
+            ct, x = h.Ctilde(n, H), h.xi(n, H).value
+            for eps in 10.0 ** -np.arange(6, 16):
+                for side in (1, -1):   # side 1: C below Ctilde
+                    C = ct * (1 + side * eps)
+                    K = h.flux_K(h.ShapeParams(n, H, C))
+                    assert K.converged, (n, H, eps, side)
+                    gap = abs(K.value - (x - side * math.pi))
+                    assert gap <= 2 * eps + 1e-14, (n, H, eps, side, gap)
+                    if n == 2:
+                        bound = 1e-13 if H >= -10 else 1e-11
+                        assert abs(K.value - carlson_flux2(H, C)) <= bound, (
+                            H, eps, side)
+
+
+@pytest.mark.parametrize("n, H", [(2, -1.1), (3, -1.5), (8, -10.0)])
+def test_flux_at_ctilde_is_refused_naming_xi(n, H):
+    # at the float Ctilde of these shapes H + (-C)^(-n/2) rounds to 0, so
+    # d = t1 - sqrt(-C) is 0: each route refuses with a DomainError that
+    # names xi as the flux there
+    ct = h.Ctilde(n, H)
+    assert H + (-ct) ** (-n / 2) == 0
+    message = (f"C={ct!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
+               "sqrt(-C) is 0, the profile meets the rotation axis, and the "
+               f"flux there is xi({n}, {H!r})")
+    params = h.ShapeParams(n, H, ct)
+    for call in (lambda: h.flux_K(params),
+                 lambda: h.flux_K_grid(n, H, [0.5 * ct, ct]),
+                 lambda: quadrature._flux_over_v(params),
+                 lambda: h.integrate_profile(params)):
+        assert _first_error(call) == (h.DomainError, message)
 
 
 def test_flux_jump_across_threshold():
@@ -442,21 +477,15 @@ def test_flux_jump_across_threshold():
                      min_size=1, max_size=3))
 def test_flux_grid_equals_scalar_flux(n, H, rels):
     # every field of every batched result equals the one-row path: next
-    # to Ctilde on both sides, at the guard-band edge, at the C0 end and
-    # in the middle; a C inside the band (the edge too, where it rounds
-    # into it) is refused by both
+    # to Ctilde on both sides, at the solvers' guard-band edge and inside
+    # the band, at the C0 end and in the middle
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + C_GAP_LOWER_REL * abs(c0), 0.5 * (c0 + ct),
-          ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9), 0.5 * ct]
+          ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9),
+          ct * (1 - 0.5e-9), 0.5 * ct]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in rels]
-    band = quadrature._in_guard_band(n, H, np.array(Cs)).tolist()
-    out = [C for C, inside in zip(Cs, band) if not inside]
-    assert _as_results(h.flux_K_grid(n, H, out)) == [
-        h.flux_K(h.ShapeParams(n, H, C)) for C in out]
-    expected = _first_error(lambda: [h.flux_K(h.ShapeParams(n, H, C))
-                                     for C in Cs])
-    assert expected[0] is h.GuardBandError
-    assert _first_error(lambda: h.flux_K_grid(n, H, Cs)) == expected
+    assert _as_results(h.flux_K_grid(n, H, Cs)) == [
+        h.flux_K(h.ShapeParams(n, H, C)) for C in Cs]
 
 
 def test_flux_grid_embedded_scan_grids():
@@ -580,20 +609,20 @@ def _first_error(call):
 
 
 def test_flux_grid_errors_in_grid_order():
-    # a degenerate C, a guard-band C and C <= C0 mixed into one grid: the
-    # batch raises the error a loop over flux_K meets first, with its
-    # message (GuardBandError for the band C)
+    # a degenerate C, the float Ctilde (d = 0) and C <= C0 mixed into one
+    # grid with a C next to Ctilde, which runs: the batch raises the error
+    # a loop over flux_K meets first, with its message
     n, H = 3, -1.5
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     degenerate = c0 + 0.5 * DEGENERATE_REL_GAP * abs(c0)
-    guard = ct * (1 + 0.5e-9)
-    grids = [[-0.5, guard, degenerate, c0, -0.2],
-             [guard, -0.5, c0, degenerate],
-             [-0.3, c0 * 1.01, guard, degenerate]]
-    for grid in grids:
+    near = ct * (1 + 0.5e-9)
+    grids = [([-0.5, near, ct, degenerate, c0], h.DomainError),
+             ([near, degenerate, -0.5, ct, c0], h.DegenerateOscillationError),
+             ([-0.3, c0 * 1.01, near, degenerate, ct], h.ParameterRangeError)]
+    for grid, kind in grids:
         expected = _first_error(lambda: [h.flux_K(h.ShapeParams(n, H, C))
                                          for C in grid])
-        assert expected is not None
+        assert expected[0] is kind
         assert _first_error(lambda: h.flux_K_grid(n, H, grid)) == expected
 
 
@@ -627,8 +656,7 @@ def test_flux_grid_unsettled_roots_run_the_scalar_path(monkeypatch):
 def test_flux_one_sided_limits_at_ctilde():
     # the flux tends to xi - pi from below Ctilde and to xi + pi from
     # above (the jump the refine step skips); the gap falls in proportion
-    # to the offset down to the guard band (0.98 rel at worst), with every
-    # row converged
+    # to the offset (0.98 rel at worst), with every row converged
     for H in (-1.1, -1.5):
         worst = {}
         for n in range(2, 9):

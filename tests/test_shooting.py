@@ -253,9 +253,9 @@ def test_embedded_scan_equals_a_scalar_loop(monkeypatch):
 
 def test_scan_takes_xi_in_the_guard_band(monkeypatch):
     # the last point of each grid of this embedded scan (the noroot
-    # benchmark's edge case) rounds into the Ctilde band, where flux_K
-    # refuses to run: the scan takes xi(n, H) there, and flux_K_grid
-    # runs on the other points
+    # benchmark's edge case) rounds into the Ctilde band, where the solver
+    # takes the flux to be xi: the scan takes xi(n, H) there, and
+    # flux_K_grid runs on the other points
     n, H = 2, -1.131956
     scans, fluxes = [], []
     scan_solve, flux_K_grid = shooting._scan_solve, shooting.flux_K_grid
@@ -654,6 +654,14 @@ def test_brentq_port_matches_scipy():
                 continue
             assert shooting.brentq(*args, 1e-12, 8.9e-16, maxiter) == (
                 root, res.iterations, res.function_calls)
+
+    # a bracket end that is a root: SciPy's root and calls, 0 iterations
+    # where SciPy leaves its count unset
+    for f in (lambda v: v - 1.0, lambda v: v - 2.0):
+        root, res = brentq(f, 1.0, 2.0, xtol=1e-12, rtol=8.9e-16,
+                           full_output=True)
+        assert shooting.brentq(f, 1.0, 2.0, 1e-12, 8.9e-16) == (
+            root, 0, res.function_calls)
 
     # a NaN value met inside the bracket, at its third evaluation
     def nan_inside(v):
