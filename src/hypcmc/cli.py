@@ -175,35 +175,22 @@ def _emit_csv(header, table, output_path, index=None):
     _emit(itertools.chain([",".join(header) + "\r\n"], blocks), output_path)
 
 
+def _fields(obj, **names):
+    """A dataclass's fields in definition order, each key renamed as
+    ``names`` says; vars() reads them without asdict's deep copy."""
+    return {names.get(k, k): v for k, v in vars(obj).items()}
+
+
 def _outcome_dict(out, parameter_name):
     if isinstance(out, NoRootReport):
-        return {
-            "no_root": True,
-            "search_interval": list(out.search_interval),
-            "points_scanned": out.points_scanned,
-            "value_min": out.value_min,
-            "value_max": out.value_max,
-            "target": out.target,
-            "message": out.message,
-        }
-    return {
-        parameter_name: out.parameter_value,
-        "residual": out.residual,
-        "classification": out.classification,
-        "bracket_used": list(out.bracket_used),
-        "iterations": out.iterations,
-    }
+        return {"no_root": True, **vars(out)}
+    return _fields(out, parameter_value=parameter_name)
 
 
 def _cmd_xi(args):
     res = require_converged(xi(args.n, args.H, tol=args.tol),
                             "xi quadrature", args.tol)
-    _emit_json({
-        "value": res.value,
-        "error_estimate": res.abs_error_estimate,
-        "evaluations": res.evaluations,
-        "converged": res.converged,
-    }, args.output)
+    _emit_json(_fields(res, abs_error_estimate="error_estimate"), args.output)
     return 0
 
 
@@ -219,22 +206,27 @@ def _cmd_solve_c(args):
     mode = "embedded" if args.embedded else "any"
     out = solve_C(args.n, args.H, winding, mode=mode, tol=args.solver_tol,
                   quad_tol=args.tol)
-    d = _outcome_dict(out, "C_star")
-    d.update({
+    # a NoRootReport's "target" keeps its place, with the same value
+    _emit_json({
+        **_outcome_dict(out, "C_star"),
         "target": winding.target,
         "k": args.k,
         "m": args.m,
         "C0": C0(args.n, args.H),
         "Ctilde": Ctilde(args.n, args.H),
-    })
-    _emit_json(d, args.output)
+    }, args.output)
     return 0
 
 
+def _curve(args):
+    """The profile curve of a shape command's options."""
+    return integrate_profile(ShapeParams(n=args.n, H=args.H, C=args.C),
+                             m_periods=args.periods,
+                             samples_per_period=args.samples)
+
+
 def _cmd_profile(args):
-    params = ShapeParams(n=args.n, H=args.H, C=args.C)
-    curve = integrate_profile(params, m_periods=args.periods,
-                              samples_per_period=args.samples)
+    curve = _curve(args)
     alpha = profile_alpha(curve)
     trace = theta_prime_trace(curve, clip=args.clip)
     table = np.column_stack((curve.t, curve.g, curve.g_prime, curve.r,
@@ -248,9 +240,7 @@ def _cmd_profile(args):
 
 
 def _cmd_surface(args):
-    params = ShapeParams(n=args.n, H=args.H, C=args.C)
-    curve = integrate_profile(params, m_periods=args.periods,
-                              samples_per_period=args.samples)
+    curve = _curve(args)
     # the fiber H^1 for n = 2, else a geodesic slice of it through the axis
     try:
         with np.errstate(invalid="ignore"):  # an infinite span gives NaN
@@ -286,9 +276,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_check(args):
-    params = ShapeParams(n=args.n, H=args.H, C=args.C)
-    curve = integrate_profile(params, m_periods=args.periods,
-                              samples_per_period=args.samples)
+    curve = _curve(args)
+    params = curve.params
     report = {}
 
     # energy conservation along the trajectory
@@ -382,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_tol=True):
+    def common(p, func, need_tol=True):
+        """The options every command ends with, and its function."""
+        p.set_defaults(func=func)
         if need_tol:
             p.add_argument("--tol", type=float, default=None,
                            help="quadrature tolerance (default from "
@@ -390,19 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="write to this path instead of stdout")
 
+    def shape(p, samples, required=True, samples_help="samples per period"):
+        """The options of a command that integrates a profile curve."""
+        p.add_argument("--n", type=int, required=required)
+        p.add_argument("--H", type=float, required=required)
+        p.add_argument("--C", type=float, required=required)
+        p.add_argument("--periods", type=int, default=1)
+        p.add_argument("--samples", type=int, default=samples,
+                       help=samples_help)
+
     p = sub.add_parser("xi", help="evaluate xi_n(H)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--H", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_xi)
+    common(p, _cmd_xi)
 
     p = sub.add_parser("h0", help="solve xi_n(H0) = -2*pi")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lo", type=float, default=-10.0)
     p.add_argument("--hi", type=float, default=-1.0)
     p.add_argument("--solver-tol", type=float, default=1e-12)
-    common(p)
-    p.set_defaults(func=_cmd_h0)
+    common(p, _cmd_h0)
 
     p = sub.add_parser("solve-c", help="solve K(C, H) = -2*pi*k/m for C")
     p.add_argument("--n", type=int, required=True)
@@ -413,36 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to (C0, Ctilde) and require the "
                         "embedding criterion")
     p.add_argument("--solver-tol", type=float, default=1e-13)
-    common(p)
-    p.set_defaults(func=_cmd_solve_c)
+    common(p, _cmd_solve_c)
 
     p = sub.add_parser("profile", help="integrate a profile curve to CSV")
-    p.add_argument("--n", type=int)
-    p.add_argument("--H", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--samples", type=int, default=1024,
-                   help="samples per period")
+    shape(p, 1024, required=False)
     p.add_argument("--clip", type=float, default=None,
                    help="clip |theta_prime| in the emitted trace")
     p.add_argument("--seed-figures", choices=sorted(FIGURE_PROFILES),
                    help="use a predefined reference figure parameter set")
-    common(p, need_tol=False)
-    p.set_defaults(func=_cmd_profile)
+    common(p, _cmd_profile, need_tol=False)
 
     p = sub.add_parser("surface", help="emit an immersion sample grid to CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--H", type=float, required=True)
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--samples", type=int, default=128,
-                   help="samples per period")
+    shape(p, 128)
     p.add_argument("--fibers", type=int, default=33,
                    help="number of fiber sample points")
     p.add_argument("--fiber-span", type=float, default=1.5,
                    help="rapidity half-range of the fiber samples")
-    common(p, need_tol=False)
-    p.set_defaults(func=_cmd_surface)
+    common(p, _cmd_surface, need_tol=False)
 
     p = sub.add_parser("sweep", help="tabulate xi_n over an H grid to CSV")
     p.add_argument("--n", type=int)
@@ -451,17 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--seed-figures", choices=sorted(FIGURE_SWEEPS),
                    help="use a predefined reference figure parameter set")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
+    common(p, _cmd_sweep)
 
     p = sub.add_parser("check", help="run the invariant report for one surface")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--H", type=float, required=True)
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--samples", type=int, default=256)
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    shape(p, 256, samples_help=None)
+    common(p, _cmd_check)
 
     return parser
 

@@ -186,8 +186,8 @@ def _phase_mean(integrand, columns, tol: float):
     integrands, one per row of ``columns`` (arrays with the row on the last
     axis), as columns (value, error, evaluations, converged).
 
-    ``integrand(cols, phi)`` gives the live rows at the nodes ``phi``,
-    broadcastable to (rows, len(phi)), from their columns, each cut as
+    ``integrand(cols, phi)`` gives the live rows at the nodes ``phi``, a
+    (rows, len(phi)) array, from their columns, each cut as
     ``c[..., rows, None]``.  The rows run in blocks of at most PHASE_BLOCK
     consecutive rows, and are cut anew when a row retires: as views where
     the rows left are one run, gathered where they have gaps.  The nodes
@@ -215,8 +215,6 @@ def _phase_mean(integrand, columns, tol: float):
 
     def evaluate(cols, live, phi):
         vals = integrand(cols, phi)
-        if np.shape(vals) != (len(live), len(phi)):
-            vals = np.broadcast_to(vals, (len(live), len(phi)))
         if not np.isfinite(vals).all():
             where = float(phi[~np.isfinite(vals).all(axis=0)][0])
             raise EvaluationError(

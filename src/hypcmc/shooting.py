@@ -247,8 +247,8 @@ def find_H0(n: int, search: Tuple[float, float] = (-10.0, -1.0),
 
     def scan(grid):
         columns, missing = xi_grid(n, grid, quad_tol, missing_as_none=True)
-        for i in np.flatnonzero(~(columns[3] | missing)).tolist():
-            _xi_offset(n, grid[i], _result(columns, i), quad_tol)  # raises
+        for i in np.flatnonzero(~(columns[3] | missing)).tolist():  # raises
+            _xi_offset(n, grid[i].item(), _result(columns, i), quad_tol)
         return np.where(missing, -math.inf, columns[0] + TWO_PI)
 
     # Brent evaluates no bracket end, and the one H whose landmark is

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -214,6 +216,76 @@ def test_usage_error_is_one_json_line(capsys, argv, words):
     error = json.loads(err)
     assert error["kind"] == "UsageError"
     assert words in error["error"]
+
+
+# each subcommand's options in order: (option strings, required, default,
+# type, help), as usage errors and --help show them
+HELP = ("-h --help", False, "==SUPPRESS==", None,
+        "show this help message and exit")
+TOL = ("--tol", False, None, "float",
+       "quadrature tolerance (default from HYPCMC_TOL or 1e-11)")
+OUTPUT = ("--output", False, None, None,
+          "write to this path instead of stdout")
+SEED = "use a predefined reference figure parameter set"
+OPTION_TABLE = {
+    "xi": [HELP, ("--n", True, None, "int", None),
+           ("--H", True, None, "float", None), TOL, OUTPUT],
+    "h0": [HELP, ("--n", True, None, "int", None),
+           ("--lo", False, -10.0, "float", None),
+           ("--hi", False, -1.0, "float", None),
+           ("--solver-tol", False, 1e-12, "float", None), TOL, OUTPUT],
+    "solve-c": [HELP, ("--n", True, None, "int", None),
+                ("--H", True, None, "float", None),
+                ("--k", True, None, "int", None),
+                ("--m", True, None, "int", None),
+                ("--embedded", False, False, None,
+                 "restrict to (C0, Ctilde) and require the embedding "
+                 "criterion"),
+                ("--solver-tol", False, 1e-13, "float", None), TOL, OUTPUT],
+    "profile": [HELP, ("--n", False, None, "int", None),
+                ("--H", False, None, "float", None),
+                ("--C", False, None, "float", None),
+                ("--periods", False, 1, "int", None),
+                ("--samples", False, 1024, "int", "samples per period"),
+                ("--clip", False, None, "float",
+                 "clip |theta_prime| in the emitted trace"),
+                ("--seed-figures", False, None, None, SEED), OUTPUT],
+    "surface": [HELP, ("--n", True, None, "int", None),
+                ("--H", True, None, "float", None),
+                ("--C", True, None, "float", None),
+                ("--periods", False, 1, "int", None),
+                ("--samples", False, 128, "int", "samples per period"),
+                ("--fibers", False, 33, "int",
+                 "number of fiber sample points"),
+                ("--fiber-span", False, 1.5, "float",
+                 "rapidity half-range of the fiber samples"), OUTPUT],
+    "sweep": [HELP, ("--n", False, None, "int", None),
+              ("--H-from", False, None, "float", None),
+              ("--H-to", False, None, "float", None),
+              ("--steps", False, 64, "int", None),
+              ("--seed-figures", False, None, None, SEED), TOL, OUTPUT],
+    "check": [HELP, ("--n", True, None, "int", None),
+              ("--H", True, None, "float", None),
+              ("--C", True, None, "float", None),
+              ("--periods", False, 1, "int", None),
+              ("--samples", False, 256, "int", None), TOL, OUTPUT],
+}
+
+
+def test_option_table_is_pinned():
+    # the subcommands and their options, in order, with what argparse
+    # reads of each: a refactor of the parser leaves this table equal
+    from hypcmc.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = {name: [(" ".join(a.option_strings), a.required, a.default,
+                     a.type and a.type.__name__, a.help)
+                    for a in parser._actions]
+             for name, parser in sub.choices.items()}
+    assert list(table) == list(OPTION_TABLE)
+    for name, options in OPTION_TABLE.items():
+        assert table[name] == options, name
 
 
 @pytest.mark.parametrize("command", ["profile", "surface", "check"])
@@ -881,12 +953,16 @@ def _run_child(*args):
                           text=True, env=env)
 
 
-def test_console_script_entry_point():
-    proc = _run_child("-m", "hypcmc.cli", "xi", "--n", "2", "--H", "-1.1")
-    # the module is runnable directly; the installed `hypcmc` script wraps
-    # the same main()
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["converged"] is True
+def test_console_script_entry_point(capsys, monkeypatch):
+    # the module is runnable directly, as python -m runs it; the installed
+    # `hypcmc` script wraps the same main().  It runs in process, where a
+    # line tracer sees its __main__ block, from a fresh copy of the module
+    monkeypatch.setattr(sys, "argv", ["hypcmc", "xi", "--n=2", "--H=-1.1"])
+    monkeypatch.delitem(sys.modules, "hypcmc.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("hypcmc.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
 @pytest.mark.parametrize("argv", [

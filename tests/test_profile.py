@@ -235,6 +235,23 @@ def test_integrate_profile_validation():
         h.integrate_profile(h.ShapeParams(2, -1.1, -0.5), m_periods=0)
 
 
+def test_series_and_newton_failures_raise(monkeypatch):
+    # a non-finite integrand, a series that does not settle within
+    # MAX_NODES (|sin phi| has cosine coefficients of size 1/k^2) and a
+    # Newton solve out of steps each raise IntegrationFailureError
+    with pytest.raises(h.IntegrationFailureError,
+                       match="^the time integrand is not finite$"):
+        profile._cosine_series(lambda phi: np.full_like(phi, np.nan), "time")
+    with pytest.raises(h.IntegrationFailureError,
+                       match=f"^the angle series did not converge with "
+                             f"{profile.MAX_NODES} nodes$"):
+        profile._cosine_series(lambda phi: np.abs(np.sin(phi)), "angle")
+    monkeypatch.setattr(profile, "NEWTON_MAX_STEPS", 0)
+    with pytest.raises(h.IntegrationFailureError,
+                       match=r"^Newton's method on t\(phi\) did not"):
+        h.integrate_profile(h.ShapeParams(2, -1.1, -0.5))
+
+
 def _mp_theta_prime_at_t1(n, H, C, t1):
     """theta' at the lower root of p, from mpmath at 50 digits, with the
     root polished by findroot from the float t1."""

@@ -184,7 +184,7 @@ def test_phase_mean_rows_retire_on_their_own():
     assert not rows[3].converged
     assert rows[3].evaluations == quadrature.MAX_NODES + 1
     with pytest.raises(h.EvaluationError), np.errstate(divide="ignore"):
-        quadrature._phase_mean(lambda cols, phi: 1 / np.sin(phi),
+        quadrature._phase_mean(lambda cols, phi: cols[0] + 1 / np.sin(phi),
                                (np.zeros(1),), 1e-12)
     with pytest.raises(h.DomainError):
         quadrature._phase_mean(f, (b,), 0.0)

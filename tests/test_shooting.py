@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 
@@ -633,6 +634,50 @@ def test_solve_C_refuses_non_converged_flux(monkeypatch):
             h.classify(n, H, frozen.CSTAR_N2_M5, winding)
 
 
+def test_non_convergence_names_a_plain_float(monkeypatch, capsys):
+    # every path that refuses a non-converged quadrature names its H or C
+    # as the repr of a Python float, not as np.float64(...): find_H0's
+    # scan and refine step, solve_C's scan and refine step, and sweep
+    from hypcmc import cli
+
+    xi, flux_K = shooting.xi, shooting.flux_K
+
+    def one_bad_row(grid_of):
+        def grid(*args, **kw):
+            out = grid_of(*args, **kw)
+            columns = out[0] if len(out) == 2 else out  # xi_grid: missing
+            columns[1][10], columns[3][10] = 1.0, False
+            return out
+        return grid
+
+    def raised(module, name, patched, call):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, patched)
+            with pytest.raises(h.NonConvergenceError) as exc:
+                call()
+        return str(exc.value)
+
+    solve = functools.partial(h.solve_C, 2, -1.1, h.WindingTarget(1, 5))
+    messages = [
+        raised(shooting, "xi_grid", one_bad_row(shooting.xi_grid),
+               lambda: h.find_H0(3)),
+        raised(shooting, "xi", lambda n, H, tol: _not_converged(
+            xi(n, H, tol=tol)), lambda: h.find_H0(2)),
+        raised(shooting, "flux_K_grid", one_bad_row(shooting.flux_K_grid),
+               solve),
+        raised(shooting, "flux_K", lambda params, tol: _not_converged(
+            flux_K(params, tol=tol)), solve),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "xi_grid", one_bad_row(cli.xi_grid))
+        assert cli.main(["sweep", "--n=3", "--H-from=-3", "--H-to=-2",
+                         "--steps=12"]) == 3
+    messages.append(json.loads(capsys.readouterr().err)["error"])
+    for message in messages:
+        named = re.search(r"(?:xi_\d\(|C=|H=)([^) ]+)", message).group(1)
+        assert repr(float(named)) == named, message
+
+
 def test_brentq_port_matches_scipy():
     # the scalar port, which solves in C and H, gives SciPy's root and
     # counts, and raises SciPy's error where SciPy raises: for brackets
@@ -672,3 +717,14 @@ def test_brentq_port_matches_scipy():
     with pytest.raises(ValueError) as port:
         shooting.brentq(nan_inside, -1.0, 1.0, 1e-12, 8.9e-16)
     assert str(port.value) == str(ref.value)
+
+    # values near 1e-200, where dblk * dpre * (fblk - fpre) underflows to
+    # 0: the interpolated step divides by zero (inf or NaN in C), and
+    # Brent bisects as SciPy does, with SciPy's root and counts
+    def tiny(v):
+        return 1e-200 * (v ** 3 - 2 * v - 5)
+
+    root, res = brentq(tiny, 0.0, 3.0, xtol=1e-12, rtol=8.9e-16,
+                       full_output=True)
+    assert shooting.brentq(tiny, 0.0, 3.0, 1e-12, 8.9e-16) == (
+        root, res.iterations, res.function_calls)

@@ -5,11 +5,13 @@
 Runs the test suite in process, as ``pytest -q tests`` with this
 checkout's ``src/`` first on the path, under a ``sys.settrace`` line
 tracer (``coverage`` is not a dependency), and prints one line per
-unexecuted line, ``path:line: source``, then their count.  A line counts
-as executable where the compiled module has a line start (``dis``); the
-package is imported under the tracer, so its module-level lines count
-too.  Extra arguments go to pytest, e.g. ``-k potential``.  A traced run
-takes two to three times as long as a plain one.
+unexecuted line, ``path:line: source``, then their count.  It exits 1
+if it lists any line, so its exit status says whether tier-1 runs every
+source line.  A line counts as executable where the compiled module has
+a line start (``dis``); the package is imported under the tracer, so
+its module-level lines count too.  Extra arguments go to pytest, e.g.
+``-k potential``.  A traced run takes two to three times as long as a
+plain one.
 
 The file name does not start with ``test_``, so pytest does not collect
 it.
@@ -64,7 +66,7 @@ def main(argv=None):
                   f"{source[line - 1].strip()}")
             count += 1
     print(f"{count} unexecuted lines")
-    return 0
+    return 1 if count else 0
 
 
 if __name__ == "__main__":
