@@ -47,13 +47,7 @@ import numpy as np
 from .errors import DomainError, IntegrationFailureError, ParameterRangeError
 from .lorentz import _fiber_array, immerse_rows
 from .potential import ShapeParams, _two_product, _two_sum, horner
-from .quadrature import (
-    MAX_NODES,
-    _angle_remainder,
-    _flux_setup,
-    _rows,
-    _s,
-)
+from .quadrature import MAX_NODES, _angle_remainder, _flux_setup, _s
 
 # the bound `hypcmc check` holds the first-integral residual to
 ENERGY_TOL = 1e-8
@@ -238,7 +232,6 @@ class _Phase:
     def __init__(self, params: ShapeParams):
         n = params.n
         t1, t2, rate = _flux_setup(params)
-        rate = _rows(rate, 0)
         a, rem = rate.a, rate.rem
         self.n, self.t1, self.t2, self.a, self.rem = n, t1, t2, a, rem
 

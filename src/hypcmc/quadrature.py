@@ -26,7 +26,9 @@ so s belongs to the polynomial whose roots t1 and t2 are; at one C it
 runs on floats, on a grid on columns, with the same bits, and so do the
 flux's powers (np.float_power, libm pow per entry).  xi deflates Q in
 plain floats, in the offset from its fixed root 1 (potential's shifted
-polynomial R).
+polynomial R).  One C or one H runs on floats from end to end, its phase
+loop one row (_phase_row); a grid runs the same operations on columns,
+its rows in one phase rule (_phase_mean).
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ from .potential import (
     _check_n,
     _check_shape,
     _p_lows,
+    _select,
     _split,
+    _sqrt,
     _two_product,
     _two_sum,
     eval_h,
@@ -181,6 +185,22 @@ def _phase_nodes(N: int):
     return phi
 
 
+_ENDS = np.r_[0.5, np.ones(7), 0.5]  # the trapezoid weights of N = 8
+
+
+def _finite(vals, phi):
+    """``vals``, the integrand at the nodes ``phi`` (one row or a row
+    each), after EvaluationError at the first phi where one is not finite."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        where = float(phi[~finite.all(axis=tuple(range(vals.ndim - 1)))][0])
+        raise EvaluationError(
+            f"integrand returned a non-finite value at phi={where!r}",
+            abscissa=where,
+        )
+    return vals
+
+
 def _phase_mean(integrand, columns, tol: float):
     """Trapezoid means over phi in [0, pi] of smooth, even, 2 pi-periodic
     integrands, one per row of ``columns`` (arrays with the row on the last
@@ -204,8 +224,6 @@ def _phase_mean(integrand, columns, tol: float):
     rows = np.shape(columns[0])[-1]
     value, error = np.empty(rows), np.empty(rows)
     evaluations = np.empty(rows, dtype=np.int64)
-    ends = np.ones(9)
-    ends[0] = ends[8] = 0.5
 
     def cut(live):
         lo, hi = live[0].item(), live[-1].item() + 1
@@ -213,25 +231,18 @@ def _phase_mean(integrand, columns, tol: float):
             return tuple(c[..., lo:hi, None] for c in columns)
         return tuple(c[..., live[:, None]] for c in columns)
 
-    def evaluate(cols, live, phi):
-        vals = integrand(cols, phi)
-        if not np.isfinite(vals).all():
-            where = float(phi[~np.isfinite(vals).all(axis=0)][0])
-            raise EvaluationError(
-                f"integrand returned a non-finite value at phi={where!r}",
-                abscissa=where,
-            )
-        return vals
+    def evaluate(cols, phi):
+        return _finite(integrand(cols, phi), phi)
 
     for start in range(0, rows, PHASE_BLOCK):
         live = np.arange(start, min(start + PHASE_BLOCK, rows))
         cols = cut(live)
-        vals = evaluate(cols, live, _phase_nodes(16))
-        N, total, mids = 8, np.sum(vals[:, :9] * ends, axis=1), vals[:, 9:]
+        vals = evaluate(cols, _phase_nodes(16))
+        N, total, mids = 8, np.sum(vals[:, :9] * _ENDS, axis=1), vals[:, 9:]
         mean = total / N
         while N < MAX_NODES:
             if N > 8:
-                mids = evaluate(cols, live, _phase_nodes(2 * N))
+                mids = evaluate(cols, _phase_nodes(2 * N))
             total = total + np.sum(mids, axis=1)
             N *= 2
             move = np.abs(total / N - mean)
@@ -245,6 +256,28 @@ def _phase_mean(integrand, columns, tol: float):
                     break
                 cols = cut(live)
     return value, error, evaluations, error <= tol
+
+
+def _phase_row(integrand, tol: float):
+    """_phase_mean's (value, error, evaluations, converged) for one row,
+    on floats, ``integrand(phi)`` a 1-D array: the same nodes, sums (as
+    np.sum, without its wrapper) and stop test give the same bits."""
+    _check_tol(tol)
+    phi = _phase_nodes(16)
+    vals = _finite(integrand(phi), phi)
+    N, total, mids = 8, np.add.reduce(vals[:9] * _ENDS), vals[9:]
+    mean = total / N
+    while N < MAX_NODES:
+        if N > 8:
+            phi = _phase_nodes(2 * N)
+            mids = _finite(integrand(phi), phi)
+        total = total + np.add.reduce(mids)
+        N *= 2
+        move = abs(total / N - mean)
+        mean = total / N
+        if not move > tol:
+            break
+    return mean.item(), move.item(), N + 1, bool(move <= tol)
 
 
 def _result(columns, i: int) -> QuadResult:
@@ -329,16 +362,16 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
                       res.evaluations, res.converged)
 
 
-# what _angle_rate computes, per C: 1-D arrays, or (rem, quotient,
-# powers) 2-D arrays with one row per coefficient
+# what _angle_rate computes: floats for one C (rem a tuple, quotient and
+# powers 1-D), or columns for a grid, 1-D arrays with (rem, quotient,
+# powers) 2-D, a row per coefficient
 _AngleRate = namedtuple("_AngleRate",
                         "t1 a d pole rem quotient vc root_vc U_vc N_vc powers")
 
 
-def _rows(rate: _AngleRate, index) -> _AngleRate:
-    """The rate of the C at ``index``: 0 gives floats for one C, a mask
-    the rate of the C it selects."""
-    return _AngleRate(*(f[..., index] for f in rate))
+def _rows(rate: _AngleRate, mask) -> _AngleRate:
+    """The rate of the C that ``mask`` selects from a grid's rate."""
+    return _AngleRate(*(f[..., mask] for f in rate))
 
 
 def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
@@ -350,16 +383,17 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
     to pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2)), so over
     a period to pi * pole; it carries the angle spike of a profile that
     grazes the rotation axis (d -> 0).  _angle_remainder is the smooth
-    rest.  C, t1 and t2 are 1-D arrays, one entry per C, and rem is p
-    deflated by the roots (_deflated_coefficients), a row per coefficient.
-    Powers are np.float_power, libm pow on each entry as ** on one float
-    (np.power's SIMD path may differ in the last bit), so each entry is the
-    arithmetic of its C alone.  Next to C = 0 the powers of -C in d
-    overflow (where ** would raise, float_power gives inf): at H = -1.1
-    from |C| < 9.3e-45 at n = 8 and 8.1e-309 at n = 2.  d is then inf or
-    NaN, which _flux_setup refuses.  d <= 0 gives a NaN pole.
+    rest.  C, t1 and t2 are floats, or 1-D arrays with one entry per C,
+    and rem is p deflated by the roots (_deflated_coefficients), floats or
+    a row per coefficient.  Powers are np.float_power, libm pow on each
+    entry as ** on one float (np.power's SIMD path may differ in the last
+    bit), so each entry is the arithmetic of its C alone.  Next to C = 0
+    the powers of -C in d overflow (where ** would raise, float_power
+    gives inf): at H = -1.1 from |C| < 9.3e-45 at n = 8 and 8.1e-309 at
+    n = 2.  d is then inf or NaN, which _flux_setup refuses.  d <= 0 gives
+    a NaN pole.
     """
-    vc = np.sqrt(-C)
+    vc = _sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
     # Ctilde (t1 -> vc there), so use the identity
     # q(vc) = -(-C) (H + (-C)^(-n/2))^2 with the deflated form of q,
@@ -369,7 +403,7 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
         P_vc = -horner(rem, vc)   # P(vc) = vc^(2n-2) s(vc)
         den = (t2 - vc) * (P_vc * np.float_power(vc, 2 - 2 * n))
         # an overflowed power leaves d inf or NaN, never a finite / inf = 0
-        d = np.where(den < math.inf, (-C) * delta * delta / den, math.nan)
+        d = _select(den < math.inf, (-C) * delta * delta / den, math.nan)
         a = (t2 - t1) / 2
         root_vc = np.sqrt(P_vc)
         # F(vc) = vc^n delta / (2 sqrt(P(vc))), delta = H + vc^(-n) as in d
@@ -377,8 +411,8 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
         pole = 2 * F_vc / np.sqrt(d * (d + 2 * a))
     U_vc = 2 * vc * root_vc
     return _AngleRate(t1, a, d, pole, rem, np.array(_synthetic_deflate(rem, vc)),
-                      vc, root_vc, U_vc, F_vc * U_vc,
-                      np.float_power(vc, np.arange(n)[:, None]))
+                      vc, root_vc, U_vc, F_vc * U_vc, np.float_power(
+                          vc, np.arange(n).reshape((n,) + (1,) * np.ndim(vc))))
 
 
 def _angle_remainder(n: int, H: float, rate: _AngleRate, phi):
@@ -402,7 +436,7 @@ def _angle_remainder(n: int, H: float, rate: _AngleRate, phi):
 
 
 def _flux_setup(params: ShapeParams):
-    """The roots t1, t2 of one C and its angle rate, as one row.
+    """The roots t1, t2 of one C and its angle rate, on floats.
 
     Raises DomainError where d = t1 - sqrt(-C) is not finite (the powers
     of -C overflow next to C = 0) or is 0.  d = (-C) delta^2 / den with
@@ -412,13 +446,12 @@ def _flux_setup(params: ShapeParams):
     """
     n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
-    rem = np.array(_deflated_coefficients(n, H, C, t1, t2))[:, None]
-    rate = _angle_rate(n, H, np.array([C]), np.array([t1]), np.array([t2]),
-                       rem)
-    if not math.isfinite(rate.d[0]):
+    rate = _angle_rate(n, H, C, t1, t2,
+                       _deflated_coefficients(n, H, C, t1, t2))
+    if not math.isfinite(rate.d):
         raise DomainError(f"C={C!r} is too close to 0: the angle rate's "
                           f"powers of -C overflow at n={n}")
-    if not rate.d[0] > 0:
+    if not rate.d > 0:
         raise DomainError(
             f"C={C!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
             "sqrt(-C) is 0, the profile meets the rotation axis, and the "
@@ -427,22 +460,14 @@ def _flux_setup(params: ShapeParams):
     return t1, t2, rate
 
 
-def _flux_rows(n: int, H: float, rate: _AngleRate, tol: float):
-    """The fluxes K = 2 pi mean(remainder) + pi pole of the C of ``rate``,
-    all with d > 0, as the columns of one phase rule (_phase_mean)."""
-    value, *rest = _phase_mean(
-        lambda cols, phi: 2 * math.pi * _angle_remainder(n, H, cols, phi),
-        rate, tol)
-    return (value + math.pi * rate.pole, *rest)
-
-
 def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     """Flux K(C, H): total turning of theta over one period of g.
 
     K = integral over (t1, t2) of
         2 sqrt(-C) (1 + H v^n) v^(1-n) / ((C + v^2) sqrt(q(v))) dv,
     taken over the phase phi as pi times the pole weight of _angle_rate
-    plus 2 pi times the mean of its remainder (_phase_mean).  The pole
+    plus 2 pi times the mean of its remainder (_phase_row, on floats:
+    the row flux_K_grid takes for this C, bit for bit).  The pole
     offset d = t1 - sqrt(-C) keeps its relative accuracy when d is tiny
     (C near Ctilde, where the profile passes close to the rotation
     axis), so K runs at every C in (C0, 0) with d > 0, on both sides of
@@ -450,8 +475,11 @@ def flux_K(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     above.  Where d is 0 (C = Ctilde to rounding) it raises DomainError;
     the flux there is xi(n, H).
     """
-    return _result(_flux_rows(params.n, params.H, _flux_setup(params)[2],
-                              tol), 0)
+    n, H = params.n, params.H
+    rate = _flux_setup(params)[2]
+    value, *rest = _phase_row(
+        lambda phi: 2 * math.pi * _angle_remainder(n, H, rate, phi), tol)
+    return QuadResult(float(value + math.pi * rate.pole), *rest)
 
 
 def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -462,7 +490,7 @@ def _flux_over_v(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
     """
     n, H = params.n, params.H
     t1, t2, rate = _flux_setup(params)
-    _, _, d, _, rem, _, vc, *_ = _rows(rate, 0)
+    d, rem, vc = rate.d, rate.rem, rate.vc
 
     def fo(v, da, db):
         return (2 * vc * (1 + H * v ** n) * v ** (1 - n)
@@ -493,24 +521,21 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     ok = rate.d > 0
     rows[rows] = ok  # the C that the phase rule takes
     rate = rate if ok.all() else _rows(rate, ok)  # copied only if some d <= 0
-    return _grid_columns(rows, _flux_rows(n, H, rate, tol), lambda i: flux_K(
-        ShapeParams(n=n, H=H, C=Cs[i].item()), tol=tol))
+    value, *rest = _phase_mean(
+        lambda cols, phi: 2 * math.pi * _angle_remainder(n, H, cols, phi),
+        rate, tol)  # K = 2 pi mean(remainder) + pi pole, as in flux_K
+    return _grid_columns(rows, (value + math.pi * rate.pole, *rest), lambda i:
+                         flux_K(ShapeParams(n=n, H=H, C=Cs[i].item()), tol=tol))
 
 
-def _xi_rows(n: int, H, x, tol: float):
-    """xi at the H of the 1-D array ``H``, with the upper roots 1 + ``x``
-    of Q, as the columns of one phase rule."""
-    # v^(2n-2) Q(v) = u R(u) at v = 1 + u, and R = (u - x) S(u)
-    rem = np.array(_synthetic_deflate(_Q_shifted(n, H), x))
-
-    def integrand(cols, phi):
-        H, a, rem = cols
-        u = 2 * a * np.sin(phi / 2) ** 2
-        v = 1 + u
-        return math.pi * eval_h(n, H, v) / np.sqrt(
-            -horner(rem, u) * v ** (2 - 2 * n))
-
-    return _phase_mean(integrand, (H, x / 2, rem), tol)
+def _xi_integrand(n: int, H, a, rem, phi):
+    """pi h(v) / sqrt(s(v)) at v = 1 + 2a sin^2(phi/2), with rem the
+    coefficients of s in the offset u = v - 1: floats for one H, or
+    (rows, 1) columns for a batch of H, with the same arithmetic."""
+    u = 2 * a * np.sin(phi / 2) ** 2
+    v = 1 + u
+    return math.pi * eval_h(n, H, v) / np.sqrt(
+        -horner(rem, u) * v ** (2 - 2 * n))
 
 
 def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -522,10 +547,15 @@ def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
     pi times the mean over phi of h(v) / sqrt(s(v)).  Both a = x/2 and s
     come from the offset u = v - 1: potential's x = t2~ - 1 and R, with
     v^(2n-2) Q(1 + u) = u R(u), deflated by x.  They keep their digits
-    where t2~ is close to 1 (large |H|).
+    where t2~ is close to 1 (large |H|).  It runs on floats (_phase_row),
+    the row xi_grid takes for this H, bit for bit.
     """
-    x = np.array([_Q_upper_root(n, H)])
-    return _result(_xi_rows(n, np.array([H], dtype=float), x, tol), 0)
+    x = _Q_upper_root(n, H)
+    H = float(H)
+    # v^(2n-2) Q(v) = u R(u) at v = 1 + u, and R = (u - x) S(u)
+    rem = _synthetic_deflate(_Q_shifted(n, H), x)
+    return QuadResult(*_phase_row(
+        lambda phi: _xi_integrand(n, H, x / 2, rem, phi), tol))
 
 
 def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
@@ -557,8 +587,11 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
             missing[i] = True
             return QuadResult(math.nan, math.nan, 0, False)
 
-    columns = _grid_columns(rows, _xi_rows(n, Hs[rows], x[rows], tol), scalar)
-    return columns, missing
+    H, x = Hs[rows], x[rows]
+    rem = np.array(_synthetic_deflate(_Q_shifted(n, H), x))  # as in xi
+    return _grid_columns(rows, _phase_mean(
+        lambda cols, phi: _xi_integrand(n, *cols, phi), (H, x / 2, rem), tol),
+        scalar), missing
 
 
 def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:

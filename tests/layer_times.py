@@ -20,7 +20,13 @@ cost is fixed per call rather than per row: one scalar ``flux_K`` (the
 anchor at the middle of its 64-point grid), one scalar ``xi`` (at the
 anchor's H), the anchor's 64-row ``flux_K_grid``, a 64-row ``xi_grid``
 (``find_H0``'s scan at n = 2) and a 128-row one (the fig6 sweep, n = 3),
-and a whole ``find_H0(2)``.
+and a whole ``find_H0(2)``.  It then splits the scalar ``flux_K`` and
+``xi`` into their roots (``oscillation_roots``, ``_Q_upper_root``), the
+deflation (``_deflated_coefficients``, ``_synthetic_deflate``), the rate
+(``_angle_rate``), the rule (``_phase_row``, or ``_phase_mean`` where a
+checkout runs one C on it) and the rest, median ms per layer, and prints
+the share of the scalar flux that p's root steps (``_p_root`` and
+``_p_polish``, inside the roots) take.
 
 A third table gives ``check``'s two tanh-sinh references,
 ``quadrature.period_T`` and the flux over v (``_flux_over_v``), at the
@@ -184,6 +190,68 @@ def kernel_table(h, repeats):
     print("closure kernels, median ms per call:")
     print("  " + "  ".join(f"{name}={median_ms(s):.3f}"
                            for name, s in samples.items()))
+    scalar_split(kernels["flux_K"], "flux_K", FLUX_LAYERS, repeats)
+    scalar_split(kernels["xi"], "xi", XI_LAYERS, repeats)
+
+
+# the functions that one scalar flux_K or xi runs, by layer; p's root
+# steps run inside the roots
+FLUX_LAYERS = {"roots": ("quadrature", "oscillation_roots"),
+               "deflation": ("quadrature", "_deflated_coefficients"),
+               "rate": ("quadrature", "_angle_rate"),
+               "rule": ("quadrature", "_phase_row", "_phase_mean"),
+               "root_steps": ("potential", "_p_root", "_p_polish")}
+XI_LAYERS = {"roots": ("quadrature", "_Q_upper_root"),
+             "deflation": ("quadrature", "_synthetic_deflate"),
+             "rule": ("quadrature", "_phase_row", "_phase_mean")}
+
+
+def scalar_split(call, label, layers, repeats):
+    """Print the median ms per layer of one scalar call, and the share of
+    p's root steps; a function the checkout lacks is not wrapped."""
+    import hypcmc
+
+    spent, originals = dict.fromkeys(layers, 0.0), []
+
+    def wrap(module, name, layer):
+        fn = getattr(module, name)
+
+        def timed(*args, **kw):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                spent[layer] += time.perf_counter() - start
+
+        originals.append((module, name, fn))
+        setattr(module, name, timed)
+
+    for layer, (module, *names) in layers.items():
+        module = getattr(hypcmc, module)
+        for name in names:
+            if hasattr(module, name):
+                wrap(module, name, layer)
+    parts = [layer for layer in layers if layer != "root_steps"]
+    samples = {layer: [] for layer in (*layers, "rest", "total")}
+    try:
+        call()  # warm-up
+        for _ in range(repeats):
+            spent.update(dict.fromkeys(layers, 0.0))
+            start = time.perf_counter()
+            call()
+            spent["total"] = time.perf_counter() - start
+            spent["rest"] = spent["total"] - sum(spent[k] for k in parts)
+            for layer, s in spent.items():
+                samples[layer].append(s)
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+    ms = {layer: median_ms(s) for layer, s in samples.items()}
+    line = "  ".join(f"{k}={ms[k]:.3f}" for k in (*parts, "rest", "total"))
+    if "root_steps" in layers:
+        line += (f"  (root steps {ms['root_steps']:.3f} = "
+                 f"{100 * ms['root_steps'] / ms['total']:.0f}% of the call)")
+    print(f"  {label} split, median ms: {line}")
 
 
 def reference_table(h, repeats):

@@ -521,6 +521,15 @@ def _refusals():
     # an empty grid checks n too
     yield ["sweep", "--n=1", "--H-from=-3", "--H-to=-1.5",
            "--steps=0"], "DomainError"
+    # from |H| of about 1e8 on the float C0 is positive (n = 5) or 0.0
+    # (n = 2)
+    for n, H in LOST_C0:
+        for command in SHAPE_COMMANDS:
+            yield _shape_argv(command, n=n, H=H, C="-0.001"), "DomainError"
+
+
+# (n, H) where the float C0 has lost its sign, and that C0
+LOST_C0 = {("5", "-1e8"): 0.012619146889603841, ("2", "-1e8"): 0.0}
 
 
 # the exact message of the refusals that name the input at fault
@@ -533,6 +542,10 @@ REFUSAL_MESSAGES = {
         "n must be an integer >= 2, got 1",
     **{tuple(_shape_argv(command, H="-inf")): "H=-inf is too large: C0=nan"
        for command in SHAPE_COMMANDS},
+    **{tuple(_shape_argv(command, n=n, H=H, C="-0.001")):
+       f"the float C0={c0!r} at n={n}, H={float(H)!r} has lost its sign to "
+       "rounding: the true C0 is negative"
+       for (n, H), c0 in LOST_C0.items() for command in SHAPE_COMMANDS},
 }
 
 

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypcmc as h
@@ -190,6 +191,54 @@ def test_phase_mean_rows_retire_on_their_own():
         quadrature._phase_mean(f, (b,), 0.0)
 
 
+def test_phase_row_is_its_phase_mean_row():
+    # the one-row loop on floats stops each b where _phase_mean's row does,
+    # with its four fields bit for bit: rows converged at different N, the
+    # row unconverged at MAX_NODES, and a row whose sum overflows (its
+    # move is NaN); a non-finite value raises at the same phi
+    b = np.array([10.0, 1.5, 1.01, 1 + 1e-12])
+
+    def f(cols, phi):
+        return 1 / (cols[0] - np.cos(phi))
+
+    for tol in (1e-6, 1e-13):
+        rows = _as_results(quadrature._phase_mean(f, (b,), tol))
+        for i, B in enumerate(b.tolist()):
+            row = quadrature._phase_row(lambda phi: f((B,), phi), tol)
+            assert h.QuadResult(*row) == rows[i]
+            assert list(map(type, row)) == [float, float, int, bool]
+    assert not rows[3].converged
+    assert rows[3].evaluations == quadrature.MAX_NODES + 1
+    huge = np.array([1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [_as_results(quadrature._phase_mean(
+            lambda cols, phi: cols[0] + 0 * phi, (huge,), 1e-12))[0],
+            h.QuadResult(*quadrature._phase_row(
+                lambda phi: huge[0] + 0 * phi, 1e-12))]
+    # NaN != NaN, so the two rows are compared by repr
+    assert repr(rows[0]) == repr(rows[1])
+    assert rows[1].evaluations == 17 and not rows[1].converged
+    # a non-finite value in the first call (at an N = 16 midpoint) and in
+    # a later one (an N = 64 midpoint)
+    for where in (math.pi / 16, quadrature._phase_nodes(64)[1].item()):
+
+        def g(phi, where=where):
+            return np.where(phi == where, np.inf, 1 / (1.01 - np.cos(phi)))
+
+        raised = []
+        for call in (lambda: quadrature._phase_mean(
+                         lambda cols, phi: cols[0] + g(phi), (np.zeros(1),),
+                         1e-13),
+                     lambda: quadrature._phase_row(g, 1e-13)):
+            with pytest.raises(h.EvaluationError) as exc:
+                call()
+            raised.append((str(exc.value), exc.value.abscissa))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == where
+    with pytest.raises(h.DomainError):
+        quadrature._phase_row(lambda phi: f((2.0,), phi), 0.0)
+
+
 def test_phase_rule_equals_the_two_call_rule(monkeypatch):
     # the first call takes the 17 nodes of N = 16, and the four columns
     # stay those of the rule with one call per level, bit for bit: the
@@ -222,20 +271,28 @@ def test_phase_rule_equals_the_two_call_rule(monkeypatch):
 
 
 def test_phase_rule_calls_per_flux(monkeypatch):
-    # a C that converges at N = 32 takes two integrand calls (17 nodes,
-    # then 16 midpoints), where one call per level made three; one that
-    # converges at N = 16 takes one call
-    phase_mean, calls = quadrature._phase_mean, []
+    # a C that converges at N = 32 takes two integrand calls of the
+    # one-row loop (17 nodes, then 16 midpoints), where one call per level
+    # made three; one that converges at N = 16 takes one call.  Scalar
+    # flux_K and xi run no _phase_mean
+    phase_row, calls = quadrature._phase_row, []
 
-    def counted(integrand, columns, tol):
-        return phase_mean(lambda cols, phi: calls.append(len(phi))
-                          or integrand(cols, phi), columns, tol)
+    def counted(integrand, tol):
+        return phase_row(lambda phi: calls.append(len(phi))
+                         or integrand(phi), tol)
 
-    monkeypatch.setattr(quadrature, "_phase_mean", counted)
+    def refused(*args):
+        raise AssertionError("a scalar integral ran the grid's phase rule")
+
+    monkeypatch.setattr(quadrature, "_phase_row", counted)
+    monkeypatch.setattr(quadrature, "_phase_mean", refused)
     for C, evaluations, nodes in ((-0.5, 33, [17, 16]), (-1.0, 17, [17])):
         calls.clear()
         res = h.flux_K(h.ShapeParams(2, -1.1, C))
         assert (res.evaluations, calls) == (evaluations, nodes)
+    calls.clear()
+    res = h.xi(2, -1.1)
+    assert res.evaluations == sum(calls) and calls[0] == 17
 
 
 def test_phase_rule_non_finite_at_the_n8_node_first():
@@ -459,6 +516,30 @@ def test_flux_at_ctilde_is_refused_naming_xi(n, H):
         assert _first_error(call) == (h.DomainError, message)
 
 
+@pytest.mark.parametrize("n, C", [(8, -1e-300), (2, -1e-310), (2, None)])
+def test_one_C_refusals_on_floats(n, C):
+    # one C runs its angle rate on floats, where ** raises OverflowError
+    # and math.sqrt ValueError where numpy gives inf and NaN: next to
+    # C = 0, where the powers of -C overflow (d not finite), and at the
+    # float Ctilde of (2, -1.1) (d = 0), every route raises the DomainError
+    # that names the cause, as a grid does, with no warning on the way
+    H = -1.1
+    C = h.Ctilde(n, H) if C is None else C
+    message = (f"C={C!r} is too close to 0: the angle rate's powers of -C "
+               f"overflow at n={n}") if C > -1e-200 else (
+        f"C={C!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
+        "sqrt(-C) is 0, the profile meets the rotation axis, and the "
+        f"flux there is xi({n}, {H!r})")
+    params = h.ShapeParams(n, H, C)
+    for call in (lambda: h.flux_K(params),
+                 lambda: h.flux_K_grid(n, H, [C]),
+                 lambda: quadrature._flux_over_v(params),
+                 lambda: h.integrate_profile(params)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _first_error(call) == (h.DomainError, message)
+
+
 def test_flux_jump_across_threshold():
     # K jumps by -pi approaching Ctilde from below and by +pi from above;
     # xi sits at the midpoint of the two one-sided limits
@@ -471,21 +552,47 @@ def test_flux_jump_across_threshold():
     assert above == pytest.approx(x + math.pi, abs=1e-3)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(n=st.integers(2, 8), H=st.floats(-3.0, -1.02),
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(n=2, H=-1.0001, rels=[(1, -3.0), (-1, -3.0)], lows=[-9.0, -6.0])
+@example(n=3, H=-1.0001, rels=[(1, -8.0)], lows=[-7.0])
+@example(n=7, H=-1001.0, rels=[(1, -3.0)], lows=[-9.0])
+@given(n=st.integers(2, 8), H=st.floats(-4.0, 3.0).map(lambda e: -1 - 10 ** e),
        rels=st.lists(st.tuples(st.sampled_from([-1, 1]), st.floats(-8.0, -3.0)),
-                     min_size=1, max_size=3))
-def test_flux_grid_equals_scalar_flux(n, H, rels):
-    # every field of every batched result equals the one-row path: next
-    # to Ctilde on both sides, at the solvers' guard-band edge and inside
-    # the band, at the C0 end and in the middle
+                     min_size=1, max_size=3),
+       lows=st.lists(st.floats(-9.0, -6.0), min_size=1, max_size=2))
+def test_flux_grid_equals_scalar_flux(n, H, rels, lows):
+    # every field of every batched result equals the one-row path, which
+    # runs on floats where the grid runs on columns: next to Ctilde on
+    # both sides, at the solvers' guard-band edge and inside the band, at
+    # the C0 end (1e-9 to 1e-6 of |C0| above it, 17 nodes) and in the
+    # middle, for H from -1.0001, where rows take up to 129 nodes, to
+    # -1001.  An offset from Ctilde is at most half the lower branch,
+    # which is 2.5e-7 of |Ctilde| wide at (2, -1001)
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + C_GAP_LOWER_REL * abs(c0), 0.5 * (c0 + ct),
           ct - CTILDE_GUARD_REL * abs(ct), ct * (1 + 0.5e-9),
           ct * (1 - 0.5e-9), 0.5 * ct]
-    Cs += [ct * (1 + side * 10.0 ** e) for side, e in rels]
+    Cs += [ct * (1 + side * min(10.0 ** e, (ct - c0) / (2 * -ct)))
+           for side, e in rels]
+    Cs += [c0 + 10.0 ** e * abs(c0) for e in lows]
+    # a C the float C0 lets in may still be degenerate in floats (C0 is
+    # 1.9e-9 off at H = -1000): the grid raises the loop's first error, and
+    # equals the loop without the C that raise
+    scalar = [_flux_or_error(n, H, C) for C in Cs]
+    errors = [r for r in scalar if not isinstance(r, h.QuadResult)]
+    if errors:
+        assert _first_error(lambda: h.flux_K_grid(n, H, Cs)) == errors[0]
+    Cs = [C for C, r in zip(Cs, scalar) if isinstance(r, h.QuadResult)]
     assert _as_results(h.flux_K_grid(n, H, Cs)) == [
-        h.flux_K(h.ShapeParams(n, H, C)) for C in Cs]
+        r for r in scalar if isinstance(r, h.QuadResult)]
+
+
+def _flux_or_error(n, H, C):
+    """flux_K at (n, H, C), or the type and message of its error."""
+    try:
+        return h.flux_K(h.ShapeParams(n, H, C))
+    except h.HypcmcError as exc:
+        return type(exc), str(exc)
 
 
 def test_flux_grid_embedded_scan_grids():
