@@ -44,16 +44,22 @@ def _check_n(n):
         raise DomainError(f"n must be an integer >= 2, got {n}")
 
 
-def _check_shape(n, H):
+def _finite_C0(n, H):
     """C0(n, H), after a DomainError unless n is an integer >= 2, H < -1
-    and C0 is finite (n^2 H^2 overflows from |H| of about 1e153 on) and
-    negative (a float C0 of 0.0 or above has lost its sign to rounding)."""
+    and C0 is finite (n^2 H^2 overflows from |H| of about 1e153 on)."""
     _check_n(n)
     if not H < -1:
         raise DomainError(f"H must be < -1, got {H}")
     c0 = C0(n, H)
     if not math.isfinite(c0):
         raise DomainError(f"H={H} is too large: C0={c0}")
+    return c0
+
+
+def _check_shape(n, H):
+    """_finite_C0(n, H), after a DomainError unless it is negative: a float
+    C0 of 0.0 or above has lost its sign to rounding."""
+    c0 = _finite_C0(n, H)
     if not c0 < 0:
         raise DomainError(f"the float C0={c0!r} at n={n}, H={H!r} has lost "
                           "its sign to rounding: the true C0 is negative")

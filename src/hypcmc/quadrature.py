@@ -22,13 +22,12 @@ at the float inputs, and evaluate the potential in deflated form
 q = (v - t1)(t2 - v) s(v), with s from synthetically dividing
 p(v) = v^(2n-2) q(v) by them.  The division runs on p's exact-input
 coefficients in double-double and rounds once (_deflated_coefficients),
-so s belongs to the polynomial whose roots t1 and t2 are; at one C it
-runs on floats, on a grid on columns, with the same bits, and so do the
-flux's powers (np.float_power, libm pow per entry).  xi deflates Q in
-plain floats, in the offset from its fixed root 1 (potential's shifted
-polynomial R).  One C or one H runs on floats from end to end, its phase
-loop one row (_phase_row); a grid runs the same operations on columns,
-its rows in one phase rule (_phase_mean).
+so s belongs to the polynomial whose roots t1 and t2 are.  xi deflates
+Q in plain floats, in the offset from its fixed root 1 (potential's
+shifted polynomial R).  One C or one H runs on floats from end to end,
+its phase loop one row (_phase_row); a grid runs the same operations,
+the flux's powers too (np.float_power, libm pow per entry), on columns,
+its rows in one phase rule (_phase_mean), with the same bits.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .potential import (
     _Q_upper_root,
     _Q_upper_root_grid,
     _check_n,
-    _check_shape,
+    _finite_C0,
     _p_lows,
     _select,
     _split,
@@ -363,15 +362,9 @@ def period_T(params: ShapeParams, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 # what _angle_rate computes: floats for one C (rem a tuple, quotient and
-# powers 1-D), or columns for a grid, 1-D arrays with (rem, quotient,
-# powers) 2-D, a row per coefficient
+# powers 1-D), or a grid's columns (those three with a row per coefficient)
 _AngleRate = namedtuple("_AngleRate",
                         "t1 a d pole rem quotient vc root_vc U_vc N_vc powers")
-
-
-def _rows(rate: _AngleRate, mask) -> _AngleRate:
-    """The rate of the C that ``mask`` selects from a grid's rate."""
-    return _AngleRate(*(f[..., mask] for f in rate))
 
 
 def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
@@ -383,15 +376,14 @@ def _angle_rate(n: int, H: float, C, t1, t2, rem) -> _AngleRate:
     to pole * atan2(sqrt(d + 2a) sin(phi/2), sqrt(d) cos(phi/2)), so over
     a period to pi * pole; it carries the angle spike of a profile that
     grazes the rotation axis (d -> 0).  _angle_remainder is the smooth
-    rest.  C, t1 and t2 are floats, or 1-D arrays with one entry per C,
-    and rem is p deflated by the roots (_deflated_coefficients), floats or
-    a row per coefficient.  Powers are np.float_power, libm pow on each
-    entry as ** on one float (np.power's SIMD path may differ in the last
-    bit), so each entry is the arithmetic of its C alone.  Next to C = 0
-    the powers of -C in d overflow (where ** would raise, float_power
-    gives inf): at H = -1.1 from |C| < 9.3e-45 at n = 8 and 8.1e-309 at
-    n = 2.  d is then inf or NaN, which _flux_setup refuses.  d <= 0 gives
-    a NaN pole.
+    rest.  C, t1, t2 and rem, p deflated by the roots
+    (_deflated_coefficients), are floats or columns as in _AngleRate.
+    Powers are np.float_power, libm pow on each entry as ** on one float
+    (np.power's SIMD path may differ in the last bit), so each entry is
+    the arithmetic of its C alone.  Next to C = 0 the powers of -C in d
+    overflow (where ** would raise, float_power gives inf): at H = -1.1
+    from |C| < 9.3e-45 at n = 8 and 8.1e-309 at n = 2.  d is then inf or
+    NaN, which _flux_setup refuses.  d <= 0 gives a NaN pole.
     """
     vc = _sqrt(-C)
     # Direct subtraction t1 - vc cancels catastrophically when C is near
@@ -520,18 +512,19 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
     rate = _angle_rate(n, H, C, t1, t2, rem)
     ok = rate.d > 0
     rows[rows] = ok  # the C that the phase rule takes
-    rate = rate if ok.all() else _rows(rate, ok)  # copied only if some d <= 0
+    if not ok.all():  # copied only if some d <= 0
+        rate = _AngleRate(*(f[..., ok] for f in rate))
     value, *rest = _phase_mean(
         lambda cols, phi: 2 * math.pi * _angle_remainder(n, H, cols, phi),
         rate, tol)  # K = 2 pi mean(remainder) + pi pole, as in flux_K
-    return _grid_columns(rows, (value + math.pi * rate.pole, *rest), lambda i:
-                         flux_K(ShapeParams(n=n, H=H, C=Cs[i].item()), tol=tol))
+    return _grid_columns(
+        rows, (value + math.pi * rate.pole, *rest),
+        lambda i: flux_K(ShapeParams(n=n, H=H, C=Cs[i].item()), tol=tol))
 
 
 def _xi_integrand(n: int, H, a, rem, phi):
-    """pi h(v) / sqrt(s(v)) at v = 1 + 2a sin^2(phi/2), with rem the
-    coefficients of s in the offset u = v - 1: floats for one H, or
-    (rows, 1) columns for a batch of H, with the same arithmetic."""
+    """pi h(v) / sqrt(s(v)) at v = 1 + 2a sin^2(phi/2), rem the coefficients
+    of s in the offset u = v - 1: floats for one H, or (rows, 1) columns."""
     u = 2 * a * np.sin(phi / 2) ** 2
     v = 1 + u
     return math.pi * eval_h(n, H, v) / np.sqrt(
@@ -606,12 +599,12 @@ def require_converged(res: QuadResult, what: str, tol: float) -> QuadResult:
 
 def K_limit_at_C0(n: int, H: float) -> float:
     """Closed-form limit of K(C, H) as C -> C0 (degenerate oscillation)."""
-    _check_shape(n, H)
+    _finite_C0(n, H)
     root = math.sqrt(n * n * H * H - 4 * (n - 1))
     return -math.sqrt(2.0) * math.sqrt(1.0 - n * H / root) * math.pi
 
 
 def b2(H: float) -> float:
     """n = 2 closed form of the same limit."""
-    _check_shape(2, H)
+    _finite_C0(2, H)
     return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1))

@@ -156,7 +156,7 @@ SHAPE_REFUSALS = {
 @pytest.mark.parametrize("call, message", SHAPE_REFUSALS.values(),
                          ids=SHAPE_REFUSALS.keys())
 def test_every_entry_point_refuses_a_bad_shape_alike(call, message):
-    # one (n, H) rule, potential._check_shape, behind every entry point
+    # one (n, H) rule, potential._finite_C0, behind every entry point
     with pytest.raises(h.DomainError) as exc:
         call()
     assert str(exc.value) == message

@@ -574,17 +574,22 @@ def test_flux_grid_equals_scalar_flux(n, H, rels, lows):
           ct * (1 - 0.5e-9), 0.5 * ct]
     Cs += [ct * (1 + side * min(10.0 ** e, (ct - c0) / (2 * -ct)))
            for side, e in rels]
-    Cs += [c0 + 10.0 ** e * abs(c0) for e in lows]
-    # a C the float C0 lets in may still be degenerate in floats (C0 is
-    # 1.9e-9 off at H = -1000): the grid raises the loop's first error, and
-    # equals the loop without the C that raise
-    scalar = [_flux_or_error(n, H, C) for C in Cs]
-    errors = [r for r in scalar if not isinstance(r, h.QuadResult)]
+    scalar = [h.flux_K(h.ShapeParams(n, H, C)) for C in Cs]
+    # only a C next to C0 may raise: the float C0 lets it in, but it may
+    # still be degenerate in floats (C0 is 1.9e-9 off at H = -1000).  The
+    # grid then raises the loop's first error, and equals the loop
+    # without the C that raise
+    lows = [c0 + 10.0 ** e * abs(c0) for e in lows]
+    near_c0 = [_flux_or_error(n, H, C) for C in lows]
+    errors = [r for r in near_c0 if not isinstance(r, h.QuadResult)]
     if errors:
-        assert _first_error(lambda: h.flux_K_grid(n, H, Cs)) == errors[0]
-    Cs = [C for C, r in zip(Cs, scalar) if isinstance(r, h.QuadResult)]
-    assert _as_results(h.flux_K_grid(n, H, Cs)) == [
-        r for r in scalar if isinstance(r, h.QuadResult)]
+        assert (_first_error(lambda: h.flux_K_grid(n, H, Cs + lows))
+                == errors[0])
+    for C, r in zip(lows, near_c0):
+        if isinstance(r, h.QuadResult):
+            Cs.append(C)
+            scalar.append(r)
+    assert _as_results(h.flux_K_grid(n, H, Cs)) == scalar
 
 
 def _flux_or_error(n, H, C):
@@ -789,6 +794,22 @@ def test_flux_limit_at_C0():
 def test_b2_matches_general_limit():
     for H in (-1.1, -1.5, -4.0):
         assert h.b2(H) == pytest.approx(h.K_limit_at_C0(2, H), rel=1e-14)
+
+
+def test_closed_form_limits_use_no_float_C0():
+    # K_limit_at_C0 and b2 need no C0, so a float C0 that lost its sign,
+    # which every shape refuses, refuses neither: they tend to -2 pi as
+    # H -> -inf, and K_limit_at_C0 -> -sqrt(5) pi at n = 6 as H -> -1
+    H1 = math.nextafter(-1, -math.inf)
+    for n, H in ((2, -1e8), (5, -1e8), (6, H1)):
+        assert not h.C0(n, H) < 0
+        with pytest.raises(h.DomainError, match="has lost its sign"):
+            h.ShapeParams(n, H, -1e-3)
+    assert h.b2(-1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
+    assert h.K_limit_at_C0(2, -1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
+    assert h.K_limit_at_C0(5, -1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
+    assert h.K_limit_at_C0(6, H1) == pytest.approx(-math.sqrt(5) * math.pi,
+                                                   rel=1e-14)
 
 
 def test_flux_small_C_tends_to_zero():
