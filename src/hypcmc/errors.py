@@ -42,8 +42,8 @@ class InconsistentStateError(HypcmcError):
 
 
 class IntegrationFailureError(HypcmcError):
-    """A profile could not be built: its period quadrature, a phase series
-    or the Newton iteration for a phase did not converge."""
+    """A profile could not be built: a phase series or the Newton
+    iteration for a phase did not converge."""
 
 
 class ClassificationRefusedError(HypcmcError):

@@ -8,8 +8,8 @@ n = 2, C - 2H carried as hi + lo), so each comes out correctly rounded
 unless p is close to a double root.  The same arithmetic runs on a float
 C and on coefficient columns, one lane per root of a grid of C.  Q's
 upper root t2~ = 1 + x, xi's upper end, is found in the shifted
-variable, where v^(2n-2) Q(1 + x) = x R(x): a fixed count of Newton
-steps on R, the same steps on one H and on a column of them.
+variable, where v^(2n-2) Q(1 + x) = x R(x): a closed-form bracket end and
+a fixed count of Newton steps on R, on one H and on a column of them.
 
 All formulas are closed-form in the shape parameters (n, H, C).  The
 convention throughout the package: n >= 2 is an integer, H < -1 is the
@@ -19,6 +19,7 @@ meaningful inside (C0, 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -224,14 +225,6 @@ _P_ROOT_STEPS = 100
 _EPS = 2.0 ** -52  # the spacing of the floats at 1
 
 
-def _newton(coeffs, dcoeffs, x, steps):
-    """``steps`` Newton steps from x: a float, or lanes with a coefficient
-    column each, every lane taking the float steps bit for bit."""
-    for _ in range(steps):
-        x = x - horner(coeffs, x) / horner(dcoeffs, x)
-    return x
-
-
 def _select(cond, a, b):
     """a where cond holds, else b, on floats or on lanes."""
     if isinstance(cond, np.ndarray):
@@ -361,8 +354,11 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     cancellation of q near v -> 0: p(0) = -1 and the leading coefficient
     1 - H^2 is negative, so brackets (1e-9 v0, v0) and (v0, V) with V
     doubled from 2 v0 until p(V) < 0 (below 4 (-1 - H)^(-1/n) <= 2^28,
-    as t2 < (-1 - H)^(-1/n)) straddle the roots.  Each root takes
-    safeguarded Newton steps (_p_root) from _p_starts, then _p_polish.
+    as t2 < (-1 - H)^(-1/n)) straddle the roots; V = 2 (-1 - H)^(-1/n)
+    would do, but the doubled V also clamps t2's start as H -> -1 (32 515
+    lane steps, not 66 174, on solve_C's 4096-point scan at (8, -1 -
+    1e-8)).  Each root takes safeguarded Newton steps (_p_root) from
+    _p_starts, then _p_polish.
     NonConvergenceError if a root does not settle in _P_ROOT_STEPS steps.
     """
     n, H, C = params.n, params.H, params.C
@@ -410,23 +406,23 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
                            & (horner(p_coefficients(n, H, Cs), _v0) > 0))
     coeffs = p_coefficients(n, H, Cs[lanes])
-
-    hi = np.full(len(lanes), 2 * _v0)
-    grow = horner(coeffs, hi) >= 0
-    while grow.any():
-        hi = np.where(grow, hi * 2, hi)
-        grow &= horner(coeffs, hi) >= 0
-
-    # the lower and the upper root of every C as one set of lanes
     count = len(lanes)
     C = np.tile(Cs[lanes], 2)
-    coeffs = p_coefficients(n, H, C)
-    roots, settled = _p_root_lanes(
-        coeffs, np.concatenate(_p_starts(n, H, Cs[lanes], _v0, _c0)),
-        np.repeat([1e-9 * _v0, _v0], count),
-        np.concatenate([np.full(count, _v0), hi]),
-        np.repeat([True, False], count))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p(V) can overflow at large n; its -inf ends the doubling
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hi = np.full(count, 2 * _v0)
+        grow = horner(coeffs, hi) >= 0
+        while grow.any():
+            hi = np.where(grow, hi * 2, hi)
+            grow &= horner(coeffs, hi) >= 0
+
+        # the lower and the upper root of every C as one set of lanes
+        coeffs = p_coefficients(n, H, C)
+        roots, settled = _p_root_lanes(
+            coeffs, np.concatenate(_p_starts(n, H, Cs[lanes], _v0, _c0)),
+            np.repeat([1e-9 * _v0, _v0], count),
+            np.concatenate([np.full(count, _v0), hi]),
+            np.repeat([True, False], count))
         roots = _p_polish(coeffs, _p_lows(n, H, C), roots)
     settled = settled[:count] & settled[count:]
     found = np.zeros(len(Cs), dtype=bool)
@@ -453,12 +449,28 @@ def _Q_shifted(n: int, H) -> tuple:
     is (H^2 - 1)(2 C(n,k) - C(2n,k)) + 2 C(n,k) - C(2n-2,k), with H^2 - 1
     formed as (H - 1)(H + 1), which keeps its digits as H -> -1."""
     h = (H - 1) * (H + 1)
-    return tuple(h * (2 * math.comb(n, k) - math.comb(2 * n, k))
-                 + (2 * math.comb(n, k) - math.comb(2 * n - 2, k))
+    return tuple(h * a + b for a, b in _R_binomials(n))
+
+
+@functools.cache
+def _R_binomials(n: int) -> tuple:
+    """The pairs (2 C(n,k) - C(2n,k), 2 C(n,k) - C(2n-2,k)), k = 2n..1, of
+    R's coefficients as floats: +-inf from n = 515 on, past the float
+    range, so that the coefficients overflow as float arithmetic does."""
+    return tuple((_float(2 * math.comb(n, k) - math.comb(2 * n, k)),
+                  _float(2 * math.comb(n, k) - math.comb(2 * n - 2, k)))
                  for k in range(2 * n, 0, -1))
 
 
-# Newton steps on R from hi in [x*, 2 x*], the last with R(x) by
+def _float(i: int) -> float:
+    """float(i), or +-inf where float(i) raises OverflowError."""
+    try:
+        return float(i)
+    except OverflowError:
+        return math.inf if i > 0 else -math.inf
+
+
+# Newton steps on R from hi in [x*, 2 x*), the last with R(x) by
 # compensated Horner.  R is concave on x > 0 (by Vandermonde's identity
 # each coefficient of x^2 and above is <= 0 for H^2 >= 1), so the steps
 # fall monotonically onto its one positive root x*.  For n = 2..8 at 2000
@@ -471,7 +483,8 @@ _Q_NEWTON_STEPS = 8
 def _Q_newton(coeffs, x):
     """_Q_NEWTON_STEPS Newton steps on R from x, on floats or columns."""
     dcoeffs = _derivative(coeffs)
-    x = _newton(coeffs, dcoeffs, x, _Q_NEWTON_STEPS - 1)
+    for _ in range(_Q_NEWTON_STEPS - 1):
+        x = x - horner(coeffs, x) / horner(dcoeffs, x)
     return x - _compensated_horner(coeffs, x) / horner(dcoeffs, x)
 
 
@@ -515,26 +528,35 @@ def _compensated_horner(coeffs, v, lows=None):
     return y + err
 
 
+def _Q_upper_end(coeffs):
+    """A bracket end hi >= x* for R's positive root x*, on floats or
+    columns.  R's coefficients of x^2 and above are <= 0, so R lies below
+    its tangent 2 + c1 x and below 2 + c1 x + c2 x^2.  hi is the tangent's
+    root where c1 < 0 (c1^2 overflows from |H| of about 1e77 on), else the
+    quadratic's.  From |H| of about 1e7 on hi may round to half an ulp
+    below x*."""
+    c2, c1, c0 = coeffs[-3:]
+    return _select(c1 < 0, -c0 / _nonzero(c1),
+                   (c1 + _sqrt(c1 * c1 - 4 * c0 * c2)) / _nonzero(-2 * c2))
+
+
 def _Q_upper_root(n: int, H: float) -> float:
     """The root t2~ = 1 + x of Q above 1 (the scaled upper turning point
     at C = Ctilde), as its offset x > 0, the one positive root of R, after
-    xi's checks of n and H.  From R's tangent root at 0 (1 where R'(0) >=
-    0), hi is doubled until R(hi) < 0 and halved while R(hi/2) < 0.  Where
-    no coefficient is negative, R = 2 + sum c_k x^k has no positive root,
-    and that is settled before any doubling (n = 2 at H = -1)."""
+    xi's checks of n and H.  Where no coefficient is negative (n = 2 at
+    H = -1) R has no positive root; elsewhere its top nonzero coefficient
+    is negative, and hi from _Q_upper_end is halved while R(hi/2) < 0,
+    into [x*, 2 x*), before _Q_newton."""
     _check_n(n)
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
     coeffs = _Q_shifted(n, H)
     if not all(map(math.isfinite, coeffs)):
         raise DomainError(f"Q(n={n}, H={H!r}) has non-finite coefficients")
-    hi = -coeffs[-1] / coeffs[-2] if coeffs[-2] < 0 else 1.0
-    rootless = min(coeffs) >= 0
-    while rootless or horner(coeffs, hi) >= 0:
-        if rootless or hi > 1e13:  # R has no sign change on (0, 1e13]
-            raise LandmarkError(
-                f"Q(n={n}, H={H}) has no root above 1; xi is not defined here")
-        hi *= 2
+    if min(coeffs) >= 0:
+        raise LandmarkError(
+            f"Q(n={n}, H={H}) has no root above 1; xi is not defined here")
+    hi = _Q_upper_end(coeffs)
     while horner(coeffs, hi / 2) < 0:
         hi /= 2
     x = _Q_newton(coeffs, hi)
@@ -550,19 +572,14 @@ def _Q_upper_root_grid(n: int, Hs):
 
     Returns the columns (x, settled): a settled x is what _Q_upper_root
     returns, bit for bit; where it raises, x is NaN and not settled.  A
-    lane with no negative coefficient of R is not settled and not doubled.
+    lane with no negative coefficient of R is not settled and not halved.
     """
     Hs = np.asarray(Hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs = _Q_shifted(n, Hs)
         ok = (~(Hs > -1) & np.isfinite(coeffs).all(axis=0)
               & (np.array(coeffs) < 0).any(axis=0))
-        hi = np.where(coeffs[-2] < 0, -coeffs[-1] / coeffs[-2], 1.0)
-        grow = ok & (horner(coeffs, hi) >= 0)
-        while (grow := grow & (hi <= 1e13)).any():
-            hi = np.where(grow, 2 * hi, hi)
-            grow &= horner(coeffs, hi) >= 0
-        ok &= horner(coeffs, hi) < 0
+        hi = _Q_upper_end(coeffs)
         shrink = ok & (horner(coeffs, hi / 2) < 0)
         while shrink.any():
             hi = np.where(shrink, hi / 2, hi)

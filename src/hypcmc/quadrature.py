@@ -431,18 +431,18 @@ def _flux_setup(params: ShapeParams):
     """The roots t1, t2 of one C and its angle rate, on floats.
 
     Raises DomainError where d = t1 - sqrt(-C) is not finite (the powers
-    of -C overflow next to C = 0) or is 0.  d = (-C) delta^2 / den with
-    delta = H + (-C)^(-n/2) is never negative, and is 0 exactly where
-    delta rounds to 0: at C = Ctilde to rounding, where the profile meets
-    the rotation axis.
+    of -C overflow next to C = 0, and at large n far from it) or is 0.
+    d = (-C) delta^2 / den with delta = H + (-C)^(-n/2) is never negative,
+    and is 0 exactly where delta rounds to 0: at C = Ctilde to rounding,
+    where the profile meets the rotation axis.
     """
     n, H, C = params.n, params.H, params.C
     t1, t2 = oscillation_roots(params)
     rate = _angle_rate(n, H, C, t1, t2,
                        _deflated_coefficients(n, H, C, t1, t2))
     if not math.isfinite(rate.d):
-        raise DomainError(f"C={C!r} is too close to 0: the angle rate's "
-                          f"powers of -C overflow at n={n}")
+        raise DomainError(f"the angle rate's powers of -C overflow at "
+                          f"n={n}, C={C!r}")
     if not rate.d > 0:
         raise DomainError(
             f"C={C!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
@@ -559,11 +559,11 @@ def xi_grid(n: int, Hs: Sequence[float], tol: float = DEFAULT_TOL,
 
     Entry i equals ``xi(n, Hs[i], tol)`` in all four fields, errors
     included, after the checks of n and tol.  The upper roots of Q are
-    found on columns (_Q_upper_root_grid, which neither doubles nor
-    settles a lane whose R has no negative coefficient), and R is
-    deflated on columns.  An H that the lanes leave runs through xi
-    itself (_grid_columns); with ``missing_as_none`` its LandmarkError
-    is only masked, and its row holds NaN, NaN, 0, False.
+    found on columns (_Q_upper_root_grid, which does not settle a lane
+    whose R has no negative coefficient), and R is deflated on columns.
+    An H that the lanes leave runs through xi itself (_grid_columns);
+    with ``missing_as_none`` its LandmarkError is only masked, and its
+    row holds NaN, NaN, 0, False.
     """
     _check_n(n)
     _check_tol(tol)

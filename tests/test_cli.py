@@ -586,8 +586,41 @@ def test_C_next_to_0_is_refused_for_its_overflow(capsys):
         assert [str(w.message) for w in caught] == []
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == (
-            f"C={float(C)!r} is too close to 0: the angle rate's powers of "
-            f"-C overflow at n={n}")
+            f"the angle rate's powers of -C overflow at n={n}, "
+            f"C={float(C)!r}")
+
+
+# from n = 515 on, R's binomial terms pass the float range, and at n = 600
+# the angle rate's powers of -C overflow far from C = 0
+LARGE_N_REFUSALS = {
+    ("xi", "--n=515", "--H=-1.5"):
+        "Q(n=515, H=-1.5) has non-finite coefficients",
+    ("h0", "--n=600"): "Q(n=600, H=-10.0) has non-finite coefficients",
+    ("sweep", "--n=600", "--H-from=-2", "--H-to=-1.5", "--steps=2"):
+        "Q(n=600, H=-2.0) has non-finite coefficients",
+    ("solve-c", "--n=600", "--H=-1.5", "--k=1", "--m=1", "--embedded"):
+        "Q(n=600, H=-1.5) has non-finite coefficients",
+    ("solve-c", "--n=600", "--H=-1.5", "--k=1", "--m=2"):
+        "the angle rate's powers of -C overflow at n=600, "
+        "C=-0.2679302945351561",
+    **{(command, "--n=600", "--H=-1.5", "--C=-0.1", "--samples=16"):
+       "the angle rate's powers of -C overflow at n=600, C=-0.1"
+       for command in ("profile", "surface", "check")},
+}
+
+
+@pytest.mark.parametrize("argv", LARGE_N_REFUSALS, ids="_".join)
+def test_large_n_is_refused_in_one_json_line(capsys, argv):
+    # xi, h0, sweep and solve-c --embedded raised an uncaught OverflowError
+    # at n >= 515, and solve-c's scan printed numpy's overflow warning:
+    # each command now exits 2 with one JSON line on stderr and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert json.loads(err) == {"error": LARGE_N_REFUSALS[argv],
+                               "kind": "DomainError"}
 
 
 def test_profile_runs_next_to_ctilde_and_refuses_it(capsys):

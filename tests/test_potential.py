@@ -286,9 +286,8 @@ def test_Q_upper_root_against_mpmath():
 
 def test_rootless_R_is_settled_without_doubling(monkeypatch):
     # at n = 2, H = -1 no coefficient of R is negative (R = x + 2), so Q
-    # has no root above 1: the scalar set-up raises the LandmarkError it
-    # raised after doubling hi about 44 times toward 1e13, with no Horner
-    # call, and the lane of H = -1 adds no Horner call to a grid
+    # has no root above 1: the scalar set-up raises LandmarkError with no
+    # Horner call, and the lane of H = -1 adds no Horner call to a grid
     calls = []
     monkeypatch.setattr(potential, "horner",
                         lambda c, v: calls.append(v) or horner(c, v))
@@ -309,6 +308,54 @@ def test_rootless_R_is_settled_without_doubling(monkeypatch):
     assert str(exc.value) == text
     assert h.xi_grid(2, [-1.5, -1.0], missing_as_none=True)[1].tolist() == [
         False, True]
+
+
+def _R_sign(coeffs, x):
+    """The sign of R at the float x with its float coefficients, exactly:
+    with x = p/q and the coefficients c_k = a_k / d over one power of two
+    d, integer Horner steps y = y p + a_k q^k give R(x) q^deg d."""
+    p, q = x.as_integer_ratio()
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    d = max(den for _, den in ratios)
+    y, qk = 0, 1
+    for num, den in ratios:
+        y = y * p + num * (d // den) * qk
+        qk *= q
+    return (y > 0) - (y < 0)
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 20, 100, 514])
+def test_Q_upper_end_bounds_the_root(n):
+    # where R's coefficients are finite, the closed-form bracket end is
+    # finite and lies at or above R's root x*: R <= 0 there, exactly, at
+    # hi out to |H| = 1e6, and beyond at hi's upper neighbour, as the
+    # rounded tangent root can fall half an ulp below an x* within
+    # rounding of the exact one (from |H| of about 1e7 on); the grid
+    # equals the scalar bit for bit, and refuses where it refuses (at
+    # n = 514 the coefficients are non-finite past H = -2)
+    Hs = ([-1.0] if n >= 3 else []) + [math.nextafter(-1.0, -math.inf)]
+    Hs += (-1 - np.geomspace(1e-15, 1e150, 60)).tolist()
+    x, settled = potential._Q_upper_root_grid(n, Hs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = potential._Q_shifted(n, np.array(Hs))
+    finite = np.isfinite(columns).all(axis=0)
+    assert finite.sum() >= 8
+    for H, root, ok, is_finite in zip(Hs, x.tolist(), settled.tolist(),
+                                      finite):
+        if not is_finite:  # refused by _Q_upper_root's first check
+            assert not ok, (n, H)
+            continue
+        coeffs = potential._Q_shifted(n, H)
+        hi = potential._Q_upper_end(coeffs)
+        assert math.isfinite(hi), (n, H)
+        end = hi if -H <= 1e6 else math.nextafter(hi, math.inf)
+        assert _R_sign(coeffs, end) <= 0, (n, H)
+        try:
+            expected = _Q_upper_root(n, H)
+        except h.HypcmcError:
+            assert not ok, (n, H)
+        else:
+            assert ok and root == expected, (n, H)
 
 
 def test_Q_newton_steps_settle_every_root():

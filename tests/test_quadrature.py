@@ -525,8 +525,8 @@ def test_one_C_refusals_on_floats(n, C):
     # that names the cause, as a grid does, with no warning on the way
     H = -1.1
     C = h.Ctilde(n, H) if C is None else C
-    message = (f"C={C!r} is too close to 0: the angle rate's powers of -C "
-               f"overflow at n={n}") if C > -1e-200 else (
+    message = (f"the angle rate's powers of -C overflow at n={n}, "
+               f"C={C!r}") if C > -1e-200 else (
         f"C={C!r} is Ctilde to rounding at n={n}, H={H!r}: d = t1 - "
         "sqrt(-C) is 0, the profile meets the rotation axis, and the "
         f"flux there is xi({n}, {H!r})")
