@@ -1,15 +1,19 @@
 """Potential function q, its relatives (p, q-tilde, Q, h), landmark
 constants and the roots of the polynomials p and Q.
 
-The roots t1 < t2 of p are found by safeguarded Newton steps, stopped
-by Horner's running error bound, then polished by one step with p by
+The roots t1 < t2 of p are found by a fixed count of Newton steps from
+starts that are already close: the roots of a quadratic that models p
+about its double root at C = C0 and is exact at C0, at C = 0 and at
+n = 2.  The plain steps run p from its factors; the last step runs p by
 compensated Horner over the exact-input coefficients (1 - H^2 and, at
-n = 2, C - 2H carried as hi + lo), so each comes out correctly rounded
-unless p is close to a double root.  The same arithmetic runs on a float
-C and on coefficient columns, one lane per root of a grid of C.  Q's
-upper root t2~ = 1 + x, xi's upper end, is found in the shifted
-variable, where v^(2n-2) Q(1 + x) = x R(x): a closed-form bracket end and
-a fixed count of Newton steps on R, on one H and on a column of them.
+n = 2, C - 2H carried as hi + lo), so each root comes out correctly
+rounded unless p is close to a double root.  One test at the end, that
+the last plain iterate is a root to within rounding and that
+a0 < t1 < v0 < t2 < b0, accepts the pair.  The same arithmetic runs on
+a float C and on lanes, one per root of a grid of C.  Q's upper root
+t2~ = 1 + x, xi's upper end, is found in the shifted variable, where
+v^(2n-2) Q(1 + x) = x R(x): a fixed count of Newton steps on R from a
+closed-form bound, on one H and on a column of them.
 
 All formulas are closed-form in the shape parameters (n, H, C).  The
 convention throughout the package: n >= 2 is an integer, H < -1 is the
@@ -218,10 +222,10 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
                               C1=C1(H) if n == 2 else None, **roots)
 
 
-# Safeguarded Newton steps allowed per root of p.  On 4096-point scan
-# grids (C from C0 + 1e-6 |C0| to -1e-9) at nine (n, H) from (2, -1.02)
-# to (8, -100), the median root settled in 1-2 steps and the slowest in 10.
-_P_ROOT_STEPS = 100
+# Newton steps per root of p, the last compensated: on tests/root_sweep.py's
+# grid and a denser one, 5 plain steps settle all that safeguarded steps do
+# but 9 at |H| >= 1e4 by the double root; 4 miss one at (3, -1.01).
+_P_NEWTON_STEPS = 6
 _EPS = 2.0 ** -52  # the spacing of the floats at 1
 
 
@@ -235,6 +239,14 @@ def _select(cond, a, b):
 def _sqrt(x):
     """The correctly rounded square root of a float or of lanes."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _pow(x, e):
+    """x ** e on floats or lanes, by libm's pow as ** on a float (not
+    np.power's SIMD path); for a fractional e NaN where x <= 0."""
+    if e != int(e):
+        x = _select(x > 0, x, math.nan)
+    return np.float_power(x, e) if isinstance(x, np.ndarray) else x ** e
 
 
 def _p_lows(n: int, H: float, C):
@@ -251,185 +263,160 @@ def _p_lows(n: int, H: float, C):
     return tuple(lows)
 
 
-def _p_starts(n: int, H: float, C, v0: float, c0: float):
-    """Newton's starts for t1 and t2: v0 + (r - v0) sqrt((C - C0)/(-C0)),
-    with r the root (1 - H)^(-1/n) or (-1 - H)^(-1/n) of p at C = 0.  They
-    are exact at C = C0, where v0 is p's double root, and at C = 0, and
-    have the square-root shape of the roots next to C0."""
-    shape = _sqrt((C - c0) / -c0)
-    return tuple(v0 + (r - v0) * shape
-                 for r in ((1 - H) ** (-1.0 / n), (-1 - H) ** (-1.0 / n)))
+def _p_double_root(n: int, H: float):
+    """(z0 = v0^(-n), C0) free of the cancellation of v0 and C0 as H -> -1
+    and at large |H|: with s = sqrt(n^2 (H^2 - 1) + (n - 2)^2), z0 = (s +
+    (n - 2)|H|) / (2n - 2), C0 = -(1 - y0^2) z0^(-2/n), y0 = -2 / (s + n|H|)."""
+    h1, h2 = -1 - H, 1 - H
+    s = math.sqrt(n * n * (h1 * h2) + (n - 2) ** 2)
+    z0 = (s + (n - 2) * -H) / (2 * (n - 1))
+    sn = s + n * -H
+    return z0, -(1 + 2 / sn) * ((s + (n - 2) + n * h1) / sn) * z0 ** (-2 / n)
+
+
+def _p_starts(n: int, H: float, C, z0: float, c0: float):
+    """Newton's starts for t1 and t2, on a float C or on lanes.
+
+    With z = v^(-n), p = 0 reads (z - h1)(h2 - z) = -C z^a, a = 2/n,
+    h1 = -1 - H, h2 = 1 - H.  With z^a to second order about z0 this is
+    m u^2 - dC f1 u - dC f0 = 0 in u = z - z0 (dC = C - C0, f0 = z0^a,
+    f1 = a f0 / z0, m = 1 + C a (1 - a) f0 / (2 z0^2)): exact at C0, at
+    C = 0 and at n = 2, and the inverse series in +-sqrt(C - C0) to second
+    order next to C0.  For n > 2 t2 starts from the larger of that and
+    the root with z^a to first order at zl <= z(t2) (from z >= h1 and
+    z^(1 - a) (h2 - z) >= -C): both lie below t2, and the second follows
+    t2 out to b0 as H -> -1."""
+    h1, h2, a = -1 - H, 1 - H, 2 / n
+    f0 = z0 ** a
+    dC, f1 = C - c0, a * f0 / z0
+    m = 1 + C * a * (1 - a) / 2 * f0 / (z0 * z0)
+    disc = (dC * f1) ** 2 + 4 * m * dC * f0
+    z1 = z0 + (dC * f1 + _sqrt(_select(disc > 0, disc, 0.0))) / (2 * m)
+    # z2 = z1 z2 / z1, the product from the coefficients in z, all positive
+    t1, t2 = _pow(z1, -1 / n), _pow(
+        z1 * m / (h1 * h2 - C * (1 - a) * (1 - a / 2) * f0), 1 / n)
+    if n > 2:
+        zl = _pow(-C / (h2 - _pow(-C / h2, 1 / (1 - a))), 1 / (1 - a))
+        zl = _select(zl > h1 + -C * h1 ** a / h2, zl, h1 + -C * h1 ** a / h2)
+        # (z - h1)(h2 - z) = -C zl^a ((1 - a) + a z / zl): its smaller root
+        q = h1 + h2 + C * a * _pow(zl, a) / zl
+        qc = h1 * h2 - C * (1 - a) * _pow(zl, a)
+        disc = q * q - 4 * qc
+        tangent = _pow(
+            2 * qc / _nonzero(q + _sqrt(_select(disc > 0, disc, 0.0))), -1 / n)
+        t2 = _select((disc >= 0) & (q > 0) & ~(tangent <= t2), tangent, t2)
+    return t1, t2
 
 
 def _nonzero(d):
     """d where it is not 0, else inf: a Newton step divided by it is 0."""
-    return _select(d == 0, math.inf, d)
+    if isinstance(d, np.ndarray):
+        return np.where(d == 0, math.inf, d)
+    return d or math.inf
 
 
-def _inside(x, lo, hi):
-    """x if it lies inside the bracket (lo, hi), else its midpoint."""
-    return _select((lo < x) & (x < hi), x, (lo + hi) / 2)
+def _p_factors(n: int, H: float, C, x):
+    """p and p' at x, on floats or lanes, from p = C v^(2n-2) - (h1 v^n - 1)
+    (h2 v^n - 1): next to a0 and b0 a small factor keeps digits at large |H|."""
+    vn2 = _pow(x, n - 2)
+    vn1 = vn2 * x
+    w = vn1 * x
+    lo, hi = (-1 - H) * w - 1, (1 - H) * w - 1
+    dp = vn1 * ((2 * n - 2) * C * vn2 - n * ((-1 - H) * hi + (1 - H) * lo))
+    return C * vn1 * vn1 - lo * hi, dp
 
 
-def _p_settled(abs_coeffs, x, px):
+def _p_newton(n: int, H: float, C, coeffs, lows, x):
+    """A root of p from x, on floats or lanes, and whether _p_settled holds
+    at the last plain iterate: _P_NEWTON_STEPS - 1 plain steps, then one
+    with p by compensated Horner over the exact-input coefficients (coeffs
+    plus lows), correctly rounded unless p is close to a double root."""
+    for _ in range(_P_NEWTON_STEPS - 1):
+        px, dp = _p_factors(n, H, C, x)
+        x = x - px / _nonzero(dp)
+    px, dp = _p_factors(n, H, C, x)
+    return (x - _compensated_horner(coeffs, x, lows) / _nonzero(dp),
+            _p_settled(n, H, C, x, px))
+
+
+def _p_settled(n: int, H: float, C, x, px):
     """Whether p(x) = px is rounding noise: within Horner's running error
-    bound 2 (2n + 1) eps sum |c_i| x^i (Higham 2002, sec. 5.1), where
-    abs_coeffs are the |c_i|."""
-    return abs(px) <= 2 * len(abs_coeffs) * _EPS * horner(abs_coeffs, x)
+    bound 2 (2n + 1) eps sum |c_i| x^i (Higham 2002, sec. 5.1), the sum
+    as |C| x^(2n-2) + (h1 x^n + 1)(h2 x^n + 1) (at n = 2 a bound on it)."""
+    w = _pow(x, n)
+    size = abs(C) * _pow(x, 2 * n - 2) + ((-1 - H) * w + 1) * ((1 - H) * w + 1)
+    return abs(px) <= 2 * (2 * n + 1) * _EPS * size
 
 
-def _p_step(dcoeffs, x, px, lo, hi, rising):
-    """One safeguarded Newton step from x, p(x) = px, in the bracket
-    (lo, hi) of a root where p rises (t1) or falls (t2): the bracket
-    shrinks to the root's side of x, and a step that leaves it (also one
-    on p'(x) = 0, which stays at x) is a bisection.  Returns the new
-    (lo, hi, x)."""
-    left = (px < 0) == rising
-    lo, hi = _select(left, x, lo), _select(left, hi, x)
-    x = x - px / _nonzero(horner(dcoeffs, x))
-    return lo, hi, _inside(x, lo, hi)
-
-
-def _p_root(coeffs, x, lo, hi, rising):
-    """The root of p in (lo, hi) by safeguarded Newton steps from x, at
-    the first iterate that _p_settled accepts; None after _P_ROOT_STEPS
-    steps."""
-    dcoeffs, abs_coeffs = _derivative(coeffs), tuple(map(abs, coeffs))
-    x = _inside(x, lo, hi)
-    for _ in range(_P_ROOT_STEPS):
-        px = horner(coeffs, x)
-        if _p_settled(abs_coeffs, x, px):
-            return x
-        lo, hi, x = _p_step(dcoeffs, x, px, lo, hi, rising)
-    return None
-
-
-def _lanes(coeffs, index) -> tuple:
-    """The lanes ``index`` of coefficients that are floats or columns."""
-    return tuple(c[index] if isinstance(c, np.ndarray) else c for c in coeffs)
-
-
-def _p_root_lanes(coeffs, x, lo, hi, rising):
-    """_p_root on lanes, the coefficients floats or a column each: every
-    lane takes the float steps bit for bit and retires at its own stop
-    test.  Returns (roots, settled), NaN where a lane did not settle."""
-    roots = np.full(len(x), math.nan)
-    ids = np.arange(len(x))
-    dcoeffs, abs_coeffs = _derivative(coeffs), tuple(map(abs, coeffs))
-    x = _inside(x, lo, hi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(_P_ROOT_STEPS):
-            px = horner(coeffs, x)
-            done = _p_settled(abs_coeffs, x, px)
-            if done.any():
-                roots[ids[done]] = x[done]
-                live = ~done
-                ids, x, px, lo, hi, rising = (
-                    a[live] for a in (ids, x, px, lo, hi, rising))
-                coeffs, dcoeffs, abs_coeffs = (
-                    _lanes(c, live) for c in (coeffs, dcoeffs, abs_coeffs))
-                if not len(ids):
-                    break
-            lo, hi, x = _p_step(dcoeffs, x, px, lo, hi, rising)
-    return roots, ~np.isnan(roots)
-
-
-def _p_polish(coeffs, lows, x):
-    """A settled root of p after one plain Newton step and one with p(x)
-    by compensated Horner over the exact-input coefficients (coeffs plus
-    lows), on floats or lanes: the root of p at the float inputs,
-    correctly rounded wherever p is not close to a double root (at
-    |H| <= 100 and C - C0 >= 1e-6 |C0| in tests/root_sweep.py).  Where
-    p'(x) = 0 a step leaves x as it is."""
-    dcoeffs = _derivative(coeffs)
-    x = x - horner(coeffs, x) / _nonzero(horner(dcoeffs, x))
-    return x - (_compensated_horner(coeffs, x, lows)
-                / _nonzero(horner(dcoeffs, x)))
+def _p_pair(n: int, H: float, C):
+    """(t1, t2, ok): _p_newton from _p_starts, on a float C or on lanes (both
+    roots as one set); ok where both settled and a0 < t1 < v0 < t2 < b0, the
+    ends widened by 4 ulps for their rounding and roots next to them."""
+    z0, c0 = _p_double_root(n, H)
+    starts = _p_starts(n, H, C, z0, c0)
+    if isinstance(C, np.ndarray):
+        C = np.tile(C, 2)
+        x, ok = _p_newton(n, H, C, p_coefficients(n, H, C), _p_lows(n, H, C),
+                          np.concatenate(starts))
+        (t1, t2), (ok1, ok2) = np.split(x, 2), np.split(ok, 2)
+    else:
+        coeffs, lows = p_coefficients(n, H, C), _p_lows(n, H, C)
+        (t1, ok1), (t2, ok2) = (_p_newton(n, H, C, coeffs, lows, x)
+                                for x in starts)
+    v0_, edge = z0 ** (-1 / n), 4 * _EPS
+    ok = (ok1 & ok2 & ((1 - H) ** (-1 / n) * (1 - edge) <= t1) & (t1 < v0_)
+          & (v0_ < t2) & (t2 <= (-1 - H) ** (-1 / n) * (1 + edge)))
+    return t1, t2, ok
 
 
 def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     """The two positive roots t1 < t2 of q, via the polynomial p.
 
     Root finding runs on p(v) = v^(2n-2) q(v) to avoid the negative-power
-    cancellation of q near v -> 0: p(0) = -1 and the leading coefficient
-    1 - H^2 is negative, so brackets (1e-9 v0, v0) and (v0, V) with V
-    doubled from 2 v0 until p(V) < 0 (below 4 (-1 - H)^(-1/n) <= 2^28,
-    as t2 < (-1 - H)^(-1/n)) straddle the roots; V = 2 (-1 - H)^(-1/n)
-    would do, but the doubled V also clamps t2's start as H -> -1 (32 515
-    lane steps, not 66 174, on solve_C's 4096-point scan at (8, -1 -
-    1e-8)).  Each root takes safeguarded Newton steps (_p_root) from
-    _p_starts, then _p_polish.
-    NonConvergenceError if a root does not settle in _P_ROOT_STEPS steps.
+    cancellation of q near v -> 0: _P_NEWTON_STEPS Newton steps per root
+    from starts close enough for a fixed count (_p_pair), and no search.
+    NonConvergenceError where the pair does not pass _p_pair's test.
     """
     n, H, C = params.n, params.H, params.C
-    _v0 = v0(n, H)
     _c0 = C0(n, H)
     if C - _c0 < DEGENERATE_REL_GAP * abs(_c0):
         raise DegenerateOscillationError(
             f"C - C0 = {C - _c0:.3e} is below {DEGENERATE_REL_GAP}*|C0|; "
             "the oscillation interval is numerically degenerate"
         )
-    coeffs = p_coefficients(n, H, C)
-    at_v0 = horner(coeffs, _v0)
+    at_v0 = horner(p_coefficients(n, H, C), v0(n, H))
     if not at_v0 > 0:
         raise DegenerateOscillationError(
             f"p(v0) = {at_v0!r} <= 0 at C={C!r}: in floats the oscillation "
             "interval is degenerate")
-    hi = 2 * _v0
-    while horner(coeffs, hi) >= 0:
-        hi *= 2
-    lows, roots = _p_lows(n, H, C), []
-    for x, lo, up, rising in zip(_p_starts(n, H, C, _v0, _c0),
-                                 (1e-9 * _v0, _v0), (_v0, hi), (True, False)):
-        x = _p_root(coeffs, x, lo, up, rising)
-        if x is None:
-            raise NonConvergenceError(
-                f"a root of p did not settle in {_P_ROOT_STEPS} Newton steps "
-                f"at n={n}, H={H!r}, C={C!r}")
-        roots.append(_p_polish(coeffs, lows, x))
-    return roots[0], roots[1]
+    t1, t2, ok = _p_pair(n, H, C)
+    if not ok:
+        raise NonConvergenceError(
+            f"a root of p did not settle in {_P_NEWTON_STEPS} Newton steps "
+            f"at n={n}, H={H!r}, C={C!r}")
+    return t1, t2
 
 
 def oscillation_roots_grid(n: int, H: float, Cs):
     """oscillation_roots at every C of ``Cs``, all root solves run as lanes.
 
     Returns arrays (t1, t2, settled), one entry per C.  Settled roots are
-    what oscillation_roots returns, bit for bit: its brackets, starts,
-    Newton steps (_p_root_lanes) and polish on columns.  Where the scalar
-    routine raises (C outside (C0, 0) or degenerate, p(v0) <= 0, a root
-    not settled), the entry is not settled, with NaN roots, for the
-    caller to run it, so errors come as from a loop.
+    what oscillation_roots returns, bit for bit (_p_pair on lanes).
+    Where the scalar routine raises, the entry is not settled, with NaN
+    roots, for the caller to run it, so errors come as from a loop.
     """
     _c0 = _check_shape(n, H)
     Cs = np.asarray(Cs, dtype=float)
-    _v0 = v0(n, H)
     lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
-                           & (horner(p_coefficients(n, H, Cs), _v0) > 0))
-    coeffs = p_coefficients(n, H, Cs[lanes])
-    count = len(lanes)
-    C = np.tile(Cs[lanes], 2)
-    # p(V) can overflow at large n; its -inf ends the doubling
+                           & (horner(p_coefficients(n, H, Cs), v0(n, H)) > 0))
+    # large n overflows the powers of v; those lanes end unsettled
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        hi = np.full(count, 2 * _v0)
-        grow = horner(coeffs, hi) >= 0
-        while grow.any():
-            hi = np.where(grow, hi * 2, hi)
-            grow &= horner(coeffs, hi) >= 0
-
-        # the lower and the upper root of every C as one set of lanes
-        coeffs = p_coefficients(n, H, C)
-        roots, settled = _p_root_lanes(
-            coeffs, np.concatenate(_p_starts(n, H, Cs[lanes], _v0, _c0)),
-            np.repeat([1e-9 * _v0, _v0], count),
-            np.concatenate([np.full(count, _v0), hi]),
-            np.repeat([True, False], count))
-        roots = _p_polish(coeffs, _p_lows(n, H, C), roots)
-    settled = settled[:count] & settled[count:]
+        t1, t2, ok = _p_pair(n, H, Cs[lanes])
     found = np.zeros(len(Cs), dtype=bool)
-    found[lanes[settled]] = True
-    t1, t2 = np.full((2, len(Cs)), math.nan)
-    t1[found], t2[found] = roots[:count][settled], roots[count:][settled]
-    return t1, t2, found
+    found[lanes[ok]] = True
+    roots = np.full((2, len(Cs)), math.nan)
+    roots[:, found] = t1[ok], t2[ok]
+    return roots[0], roots[1], found
 
 
 def eval_Q(n: int, H: float, v):
@@ -470,14 +457,11 @@ def _float(i: int) -> float:
         return math.inf if i > 0 else -math.inf
 
 
-# Newton steps on R from hi in [x*, 2 x*), the last with R(x) by
-# compensated Horner.  R is concave on x > 0 (by Vandermonde's identity
-# each coefficient of x^2 and above is <= 0 for H^2 >= 1), so the steps
-# fall monotonically onto its one positive root x*.  For n = 2..8 at 2000
-# geometric H in [-1e6, -1.0000001], 6 plain steps and the compensated one
-# settle every root, and a further step moves none; plain steps alone
-# leave x cycling by up to 3 ulps in the rounding noise of R.
-_Q_NEWTON_STEPS = 8
+# Newton steps on R from _Q_start, the last compensated.  R is concave on
+# x > 0, so the steps fall monotonically onto its root from above.  For
+# n = 2..12 at 2000 H in [-1e6, -1.0000001] and three next to -1 a further
+# step moves no root; 3 plain steps leave n = 3 up to 29 ulps off.
+_Q_NEWTON_STEPS = 5
 
 
 def _Q_newton(coeffs, x):
@@ -486,6 +470,18 @@ def _Q_newton(coeffs, x):
     for _ in range(_Q_NEWTON_STEPS - 1):
         x = x - horner(coeffs, x) / horner(dcoeffs, x)
     return x - _compensated_horner(coeffs, x) / horner(dcoeffs, x)
+
+
+def _scaled(coeffs) -> tuple:
+    """coeffs times 2^-e, floats or a column each, the least e >= 0 that
+    brings the largest to 2^500 or below: exact, so every rounding of
+    Horner's rule is the same, but up to n = 514 neither it, nor c_k k,
+    nor c1^2 overflows, and c0 = 2 keeps clear of the subnormals."""
+    if isinstance(coeffs[0], np.ndarray):
+        e = np.maximum(np.frexp(np.max(np.abs(coeffs), axis=0))[1] - 500, 0)
+        return tuple(np.ldexp(c, -e) for c in coeffs) if e.any() else coeffs
+    e = math.frexp(max(map(abs, coeffs)))[1] - 500
+    return tuple(math.ldexp(c, -e) for c in coeffs) if e > 0 else coeffs
 
 
 def _split(a):
@@ -523,30 +519,40 @@ def _compensated_horner(coeffs, v, lows=None):
     y, err = coeffs[0], lows[0]
     for c, low in zip(coeffs[1:], lows[1:]):
         p, perr = _two_product(y, v, v_split)
+        if (not isinstance(c, np.ndarray) and c == 0
+                and not isinstance(low, np.ndarray) and low == 0):
+            y, err = p, err * v + perr  # p + 0 is exact: the same bits
+            continue
         y, serr = _two_sum(p, c)
         err = err * v + (perr + serr + low)
     return y + err
 
 
 def _Q_upper_end(coeffs):
-    """A bracket end hi >= x* for R's positive root x*, on floats or
-    columns.  R's coefficients of x^2 and above are <= 0, so R lies below
-    its tangent 2 + c1 x and below 2 + c1 x + c2 x^2.  hi is the tangent's
-    root where c1 < 0 (c1^2 overflows from |H| of about 1e77 on), else the
-    quadratic's.  From |H| of about 1e7 on hi may round to half an ulp
-    below x*."""
+    """A bound hi >= x* for R's root x*, on floats or columns: the root
+    2 c0 / (sqrt(c1^2 - 4 c0 c2) - c1) of c0 + c1 x + c2 x^2, which lies
+    above R (its coefficients of x^3 and up are <= 0) and, c2 being
+    <= 0, at or below the tangent's root.  Within rounding of x* (from
+    |H| of about 1e4 on) hi may round to an ulp or two below it."""
     c2, c1, c0 = coeffs[-3:]
-    return _select(c1 < 0, -c0 / _nonzero(c1),
-                   (c1 + _sqrt(c1 * c1 - 4 * c0 * c2)) / _nonzero(-2 * c2))
+    return 2 * c0 / _nonzero(_sqrt(c1 * c1 - 4 * c0 * c2) - c1)
+
+
+def _Q_start(n: int, H, coeffs):
+    """Newton's start for R's root, on floats or columns: at n = 2 the root,
+    1 / (r (|H| + r)), r = sqrt((H - 1)(H + 1)); else _Q_upper_end."""
+    if n == 2:
+        r = _sqrt((H - 1) * (H + 1))
+        return 1 / (r * (r - H))
+    return _Q_upper_end(coeffs)
 
 
 def _Q_upper_root(n: int, H: float) -> float:
     """The root t2~ = 1 + x of Q above 1 (the scaled upper turning point
     at C = Ctilde), as its offset x > 0, the one positive root of R, after
-    xi's checks of n and H.  Where no coefficient is negative (n = 2 at
-    H = -1) R has no positive root; elsewhere its top nonzero coefficient
-    is negative, and hi from _Q_upper_end is halved while R(hi/2) < 0,
-    into [x*, 2 x*), before _Q_newton."""
+    xi's checks of n and H: _Q_newton on the _scaled coefficients from
+    _Q_start.  Where no coefficient is negative (n = 2 at H = -1) R has
+    no positive root."""
     _check_n(n)
     if H > -1:
         raise DomainError(f"xi requires H <= -1, got {H}")
@@ -556,10 +562,8 @@ def _Q_upper_root(n: int, H: float) -> float:
     if min(coeffs) >= 0:
         raise LandmarkError(
             f"Q(n={n}, H={H}) has no root above 1; xi is not defined here")
-    hi = _Q_upper_end(coeffs)
-    while horner(coeffs, hi / 2) < 0:
-        hi /= 2
-    x = _Q_newton(coeffs, hi)
+    coeffs = _scaled(coeffs)
+    x = _Q_newton(coeffs, _Q_start(n, H, coeffs))
     if not 1 + x > 1:
         raise DegenerateOscillationError(
             f"t2~ = 1 + x rounds to 1 at n={n}, H={H!r}: in floats the "
@@ -571,20 +575,15 @@ def _Q_upper_root_grid(n: int, Hs):
     """_Q_upper_root at every H of ``Hs``, its steps run on columns.
 
     Returns the columns (x, settled): a settled x is what _Q_upper_root
-    returns, bit for bit; where it raises, x is NaN and not settled.  A
-    lane with no negative coefficient of R is not settled and not halved.
+    returns, bit for bit; where it raises, x is NaN and not settled.
     """
     Hs = np.asarray(Hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs = _Q_shifted(n, Hs)
         ok = (~(Hs > -1) & np.isfinite(coeffs).all(axis=0)
               & (np.array(coeffs) < 0).any(axis=0))
-        hi = _Q_upper_end(coeffs)
-        shrink = ok & (horner(coeffs, hi / 2) < 0)
-        while shrink.any():
-            hi = np.where(shrink, hi / 2, hi)
-            shrink &= horner(coeffs, hi / 2) < 0
-        x = _Q_newton(coeffs, hi)
+        coeffs = _scaled(coeffs)
+        x = _Q_newton(coeffs, _Q_start(n, Hs, coeffs))
     ok &= 1 + x > 1
     x[~ok] = math.nan
     return x, ok

@@ -24,9 +24,13 @@ and a whole ``find_H0(2)``.  It then splits the scalar ``flux_K`` and
 ``xi`` into their roots (``oscillation_roots``, ``_Q_upper_root``), the
 deflation (``_deflated_coefficients``, ``_synthetic_deflate``), the rate
 (``_angle_rate``), the rule (``_phase_row``, or ``_phase_mean`` where a
-checkout runs one C on it) and the rest, median ms per layer, and prints
-the share of the scalar flux that p's root steps (``_p_root`` and
-``_p_polish``, inside the roots) take.
+checkout runs one C on it) and the rest, median ms per layer.  It
+splits the scalar flux's roots into set-up and p's Newton kernel
+(``_p_newton``, or ``_p_root`` and ``_p_polish`` where a checkout has
+those) with the kernel's share of the call, and prints the Newton steps
+per root of that call and per lane of the anchor's 4096-row grid: the
+evaluations of p's factors (``_p_factors``) where the checkout has them,
+else its safeguarded steps (``_p_step``), each lane counted once a step.
 
 A third table gives ``check``'s two tanh-sinh references,
 ``quadrature.period_T`` and the flux over v (``_flux_over_v``), at the
@@ -192,23 +196,51 @@ def kernel_table(h, repeats):
                            for name, s in samples.items()))
     scalar_split(kernels["flux_K"], "flux_K", FLUX_LAYERS, repeats)
     scalar_split(kernels["xi"], "xi", XI_LAYERS, repeats)
+    newton_steps(h, n, H, flux_grid[32].item(), scan_grid(h, e, 4096))
 
 
-# the functions that one scalar flux_K or xi runs, by layer; p's root
-# steps run inside the roots
+# the functions that one scalar flux_K or xi runs, by layer; p's Newton
+# kernel runs inside the roots
 FLUX_LAYERS = {"roots": ("quadrature", "oscillation_roots"),
                "deflation": ("quadrature", "_deflated_coefficients"),
                "rate": ("quadrature", "_angle_rate"),
                "rule": ("quadrature", "_phase_row", "_phase_mean"),
-               "root_steps": ("potential", "_p_root", "_p_polish")}
+               "newton": ("potential", "_p_newton", "_p_root", "_p_polish")}
+
+
+def newton_steps(h, n, H, C, grid):
+    """Print p's Newton steps per root of one scalar flux_K's roots and
+    per lane of one flux_K_grid's roots, counted where the checkout steps
+    (_p_factors, else _p_step), a lane once per step it takes."""
+    from hypcmc import potential
+
+    name = "_p_factors" if hasattr(potential, "_p_factors") else "_p_step"
+    step, lanes = getattr(potential, name), []
+
+    def counted(*args):
+        lanes.append(np.size(args[-1] if name == "_p_factors" else args[1]))
+        return step(*args)
+
+    setattr(potential, name, counted)
+    try:
+        potential.oscillation_roots(h.ShapeParams(n, H, C))
+        scalar = sum(lanes) / 2
+        del lanes[:]
+        potential.oscillation_roots_grid(n, H, grid)
+    finally:
+        setattr(potential, name, step)
+    print(f"  p's Newton steps ({name}): {scalar:g} per root of one "
+          f"flux_K, {sum(lanes) / (2 * len(grid)):.2f} per lane of the "
+          f"{len(grid)}-row grid ({sum(lanes)} lane steps)")
 XI_LAYERS = {"roots": ("quadrature", "_Q_upper_root"),
              "deflation": ("quadrature", "_synthetic_deflate"),
              "rule": ("quadrature", "_phase_row", "_phase_mean")}
 
 
 def scalar_split(call, label, layers, repeats):
-    """Print the median ms per layer of one scalar call, and the share of
-    p's root steps; a function the checkout lacks is not wrapped."""
+    """Print the median ms per layer of one scalar call, and the split of
+    its roots into set-up and p's Newton kernel; a function the checkout
+    lacks is not wrapped."""
     import hypcmc
 
     spent, originals = dict.fromkeys(layers, 0.0), []
@@ -231,7 +263,7 @@ def scalar_split(call, label, layers, repeats):
         for name in names:
             if hasattr(module, name):
                 wrap(module, name, layer)
-    parts = [layer for layer in layers if layer != "root_steps"]
+    parts = [layer for layer in layers if layer != "newton"]
     samples = {layer: [] for layer in (*layers, "rest", "total")}
     try:
         call()  # warm-up
@@ -248,9 +280,10 @@ def scalar_split(call, label, layers, repeats):
             setattr(module, name, fn)
     ms = {layer: median_ms(s) for layer, s in samples.items()}
     line = "  ".join(f"{k}={ms[k]:.3f}" for k in (*parts, "rest", "total"))
-    if "root_steps" in layers:
-        line += (f"  (root steps {ms['root_steps']:.3f} = "
-                 f"{100 * ms['root_steps'] / ms['total']:.0f}% of the call)")
+    if "newton" in layers:
+        line += (f"  (roots: set-up {ms['roots'] - ms['newton']:.3f}, "
+                 f"Newton kernel {ms['newton']:.3f} = "
+                 f"{100 * ms['newton'] / ms['total']:.0f}% of the call)")
     print(f"  {label} split, median ms: {line}")
 
 

@@ -3,21 +3,22 @@
     python3 tests/root_sweep.py
 
 Runs ``hypcmc.oscillation_roots`` on n = 2..8, on H geometric in
-[-1e6, -1.0001] and on C from C0 + 1e-11 |C0| to -1e-9 (C0 the
-package's float landmark), with hypcmc imported from this checkout's
-``src/``.  Each root is compared with the positive real roots of p at the
-exact float inputs, from ``mpmath.polyroots`` at 80 digits, in units of
-the root's last place (ulp); a C for which p has no two positive roots
-in exact arithmetic (the float C0 can lie above the true one at large
-|H|) is counted, not compared.  Where the package has it, the count of
-safeguarded Newton steps per root (``potential._p_step`` calls) is
-recorded too.
+[-1e6, -1.0001] and at H = -1 - 1e-8 and nextafter(-1, -inf), and on C
+from C0 + 1e-11 |C0| to -1e-9 (C0 the package's float landmark), with
+hypcmc imported from this checkout's ``src/``.  Each root is compared
+with the positive real roots of p at the exact float inputs, from
+``mpmath.polyroots`` at 80 digits, in units of the root's last place
+(ulp); a C for which p has no two positive roots in exact arithmetic
+(the float C0 can lie above the true one at large |H|) is counted, not
+compared.  The Newton steps per root are counted too: the evaluations
+of p's factors (``potential._p_factors``) per root where the package
+has them, else its safeguarded steps (``potential._p_step`` calls).
 
 Each (n, H) prints one line: the worst ulp error, the largest step
-count, and how many roots were within 0.5 ulp (correctly rounded).  Two
-summary lines follow, over the whole sweep and over |H| <= 100 with
-C - C0 >= 1e-6 |C0|.  It takes about a minute.  Two checkouts compare
-with
+count, how many roots were within 0.5 ulp (correctly rounded) and how
+many C raised.  Two summary lines follow, over the whole sweep and over
+|H| <= 100 with C - C0 >= 1e-6 |C0|.  It takes about a minute.  Two
+checkouts compare with
 
     diff <(python3 old/tests/root_sweep.py) <(python3 new/tests/root_sweep.py)
 
@@ -34,7 +35,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 NS = range(2, 9)
-HS = (-np.geomspace(1.0001, 1e6, 13)).tolist()
+HS = (-np.geomspace(1.0001, 1e6, 13)).tolist() + [
+    -1 - 1e-8, float(np.nextafter(-1.0, -np.inf))]
 # C - C0 as a fraction of |C0|, next to the double root at C0
 GAPS = (1e-11, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2)
 # further C, as fractions s of the way from C0 to -1e-9 in log(-C)
@@ -62,63 +64,78 @@ def ulps(x, ref):
         return float(abs(mp.mpf(x) - ref) / mp.mpf(np.spacing(x)))
 
 
+def step_counter(potential):
+    """A function giving the Newton steps per root of the last
+    oscillation_roots call, with the package's step function wrapped."""
+    calls = []
+    if hasattr(potential, "_p_factors"):  # one evaluation a step
+        factors = potential._p_factors
+
+        def counted(*args):
+            calls.append(1)
+            return factors(*args)
+
+        potential._p_factors = counted
+        return calls, lambda: len(calls) // 2  # both roots take the count
+    p_step, p_root = potential._p_step, potential._p_root
+
+    def counted_step(*args):
+        calls[-1] += 1
+        return p_step(*args)
+
+    def counted_root(*args):
+        calls.append(0)
+        return p_root(*args)
+
+    potential._p_step, potential._p_root = counted_step, counted_root
+    return calls, lambda: max(calls, default=0)
+
+
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     import hypcmc as h
     from hypcmc import potential
 
-    steps = []  # the step count of each root of the call
-    counting = hasattr(potential, "_p_step")
-    if counting:
-        p_step, p_root = potential._p_step, potential._p_root
-
-        def counted_step(*args):
-            steps[-1] += 1
-            return p_step(*args)
-
-        def counted_root(*args):
-            steps.append(0)
-            return p_root(*args)
-
-        potential._p_step, potential._p_root = counted_step, counted_root
-
-    totals = {"all": [0, 0, 0.0, 0], "narrow": [0, 0, 0.0, 0]}
-    no_exact = raised = 0
+    calls, most_steps = step_counter(potential)
+    # roots, within 0.5 ulp, worst ulps, most steps, raised
+    totals = {"all": [0, 0, 0.0, 0, 0], "narrow": [0, 0, 0.0, 0, 0]}
+    no_exact = 0
     for n in NS:
         for H in HS:
             c0 = h.C0(n, H)
             Cs = [c0 + g * abs(c0) for g in GAPS]
             Cs += [-((-c0) ** (1 - s)) * 1e-9 ** s for s in SPREAD]
-            line = [0, 0, 0.0, 0]  # roots, within 0.5 ulp, worst ulps, steps
+            line = [0, 0, 0.0, 0, 0]
             for C in Cs:
                 ref = exact_roots(n, H, C)
                 if len(ref) != 2:
                     no_exact += 1
                     continue
-                del steps[:]
+                narrow = abs(H) <= 100 and C - c0 >= 1e-6 * abs(c0)
+                tallies = [line, totals["all"]] + (
+                    [totals["narrow"]] if narrow else [])
+                del calls[:]
                 try:
                     roots = h.oscillation_roots(h.ShapeParams(n, H, C))
                 except h.HypcmcError:
-                    raised += 1
+                    for tally in tallies:
+                        tally[4] += 1
                     continue
                 errors = [ulps(x, r) for x, r in zip(roots, ref)]
-                narrow = abs(H) <= 100 and C - c0 >= 1e-6 * abs(c0)
-                for tally in [line, totals["all"]] + (
-                        [totals["narrow"]] if narrow else []):
+                for tally in tallies:
                     tally[0] += 2
                     tally[1] += sum(e <= 0.5 for e in errors)
                     tally[2] = max(tally[2], *errors)
-                    tally[3] = max(tally[3], *steps, 0)
+                    tally[3] = max(tally[3], most_steps())
             print(f"n={n} H={H!r}\tworst_ulps={line[2]:.3g}\t"
-                  f"max_steps={line[3] if counting else '-'}\t"
-                  f"within_half_ulp={line[1]}/{line[0]}")
+                  f"max_steps={line[3]}\twithin_half_ulp={line[1]}/{line[0]}"
+                  f"\traised={line[4]}")
     for key, label in (("all", "sweep"),
                        ("narrow", "|H|<=100, gap>=1e-6")):
-        roots, good, worst, most = totals[key]
-        print(f"total {label}\tworst_ulps={worst:.3g}\t"
-              f"max_steps={most if counting else '-'}\t"
-              f"within_half_ulp={good}/{roots}")
-    print(f"no_exact_roots={no_exact} raised={raised}")
+        roots, good, worst, most, raised = totals[key]
+        print(f"total {label}\tworst_ulps={worst:.3g}\tmax_steps={most}\t"
+              f"within_half_ulp={good}/{roots}\traised={raised}")
+    print(f"no_exact_roots={no_exact}")
 
 
 if __name__ == "__main__":

@@ -163,33 +163,36 @@ def test_every_entry_point_refuses_a_bad_shape_alike(call, message):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_upper_bracket_stays_below_four_r2(monkeypatch, n):
-    # the upper bracket end, doubled from 2 v0 until p < 0, stops below
-    # 4 r2, r2 = (-1 - H)^(-1/n) the root of p at C = 0: t2 < r2, and
-    # -1 - H >= 2^-52 gives r2 <= 2^26, so the doubling needs no cap.
-    # Every p evaluation of a root solve is at most the bracket end.
-    largest = [0.0]
-
-    def recorded(coeffs, v):
-        largest[0] = float(np.fmax.reduce(np.ravel(v), initial=largest[0]))
-        return horner(coeffs, v)
-
-    monkeypatch.setattr(potential, "horner", recorded)
+def test_upper_bracket_stays_below_four_r2(n):
+    # every root pair, from next to C0 to C = -5e-324, lies in
+    # a0 <= t1 < v0 < t2 <= b0 (r2 = b0 = (-1 - H)^(-1/n), the root of p
+    # at C = 0, a0 = (1 - H)^(-1/n)), with a0, v0 and b0 at 40 digits and
+    # the ends widened by 4 ulps for the roots that round onto them: the
+    # upper root stays below r2, let alone 4 r2, with no bracket searched
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
     for H in (math.nextafter(-1, -math.inf), -1.02, -1e6):
-        c0, r2 = h.C0(n, H), (-1 - H) ** (-1 / n)
+        c0 = h.C0(n, H)
         if not c0 < 0:
             # next to H = -1 the float C0 can lose every digit (0 at
             # n = 6, 7), and then no C makes a shape
             continue
+        with mp.workdps(40):
+            Hm = mp.mpf(H)
+            s = mp.sqrt(n * n * Hm * Hm - 4 * n + 4)
+            a0, v0, b0 = (float(v) for v in (
+                (1 - Hm) ** (mp.mpf(-1) / n),
+                ((Hm * (n - 2) + s) / (2 * Hm * Hm - 2)) ** (mp.mpf(1) / n),
+                (-1 - Hm) ** (mp.mpf(-1) / n)))
         Cs = -np.geomspace(-c0 * (1 - 1e-11), 5e-324, 64)
-        largest[0] = 0.0
-        found = oscillation_roots_grid(n, H, Cs)[2]
+        t1, t2, found = oscillation_roots_grid(n, H, Cs)
         assert found[-1] and found.sum() >= 63
-        assert largest[0] < 4 * r2
-        for C in Cs[found][[0, -1]].tolist():
-            largest[0] = 0.0
-            h.oscillation_roots(h.ShapeParams(n, H, C))
-            assert largest[0] < 4 * r2
+        t1, t2 = t1[found], t2[found]
+        assert (a0 * (1 - 4 * eps) <= t1).all() and (t1 < v0).all(), (n, H)
+        assert (v0 < t2).all() and (t2 <= b0 * (1 + 4 * eps)).all(), (n, H)
+        for C, pair in zip(Cs[found][[0, -1]].tolist(),
+                           zip(t1[[0, -1]].tolist(), t2[[0, -1]].tolist())):
+            assert h.oscillation_roots(h.ShapeParams(n, H, C)) == pair
 
 
 def test_landmark_ordering():
@@ -326,13 +329,13 @@ def _R_sign(coeffs, x):
 
 @pytest.mark.parametrize("n", [*range(2, 13), 20, 100, 514])
 def test_Q_upper_end_bounds_the_root(n):
-    # where R's coefficients are finite, the closed-form bracket end is
-    # finite and lies at or above R's root x*: R <= 0 there, exactly, at
-    # hi out to |H| = 1e6, and beyond at hi's upper neighbour, as the
-    # rounded tangent root can fall half an ulp below an x* within
-    # rounding of the exact one (from |H| of about 1e7 on); the grid
-    # equals the scalar bit for bit, and refuses where it refuses (at
-    # n = 514 the coefficients are non-finite past H = -2)
+    # where R's coefficients are finite, the closed-form bound on their
+    # _scaled copy (as _Q_upper_root takes it) is finite and lies at or
+    # above R's root x* to within rounding: R <= 0, exactly, 4 ulps above
+    # hi (the rounded quadratic root can fall an ulp or two below an x*
+    # within rounding of the exact one, from |H| of about 1e4 on); the
+    # grid equals the scalar bit for bit, and refuses where it
+    # refuses (at n = 514 the coefficients are non-finite past H = -2)
     Hs = ([-1.0] if n >= 3 else []) + [math.nextafter(-1.0, -math.inf)]
     Hs += (-1 - np.geomspace(1e-15, 1e150, 60)).tolist()
     x, settled = potential._Q_upper_root_grid(n, Hs)
@@ -346,10 +349,9 @@ def test_Q_upper_end_bounds_the_root(n):
             assert not ok, (n, H)
             continue
         coeffs = potential._Q_shifted(n, H)
-        hi = potential._Q_upper_end(coeffs)
+        hi = potential._Q_upper_end(potential._scaled(coeffs))
         assert math.isfinite(hi), (n, H)
-        end = hi if -H <= 1e6 else math.nextafter(hi, math.inf)
-        assert _R_sign(coeffs, end) <= 0, (n, H)
+        assert _R_sign(coeffs, hi * (1 + 2 ** -50)) <= 0, (n, H)
         try:
             expected = _Q_upper_root(n, H)
         except h.HypcmcError:
@@ -359,16 +361,84 @@ def test_Q_upper_end_bounds_the_root(n):
 
 
 def test_Q_newton_steps_settle_every_root():
-    # _Q_NEWTON_STEPS is enough: on a dense grid of H a further step (the
-    # compensated one that ends the rule) moves no root by more than 1 ulp
-    Hs = -np.geomspace(1.0000001, 1e6, 4000)
-    for n in range(2, 9):
+    # _Q_NEWTON_STEPS is enough: on a dense grid of H, and next to H = -1,
+    # a further step (the compensated one that ends the rule) moves no
+    # root by more than 1 ulp
+    Hs = np.concatenate([-np.geomspace(1.0000001, 1e6, 4000),
+                         [-1 - 1e-8, -1 - 1e-12, math.nextafter(-1, -math.inf)]])
+    for n in range(2, 13):
         x, settled = potential._Q_upper_root_grid(n, Hs)
         assert settled.all()
         coeffs = potential._Q_shifted(n, Hs)
         step = (potential._compensated_horner(coeffs, x)
                 / horner(potential._derivative(coeffs), x))
         assert (np.abs(step) <= np.spacing(x)).all(), n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12),
+       Hs=st.lists(st.one_of(st.floats(-1e6, -1.0),
+                             st.floats(1.0, 16.0).map(lambda e: -1 - 10 ** -e),
+                             st.just(math.nextafter(-1.0, -math.inf))),
+                   min_size=1, max_size=8))
+def test_Q_upper_root_grid_equals_scalar_roots(n, Hs):
+    # the lanes of _Q_upper_root_grid equal _Q_upper_root bit for bit,
+    # next to H = -1 too, and are unsettled exactly where it raises
+    x, settled = potential._Q_upper_root_grid(n, Hs)
+    for H, root, ok in zip(Hs, x.tolist(), settled.tolist()):
+        try:
+            expected = _Q_upper_root(n, H)
+        except h.HypcmcError:
+            assert not ok, (n, H)
+        else:
+            assert ok and root == expected, (n, H)
+
+
+@pytest.mark.parametrize("n", [500, 514])
+def test_Q_upper_root_keeps_its_bits_up_to_n_514(n):
+    # on R's scaled coefficients Horner's rule and the derivative do not
+    # overflow: x* ~ 3e-6 is found, R changes sign between x's float
+    # neighbours (exactly, in integer arithmetic), and xi converges or
+    # refuses for an overflow it names
+    for H in (-1.0000001, -1.5):
+        x = _Q_upper_root(n, H)
+        coeffs = potential._Q_shifted(n, H)
+        below, above = (math.nextafter(x, t) for t in (0.0, math.inf))
+        assert _R_sign(coeffs, below) > 0 > _R_sign(coeffs, above), (n, H)
+        try:
+            res = h.xi(n, H)
+        except h.HypcmcError as exc:
+            assert "overflow" in str(exc), (n, H)
+        else:
+            assert res.converged and -2 * math.pi < res.value < 0, (n, H)
+
+
+def test_p_newton_steps_settle_every_root():
+    # _P_NEWTON_STEPS is enough: on tests/root_sweep.py's grid with the H
+    # next to -1 it adds, a further compensated step moves no root by more
+    # than 1 ulp wherever C - C0 >= 1e-6 |C0| (closer to C0 p is close to
+    # a double root, and rounding moves the roots)
+    Hs = (-np.geomspace(1.0001, 1e6, 13)).tolist() + [
+        -1 - 1e-8, math.nextafter(-1, -math.inf)]
+    for n in range(2, 9):
+        for H in Hs:
+            c0 = h.C0(n, H)
+            if not c0 < 0:
+                continue
+            Cs = np.array([c0 + g * abs(c0) for g in (1e-6, 1e-4, 1e-2)]
+                          + [-((-c0) ** (1 - f)) * 1e-9 ** f
+                             for f in (0.25, 0.5, 0.75, 1.0)])
+            t1, t2, settled = oscillation_roots_grid(n, H, Cs)
+            for C in Cs[~settled].tolist():  # p(v0) <= 0 in floats
+                with pytest.raises(h.DegenerateOscillationError):
+                    h.oscillation_roots(h.ShapeParams(n, H, C))
+            Cs = Cs[settled]
+            coeffs = potential.p_coefficients(n, H, Cs)
+            lows = potential._p_lows(n, H, Cs)
+            for x in (t1[settled], t2[settled]):
+                dp = potential._p_factors(n, H, Cs, x)[1]
+                step = potential._compensated_horner(coeffs, x, lows) / dp
+                assert (np.abs(step) <= np.spacing(x)).all(), (n, H)
 
 
 def _scalar_roots(n, H, C):
@@ -384,7 +454,9 @@ def _bits(roots):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(n=st.integers(2, 8), H=st.floats(-30.0, -1.02),
+@given(n=st.integers(2, 8),
+       H=st.one_of(st.floats(-30.0, -1.02),
+                   st.floats(1.0, 12.0).map(lambda e: -1 - 10 ** -e)),
        edge=st.lists(st.floats(0.5, 1e6), max_size=3),
        near=st.lists(st.tuples(st.sampled_from([-1, 1]), st.floats(-12.0, -1.0)),
                      max_size=4),
@@ -393,7 +465,9 @@ def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
     # the lane-wise roots of a whole grid equal the scalar roots bit for
     # bit: next to the degenerate edge at C0 (inside it the lane is not
     # settled and its roots are NaN, where the scalar call raises), on
-    # both sides of Ctilde, and spread geometrically from C0 to -1e-9
+    # both sides of Ctilde, and spread geometrically from C0 to -1e-9, at
+    # H down to -30 and at H = -1 - 10^-e next to -1, where the starts
+    # change regime
     c0, ct = h.C0(n, H), h.Ctilde(n, H)
     Cs = [c0 + f * DEGENERATE_REL_GAP * abs(c0) for f in edge]
     Cs += [ct * (1 + side * 10.0 ** e) for side, e in near]
@@ -408,26 +482,30 @@ def test_roots_grid_equals_scalar_roots(n, H, edge, near, spread):
 
 
 def test_polish_keeps_x_where_the_derivative_vanishes():
-    # a Newton step at p'(x) = 0 leaves x as it is, on a float and on
-    # lanes alike, instead of dividing by zero
-    coeffs, lows = (1.0, 0.0, -1.0), (0.0, 0.0, 0.0)
-    assert potential._p_polish(coeffs, lows, 0.0) == 0.0
-    lanes = potential._p_polish(coeffs, lows, np.array([0.0, 2.0]))
-    assert lanes.tolist() == [0.0, potential._p_polish(coeffs, lows, 2.0)]
+    # a Newton step at p'(x) = 0 (here x = 0) leaves x as it is, on a
+    # float and on lanes alike, instead of dividing by zero
+    for n in (2, 3):
+        args = (n, -1.1, -0.5, potential.p_coefficients(n, -1.1, -0.5),
+                potential._p_lows(n, -1.1, -0.5))
+        assert potential._p_newton(*args, 0.0)[0] == 0.0
+        lanes = potential._p_newton(*args, np.array([0.0, 2.0]))[0]
+        assert lanes.tolist() == [0.0, potential._p_newton(*args, 2.0)[0]]
 
 
 def test_root_that_does_not_settle_raises(monkeypatch, capsys):
-    # with one Newton step allowed, a root of p does not settle: the
-    # scalar call raises NonConvergenceError naming n, H and C, the grid
-    # leaves the lane unsettled, and solve-c exits 3 with a JSON error
-    n, H, C = 2, -1.1, -0.5
-    monkeypatch.setattr(potential, "_P_ROOT_STEPS", 1)
+    # with one Newton step, the compensated one, a root of p does not
+    # settle (at n = 2 the start is p's root in closed form and settles
+    # at once, so n = 3): the scalar call raises NonConvergenceError
+    # naming n, H and C, the grid leaves the lane unsettled, and solve-c
+    # exits 3 with a JSON error
+    n, H, C = 3, -1.5, -0.5
+    monkeypatch.setattr(potential, "_P_NEWTON_STEPS", 1)
     with pytest.raises(h.NonConvergenceError,
-                       match=r"n=2, H=-1\.1, C=-0\.5"):
+                       match=r"n=3, H=-1\.5, C=-0\.5"):
         h.oscillation_roots(h.ShapeParams(n, H, C))
     t1, t2, settled = oscillation_roots_grid(n, H, [C])
     assert settled.tolist() == [False] and np.isnan([t1[0], t2[0]]).all()
-    rc = main(["solve-c", "--n", "2", "--H", "-1.1", "--k", "1", "--m", "5"])
+    rc = main(["solve-c", "--n", "3", "--H", "-1.5", "--k", "1", "--m", "5"])
     assert rc == 3
     assert "NonConvergenceError" in capsys.readouterr().err
 

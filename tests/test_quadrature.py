@@ -865,10 +865,9 @@ def test_xi_n2_against_the_agm_oracle():
 def test_flux_K_n2_against_the_carlson_oracle(H):
     # the closed form is within 2.3e-15 max(|K|, 1) of mpmath on this grid
     # (test_frozen_refs), so the bound is flux_K's own error: measured
-    # worst 5.4e-14 up to |H| = 10, and 8.1e-12 beyond, inside the flux's
-    # tolerance.  One point is off by more: at H = -100 and C = C0 (1 -
-    # 1e-9) the roots lose digits next to the double root and K is 9.2e-10
-    # off (ROADMAP item 3); it is pinned so that its repair shows
+    # worst 5.4e-14 up to |H| = 10, and 2.3e-12 beyond (relative to
+    # max(|K|, 1)), inside the flux's tolerance; next to the double root,
+    # at H = -100 and C = C0 (1 - 1e-9), K is 1.0e-11 off
     bound = 1e-13 if H >= -10 else DEFAULT_TOL
     off = []
     for i, C in enumerate(flux2_grid(H)):
@@ -876,7 +875,7 @@ def test_flux_K_n2_against_the_carlson_oracle(H):
         if abs(h.flux_K(h.ShapeParams(2, H, C)).value - K) > bound * max(
                 abs(K), 1):
             off.append(i)
-    assert off == ([0] if H == -100 else [])
+    assert off == []
 
 
 def test_xi_limits():
