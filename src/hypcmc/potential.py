@@ -288,19 +288,19 @@ def _p_starts(n: int, H: float, C, z0: float, c0: float):
     t2 out to b0 as H -> -1."""
     h1, h2, a = -1 - H, 1 - H, 2 / n
     f0 = z0 ** a
-    dC, f1 = C - c0, a * f0 / z0
-    m = 1 + C * a * (1 - a) / 2 * f0 / (z0 * z0)
-    disc = (dC * f1) ** 2 + 4 * m * dC * f0
-    z1 = z0 + (dC * f1 + _sqrt(_select(disc > 0, disc, 0.0))) / (2 * m)
+    dC = C - c0
+    m, b = 1 + C * (a * (1 - a) / 2 * f0 / (z0 * z0)), dC * (a * f0 / z0)
+    disc = b * b + m * dC * (4 * f0)
+    z1 = z0 + (b + _sqrt(_select(disc > 0, disc, 0.0))) / (2 * m)
     # z2 = z1 z2 / z1, the product from the coefficients in z, all positive
     t1, t2 = _pow(z1, -1 / n), _pow(
-        z1 * m / (h1 * h2 - C * (1 - a) * (1 - a / 2) * f0), 1 / n)
+        z1 * m / (h1 * h2 - C * ((1 - a) * (1 - a / 2) * f0)), 1 / n)
     if n > 2:
         zl = _pow(-C / (h2 - _pow(-C / h2, 1 / (1 - a))), 1 / (1 - a))
-        zl = _select(zl > h1 + -C * h1 ** a / h2, zl, h1 + -C * h1 ** a / h2)
+        zl = _select(zl > h1 - C * (h1 ** a / h2), zl, h1 - C * (h1 ** a / h2))
         # (z - h1)(h2 - z) = -C zl^a ((1 - a) + a z / zl): its smaller root
-        q = h1 + h2 + C * a * _pow(zl, a) / zl
-        qc = h1 * h2 - C * (1 - a) * _pow(zl, a)
+        fl = _pow(zl, a)
+        q, qc = h1 + h2 + C * a * fl / zl, h1 * h2 - C * (1 - a) * fl
         disc = q * q - 4 * qc
         tangent = _pow(
             2 * qc / _nonzero(q + _sqrt(_select(disc > 0, disc, 0.0))), -1 / n)
@@ -318,7 +318,7 @@ def _nonzero(d):
 def _p_factors(n: int, H: float, C, x):
     """p and p' at x, on floats or lanes, from p = C v^(2n-2) - (h1 v^n - 1)
     (h2 v^n - 1): next to a0 and b0 a small factor keeps digits at large |H|."""
-    vn2 = _pow(x, n - 2)
+    vn2 = _pow(x, n - 2) if n > 2 else 1.0
     vn1 = vn2 * x
     w = vn1 * x
     lo, hi = (-1 - H) * w - 1, (1 - H) * w - 1
@@ -355,10 +355,10 @@ def _p_pair(n: int, H: float, C):
     z0, c0 = _p_double_root(n, H)
     starts = _p_starts(n, H, C, z0, c0)
     if isinstance(C, np.ndarray):
-        C = np.tile(C, 2)
+        k, C = len(C), np.concatenate([C, C])
         x, ok = _p_newton(n, H, C, p_coefficients(n, H, C), _p_lows(n, H, C),
                           np.concatenate(starts))
-        (t1, t2), (ok1, ok2) = np.split(x, 2), np.split(ok, 2)
+        t1, t2, ok1, ok2 = x[:k], x[k:], ok[:k], ok[k:]
     else:
         coeffs, lows = p_coefficients(n, H, C), _p_lows(n, H, C)
         (t1, ok1), (t2, ok2) = (_p_newton(n, H, C, coeffs, lows, x)
