@@ -223,8 +223,8 @@ def landmarks(n: int, H: float, C: Optional[float] = None) -> PotentialLandmarks
 
 
 # Newton steps per root of p, the last compensated: on tests/root_sweep.py's
-# grid and a denser one, 5 plain steps settle all that safeguarded steps do
-# but 9 at |H| >= 1e4 by the double root; 4 miss one at (3, -1.01).
+# grid and a denser one, 5 plain steps settle every pair that has roots
+# (the float C0 can lie below the true one); 4 miss one at (3, -1.01).
 _P_NEWTON_STEPS = 6
 _EPS = 2.0 ** -52  # the spacing of the floats at 1
 
@@ -275,17 +275,15 @@ def _p_double_root(n: int, H: float):
 
 
 def _p_starts(n: int, H: float, C, z0: float, c0: float):
-    """Newton's starts for t1 and t2, on a float C or on lanes.
-
-    With z = v^(-n), p = 0 reads (z - h1)(h2 - z) = -C z^a, a = 2/n,
-    h1 = -1 - H, h2 = 1 - H.  With z^a to second order about z0 this is
-    m u^2 - dC f1 u - dC f0 = 0 in u = z - z0 (dC = C - C0, f0 = z0^a,
-    f1 = a f0 / z0, m = 1 + C a (1 - a) f0 / (2 z0^2)): exact at C0, at
-    C = 0 and at n = 2, and the inverse series in +-sqrt(C - C0) to second
-    order next to C0.  For n > 2 t2 starts from the larger of that and
-    the root with z^a to first order at zl <= z(t2) (from z >= h1 and
-    z^(1 - a) (h2 - z) >= -C): both lie below t2, and the second follows
-    t2 out to b0 as H -> -1."""
+    """Newton's starts for t1 and t2, on a float C or on lanes.  With
+    z = v^(-n), p = 0 reads (z - h1)(h2 - z) = -C z^a, a = 2/n, h1 = -1 - H,
+    h2 = 1 - H; with z^a to second order about z0, m u^2 - dC f1 u - dC f0
+    = 0 in u = z - z0 (dC = C - C0, f0 = z0^a, f1 = a f0 / z0, m = 1 +
+    C a (1 - a) f0 / (2 z0^2)): exact at C0, at C = 0 and at n = 2, and the
+    inverse series in +-sqrt(C - C0) to second order next to C0.  For n > 2
+    t2 starts from the larger of that and the root with z^a to first order
+    at zl <= z(t2) (from z >= h1 and z^(1 - a) (h2 - z) >= -C): both lie
+    below t2, and the second follows t2 out to b0 as H -> -1."""
     h1, h2, a = -1 - H, 1 - H, 2 / n
     f0 = z0 ** a
     dC = C - c0
@@ -310,9 +308,8 @@ def _p_starts(n: int, H: float, C, z0: float, c0: float):
 
 def _nonzero(d):
     """d where it is not 0, else inf: a Newton step divided by it is 0."""
-    if isinstance(d, np.ndarray):
-        return np.where(d == 0, math.inf, d)
-    return d or math.inf
+    return (np.where(d == 0, math.inf, d) if isinstance(d, np.ndarray)
+            else d or math.inf)
 
 
 def _p_factors(n: int, H: float, C, x):
@@ -321,8 +318,12 @@ def _p_factors(n: int, H: float, C, x):
     vn2 = _pow(x, n - 2) if n > 2 else 1.0
     vn1 = vn2 * x
     w = vn1 * x
-    lo, hi = (-1 - H) * w - 1, (1 - H) * w - 1
-    dp = vn1 * ((2 * n - 2) * C * vn2 - n * ((-1 - H) * hi + (1 - H) * lo))
+    lo = (-1 - H) * w - 1
+    hi = lo + 2 * w  # (h1 + 2) w - 1: h1 + 2 is h2 without its rounding
+    if n == 2 and H >= -1.25:  # C0 <= -1: C + 2 is exact by the double root
+        return (w * ((C + 2) - 2 * (-1 - H) * w) - lo * lo,
+                2 * x * ((C + 2) - 2 * (-1 - H) * hi))
+    dp = vn1 * ((2 * n - 2) * C * vn2 - n * ((-1 - H) * (hi + lo) + 2 * lo))
     return C * vn1 * vn1 - lo * hi, dp
 
 
@@ -530,10 +531,9 @@ def _compensated_horner(coeffs, v, lows=None):
 
 def _Q_upper_end(coeffs):
     """A bound hi >= x* for R's root x*, on floats or columns: the root
-    2 c0 / (sqrt(c1^2 - 4 c0 c2) - c1) of c0 + c1 x + c2 x^2, which lies
-    above R (its coefficients of x^3 and up are <= 0) and, c2 being
-    <= 0, at or below the tangent's root.  Within rounding of x* (from
-    |H| of about 1e4 on) hi may round to an ulp or two below it."""
+    2 c0 / (sqrt(c1^2 - 4 c0 c2) - c1) of c0 + c1 x + c2 x^2 >= R (x^3 and
+    up have coefficients <= 0), at or below the tangent's root as c2 <= 0;
+    within rounding of x* (|H| >~ 1e4) it may round an ulp or two below."""
     c2, c1, c0 = coeffs[-3:]
     return 2 * c0 / _nonzero(_sqrt(c1 * c1 - 4 * c0 * c2) - c1)
 
