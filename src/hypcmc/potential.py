@@ -4,11 +4,12 @@ constants and the roots of the polynomials p and Q.
 The roots t1 < t2 of p are found by a fixed count of Newton steps from
 starts that are already close: the roots of a quadratic that models p
 about its double root at C = C0 and is exact at C0, at C = 0 and at
-n = 2.  The plain steps run p from its factors; the last step runs p by
-compensated Horner over the exact-input coefficients (1 - H^2 and, at
-n = 2, C - 2H carried as hi + lo), so each root comes out correctly
-rounded unless p is close to a double root.  One test at the end, that
-the last plain iterate is a root to within rounding and that
+n = 2.  The plain steps run p from its factors; the last step is
+Halley's, with p by compensated Horner over the exact-input coefficients
+(1 - H^2 and, at n = 2, C - 2H carried as hi + lo), so that each root
+comes out correctly rounded, next to the double root too, where the
+plain steps stall in p's rounding noise.  One test at the end, that the
+last plain iterate is a root to within rounding and that
 a0 < t1 < v0 < t2 < b0, accepts the pair.  The same arithmetic runs on
 a float C and on lanes, one per root of a grid of C.  Q's upper root
 t2~ = 1 + x, xi's upper end, is found in the shifted variable, where
@@ -302,7 +303,8 @@ def _p_starts(n: int, H: float, C, z0: float, c0: float):
         disc = q * q - 4 * qc
         tangent = _pow(
             2 * qc / _nonzero(q + _sqrt(_select(disc > 0, disc, 0.0))), -1 / n)
-        t2 = _select((disc >= 0) & (q > 0) & ~(tangent <= t2), tangent, t2)
+        t2 = _select(tangent <= t2, t2,
+                     _select((disc >= 0) & (q > 0), tangent, t2))
     return t1, t2
 
 
@@ -312,32 +314,44 @@ def _nonzero(d):
             else d or math.inf)
 
 
-def _p_factors(n: int, H: float, C, x):
+def _p_factors(n: int, H: float, C, x, curvature=False):
     """p and p' at x, on floats or lanes, from p = C v^(2n-2) - (h1 v^n - 1)
-    (h2 v^n - 1): next to a0 and b0 a small factor keeps digits at large |H|."""
+    (h2 v^n - 1): next to a0 and b0 a small factor keeps digits at large
+    |H|.  With ``curvature`` also p''/2, to the few digits Halley's step
+    needs, as vn2 ((n - 1)(2n - 3) C vn2 - n ((2n - 1)(H^2 - 1) w +
+    (n - 1) H)), vn2 = v^(n-2), w = v^n."""
     vn2 = _pow(x, n - 2) if n > 2 else 1.0
     vn1 = vn2 * x
     w = vn1 * x
     lo = (-1 - H) * w - 1
     hi = lo + 2 * w  # (h1 + 2) w - 1: h1 + 2 is h2 without its rounding
     if n == 2 and H >= -1.25:  # C0 <= -1: C + 2 is exact by the double root
-        return (w * ((C + 2) - 2 * (-1 - H) * w) - lo * lo,
-                2 * x * ((C + 2) - 2 * (-1 - H) * hi))
-    dp = vn1 * ((2 * n - 2) * C * vn2 - n * ((-1 - H) * (hi + lo) + 2 * lo))
-    return C * vn1 * vn1 - lo * hi, dp
+        out = (w * ((C + 2) - 2 * (-1 - H) * w) - lo * lo,
+               2 * x * ((C + 2) - 2 * (-1 - H) * hi))
+    else:
+        out = (C * vn1 * vn1 - lo * hi, vn1 * (
+            (2 * n - 2) * C * vn2 - n * ((-1 - H) * (hi + lo) + 2 * lo)))
+    if not curvature:
+        return out
+    return (*out, vn2 * ((n - 1) * (2 * n - 3) * C * vn2 - n * (
+        (2 * n - 1) * ((H - 1) * (H + 1)) * w + (n - 1) * H)))
 
 
 def _p_newton(n: int, H: float, C, coeffs, lows, x):
     """A root of p from x, on floats or lanes, and whether _p_settled holds
-    at the last plain iterate: _P_NEWTON_STEPS - 1 plain steps, then one
-    with p by compensated Horner over the exact-input coefficients (coeffs
-    plus lows), correctly rounded unless p is close to a double root."""
+    at the last plain iterate: _P_NEWTON_STEPS - 1 plain Newton steps, then
+    Halley's step, p by compensated Horner over the exact-input
+    coefficients (coeffs plus lows).  Next to a double root the plain
+    steps stall in p's rounding noise up to 1e5 ulps off, and a Newton
+    step's error e^2 p'' / (2 p') would leave the root an ulp or more
+    off; Halley's is of order e^3."""
     for _ in range(_P_NEWTON_STEPS - 1):
         px, dp = _p_factors(n, H, C, x)
         x = x - px / _nonzero(dp)
-    px, dp = _p_factors(n, H, C, x)
-    return (x - _compensated_horner(coeffs, x, lows) / _nonzero(dp),
-            _p_settled(n, H, C, x, px))
+    px, dp, bend = _p_factors(n, H, C, x, curvature=True)
+    pc, dp = _compensated_horner(coeffs, x, lows), _nonzero(dp)
+    # p' half the Newton step on: dp - (pc / dp) p''/2
+    return x - pc / _nonzero(dp - pc / dp * bend), _p_settled(n, H, C, x, px)
 
 
 def _p_settled(n: int, H: float, C, x, px):
@@ -349,11 +363,11 @@ def _p_settled(n: int, H: float, C, x, px):
     return abs(px) <= 2 * (2 * n + 1) * _EPS * size
 
 
-def _p_pair(n: int, H: float, C):
+def _p_pair(n: int, H: float, C, z0: float, c0: float):
     """(t1, t2, ok): _p_newton from _p_starts, on a float C or on lanes (both
-    roots as one set); ok where both settled and a0 < t1 < v0 < t2 < b0, the
-    ends widened by 4 ulps for their rounding and roots next to them."""
-    z0, c0 = _p_double_root(n, H)
+    roots as one set), z0 and c0 from _p_double_root; ok where both settled
+    and a0 < t1 < v0 < t2 < b0, the ends widened by 4 ulps for their
+    rounding and roots next to them."""
     starts = _p_starts(n, H, C, z0, c0)
     if isinstance(C, np.ndarray):
         k, C = len(C), np.concatenate([C, C])
@@ -377,20 +391,23 @@ def oscillation_roots(params: ShapeParams) -> tuple[float, float]:
     cancellation of q near v -> 0: _P_NEWTON_STEPS Newton steps per root
     from starts close enough for a fixed count (_p_pair), and no search.
     NonConvergenceError where the pair does not pass _p_pair's test.
+    C0 and v0 are taken here from _p_double_root, not from C0() and v0(),
+    which lose digits to cancellation at large |H| and next to H = -1:
+    a C that ShapeParams admits may lie at or below the true C0.
     """
     n, H, C = params.n, params.H, params.C
-    _c0 = C0(n, H)
-    if C - _c0 < DEGENERATE_REL_GAP * abs(_c0):
+    z0, c0 = _p_double_root(n, H)
+    if C - c0 < DEGENERATE_REL_GAP * abs(c0):
         raise DegenerateOscillationError(
-            f"C - C0 = {C - _c0:.3e} is below {DEGENERATE_REL_GAP}*|C0|; "
+            f"C - C0 = {C - c0:.3e} is below {DEGENERATE_REL_GAP}*|C0|; "
             "the oscillation interval is numerically degenerate"
         )
-    at_v0 = horner(p_coefficients(n, H, C), v0(n, H))
+    at_v0 = horner(p_coefficients(n, H, C), z0 ** (-1 / n))
     if not at_v0 > 0:
         raise DegenerateOscillationError(
             f"p(v0) = {at_v0!r} <= 0 at C={C!r}: in floats the oscillation "
             "interval is degenerate")
-    t1, t2, ok = _p_pair(n, H, C)
+    t1, t2, ok = _p_pair(n, H, C, z0, c0)
     if not ok:
         raise NonConvergenceError(
             f"a root of p did not settle in {_P_NEWTON_STEPS} Newton steps "
@@ -407,12 +424,15 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     roots, for the caller to run it, so errors come as from a loop.
     """
     _c0 = _check_shape(n, H)
+    z0, c0 = _p_double_root(n, H)
     Cs = np.asarray(Cs, dtype=float)
-    lanes = np.flatnonzero((Cs - _c0 >= DEGENERATE_REL_GAP * abs(_c0)) & (Cs < 0)
-                           & (horner(p_coefficients(n, H, Cs), v0(n, H)) > 0))
+    # ShapeParams' C0 < C < 0, then oscillation_roots' checks
+    lanes = np.flatnonzero(
+        (Cs > _c0) & (Cs - c0 >= DEGENERATE_REL_GAP * abs(c0)) & (Cs < 0)
+        & (horner(p_coefficients(n, H, Cs), z0 ** (-1 / n)) > 0))
     # large n overflows the powers of v; those lanes end unsettled
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t1, t2, ok = _p_pair(n, H, Cs[lanes])
+        t1, t2, ok = _p_pair(n, H, Cs[lanes], z0, c0)
     found = np.zeros(len(Cs), dtype=bool)
     found[lanes[ok]] = True
     roots = np.full((2, len(Cs)), math.nan)
@@ -520,8 +540,7 @@ def _compensated_horner(coeffs, v, lows=None):
     y, err = coeffs[0], lows[0]
     for c, low in zip(coeffs[1:], lows[1:]):
         p, perr = _two_product(y, v, v_split)
-        if (not isinstance(c, np.ndarray) and c == 0
-                and not isinstance(low, np.ndarray) and low == 0):
+        if type(c) is type(low) is float and c == low == 0:
             y, err = p, err * v + perr  # p + 0 is exact: the same bits
             continue
         y, serr = _two_sum(p, c)
@@ -530,12 +549,15 @@ def _compensated_horner(coeffs, v, lows=None):
 
 
 def _Q_upper_end(coeffs):
-    """A bound hi >= x* for R's root x*, on floats or columns: the root
+    """A float hi >= x* for R's root x*, on floats or columns: the root
     2 c0 / (sqrt(c1^2 - 4 c0 c2) - c1) of c0 + c1 x + c2 x^2 >= R (x^3 and
-    up have coefficients <= 0), at or below the tangent's root as c2 <= 0;
-    within rounding of x* (|H| >~ 1e4) it may round an ulp or two below."""
+    up have coefficients <= 0), at or below the tangent's root as c2 <= 0,
+    raised by 4 ulps: at n >= 3, where _Q_start takes it, c0 > 0 and c1,
+    c2 <= 0, so no operation cancels and its roundings take it less than
+    3 ulps low."""
     c2, c1, c0 = coeffs[-3:]
-    return 2 * c0 / _nonzero(_sqrt(c1 * c1 - 4 * c0 * c2) - c1)
+    root = 2 * c0 / _nonzero(_sqrt(c1 * c1 - 4 * c0 * c2) - c1)
+    return root * (1 + 4 * _EPS)
 
 
 def _Q_start(n: int, H, coeffs):

@@ -217,9 +217,9 @@ def newton_steps(h, n, H, C, grid):
     name = "_p_factors" if hasattr(potential, "_p_factors") else "_p_step"
     step, lanes = getattr(potential, name), []
 
-    def counted(*args):
-        lanes.append(np.size(args[-1] if name == "_p_factors" else args[1]))
-        return step(*args)
+    def counted(*args, **kwargs):
+        lanes.append(np.size(args[3] if name == "_p_factors" else args[1]))
+        return step(*args, **kwargs)
 
     setattr(potential, name, counted)
     try:

@@ -71,9 +71,9 @@ def step_counter(potential):
     if hasattr(potential, "_p_factors"):  # one evaluation a step
         factors = potential._p_factors
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return factors(*args)
+            return factors(*args, **kwargs)
 
         potential._p_factors = counted
         return calls, lambda: len(calls) // 2  # both roots take the count

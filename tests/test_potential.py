@@ -331,11 +331,9 @@ def _R_sign(coeffs, x):
 def test_Q_upper_end_bounds_the_root(n):
     # where R's coefficients are finite, the closed-form bound on their
     # _scaled copy (as _Q_upper_root takes it) is finite and lies at or
-    # above R's root x* to within rounding: R <= 0, exactly, 4 ulps above
-    # hi (the rounded quadratic root can fall an ulp or two below an x*
-    # within rounding of the exact one, from |H| of about 1e4 on); the
-    # grid equals the scalar bit for bit, and refuses where it
-    # refuses (at n = 514 the coefficients are non-finite past H = -2)
+    # above R's root x*: R <= 0 at hi, exactly, at every H; the grid
+    # equals the scalar bit for bit, and refuses where it refuses (at
+    # n = 514 the coefficients are non-finite past H = -2)
     Hs = ([-1.0] if n >= 3 else []) + [math.nextafter(-1.0, -math.inf)]
     Hs += (-1 - np.geomspace(1e-15, 1e150, 60)).tolist()
     x, settled = potential._Q_upper_root_grid(n, Hs)
@@ -351,7 +349,7 @@ def test_Q_upper_end_bounds_the_root(n):
         coeffs = potential._Q_shifted(n, H)
         hi = potential._Q_upper_end(potential._scaled(coeffs))
         assert math.isfinite(hi), (n, H)
-        assert _R_sign(coeffs, hi * (1 + 2 ** -50)) <= 0, (n, H)
+        assert _R_sign(coeffs, hi) <= 0, (n, H)
         try:
             expected = _Q_upper_root(n, H)
         except h.HypcmcError:
@@ -531,6 +529,43 @@ def test_degenerate_in_floats_reported():
     assert np.isnan([t1[0], t2[0]]).all()
     assert (t1[1], t2[1]) == h.oscillation_roots(
         h.ShapeParams(n, H, 0.5 * h.Ctilde(n, H)))
+
+
+def test_C_below_the_true_C0_is_degenerate():
+    # at (5, -1e6) the float C0 lies about 1e-3 |C0| below the true one;
+    # a C between them passes ShapeParams, but p has no positive roots:
+    # the range check, on C0 formed without cancellation, refuses it
+    # before any Newton step, and the grid leaves the lane unsettled
+    n, H = 5, -1e6
+    c0 = potential._p_double_root(n, H)[1]
+    C = 0.5 * (h.C0(n, H) + c0)
+    assert h.C0(n, H) < C < c0
+    with pytest.raises(h.DegenerateOscillationError):
+        h.oscillation_roots(h.ShapeParams(n, H, C))
+    assert oscillation_roots_grid(n, H, [C])[2].tolist() == [False]
+
+
+@pytest.mark.parametrize("n, H, C", [
+    (5, -1.0001, -1.0517768578843776), (6, -1.0001, -1.0340855669109452),
+    (5, -1.0001, -1.051776857890049), (6, -1.001, -1.0336982035024185),
+    (8, -1.001, -1.0177831893786762), (3, -1.001, -1.1889683864013183)])
+def test_roots_next_to_C0_are_correctly_rounded(n, H, C):
+    # 1e-12 to 1e-11 |C0| above C0 the plain steps stall in p's rounding
+    # noise some 1e4 to 1e5 ulps off; the last (Halley) step still gives
+    # each root within half an ulp of p's exact root at the float inputs
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(0)] * (2 * n + 1)
+        coeffs[0] = 1 - mpmath.mpf(H) ** 2
+        coeffs[2] += C
+        coeffs[n] += -2 * mpmath.mpf(H)
+        coeffs[2 * n] += -1
+        exact = sorted(mpmath.re(r) for r in mpmath.polyroots(
+            coeffs, maxsteps=200, extraprec=120)
+            if abs(mpmath.im(r)) < 1e-30 and mpmath.re(r) > 0)
+        roots = h.oscillation_roots(h.ShapeParams(n, H, C))
+        for x, ref in zip(roots, exact, strict=True):
+            assert abs(x - ref) <= np.spacing(x) / 2, (x, ref)
 
 
 def test_q_prime_sign_pattern():
