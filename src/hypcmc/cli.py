@@ -6,8 +6,8 @@ CSV for sample tables.  Identical invocations produce byte-identical
 output.  The default quadrature tolerance can be overridden globally
 with the HYPCMC_TOL environment variable or per-call with --tol.
 
-Exit codes: 0 success, 2 usage/domain/precondition error, 3 non-convergence;
-an error is one JSON line on stderr, with its kind.
+Exit codes: 0 success, 2 usage/domain/precondition error or out of memory,
+3 non-convergence; an error is one JSON line on stderr, with its kind.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from .quadrature import _result, require_converged, xi, xi_grid
 from .shooting import NoRootReport, WindingTarget, find_H0, solve_C
 
 ENV_TOL = "HYPCMC_TOL"
-CSV_BLOCK = 1024
-# A CSV block with at least this many distinct floats is formatted by the
+CSV_CELLS = 16384  # floats in a CSV pass, at most (and at least one row)
+# A pass with at least this many distinct floats formats them with the
 # array kernel, whose fixed cost per call repr one by one beats below it
 # (the two cross at about 350-380 distinct floats).
 CSV_KERNEL_MIN = 384
-CSV_CELL = _shortest.LONGEST + 2  # a value and its CRLF
 
 FIGURE_PROFILES = {
     "fig1": dict(n=2, H=-1.1, C=-0.9091743461769703, periods=1, clip=None),
@@ -135,44 +134,46 @@ def _csv_cells(values, cells, index):
     """The CSV bytes of a table of cells (indices into values), each row
     after its ``index`` entry if given.
 
-    Each cell is taken as a CSV_CELL-byte slot of _shortest.repr_text's
-    text, which holds the value, then "," or, in the row's last cell,
-    CRLF, then bytes that a mask drops (a slot stays inside the ROOM
-    bytes that belong to its value)."""
+    Each distinct value and index word is laid out once, in a slot of W
+    bytes (the longest text + 2): its text, ",", then NUL bytes.  One
+    gather lays out every cell, each row's last "," becomes CRLF, and the
+    NUL bytes, which no repr or index word holds, are dropped."""
     text, starts, lengths, _ = _shortest.repr_text(values)
+    text[starts + lengths] = ord(",")
+    words = np.zeros(0, "S1")
     if index is not None:
         # the index words go after the floats, each in a slot of its own
         keys, at = np.unique(index, return_inverse=True)
-        words = np.array([str(key) for key in keys.tolist()],
-                         f"S{_shortest.ROOM}")
+        words = np.array([f"{key}," for key in keys.tolist()], "S")
         cells = np.column_stack((at + len(values), cells))
-        starts = np.concatenate(
-            (starts, len(text) + np.arange(len(words)) * _shortest.ROOM))
-        lengths = np.concatenate((lengths, np.char.str_len(words)))
-        text = np.concatenate((text, words.view(np.uint8)))
-    text[starts + lengths] = ord(",")
-    slots = np.ndarray((len(text) - CSV_CELL + 1,), f"V{CSV_CELL}", text,
-                       0, (1,))
-    out = slots[starts[cells]].view(np.uint8).reshape(*cells.shape, CSV_CELL)
-    size = lengths[cells] + 1
-    size[:, -1] += 1
-    rows = np.arange(len(out))
-    out[rows, -1, size[:, -1] - 2] = ord("\r")
-    out[rows, -1, size[:, -1] - 1] = ord("\n")
-    return out[np.arange(CSV_CELL, dtype=np.uint8)
-               < size.astype(np.uint8)[..., None]]
+    width = max(int(lengths.max()) + 2, words.itemsize)
+    # a slot stays inside the ROOM bytes that belong to its value
+    slots = np.ndarray((len(text) - width + 1,), f"V{width}", text, 0,
+                       (1,))[starts].view(np.uint8).reshape(-1, width)
+    slots *= np.tri(width, dtype=np.uint8).take(lengths, axis=0)
+    slots = np.concatenate(
+        (slots, words.astype(f"S{width}").view(np.uint8).reshape(-1, width)))
+    out = slots.view(f"V{width}").reshape(-1)[cells].view(np.uint8).ravel()
+    ends = np.arange(width * cells.shape[1] - width, len(out),
+                     width * cells.shape[1]) + lengths[cells[:, -1]]
+    out[ends] = ord("\r")
+    out[ends + 1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _emit_csv(header, table, output_path, index=None):
     """CSV with CRLF line endings: the header, then one line per row of
     the float table, as _csv_lines writes it.  No field needs quoting, so
-    the bytes equal those of csv.writer.  Rows are formatted and written
-    in blocks of CSV_BLOCK, so no whole table of strings is held."""
+    the bytes equal those of csv.writer.  Rows go in the fewest passes of
+    at most CSV_CELLS floats, of equal rows, so no whole table of strings
+    is held."""
     table = np.ascontiguousarray(table, dtype=float)
-    blocks = (_csv_lines(table[i:i + CSV_BLOCK],
-                         None if index is None else index[i:i + CSV_BLOCK])
-              for i in range(0, len(table), CSV_BLOCK))
-    _emit(itertools.chain([",".join(header) + "\r\n"], blocks), output_path)
+    count = -(-table.size // CSV_CELLS) or 1
+    step = max(1, -(-len(table) // count))
+    passes = (_csv_lines(table[i:i + step],
+                         None if index is None else index[i:i + step])
+              for i in range(0, len(table), step))
+    _emit(itertools.chain([",".join(header) + "\r\n"], passes), output_path)
 
 
 def _fields(obj, **names):
@@ -475,6 +476,8 @@ def main(argv=None) -> int:
         error, code = exc, 3
     except (HypcmcError, OSError) as exc:  # OSError: --output unwritable
         error, code = exc, 2
+    except MemoryError as exc:  # a table too large to allocate
+        error, code = MemoryError(str(exc)), 2  # NumPy raises a subclass
     _print_error(str(error), type(error).__name__)
     return code
 

@@ -44,7 +44,8 @@ from .errors import (
     DomainError,
     EmbeddingPreconditionError,
 )
-from .potential import Ctilde, ShapeParams, _check_shape
+from .potential import (DEGENERATE_REL_GAP, Ctilde, ShapeParams, _check_shape,
+                        _p_double_root)
 from .quadrature import (
     _check_tol,
     _result,
@@ -304,6 +305,11 @@ def solve_C(n: int, H: float, winding: WindingTarget, mode: str = "any",
     c0 = _check_shape(n, H)
     target = winding.target
     lo, hi = c0 + C_GAP_LOWER_REL * abs(c0), -C_GAP_UPPER
+    # where the float C0 lies so far below the true one (large |H|) that lo
+    # is refused as degenerate, the gap is taken above the true C0
+    c0_true = _p_double_root(n, H)[1]
+    if lo - c0_true < DEGENERATE_REL_GAP * abs(c0_true):
+        lo = c0_true + C_GAP_LOWER_REL * abs(c0_true)
     # the flux in the guard band, computed at most once
     xi_res = functools.cache(lambda: require_converged(
         xi(n, H, tol=quad_tol), f"xi_{n}({H!r})", quad_tol))

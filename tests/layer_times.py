@@ -37,12 +37,18 @@ A third table gives ``check``'s two tanh-sinh references,
 fig1 constant and at (3, -1.5, -0.7): the levels each ran, its integrand
 evaluations and its median ms per call.
 
-A fourth table gives the cost of the CSV output, block by block, for the
+A fourth table gives the cost of the CSV output, pass by pass, for the
 tables of ``profile --seed-figures fig2`` and ``surface --n 4 --H -1.5
---C -0.5``: each block's distinct floats, the median ms of ``repr`` over
-them, of the array kernel ``_shortest.repr_text`` over them (where the
-checkout has it), and of the whole block's ``cli._csv_lines``, and the
-lanes the kernel left to repr.
+--C -0.5``, cut as ``cli._emit_csv`` cuts them (``cli.CSV_CELLS``
+floats a pass, or ``cli.CSV_BLOCK`` rows on older checkouts): each
+pass's distinct floats, the
+median ms of its dedup (``np.unique`` over its bit patterns), of the
+array kernel ``_shortest.repr_text`` over its distinct floats (where the
+checkout has it and the pass reaches ``cli.CSV_KERNEL_MIN``), of the
+rest of the pass (the assembly of its text) and of the whole pass
+(``cli._csv_lines``), the minor page faults (``ru_minflt``) of one
+whole pass, median over the repeats, and the lanes the kernel left to
+repr.
 
 The layers are timed by wrapping those module functions around a real
 ``flux_K_grid`` call, so the script runs unchanged on any checkout that
@@ -58,7 +64,10 @@ it once with one repeat, so it keeps up with the functions it calls.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import resource
 import statistics
 import sys
 import time
@@ -319,49 +328,62 @@ def reference_table(h, repeats):
 
 
 def csv_table(repeats):
-    """Print, per CSV block of two geometry tables, the distinct floats
-    and the median ms of repr, of the kernel and of the whole block."""
+    """Print, per CSV pass of two geometry tables, the distinct floats,
+    the median ms of the dedup, the kernel, the rest of the pass and the
+    whole pass, and the page faults of one pass."""
     import hypcmc.cli as cli
     try:
         from hypcmc import _shortest as kernel
     except ImportError:  # a checkout from before the kernel
         kernel = None
-    print("CSV blocks, median ms: distinct floats, repr, kernel, whole "
-          "block (_csv_lines), lanes left to repr")
+    print("CSV passes, median ms: distinct floats, dedup (np.unique), "
+          "kernel, assembly (the rest), whole pass (_csv_lines), minor "
+          "page faults of one pass, lanes left to repr")
     for argv in (["profile", "--seed-figures", "fig2"],
                  ["surface", "--n", "4", "--H", "-1.5", "--C", "-0.5"]):
-        tables = []
-        emit = cli._emit_csv
-        cli._emit_csv = lambda header, table, *_, **kw: tables.append(
-            (np.ascontiguousarray(table, dtype=float), kw.get("index")))
+        # the passes as this checkout's _emit_csv cuts them
+        passes = []
+        lines = cli._csv_lines
+        cli._csv_lines = lambda block, rows: passes.append((block, rows)) or ""
         try:
-            cli.main(argv)
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
         finally:
-            cli._emit_csv = emit
-        table, index = tables[0]
+            cli._csv_lines = lines
         print("  " + " ".join(argv))
-        for start in range(0, len(table), cli.CSV_BLOCK):
-            block = table[start:start + cli.CSV_BLOCK]
-            rows = None if index is None else index[
-                start:start + cli.CSV_BLOCK]
+        start = 0
+        for block, rows in passes:
             values = np.unique(block.view(np.int64)).view(float)
-            calls = {"repr": lambda: list(map(repr, values.tolist())),
-                     "block": lambda: cli._csv_lines(block, rows)}
-            if kernel is not None:
+            on_kernel = (kernel is not None
+                         and len(values) >= cli.CSV_KERNEL_MIN)
+            calls = {"dedup": lambda: np.unique(block.view(np.int64),
+                                                return_inverse=True),
+                     "pass": lambda: cli._csv_lines(block, rows)}
+            if on_kernel:
                 calls["kernel"] = lambda: kernel.repr_text(values)
             samples = {name: [] for name in calls}
+            faults = []
             for _ in range(repeats):
                 for name, call in calls.items():
+                    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     begin = time.perf_counter()
                     call()
                     samples[name].append(time.perf_counter() - begin)
-            ms = {name: f"{median_ms(s):.3f}" for name, s in samples.items()}
-            left = ("-" if kernel is None
-                    else int((~kernel.repr_text(values)[3]).sum()))
+                    if name == "pass":
+                        faults.append(resource.getrusage(
+                            resource.RUSAGE_SELF).ru_minflt - flt)
+            ms = {name: median_ms(s) for name, s in samples.items()}
+            rest = ms["pass"] - ms["dedup"] - ms.get("kernel", 0.0)
+            left = (int((~kernel.repr_text(values)[3]).sum()) if on_kernel
+                    else "-")
+            kernel_ms = f"{ms['kernel']:.3f}" if on_kernel else "-"
             print(f"    rows {start}-{start + len(block) - 1}: "
-                  f"distinct={len(values)} repr={ms['repr']} "
-                  f"kernel={ms.get('kernel', '-')} block={ms['block']} "
+                  f"distinct={len(values)} dedup={ms['dedup']:.3f} "
+                  f"kernel={kernel_ms} assembly={rest:.3f} "
+                  f"pass={ms['pass']:.3f} "
+                  f"minflt={statistics.median(faults):.0f} "
                   f"left_to_repr={left}")
+            start += len(block)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -14,6 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcmc as h
 from hypcmc.cli import main
@@ -803,31 +806,37 @@ def test_emit_csv_matches_csv_writer(capsys):
         + _csv_writer_bytes(["a", "b", "c"], table)
         + _csv_writer_bytes(["a"], np.empty((0, 1))))
 
-    # more than two blocks, values repeated inside blocks and across
-    # block edges, and one block holding 0.0, -0.0 and NaNs with two
-    # payloads: each block formats its distinct bit patterns once
-    block = cli_mod.CSV_BLOCK
-    rows = 2 * block + 37
+    # more than two passes of at most CSV_CELLS floats, with 1 and 9
+    # columns, with and without an index; values repeated inside passes
+    # and across pass edges, and a kernel pass holding -0.0, NaNs with
+    # two payloads and a 24-character repr, which takes the widest slot
     rng = np.random.default_rng(22)
-    pool = np.concatenate((rng.standard_normal(50), [1e300, -5e-324, 0.5]))
-    table = rng.choice(pool, size=(rows, 4))
-    table[:, 0] = np.arange(rows) // 3 * 0.25  # repeats across edges
+    pool = np.concatenate((rng.standard_normal(500), [1e300, -5e-324, 0.5]))
     nans = np.array([0x7FF8000000000001, 0x7FF8000000000002],
                     dtype=np.int64).view(float)
-    table[block + 5, :] = [0.0, -0.0, nans[0], nans[1]]
-    table[block + 6, :] = [-0.0, 0.0, nans[1], math.inf]
-    index = np.repeat(np.arange(rows // 5 + 1), 5)[:rows]
-    header = ["fiber", "a", "b", "c", "d"]
-    cli_mod._emit_csv(header, table, None, index=index)
-    cli_mod._emit_csv(header[1:], table, None)
-    out = capsys.readouterr().out
-    assert out == (_csv_writer_bytes(header, table, index)
-                   + _csv_writer_bytes(header[1:], table))
-    assert "0.0,-0.0,nan,nan\r\n" in out
-    assert "-0.0,0.0,nan,inf\r\n" in out
+    widest = -1.2345678901234567e-100
+    assert len(repr(widest)) == cli_mod._shortest.LONGEST
+    for columns in (1, 9):
+        full = cli_mod.CSV_CELLS // columns  # rows in a full pass
+        rows = 2 * full + 37  # three passes of equal rows
+        table = rng.choice(pool, size=(rows, columns))
+        table[:, 0] = np.arange(rows) // 3 * 0.25  # repeats across edges
+        table[full + 5:full + 9, -1] = [-0.0, nans[0], nans[1], widest]
+        index = np.repeat(np.arange(rows // 5 + 1), 5)[:rows]
+        header = ["fiber"] + [f"c{i}" for i in range(columns)]
+        with mock.patch.object(cli_mod, "_csv_lines",
+                               wraps=cli_mod._csv_lines) as passes:
+            cli_mod._emit_csv(header, table, None, index=index)
+            cli_mod._emit_csv(header[1:], table, None)
+        assert passes.call_count == 2 * 3
+        out = capsys.readouterr().out
+        assert out == (_csv_writer_bytes(header, table, index)
+                       + _csv_writer_bytes(header[1:], table))
+        for text in ("-0.0", "nan", repr(widest)):
+            assert f",{text}\r\n" in out
 
-    # blocks on both sides of the kernel's threshold of distinct floats,
-    # the kernel's blocks holding every kind of lane it leaves to repr
+    # passes on both sides of the kernel's threshold of distinct floats,
+    # the kernel's passes holding every kind of lane it leaves to repr
     # (zeros, non-finite values, NaN payloads, subnormals, powers of two,
     # an exact tie) and texts of every layout, with and without an index
     specials = np.concatenate((
@@ -836,21 +845,102 @@ def test_emit_csv_matches_csv_writer(capsys):
          1.7976931348623157e308, 123.0, -1e22],
         nans, rng.standard_normal(20) * 10.0 ** rng.integers(-30, 30, 20)))
     kernel_min = cli_mod.CSV_KERNEL_MIN
+    rows = 1024  # one pass of 3 columns
+    assert 3 * rows <= cli_mod.CSV_CELLS
+    header = ["fiber", "a", "b", "c"]
     for distinct in (kernel_min - 1, kernel_min, 3 * kernel_min):
         values = np.concatenate(
             (specials, rng.standard_normal(distinct - len(specials))))
         assert len(np.unique(values.view(np.int64))) == distinct
-        table = rng.choice(values, size=(block, 3))
+        table = rng.choice(values, size=(rows, 3))
         table.ravel()[:distinct] = values  # each value at least once
-        index = rng.integers(0, 40, block)
+        index = rng.integers(0, 40, rows)
         with mock.patch.object(cli_mod._shortest, "repr_text",
                                wraps=cli_mod._shortest.repr_text) as kernel:
-            cli_mod._emit_csv(header[:4], table, None, index=index)
-            cli_mod._emit_csv(header[1:4], table, None)
+            cli_mod._emit_csv(header, table, None, index=index)
+            cli_mod._emit_csv(header[1:], table, None)
         assert kernel.call_count == (0 if distinct < kernel_min else 2)
         assert capsys.readouterr().out == (
-            _csv_writer_bytes(header[:4], table, index)
-            + _csv_writer_bytes(header[1:4], table))
+            _csv_writer_bytes(header, table, index)
+            + _csv_writer_bytes(header[1:], table))
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands for NumPy's MemoryError subclass of a refused allocation."""
+
+
+@pytest.mark.parametrize("argv, allocation", [
+    (["profile", "--n", "2", "--H", "-1.1", "--C", "-0.5",
+      "--samples", "100000000000"], "integrate_profile"),
+    (["profile", "--n", "2", "--H", "-1.1", "--C", "-0.5",
+      "--periods", "100000000000"], "integrate_profile"),
+    (["sweep", "--n", "3", "--H-from", "-2", "--H-to", "-1.5",
+      "--steps", "100000000000"], "np.linspace"),
+])
+def test_table_too_large_is_one_json_line(capsys, monkeypatch, argv,
+                                          allocation):
+    # the allocation is patched to refuse, as NumPy's does for an array
+    # larger than memory; no large array is made
+    import hypcmc.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 745. GiB for an array")
+
+    owner, name = ((cli_mod.np, "linspace") if allocation == "np.linspace"
+                   else (cli_mod, allocation))
+    monkeypatch.setattr(owner, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "Unable to allocate 745. GiB for an array",
+        "kind": "MemoryError"}
+    assert err.count("\n") == 1
+
+
+def _bits(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+# float bit patterns that the array kernel leaves to repr, or that sit
+# at its edges: zeros, infinities, NaNs with any payload and either
+# sign, subnormals and powers of two, and any float
+SPECIAL_BITS = st.one_of(
+    st.floats().map(_bits),
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF),
+    st.integers(0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF),
+    st.integers(1, 2 ** 52 - 1),
+    st.integers(-1074, 1023).map(lambda e: _bits(2.0 ** e)),
+    st.sampled_from([_bits(0.0), _bits(-0.0), _bits(math.inf)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(columns=st.integers(1, 9), rows=st.integers(0, 2500),
+       distinct=st.integers(0, 1500), indexed=st.booleans(),
+       specials=st.lists(SPECIAL_BITS, min_size=1, max_size=24),
+       seed=st.integers(0, 2 ** 32 - 1),
+       budget=st.one_of(st.just(None), st.integers(1, 8192)))
+def test_emit_csv_is_csv_writer_on_random_tables(columns, rows, distinct,
+                                                 indexed, specials, seed,
+                                                 budget):
+    # tables with repeats and specials, on both sides of the kernel's
+    # threshold and over pass edges (at CSV_CELLS, or at a drawn budget):
+    # csv.writer's bytes, byte for byte
+    import hypcmc.cli as cli_mod
+
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate((
+        np.array(specials, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(distinct) * 10.0 ** rng.integers(-300, 300,
+                                                              distinct)))
+    table = pool[rng.integers(0, len(pool), (rows, columns))]
+    index = (rng.integers(0, 10 ** rng.integers(1, 12), rows) if indexed
+             else None)
+    header = ["fiber"] * indexed + [f"c{i}" for i in range(columns)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(
+            cli_mod, "CSV_CELLS", budget or cli_mod.CSV_CELLS):
+        cli_mod._emit_csv(header, table, None, index=index)
+    assert out.getvalue() == _csv_writer_bytes(header, table, index)
 
 
 @pytest.mark.parametrize("argv", [

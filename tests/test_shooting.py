@@ -187,8 +187,9 @@ def test_solve_C_embedded_interval_is_inside_the_branch(monkeypatch):
     # (C0, Ctilde); where the gaps above C0 and below Ctilde leave none,
     # solve_C raises DomainError naming n, H, C0 and Ctilde instead of
     # scanning lo >= hi.  Ctilde is a single power, taken from mpmath;
-    # C0 is the float landmark the lower gap is measured from, since it
-    # loses digits at large |H| (cancellation in its numerator)
+    # C0 is the float landmark the lower gap is measured from (unless
+    # that lo is refused, test_solve_C_scans_from_above_the_true_C0),
+    # since it loses digits at large |H| (cancellation in its numerator)
     mp = pytest.importorskip("mpmath")
     seen = []
 
@@ -219,6 +220,42 @@ def test_solve_C_embedded_interval_is_inside_the_branch(monkeypatch):
     # the true one that lo < hi again
     assert not any(H > -2 for _, H in refused)
     assert {n for n, H in refused if H <= -1000} == set(range(2, 9))
+
+
+@pytest.mark.parametrize("n, H", [(5, -1e5), (3, -1e5), (3, -1e6)])
+def test_solve_C_scans_from_above_the_true_C0(capsys, n, H):
+    # at large |H| the float C0 lies so far below the true one that its
+    # lo, C0 + 1e-6 |C0|, is refused as degenerate: the scan then starts
+    # the same gap above the cancellation-free C0 and runs to an outcome
+    # (here a NoRootReport), not to a DegenerateOscillationError
+    from hypcmc.cli import main
+    from hypcmc.potential import DEGENERATE_REL_GAP, _p_double_root
+
+    c0, c0_true = h.C0(n, H), _p_double_root(n, H)[1]
+    assert c0 + 1e-6 * abs(c0) - c0_true < DEGENERATE_REL_GAP * abs(c0_true)
+    out = h.solve_C(n, H, h.WindingTarget(1, 1))
+    assert isinstance(out, h.NoRootReport)
+    assert out.search_interval[0] == c0_true + 1e-6 * abs(c0_true)
+    code = main(["solve-c", "--n", str(n), f"--H={H!r}", "--k", "1",
+                 "--m", "1"])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_solve_C_lo_keeps_the_float_C0_where_it_is_not_refused(
+        monkeypatch):
+    # everywhere else lo is the float C0 + 1e-6 |C0|, bit for bit
+    seen = []
+
+    def no_scan(lo, hi, *args, **kwargs):
+        seen.append(lo)
+        return h.NoRootReport((lo, hi), 0, 0.0, 0.0, -2 * math.pi, "")
+
+    monkeypatch.setattr(shooting, "_scan_solve", no_scan)
+    for n in range(2, 9):
+        for H in (-1.0 - 1e-8, -1.1, -2.0, -10.0, -1e3, -1e4):
+            h.solve_C(n, H, h.WindingTarget(1, 1))
+            c0 = h.C0(n, H)
+            assert seen.pop() == c0 + 1e-6 * abs(c0), (n, H)
 
 
 def test_embedded_scan_equals_a_scalar_loop(monkeypatch):

@@ -94,4 +94,4 @@ def test_layer_times_runs(capsys):
     out = capsys.readouterr().out
     assert out.count("rows=4096/4096") == 2
     assert "closure kernels, median ms per call:" in out
-    assert "CSV blocks" in out
+    assert "CSV passes" in out
