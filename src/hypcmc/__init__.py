@@ -23,14 +23,7 @@ from .errors import (
     NonConvergenceError,
     ParameterRangeError,
 )
-from .lorentz import (
-    CurvatureCheck,
-    FiberPoint,
-    gauss_map,
-    immerse_point,
-    minkowski_inner,
-    verify_cmc,
-)
+from .lorentz import FiberPoint
 from .planar import has_self_intersection, polygon_is_closed, winding_number
 from .potential import (
     C0,
@@ -38,12 +31,6 @@ from .potential import (
     Ctilde,
     PotentialLandmarks,
     ShapeParams,
-    eval_h,
-    eval_p,
-    eval_q,
-    eval_q_prime,
-    eval_q_tilde,
-    eval_Q,
     landmarks,
     oscillation_roots,
     v0,
@@ -59,7 +46,6 @@ from .profile import (
 from .quadrature import (
     K_limit_at_C0,
     QuadResult,
-    b2,
     de_integrate,
     flux_K,
     flux_K_grid,

@@ -8,15 +8,16 @@ phi = (sqrt(r^2-1) cos(theta), sqrt(r^2-1) sin(theta), r * y), where y
 is a point of the fiber H^(n-1) embedded in Lorentzian R^n.
 
 Each formula is written once, over rows (``inner_rows``, ``immerse_rows``,
-``gauss_rows``, ``curvature_rows``); the scalar functions validate their
-input and call them, so a row has the bits of the scalar computation.
+``gauss_rows``, ``curvature_rows``), and each row has the bits of the same
+formula taken at one point.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,17 +41,6 @@ def inner_rows(v, w):
             - v[..., -1] * w[..., -1])
 
 
-def minkowski_inner(v, w) -> float:
-    """<v, w> = v1 w1 + ... + v_{k-1} w_{k-1} - v_k w_k."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape or v.ndim != 1:
-        raise DimensionError(f"shape mismatch: {v.shape} vs {w.shape}")
-    if len(v) < 3:
-        raise DimensionError(f"vectors must have length >= 3, got {len(v)}")
-    return float(inner_rows(v, w))
-
-
 @dataclass(frozen=True)
 class FiberPoint:
     """A point of H^(n-1) in ambient Lorentzian R^n (last coord timelike)."""
@@ -72,11 +62,6 @@ class FiberPoint:
         if not arr[-1] >= 1.0:
             raise DomainError("fiber point must have last coordinate >= 1")
         object.__setattr__(self, "y", tuple(float(c) for c in arr))
-
-    @classmethod
-    def from_rapidity(cls, v: float) -> "FiberPoint":
-        """The n = 2 fiber point (sinh v, cosh v)."""
-        return cls((math.sinh(v), math.cosh(v)))
 
     @classmethod
     def axis(cls, n: int) -> "FiberPoint":
@@ -123,19 +108,19 @@ def immerse_rows(r, theta, y) -> np.ndarray:
     return _ambient(rad * cos, rad * sin, r[..., None] * y)
 
 
-def immerse_point(params: ShapeParams, state: Mapping[str, float], y) -> np.ndarray:
-    """phi(r, theta, y) = (sqrt(r^2-1) cos(theta), sqrt(r^2-1) sin(theta), r y)."""
-    r, theta = (np.array([float(state[k])]) for k in ("r", "theta"))
-    return immerse_rows(r, theta, _fiber_array(y, params.n))[0]
-
-
 def gauss_rows(r, rp, lam, theta, y, tol: float = FIRST_INTEGRAL_TOL):
-    """gauss_map's unit normal nu over rows, with y as in immerse_rows;
-    raises gauss_map's error at the first row that has one."""
+    """Unit normal nu of the immersion over rows, with y as in immerse_rows:
+
+    nu = -r lam (0, 0, y) - (r^2 lam / sqrt(r^2-1)) B2 + (r' / sqrt(r^2-1)) B3
+    with B2 = (cos th, sin th, 0...), B3 = (-sin th, cos th, 0...).  Each
+    state must have r > 1 and satisfy the first integral
+    (r')^2 + lam^2 r^2 = r^2 - 1 to within tol; the first row that does
+    not raises."""
     resid = np.abs(rp * rp + lam * lam * r * r - (r * r - 1.0))
     bad = np.flatnonzero((r <= 1.0) | (resid > tol))
     if bad.size and r.flat[bad[0]] <= 1.0:
-        raise DomainError(f"gauss_map requires r > 1, got r={float(r.flat[bad[0]])}")
+        raise DomainError("the Gauss map requires r > 1, "
+                          f"got r={float(r.flat[bad[0]])}")
     if bad.size:
         raise InconsistentStateError(
             f"state violates (r')^2 + lam^2 r^2 = r^2 - 1 by {resid.flat[bad[0]]:.3e}"
@@ -149,30 +134,6 @@ def gauss_rows(r, rp, lam, theta, y, tol: float = FIRST_INTEGRAL_TOL):
     # on the constraint manifold the formula is exactly unit; normalizing
     # removes the first-order effect of the state's residual
     return nu / np.sqrt(inner_rows(nu, nu))[..., None]
-
-
-def gauss_map(params: ShapeParams, state: Mapping[str, float], y,
-              tol: float = FIRST_INTEGRAL_TOL) -> np.ndarray:
-    """Unit normal nu of the immersion at the given profile state.
-
-    nu = -r lam (0, 0, y) - (r^2 lam / sqrt(r^2-1)) B2 + (r' / sqrt(r^2-1)) B3
-    with B2 = (cos th, sin th, 0...), B3 = (-sin th, cos th, 0...).
-    The state must satisfy the first integral (r')^2 + lam^2 r^2 = r^2 - 1.
-    """
-    r, rp, lam, theta = (np.array([float(state[k])])
-                         for k in ("r", "r_prime", "lam", "theta"))
-    return gauss_rows(r, rp, lam, theta, _fiber_array(y, params.n), tol)[0]
-
-
-@dataclass(frozen=True)
-class CurvatureCheck:
-    """Result of the finite-difference principal-curvature estimate."""
-
-    evaluated: bool
-    lambda_est: float = float("nan")
-    mu_est: float = float("nan")
-    H_est: float = float("nan")
-    reason: str = ""
 
 
 def _curvature(r, rp, lam, theta, y, steps):
@@ -190,19 +151,26 @@ def _curvature(r, rp, lam, theta, y, steps):
 
 def curvature_rows(params: ShapeParams, curve, ts, fd_step: float = 1e-5,
                    fiber_direction: int = 0):
-    """verify_cmc at each of the times ``ts``, as arrays
-    (evaluated, lambda_est, mu_est, H_est), NaN where not evaluated.  The
-    states at t, t +- fd_step/2 and t +- fd_step come from one
-    ``curve.state_arrays`` call with one row per t; each state has the
-    bits of a lone ``state`` call, so each row has those of a lone
-    verify_cmc call.
+    """Both principal curvatures and H by centered finite differences at
+    each of the times ``ts``, as arrays (evaluated, lambda_est, mu_est,
+    H_est), NaN where not evaluated.
+
+    Differentiates phi and nu along the arc direction (for mu) and along
+    a fiber geodesic through the axis point (for lambda), with Richardson
+    extrapolation over step sizes fd_step and fd_step/2.  Near the axis
+    (r - 1 < NEAR_AXIS_EPS) the B2 coefficient of nu degenerates and the
+    time is not evaluated.  The states at t, t +- fd_step/2 and
+    t +- fd_step come from one ``curve.state_arrays`` call with one row
+    per t; each state has the bits of a lone ``state`` call, so each row
+    has those of the same estimate at one time alone.
     """
-    if fd_step <= 0:
-        raise DomainError("fd_step must be positive")
-    if not 0 <= fiber_direction < params.n - 1:
-        raise DomainError(
-            f"fiber_direction must be in [0, {params.n - 2}]"
-        )
+    if not 0 < fd_step < math.inf:
+        raise DomainError(f"fd_step must be positive and finite, "
+                          f"got {fd_step!r}")
+    if not (isinstance(fiber_direction, numbers.Integral)
+            and 0 <= fiber_direction < params.n - 1):
+        raise DomainError(f"fiber_direction must be an integer in "
+                          f"[0, {params.n - 2}], got {fiber_direction!r}")
     ts = np.asarray(ts, dtype=float)
     outside = np.flatnonzero(~((curve.t[0] + fd_step <= ts)
                                & (ts <= curve.t[-1] - fd_step)))
@@ -234,22 +202,3 @@ def curvature_rows(params: ShapeParams, curve, ts, fd_step: float = 1e-5,
         lam_est = _curvature(*(x[:, :1] for x in state), ys, steps)
         est[:, evaluated] = (lam_est, mu_est, ((n - 1) * lam_est + mu_est) / n)
     return (evaluated, *est)
-
-
-def verify_cmc(params: ShapeParams, curve, t: float,
-               fd_step: float = 1e-5, fiber_direction: int = 0) -> CurvatureCheck:
-    """Estimate both principal curvatures by centered finite differences.
-
-    Differentiates phi and nu along the arc direction (for mu) and along
-    a fiber geodesic through the axis point (for lambda), with Richardson
-    extrapolation over step sizes fd_step and fd_step/2.  Near the axis
-    (r - 1 < 1e-8) the B2 coefficient of nu degenerates and the check is
-    reported as not evaluated.
-    """
-    evaluated, lam_est, mu_est, H_est = curvature_rows(
-        params, curve, [t], fd_step, fiber_direction)
-    if not evaluated[0]:
-        return CurvatureCheck(evaluated=False,
-                              reason="profile point too close to the axis")
-    return CurvatureCheck(evaluated=True, lambda_est=float(lam_est[0]),
-                          mu_est=float(mu_est[0]), H_est=float(H_est[0]))

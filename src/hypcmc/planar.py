@@ -16,17 +16,26 @@ CLOSURE_TOL = 1e-6
 SWEEP_TOL = 1e-9
 
 
+def _polygon(points, least: int) -> np.ndarray:
+    """The vertices as an (N, 2) float array, after a DomainError unless
+    that is their shape and N >= least."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < least:
+        raise DomainError(f"need an (N, 2) array of at least {least} points")
+    return pts
+
+
 def polygon_is_closed(points, tol: float = CLOSURE_TOL) -> bool:
     """True when first and last vertices coincide within tol."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise DomainError("need an (N, 2) array of at least 2 points")
+    pts = _polygon(points, 2)
     return bool(np.hypot(*(pts[0] - pts[-1])) <= tol)
 
 
 def winding_number(points, center=(0.0, 0.0)) -> int:
     """Winding of the closed polygon about a center, by angle summation."""
-    pts = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
+    pts = _polygon(points, 3) - np.asarray(center, dtype=float)
+    if not np.isfinite(pts).all():
+        raise DomainError("polygon has a vertex or center that is not finite")
     if np.any(np.hypot(pts[:, 0], pts[:, 1]) == 0):
         raise DomainError("polygon passes through the center")
     ang = np.arctan2(pts[:, 1], pts[:, 0])
@@ -77,9 +86,7 @@ def has_self_intersection(points, closed: bool = True,
     rounds stop at the widest window or at the first crossing.  Memory
     is linear in the number of segments.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise DomainError("need an (N, 2) array of at least 3 points")
+    pts = _polygon(points, 3)
     if closed and np.hypot(*(pts[0] - pts[-1])) <= tol:
         pts = pts[:-1]
     nseg = len(pts) if closed else len(pts) - 1

@@ -1,5 +1,6 @@
-"""Potential function q, its relatives (p, q-tilde, Q, h), landmark
-constants and the roots of the polynomials p and Q.
+"""The potential q(v) = C - v^(2-2n) + (1-H^2) v^2 - 2H v^(2-n) in its
+polynomial form p = v^(2n-2) q, landmark constants and the roots of the
+polynomials p and Q.
 
 The roots t1 < t2 of p are found by a fixed count of Newton steps from
 starts that are already close: the roots of a quadratic that models p
@@ -109,33 +110,6 @@ class PotentialLandmarks:
     t2_scaled: Optional[float] = None
 
 
-def _check_positive(v):
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("q and its relatives are only defined for v > 0")
-    return arr
-
-
-def eval_q(params: ShapeParams, v):
-    """q(v) = C - v^(2-2n) + (1-H^2) v^2 - 2 H v^(2-n)."""
-    n, H, C = params.n, params.H, params.C
-    v = _check_positive(v)
-    out = C - v ** (2 - 2 * n) + (1 - H * H) * v * v - 2 * H * v ** (2 - n)
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_q_prime(params: ShapeParams, v):
-    """Derivative q'(v)."""
-    n, H = params.n, params.H
-    v = _check_positive(v)
-    out = (
-        (2 * n - 2) * v ** (1 - 2 * n)
-        + 2 * (1 - H * H) * v
-        + 2 * H * (n - 2) * v ** (1 - n)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def p_coefficients(n: int, H: float, C) -> tuple:
     """Coefficients (highest degree first) of p(v) = v^(2n-2) q(v).
 
@@ -174,13 +148,6 @@ def _derivative(coeffs) -> tuple:
     """Highest-first coefficients of the derivative, as np.polyder gives them."""
     deg = len(coeffs) - 1
     return tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
-
-
-def eval_p(params: ShapeParams, v):
-    """p(v) = v^(2n-2) q(v), a polynomial for integer n."""
-    v = _check_positive(v)
-    out = horner(p_coefficients(params.n, params.H, params.C), v)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def v0(n: int, H: float) -> float:
@@ -440,20 +407,10 @@ def oscillation_roots_grid(n: int, H: float, Cs):
     return roots[0], roots[1], found
 
 
-def eval_Q(n: int, H: float, v):
-    """Q(v) = -1 + v^2 - H^2 v^2 - H^2 v^(2-2n) + 2 H^2 v^(2-n).
-
-    The H <= -1 boundary is allowed here: xi_n is tabulated at H = -1.
-    """
-    v = _check_positive(v)
-    H2 = H * H
-    out = -1 + v * v - H2 * v * v - H2 * v ** (2 - 2 * n) + 2 * H2 * v ** (2 - n)
-    return float(out) if out.ndim == 0 else out
-
-
 def _Q_shifted(n: int, H) -> tuple:
     """Coefficients (highest first, a column each for an array of H) of R,
-    v^(2n-2) Q(v) = x R(x) at v = 1 + x; R(0) = 2.  R's x^(k-1) coefficient
+    v^(2n-2) Q(v) = x R(x) at v = 1 + x, where Q(v) = -1 + (1 - H^2) v^2
+    - H^2 v^(2-2n) + 2 H^2 v^(2-n) is xi's; R(0) = 2.  R's x^(k-1) coefficient
     is (H^2 - 1)(2 C(n,k) - C(2n,k)) + 2 C(n,k) - C(2n-2,k), with H^2 - 1
     formed as (H - 1)(H + 1), which keeps its digits as H -> -1."""
     h = (H - 1) * (H + 1)
@@ -609,22 +566,3 @@ def _Q_upper_root_grid(n: int, Hs):
     ok &= 1 + x > 1
     x[~ok] = math.nan
     return x, ok
-
-
-def eval_h(n: int, H: float, v):
-    """h(v) = 2 H v^(1-n) (1 + v + ... + v^(n-1)) / (1 + v).
-
-    Uses the factored polynomial-quotient form (Horner on the geometric
-    sum) so the removable point v = 1 is regular: h(1) = n H exactly.
-    """
-    v = _check_positive(v)
-    geom = horner((1.0,) * n, v)
-    out = 2 * H * v ** (1 - n) * geom / (1 + v)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def eval_q_tilde(params: ShapeParams, v):
-    """q-tilde(v) = -(1/C) q(sqrt(-C) v), the unit-normalized potential."""
-    v = _check_positive(v)
-    s = math.sqrt(-params.C)
-    return eval_q(params, s * v) / (-params.C)

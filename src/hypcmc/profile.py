@@ -350,7 +350,7 @@ def surface_grid(curve: ProfileCurve, fiber_samples: Sequence) -> np.ndarray:
     """Full immersion grid phi(y, u) as an (F, N, n+2) array.
 
     Every output point lies on the hyperboloid <phi, phi> = -1.  Point
-    (i, j) is immerse_point at sample j and fiber i, bit for bit.
+    (i, j) is phi at sample j and fiber i (lorentz.immerse_rows).
     """
     n = curve.params.n
     ys = np.reshape([_fiber_array(y, n) for y in fiber_samples], (-1, 1, n))

@@ -59,7 +59,6 @@ from .potential import (
     _sqrt,
     _two_product,
     _two_sum,
-    eval_h,
     horner,
     oscillation_roots,
     oscillation_roots_grid,
@@ -524,11 +523,12 @@ def flux_K_grid(n: int, H: float, Cs: Sequence[float],
 
 def _xi_integrand(n: int, H, a, rem, phi):
     """pi h(v) / sqrt(s(v)) at v = 1 + 2a sin^2(phi/2), rem the coefficients
-    of s in the offset u = v - 1: floats for one H, or (rows, 1) columns."""
+    of s in the offset u = v - 1: floats for one H, or (rows, 1) columns.
+    h(v) = 2 H v^(1-n) (1 + v + ... + v^(n-1)) / (1 + v), so h(1) = n H."""
     u = 2 * a * np.sin(phi / 2) ** 2
     v = 1 + u
-    return math.pi * eval_h(n, H, v) / np.sqrt(
-        -horner(rem, u) * v ** (2 - 2 * n))
+    h = 2 * H * v ** (1 - n) * horner((1.0,) * n, v) / (1 + v)
+    return math.pi * h / np.sqrt(-horner(rem, u) * v ** (2 - 2 * n))
 
 
 def xi(n: int, H: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -602,9 +602,3 @@ def K_limit_at_C0(n: int, H: float) -> float:
     _finite_C0(n, H)
     root = math.sqrt(n * n * H * H - 4 * (n - 1))
     return -math.sqrt(2.0) * math.sqrt(1.0 - n * H / root) * math.pi
-
-
-def b2(H: float) -> float:
-    """n = 2 closed form of the same limit."""
-    _finite_C0(2, H)
-    return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1))

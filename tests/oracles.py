@@ -1,6 +1,7 @@
 """Independent numerical oracles used only by the test suite.
 
-These deliberately share no code with the package's quadrature: an
+These deliberately share no code with the package's quadrature: the
+potential q and the n = 2 limit of the flux at C0 from their formulas, an
 adaptive Simpson rule with endpoint-offset extrapolation, a deflated
 Gauss-Chebyshev rule for n = 2 (where the quartic roots are in closed
 form), the n = 2 closed-form profile g(t), the n = 2 threshold flux
@@ -61,6 +62,16 @@ def singular_integral_extrapolated(f, a, b, deltas=(1e-4, 1e-5, 1e-6, 1e-7, 1e-8
             x0, x1 = xs[i], xs[i + level]
             vals[i] = (x0 * vals[i + 1] - x1 * vals[i]) / (x0 - x1)
     return vals[0]
+
+
+def q(n, H, C, v):
+    """q(v) = C - v^(2-2n) + (1-H^2) v^2 - 2 H v^(2-n), on floats or arrays."""
+    return C - v ** (2 - 2 * n) + (1 - H * H) * v * v - 2 * H * v ** (2 - n)
+
+
+def b2(H):
+    """The n = 2 limit of the flux as C -> C0: -pi sqrt(2 - 2H/sqrt(H^2-1))."""
+    return -math.pi * math.sqrt(2.0 - 2.0 * H / math.sqrt(H * H - 1))
 
 
 def roots_closed_form_n2(H, C):

@@ -974,8 +974,9 @@ def test_output_path_that_cannot_be_opened_exit_2(tmp_path, capsys, where,
 
 def test_check_fd_draws_as_a_loop(capsys, monkeypatch):
     # with a wide near-axis band many draws are not evaluated: `check`
-    # keeps the first 100 evaluated of its 200 draws, as a loop over
-    # verify_cmc does, and asks for no draw such a loop would not reach
+    # keeps the first 100 evaluated of its 200 draws, as a loop of
+    # one-draw curvature_rows calls does, and asks for no draw such a loop
+    # would not reach
     import hypcmc.cli as cli_mod
 
     params = h.ShapeParams(2, -1.1, -0.5)
@@ -996,10 +997,10 @@ def test_check_fd_draws_as_a_loop(capsys, monkeypatch):
                             float(np.quantile(r_minus_1, q)))
         worst, evaluated, reached = 0.0, 0, []
         for t in draws:
-            chk = h.verify_cmc(params, curve, t)
+            done, _, _, H_est = rows(params, curve, [t])
             reached.append(t)
-            if chk.evaluated:
-                worst = max(worst, abs(chk.H_est - params.H))
+            if done[0]:
+                worst = max(worst, abs(float(H_est[0]) - params.H))
                 evaluated += 1
             if evaluated >= 100:
                 break

@@ -14,22 +14,22 @@ from oracles import (
 )
 
 
+def _rapidity(v):
+    """The n = 2 fiber point (sinh v, cosh v)."""
+    return h.FiberPoint((math.sinh(v), math.cosh(v)))
+
+
 def test_minkowski_inner_basic():
-    assert h.minkowski_inner([1, 2, 3], [4, 5, 6]) == 1 * 4 + 2 * 5 - 3 * 6
-    assert h.minkowski_inner([0, 0, 1], [0, 0, 1]) == -1.0
-
-
-def test_minkowski_inner_validation():
-    with pytest.raises(h.DimensionError):
-        h.minkowski_inner([1, 2], [1, 2])
-    with pytest.raises(h.DimensionError):
-        h.minkowski_inner([1, 2, 3], [1, 2])
-    with pytest.raises(h.DimensionError):
-        h.minkowski_inner(np.eye(3), np.eye(3))
+    # inner_rows is <v, w> = v1 w1 + ... - v_k w_k, of vectors or rows
+    v, w, e = np.array([[1.0, 2, 3], [4, 5, 6], [0, 0, 1]])
+    assert lorentz.inner_rows(v, w) == 1 * 4 + 2 * 5 - 3 * 6
+    assert lorentz.inner_rows(e, e) == -1.0
+    rows = lorentz.inner_rows(np.stack((v, e)), np.stack((w, e)))
+    assert rows.tolist() == [-4.0, -1.0]
 
 
 def test_fiber_point_invariants():
-    p = h.FiberPoint.from_rapidity(0.7)
+    p = _rapidity(0.7)
     assert p.y == (math.sinh(0.7), math.cosh(0.7))
     a = h.FiberPoint.axis(4)
     assert a.y == (0.0, 0.0, 0.0, 1.0)
@@ -47,52 +47,49 @@ def test_fiber_point_invariants():
 
 
 def test_immerse_point_on_hyperboloid():
-    params = h.ShapeParams(2, -1.1, -0.5)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        r = 1.0 + rng.uniform(0, 3)
-        theta = rng.uniform(-10, 10)
-        y = h.FiberPoint.from_rapidity(rng.uniform(-2, 2))
-        phi = h.immerse_point(params, {"r": r, "theta": theta}, y)
-        assert len(phi) == params.n + 2
-        assert h.minkowski_inner(phi, phi) == pytest.approx(-1.0, abs=1e-12)
+    r = 1.0 + rng.uniform(0, 3, 20)
+    theta = rng.uniform(-10, 10, 20)
+    ys = np.array([_rapidity(v).y for v in rng.uniform(-2, 2, 20)])
+    phi = lorentz.immerse_rows(r, theta, ys)
+    assert phi.shape == (20, 4)
+    assert np.abs(lorentz.inner_rows(phi, phi) + 1.0).max() <= 1e-12
 
 
 def test_immerse_point_validation():
-    params = h.ShapeParams(2, -1.1, -0.5)
-    y = h.FiberPoint.axis(2)
-    with pytest.raises(h.DomainError):
-        h.immerse_point(params, {"r": 0.5, "theta": 0.0}, y)
-    with pytest.raises(h.DimensionError):
-        h.immerse_point(params, {"r": 2.0, "theta": 0.0}, h.FiberPoint.axis(3))
+    y = h.FiberPoint.axis(2).as_array()
+    with pytest.raises(h.DomainError, match="r=0.5 < 1"):
+        lorentz.immerse_rows(np.array([2.0, 0.5]), np.zeros(2), y)
+    # a fiber point of another dimension, as surface_grid takes it
+    curve = h.integrate_profile(h.ShapeParams(2, -1.1, -0.5),
+                                samples_per_period=32)
+    with pytest.raises(h.DimensionError, match="3 coordinates, expected n=2"):
+        h.surface_grid(curve, [h.FiberPoint.axis(3)])
 
 
 def _consistent_state(params, t_frac=0.2):
-    """A profile state satisfying the first integral exactly enough."""
+    """A profile state satisfying the first integral exactly enough, as
+    one-row arrays (r, r', lam, theta)."""
     curve = h.integrate_profile(params, m_periods=1, samples_per_period=256)
-    t = t_frac * curve.period_T
-    s = curve.state(t)
+    s = curve.state(t_frac * curve.period_T)
     sq = math.sqrt(-params.C)
-    return curve, {"r": s.r, "r_prime": s.g_prime / sq,
-                   "lam": s.lam, "theta": s.theta}
+    return [np.array([x]) for x in (s.r, s.g_prime / sq, s.lam, s.theta)]
 
 
 def test_gauss_map_unit_and_tangent():
-    params = h.ShapeParams(2, -1.1, -0.5)
-    _, state = _consistent_state(params)
-    y = h.FiberPoint.from_rapidity(0.4)
-    nu = h.gauss_map(params, state, y)
-    phi = h.immerse_point(params, state, y)
-    assert h.minkowski_inner(nu, nu) == pytest.approx(1.0, abs=1e-9)
-    assert h.minkowski_inner(nu, phi) == pytest.approx(0.0, abs=1e-9)
+    r, rp, lam, theta = _consistent_state(h.ShapeParams(2, -1.1, -0.5))
+    y = _rapidity(0.4).as_array()
+    nu = lorentz.gauss_rows(r, rp, lam, theta, y)
+    phi = lorentz.immerse_rows(r, theta, y)
+    assert lorentz.inner_rows(nu, nu)[0] == pytest.approx(1.0, abs=1e-9)
+    assert lorentz.inner_rows(nu, phi)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gauss_map_rejects_inconsistent_state():
-    params = h.ShapeParams(2, -1.1, -0.5)
-    _, state = _consistent_state(params)
-    bad = dict(state, r_prime=state["r_prime"] + 0.1)
+    r, rp, lam, theta = _consistent_state(h.ShapeParams(2, -1.1, -0.5))
     with pytest.raises(h.InconsistentStateError):
-        h.gauss_map(params, bad, h.FiberPoint.axis(2))
+        lorentz.gauss_rows(r, rp + 0.1, lam, theta,
+                           h.FiberPoint.axis(2).as_array())
 
 
 def test_verify_cmc_recovers_H():
@@ -101,19 +98,20 @@ def test_verify_cmc_recovers_H():
         curve = h.integrate_profile(params, m_periods=1,
                                     samples_per_period=256)
         t = 0.31 * curve.period_T
-        chk = h.verify_cmc(params, curve, t)
-        assert chk.evaluated
-        assert chk.H_est == pytest.approx(H, abs=1e-6)
+        done, lam_est, mu_est, H_est = lorentz.curvature_rows(params, curve,
+                                                              [t])
+        assert done.tolist() == [True]
+        assert H_est[0] == pytest.approx(H, abs=1e-6)
         s = curve.state(t)
-        assert chk.lambda_est == pytest.approx(s.lam, abs=1e-6)
-        assert chk.mu_est == pytest.approx(s.mu, abs=1e-6)
+        assert lam_est[0] == pytest.approx(s.lam, abs=1e-6)
+        assert mu_est[0] == pytest.approx(s.mu, abs=1e-6)
 
 
 def test_verify_cmc_all_fiber_directions_agree():
     params = h.ShapeParams(4, -1.3, -0.25)
     curve = h.integrate_profile(params, m_periods=1, samples_per_period=256)
     t = 0.4 * curve.period_T
-    ests = [h.verify_cmc(params, curve, t, fiber_direction=d).lambda_est
+    ests = [lorentz.curvature_rows(params, curve, [t], fiber_direction=d)[1][0]
             for d in range(3)]
     assert max(ests) - min(ests) < 1e-9
 
@@ -122,20 +120,47 @@ def test_verify_cmc_near_axis_refusal():
     # this constant puts the r-minimum within 1e-8 of the axis
     params = h.ShapeParams(2, -1.1, -0.9091743461769703)
     curve = h.integrate_profile(params, m_periods=1, samples_per_period=256)
-    chk = h.verify_cmc(params, curve, 2e-5, fd_step=1e-5)
-    assert not chk.evaluated
-    assert "axis" in chk.reason
+    done, *est = lorentz.curvature_rows(params, curve, [2e-5], fd_step=1e-5)
+    assert done.tolist() == [False]
+    assert np.isnan(est).all()
 
 
 def test_verify_cmc_validation():
     params = h.ShapeParams(2, -1.1, -0.5)
     curve = h.integrate_profile(params, m_periods=1, samples_per_period=64)
     with pytest.raises(h.ParameterRangeError):
-        h.verify_cmc(params, curve, -1.0)
+        lorentz.curvature_rows(params, curve, [0.1, -1.0])
     with pytest.raises(h.DomainError):
-        h.verify_cmc(params, curve, 0.1, fd_step=0.0)
-    with pytest.raises(h.DomainError):
-        h.verify_cmc(params, curve, 0.1, fiber_direction=1)  # n=2 has only 0
+        lorentz.curvature_rows(params, curve, [0.1], fd_step=0.0)
+    with pytest.raises(h.DomainError):  # n=2 has only 0
+        lorentz.curvature_rows(params, curve, [0.1], fiber_direction=1)
+
+
+BAD_FD_ARGUMENTS = {
+    "fd_step=nan": (dict(fd_step=math.nan),
+                    "fd_step must be positive and finite, got nan"),
+    "fd_step=inf": (dict(fd_step=math.inf),
+                    "fd_step must be positive and finite, got inf"),
+    "fiber_direction=0.5": (dict(fiber_direction=0.5),
+                            "fiber_direction must be an integer in [0, 1], "
+                            "got 0.5"),
+    "fiber_direction=1.0": (dict(fiber_direction=1.0),
+                            "fiber_direction must be an integer in [0, 1], "
+                            "got 1.0"),
+}
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_FD_ARGUMENTS.values(),
+                         ids=BAD_FD_ARGUMENTS.keys())
+def test_curvature_rows_names_a_bad_argument(kwargs, message):
+    # a DomainError that names the argument, before any time is read: a
+    # NaN step is not reported as a time outside the range, and a
+    # fractional direction does not escape as a TypeError
+    params = h.ShapeParams(3, -1.5, -0.3)
+    curve = h.integrate_profile(params, samples_per_period=64)
+    with pytest.raises(h.DomainError) as exc:
+        lorentz.curvature_rows(params, curve, [0.1], **kwargs)
+    assert str(exc.value) == message
 
 
 def _bits(a):
@@ -150,8 +175,8 @@ def _curve_rows(params, samples=64):
 
 
 def test_row_code_equals_scalar_formulas():
-    # every row of immerse_rows, gauss_rows and inner_rows, and every
-    # scalar wrapper, has the bits of the one-point formulas
+    # every row of immerse_rows, gauss_rows and inner_rows has the bits
+    # of the one-point formulas
     params = h.ShapeParams(3, -1.5, -0.7)
     _, (r, rp, lam, theta) = _curve_rows(params)
     ys = np.array([[math.sinh(a) * math.cos(b), math.sinh(a) * math.sin(b),
@@ -168,14 +193,6 @@ def test_row_code_equals_scalar_formulas():
             assert np.array_equal(_bits(phi[i, j]), _bits(ref_phi))
             assert np.array_equal(_bits(nu[i, j]), _bits(ref_nu))
             assert _bits(inner[i, j]) == _bits(scalar_minkowski(ref_phi, ref_nu))
-            state = {"r": r[j], "r_prime": rp[j], "lam": lam[j],
-                     "theta": theta[j]}
-            assert np.array_equal(_bits(h.immerse_point(params, state, y)),
-                                  _bits(ref_phi))
-            assert np.array_equal(_bits(h.gauss_map(params, state, y)),
-                                  _bits(ref_nu))
-            assert (_bits(h.minkowski_inner(ref_phi, ref_nu))
-                    == _bits(scalar_minkowski(ref_phi, ref_nu)))
 
 
 def test_gauss_errors_come_from_the_row_code():
@@ -192,11 +209,6 @@ def test_gauss_errors_come_from_the_row_code():
         lorentz.gauss_rows(low, off, lam, theta, y)
     with pytest.raises(h.DomainError, match="requires r > 1, got r=1.0"):
         lorentz.gauss_rows(low, rp, lam, theta, y)
-    state = {"r": r[7], "r_prime": off[7], "lam": lam[7], "theta": theta[7]}
-    with pytest.raises(h.InconsistentStateError, match=f"by {resid:.3e}"):
-        h.gauss_map(params, state, y)
-    with pytest.raises(h.DomainError, match="requires r > 1, got r=1.0"):
-        h.gauss_map(params, dict(state, r=1.0), y)
 
 
 @pytest.mark.parametrize("n, H, C", [(2, -1.1, -0.9091743461769703),
@@ -211,14 +223,10 @@ def test_curvature_rows_equal_scalar_verify_cmc(n, H, C):
     evaluated, lam_est, mu_est, H_est = lorentz.curvature_rows(params, curve, ts)
     for i, t in enumerate(ts.tolist()):
         ref = scalar_verify_cmc(params, curve, t)
-        chk = h.verify_cmc(params, curve, t)
-        assert evaluated[i] == chk.evaluated == (ref is not None)
+        assert evaluated[i] == (ref is not None)
+        row = [lam_est[i], mu_est[i], H_est[i]]
         if ref is None:
-            assert np.isnan([lam_est[i], mu_est[i], H_est[i]]).all()
-            assert "axis" in chk.reason
+            assert np.isnan(row).all()
         else:
-            row = [lam_est[i], mu_est[i], H_est[i]]
             assert np.array_equal(_bits(row), _bits(ref))
-            assert np.array_equal(
-                _bits([chk.lambda_est, chk.mu_est, chk.H_est]), _bits(ref))
     assert evaluated.sum() == 200 + (n != 2) * 2

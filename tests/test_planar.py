@@ -86,6 +86,32 @@ def test_validation():
         h.has_self_intersection(np.zeros((2, 2)))
 
 
+MALFORMED = {
+    "flat": ([1.0, 2.0], "need an (N, 2) array of at least 3 points"),
+    "three_columns": (np.ones((5, 3)),
+                      "need an (N, 2) array of at least 3 points"),
+    "empty": (np.zeros((0, 2)), "need an (N, 2) array of at least 3 points"),
+    "one_point": ([[1.0, 0.0]], "need an (N, 2) array of at least 3 points"),
+    "nan_vertex": ([[1.0, 0.0], [math.nan, 1.0], [-1.0, 0.0]],
+                   "polygon has a vertex or center that is not finite"),
+    "inf_vertex": ([[1.0, 0.0], [0.0, math.inf], [-1.0, 0.0]],
+                   "polygon has a vertex or center that is not finite"),
+}
+
+
+@pytest.mark.parametrize("points, message", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_winding_number_refuses_a_malformed_polygon(points, message):
+    # the shape check of polygon_is_closed and has_self_intersection,
+    # and a non-finite vertex, which has no angle
+    with pytest.raises(h.DomainError) as exc:
+        h.winding_number(points)
+    assert str(exc.value) == message
+    if "finite" not in message:
+        with pytest.raises(h.DomainError, match=r"need an \(N, 2\) array"):
+            h.has_self_intersection(points)
+
+
 def test_profile_curve_diagnostics_integration():
     # a rationally-closing profile: 5 periods of the m = 5 solution
     params = h.ShapeParams(2, -1.1, -0.683566090934480203502)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import frozen
 import hypcmc as h
-from hypcmc import potential
+from hypcmc import potential, quadrature
 from hypcmc.cli import main
 from hypcmc.potential import (
     DEGENERATE_REL_GAP,
@@ -16,57 +16,42 @@ from hypcmc.potential import (
     oscillation_roots_grid,
 )
 
-from oracles import roots_closed_form_n2
+from oracles import q, roots_closed_form_n2
 
 
 def test_q_direct_substitution():
-    p = h.ShapeParams(2, -1.1, -0.5)
-    assert h.eval_q(p, 1.0) == pytest.approx(0.49, abs=1e-15)
+    # q(1) = C - H^2 - 2H, and p(1) = q(1)
+    assert q(2, -1.1, -0.5, 1.0) == pytest.approx(0.49, abs=1e-15)
+    p1 = horner(potential.p_coefficients(2, -1.1, -0.5), 1.0)
+    assert p1 == pytest.approx(0.49, abs=1e-15)
 
 
 def test_q_vanishes_at_roots():
     p = h.ShapeParams(2, -1.1, -0.5)
     t1, t2 = h.oscillation_roots(p)
     scale = abs(p.C) + abs(t2) ** 2
-    assert abs(h.eval_q(p, t1)) <= 1e-13 * scale
-    assert abs(h.eval_q(p, t2)) <= 1e-13 * scale
+    assert abs(q(2, -1.1, -0.5, t1)) <= 1e-13 * scale
+    assert abs(q(2, -1.1, -0.5, t2)) <= 1e-13 * scale
 
 
 def test_q_at_critical_point_equals_C_minus_C0():
     for n, H, C in [(2, -1.1, -0.5), (3, -1.5, -0.3), (5, -2.0, -0.1)]:
-        p = h.ShapeParams(n, H, C)
         v0 = h.v0(n, H)
-        assert h.eval_q(p, v0) == pytest.approx(C - h.C0(n, H), abs=1e-10)
+        assert q(n, H, C, v0) == pytest.approx(C - h.C0(n, H), abs=1e-10)
 
 
 def test_eval_p_is_v_power_times_q():
-    # p is Horner on p_coefficients, bit for bit, on floats and arrays;
-    # it equals v^(2n-2) q(v) to 1e-14 relative (measured 4.4e-15, at
-    # (5, -2, -0.1), v = 1), and needs C and v > 0 as eval_q does
+    # p, Horner on p_coefficients, has the same bits on floats and on
+    # arrays, and equals v^(2n-2) q(v) to 1e-14 relative (measured
+    # 4.4e-15, at (5, -2, -0.1), v = 1)
     vs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     for n, H, C in [(2, -1.1, -0.5), (3, -1.5, -0.3), (5, -2.0, -0.1),
                     (8, -1.0001, -0.2)]:
-        params = h.ShapeParams(n, H, C)
         coeffs = potential.p_coefficients(n, H, C)
-        p = h.eval_p(params, vs)
-        assert p.tobytes() == horner(coeffs, vs).tobytes()
-        assert h.eval_p(params, 2.0) == horner(coeffs, 2.0)
-        assert isinstance(h.eval_p(params, 2.0), float)
-        q = vs ** (2 * n - 2) * h.eval_q(params, vs)
-        assert np.all(np.abs(p - q) <= 1e-14 * np.abs(p))
-        for v in (0.0, -1.0, np.array([1.0, 0.0])):
-            with pytest.raises(h.DomainError):
-                h.eval_p(params, v)
-    with pytest.raises(h.DomainError):
-        h.eval_p(h.ShapeParams(2, -1.1, None), 1.0)
-
-
-def test_q_rejects_nonpositive_v():
-    p = h.ShapeParams(2, -1.1, -0.5)
-    with pytest.raises(h.DomainError):
-        h.eval_q(p, 0.0)
-    with pytest.raises(h.DomainError):
-        h.eval_q(p, -1.0)
+        p = horner(coeffs, vs)
+        assert [horner(coeffs, v) for v in vs.tolist()] == p.tolist()
+        ref = vs ** (2 * n - 2) * q(n, H, C, vs)
+        assert np.all(np.abs(p - ref) <= 1e-14 * np.abs(p))
 
 
 def test_v0_unit_at_special_H():
@@ -133,7 +118,8 @@ SHAPE_REFUSALS = {
                           "n must be an integer >= 2, got 1"),
     "K_limit_at_C0_H=-1": (lambda: h.K_limit_at_C0(3, -1.0),
                            "H must be < -1, got -1.0"),
-    "b2": (lambda: h.b2(math.nan), "H must be < -1, got nan"),
+    "K_limit_at_C0_H=nan": (lambda: h.K_limit_at_C0(2, math.nan),
+                            "H must be < -1, got nan"),
     "solve_C_n=-2": (lambda: h.solve_C(-2, -1.1, h.WindingTarget(1, 1)),
                      "n must be an integer >= 2, got -2"),
     "solve_C_n=0": (lambda: h.solve_C(0, -1.1, h.WindingTarget(1, 1)),
@@ -145,7 +131,6 @@ SHAPE_REFUSALS = {
                            "H=-1e+200 is too large: C0=nan"),
     "K_limit_at_C0_H=-1e200": (lambda: h.K_limit_at_C0(2, -1e200),
                                "H=-1e+200 is too large: C0=nan"),
-    "b2_H=-1e200": (lambda: h.b2(-1e200), "H=-1e+200 is too large: C0=nan"),
     "roots_grid_H=-1e200": (lambda: oscillation_roots_grid(3, -1e200, [-0.5]),
                             "H=-1e+200 is too large: C0=nan"),
     "solve_C_H=-inf": (lambda: h.solve_C(2, -math.inf, h.WindingTarget(1, 1)),
@@ -569,23 +554,23 @@ def test_roots_next_to_C0_are_correctly_rounded(n, H, C):
 
 
 def test_q_prime_sign_pattern():
+    # v0 is q's one critical point: q rises below it and falls above it
     for n, H in [(2, -1.1), (4, -1.7)]:
-        p = h.ShapeParams(n, H, -0.2)
         v0 = h.v0(n, H)
         below = np.geomspace(1e-3 * v0, 0.999 * v0, 40)
         above = np.geomspace(1.001 * v0, 1e3 * v0, 40)
-        assert np.all(h.eval_q_prime(p, below) > 0)
-        assert np.all(h.eval_q_prime(p, above) < 0)
+        assert np.all(np.diff(q(n, H, -0.2, below)) > 0)
+        assert np.all(np.diff(q(n, H, -0.2, above)) < 0)
 
 
 def test_q_tilde_identity():
-    rng = np.random.default_rng(7)
+    # the scaled roots are those of q~(v) = -(1/C) q(sqrt(-C) v)
     for n, H, C in [(2, -1.1, -0.5), (3, -1.6, -0.2)]:
-        p = h.ShapeParams(n, H, C)
-        for v in rng.uniform(0.3, 3.0, 8):
-            lhs = h.eval_q_tilde(p, v) * (-C)
-            rhs = h.eval_q(p, math.sqrt(-C) * v)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * max(1, abs(rhs)))
+        lm = h.landmarks(n, H, C)
+        s = math.sqrt(-C)
+        for root, scaled in ((lm.t1, lm.t1_scaled), (lm.t2, lm.t2_scaled)):
+            assert scaled == root / s
+            assert abs(q(n, H, C, s * scaled) / -C) <= 1e-12
 
 
 def test_lambda_sign_criterion():
@@ -599,25 +584,49 @@ def test_lambda_sign_criterion():
     assert H + t1 ** (-n) == pytest.approx(0.0, abs=1e-12)
 
 
+def _Q(n, H, v):
+    """Q(v) = -1 + v^2 - H^2 v^2 - H^2 v^(2-2n) + 2 H^2 v^(2-n)."""
+    H2 = H * H
+    return (-1 + v * v - H2 * v * v - H2 * v ** (2 - 2 * n)
+            + 2 * H2 * v ** (2 - n))
+
+
 def test_Q_and_h_special_values():
+    # R is Q in the offset from its root 1: v^(2n-2) Q(1 + x) = x R(x),
+    # so Q(1) = 0; and xi's integrand at phi = 0 (v = 1) is pi h(1) /
+    # sqrt(s(1)) with h(1) = n H
+    xs = np.array([-0.5, -1e-3, 0.0, 0.3, 2.0])
     for n, H in [(2, -1.0), (3, -1.5), (5, -7.0)]:
-        assert h.eval_Q(n, H, 1.0) == pytest.approx(0.0, abs=1e-12 * H * H)
-        assert h.eval_h(n, H, 1.0) == pytest.approx(n * H, rel=1e-14)
+        lhs = (1 + xs) ** (2 * n - 2) * _Q(n, H, 1 + xs)
+        rhs = xs * horner(potential._Q_shifted(n, H), xs)
+        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * H * H)
+        if H < -1:
+            x = _Q_upper_root(n, H)
+            rem = quadrature._synthetic_deflate(potential._Q_shifted(n, H), x)
+            f0 = quadrature._xi_integrand(n, H, x / 2, rem, np.zeros(1))[0]
+            assert f0 == pytest.approx(math.pi * n * H / math.sqrt(-rem[-1]),
+                                       rel=1e-14)
 
 
 def test_Q_second_derivative_identity():
-    # -Q''(1)/2 = n^2 H^2 - 1, checked by central differences
-    for n, H in [(2, -1.2), (4, -3.0)]:
-        d = 1e-5
-        second = (h.eval_Q(n, H, 1 + d) - 2 * h.eval_Q(n, H, 1.0)
-                  + h.eval_Q(n, H, 1 - d)) / (d * d)
-        assert -0.5 * second == pytest.approx(n * n * H * H - 1, rel=1e-5)
+    # -Q''(1)/2 = n^2 H^2 - 1: from v^(2n-2) Q(1 + x) = x R(x), Q'(1) =
+    # R(0) = 2 and -Q''(1)/2 = 4(n - 1) - R'(0)
+    for n, H in [(2, -1.2), (4, -3.0), (7, -1.01)]:
+        R = potential._Q_shifted(n, H)
+        assert R[-1] == 2.0
+        assert 4 * (n - 1) - R[-2] == pytest.approx(n * n * H * H - 1,
+                                                    rel=1e-14)
 
 
 def test_h_regular_through_one():
-    # the factored form must be smooth across the removable point v = 1
+    # xi's integrand is even in phi and smooth through phi = 0, where
+    # v = 1 + 2a sin^2(phi/2) touches the root 1 of Q
     n, H = 4, -1.3
-    vals = [h.eval_h(n, H, v) for v in (1 - 1e-9, 1.0, 1 + 1e-9)]
+    x = _Q_upper_root(n, H)
+    rem = quadrature._synthetic_deflate(potential._Q_shifted(n, H), x)
+    vals = quadrature._xi_integrand(n, H, x / 2, rem,
+                                    np.array([-1e-4, 0.0, 1e-4]))
+    assert vals[0] == vals[2]
     assert max(vals) - min(vals) < 1e-7
 
 

@@ -9,7 +9,7 @@ import hypcmc as h
 from hypcmc import profile
 
 import frozen
-from oracles import closed_form_g_n2
+from oracles import closed_form_g_n2, scalar_immerse
 
 NEAR_AXIS = h.ShapeParams(2, -1.1, -0.9091743461769703)
 
@@ -317,13 +317,14 @@ def _bits(a):
 def test_surface_grid_points_on_hyperboloid():
     params = h.ShapeParams(2, -1.1, -0.5)
     curve = h.integrate_profile(params, samples_per_period=32)
-    fibers = [h.FiberPoint.from_rapidity(v) for v in (-0.5, 0.0, 0.5)]
+    fibers = [h.FiberPoint((math.sinh(v), math.cosh(v)))
+              for v in (-0.5, 0.0, 0.5)]
     grid = h.surface_grid(curve, fibers)
     assert grid.shape == (3, len(curve.t), params.n + 2)
     inners = (np.sum(grid[..., :-1] ** 2, axis=-1) - grid[..., -1] ** 2)
     assert np.allclose(inners, -1.0, atol=1e-10)
-    # every point is immerse_point's, bit for bit
-    loop = np.array([[h.immerse_point(params, {"r": r, "theta": th}, y)
+    # every point is the one-point formula's, bit for bit
+    loop = np.array([[scalar_immerse(r, th, y.y)
                       for r, th in zip(curve.r, curve.theta)] for y in fibers])
     assert np.array_equal(_bits(grid), _bits(loop))
     with pytest.raises(h.DimensionError):

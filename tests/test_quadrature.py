@@ -22,12 +22,14 @@ from oracles import (
     FLUX2_H,
     adaptive_simpson,
     agm_xi2,
+    b2,
     carlson_flux2,
     flux2_grid,
     gauss_chebyshev_flux_n2,
     gauss_chebyshev_period_n2,
     geometric_flux,
     loop_angle_rate,
+    q,
     singular_integral_extrapolated,
     two_call_phase_mean,
     xi2_direct,
@@ -381,7 +383,7 @@ def test_period_higher_n_against_extrapolated_simpson():
     p = h.ShapeParams(3, -1.4, -0.4)
     t1, t2 = h.oscillation_roots(p)
     ref = 2 * singular_integral_extrapolated(
-        lambda v: 1.0 / math.sqrt(h.eval_q(p, v)), t1, t2)
+        lambda v: 1.0 / math.sqrt(q(3, -1.4, -0.4, v)), t1, t2)
     res = h.period_T(p, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(ref, abs=1e-8)
@@ -793,19 +795,18 @@ def test_flux_limit_at_C0():
 
 def test_b2_matches_general_limit():
     for H in (-1.1, -1.5, -4.0):
-        assert h.b2(H) == pytest.approx(h.K_limit_at_C0(2, H), rel=1e-14)
+        assert b2(H) == pytest.approx(h.K_limit_at_C0(2, H), rel=1e-14)
 
 
 def test_closed_form_limits_use_no_float_C0():
-    # K_limit_at_C0 and b2 need no C0, so a float C0 that lost its sign,
-    # which every shape refuses, refuses neither: they tend to -2 pi as
-    # H -> -inf, and K_limit_at_C0 -> -sqrt(5) pi at n = 6 as H -> -1
+    # K_limit_at_C0 needs no C0, so a float C0 that lost its sign, which
+    # every shape refuses, does not refuse it: it tends to -2 pi as
+    # H -> -inf, and to -sqrt(5) pi at n = 6 as H -> -1
     H1 = math.nextafter(-1, -math.inf)
     for n, H in ((2, -1e8), (5, -1e8), (6, H1)):
         assert not h.C0(n, H) < 0
         with pytest.raises(h.DomainError, match="has lost its sign"):
             h.ShapeParams(n, H, -1e-3)
-    assert h.b2(-1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
     assert h.K_limit_at_C0(2, -1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
     assert h.K_limit_at_C0(5, -1e8) == pytest.approx(-2 * math.pi, rel=1e-14)
     assert h.K_limit_at_C0(6, H1) == pytest.approx(-math.sqrt(5) * math.pi,

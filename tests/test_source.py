@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,47 @@ def test_unread_private_name_is_found():
                        "    pass\n\n\na._used(_Private)\n"),
     }
     assert _unread_private_names(trees) == [("a", "_dead"), ("a", "_Y")]
+
+
+def _exports(init):
+    """The names an ``__init__`` imports from its submodules."""
+    return [a.asname or a.name for node in init.body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def _code_names(markdown):
+    """The identifiers in the code of a Markdown text: its fenced blocks
+    and its inline code spans."""
+    parts = markdown.split("```")
+    code = parts[1::2] + [span for text in parts[::2]
+                          for span in re.findall(r"`([^`]+)`", text)]
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def _unused_exports(init, trees, readme):
+    """The names ``init`` re-exports that no module of ``trees`` reads and
+    that the code of the Markdown text ``readme`` does not name."""
+    used = set().union(*map(_read_names, trees.values()),
+                       _code_names(readme))
+    return [name for name in _exports(init) if name not in used]
+
+
+def test_every_export_is_read_or_documented():
+    # the public API is what the library's own modules (the CLI among
+    # them) read and what the README names; anything else is a second API
+    # that only its tests reach
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert _unused_exports(init, trees, readme) == []
+
+
+def test_unused_export_is_found():
+    init = ast.parse("from .a import fenced, named, read, unread\n")
+    trees = {"a": ast.parse("def fenced():\n    return read()\n")}
+    # a word outside the code does not name a function
+    readme = "Use `named(x)`, not unread:\n\n```python\nfenced()\n```\n"
+    assert _unused_exports(init, trees, readme) == ["unread"]
 
 
 def test_layer_times_runs(capsys):
