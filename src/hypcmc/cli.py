@@ -320,15 +320,14 @@ def _cmd_check(args):
     # interior draws; each batch holds only draws that a loop over them,
     # stopping at the 100th evaluated one, reaches
     rng = np.random.default_rng(20240817)
-    lo = curve.t[0] + 2e-5
-    hi = curve.t[-1] - 2e-5
-    draws = rng.uniform(lo, hi, 200)
+    margin = 2 * lorentz.FD_STEP
+    draws = rng.uniform(curve.t[0] + margin, curve.t[-1] - margin, 200)
     errors = []
     used = 0
     while len(errors) < 100 and used < len(draws):
         batch = draws[used:used + 100 - len(errors)]
         used += len(batch)
-        evaluated, _, _, H_est = lorentz.curvature_rows(params, curve, batch)
+        evaluated, _, _, H_est = lorentz.curvature_rows(curve, batch)
         errors += np.abs(H_est[evaluated] - args.H).tolist()
     worst = _running_max(errors)
     evaluated = len(errors)

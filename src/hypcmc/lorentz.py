@@ -7,15 +7,14 @@ coordinate is timelike.  Hypersurface points are
 phi = (sqrt(r^2-1) cos(theta), sqrt(r^2-1) sin(theta), r * y), where y
 is a point of the fiber H^(n-1) embedded in Lorentzian R^n.
 
-Each formula is written once, over rows (``inner_rows``, ``immerse_rows``,
-``gauss_rows``, ``curvature_rows``), and each row has the bits of the same
-formula taken at one point.
+Each formula is written once, as array code over rows (``inner_rows``,
+``immerse_rows``, ``gauss_rows``, ``curvature_rows``), not as bit copies
+of per-point formulas; ``curvature_rows`` reads its shape from the curve.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,11 +26,11 @@ from .errors import (
     InconsistentStateError,
     ParameterRangeError,
 )
-from .potential import ShapeParams
 
 FIBER_TOL = 1e-12
 FIRST_INTEGRAL_TOL = 1e-6
 NEAR_AXIS_EPS = 1e-8
+FD_STEP = 1e-5
 
 
 def inner_rows(v, w):
@@ -54,8 +53,10 @@ class FiberPoint:
         # an overflowed square, or inf - inf (NaN), is refused below
         with np.errstate(over="ignore", invalid="ignore"):
             self_inner = float(inner_rows(arr, arr))
-        # written so that a NaN or infinite coordinate fails each check
-        if not abs(self_inner + 1.0) <= FIBER_TOL:
+            size = float(arr @ arr)
+        # relative to |y|^2, the scale of the rounding of <y, y>; written
+        # so that a NaN or infinite coordinate fails each check
+        if not abs(self_inner + 1.0) <= FIBER_TOL * size:
             raise DomainError(
                 f"fiber point has self-inner {self_inner!r}, expected -1"
             )
@@ -82,14 +83,6 @@ def _fiber_array(y, n: int) -> np.ndarray:
     return ya
 
 
-def _cos_sin(theta):
-    """cos and sin of each entry by math's calls, as the scalar formulas
-    take them (an array call may take a SIMD path whose last bit differs)."""
-    flat = theta.ravel().tolist()
-    return [np.reshape([f(x) for x in flat], theta.shape)
-            for f in (math.cos, math.sin)]
-
-
 def _ambient(x1, x2, fiber):
     """Vectors (x1, x2, fiber) of R^(n+2), x1 and x2 broadcast to fiber's rows."""
     head = np.stack(np.broadcast_arrays(x1, x2, fiber[..., 0])[:2], axis=-1)
@@ -104,20 +97,19 @@ def immerse_rows(r, theta, y) -> np.ndarray:
         raise DomainError(
             f"r={float(r.flat[below[0]])} < 1 leaves the hyperboloid chart")
     rad = np.sqrt(r * r - 1.0)
-    cos, sin = _cos_sin(theta)
-    return _ambient(rad * cos, rad * sin, r[..., None] * y)
+    return _ambient(rad * np.cos(theta), rad * np.sin(theta), r[..., None] * y)
 
 
-def gauss_rows(r, rp, lam, theta, y, tol: float = FIRST_INTEGRAL_TOL):
+def gauss_rows(r, rp, lam, theta, y):
     """Unit normal nu of the immersion over rows, with y as in immerse_rows:
 
     nu = -r lam (0, 0, y) - (r^2 lam / sqrt(r^2-1)) B2 + (r' / sqrt(r^2-1)) B3
     with B2 = (cos th, sin th, 0...), B3 = (-sin th, cos th, 0...).  Each
     state must have r > 1 and satisfy the first integral
-    (r')^2 + lam^2 r^2 = r^2 - 1 to within tol; the first row that does
-    not raises."""
+    (r')^2 + lam^2 r^2 = r^2 - 1 to within FIRST_INTEGRAL_TOL; the first
+    row that does not raises."""
     resid = np.abs(rp * rp + lam * lam * r * r - (r * r - 1.0))
-    bad = np.flatnonzero((r <= 1.0) | (resid > tol))
+    bad = np.flatnonzero((r <= 1.0) | (resid > FIRST_INTEGRAL_TOL))
     if bad.size and r.flat[bad[0]] <= 1.0:
         raise DomainError("the Gauss map requires r > 1, "
                           f"got r={float(r.flat[bad[0]])}")
@@ -126,10 +118,9 @@ def gauss_rows(r, rp, lam, theta, y, tol: float = FIRST_INTEGRAL_TOL):
             f"state violates (r')^2 + lam^2 r^2 = r^2 - 1 by {resid.flat[bad[0]]:.3e}"
         )
     rad = np.sqrt(r * r - 1.0)
-    cos, sin = _cos_sin(theta)
+    cos, sin = np.cos(theta), np.sin(theta)
     a, b = r * r * lam / rad, rp / rad
-    # 0.0 + x, as the scalar formula adds onto a zero entry (-0.0 -> 0.0)
-    nu = _ambient(0.0 + (-a * cos - b * sin), 0.0 + (-a * sin + b * cos),
+    nu = _ambient(-a * cos - b * sin, -a * sin + b * cos,
                   (-r * lam)[..., None] * y)
     # on the constraint manifold the formula is exactly unit; normalizing
     # removes the first-order effect of the state's residual
@@ -149,56 +140,45 @@ def _curvature(r, rp, lam, theta, y, steps):
     return (4 * kappa[:, 0] - kappa[:, 1]) / 3
 
 
-def curvature_rows(params: ShapeParams, curve, ts, fd_step: float = 1e-5,
-                   fiber_direction: int = 0):
+def curvature_rows(curve, ts):
     """Both principal curvatures and H by centered finite differences at
     each of the times ``ts``, as arrays (evaluated, lambda_est, mu_est,
-    H_est), NaN where not evaluated.
+    H_est), NaN where not evaluated; n, H and C are ``curve.params``'.
 
     Differentiates phi and nu along the arc direction (for mu) and along
-    a fiber geodesic through the axis point (for lambda), with Richardson
-    extrapolation over step sizes fd_step and fd_step/2.  Near the axis
-    (r - 1 < NEAR_AXIS_EPS) the B2 coefficient of nu degenerates and the
-    time is not evaluated.  The states at t, t +- fd_step/2 and
-    t +- fd_step come from one ``curve.state_arrays`` call with one row
-    per t; each state has the bits of a lone ``state`` call, so each row
-    has those of the same estimate at one time alone.
+    the fiber geodesic through the axis point in the first fiber
+    direction (for lambda), with Richardson extrapolation over step sizes
+    FD_STEP and FD_STEP/2.  Near the axis (r - 1 < NEAR_AXIS_EPS) the B2
+    coefficient of nu degenerates and the time is not evaluated.  The
+    states at t, t +- FD_STEP/2 and t +- FD_STEP come from one
+    ``curve.state_arrays`` call with one row per t; each state has the
+    bits of a lone ``state`` call, so each row has those of the same
+    estimate at one time alone.
     """
-    if not 0 < fd_step < math.inf:
-        raise DomainError(f"fd_step must be positive and finite, "
-                          f"got {fd_step!r}")
-    if not (isinstance(fiber_direction, numbers.Integral)
-            and 0 <= fiber_direction < params.n - 1):
-        raise DomainError(f"fiber_direction must be an integer in "
-                          f"[0, {params.n - 2}], got {fiber_direction!r}")
     ts = np.asarray(ts, dtype=float)
-    outside = np.flatnonzero(~((curve.t[0] + fd_step <= ts)
-                               & (ts <= curve.t[-1] - fd_step)))
+    outside = np.flatnonzero(~((curve.t[0] + FD_STEP <= ts)
+                               & (ts <= curve.t[-1] - FD_STEP)))
     if outside.size:
         raise ParameterRangeError(
             f"t={float(ts[outside[0]])} (with fd margin) outside sampled range "
             f"[{curve.t[0]}, {curve.t[-1]}]"
         )
-    n, half = params.n, fd_step / 2
+    params = curve.params
+    n, half = params.n, FD_STEP / 2
     g, gp, theta = curve.state_arrays(np.column_stack(
-        (ts, ts + half, ts - half, ts + fd_step, ts - fd_step)))
+        (ts, ts + half, ts - half, ts + FD_STEP, ts - FD_STEP)))
     sq = math.sqrt(-params.C)
     r = g / sq
     evaluated = ~(r[:, 0] - 1.0 < NEAR_AXIS_EPS)
     est = np.full((3, len(ts)), np.nan)
     if evaluated.any():
         state = [x[evaluated] for x in (r, gp / sq, params.H + g ** (-n), theta)]
-
-        def fiber_point(s):
-            # on the geodesic through the axis point in the fiber direction
-            coords = [0.0] * n
-            coords[fiber_direction], coords[-1] = math.sinh(s), math.cosh(s)
-            return FiberPoint(coords).y
-
-        steps = (half, fd_step)
+        steps = (half, FD_STEP)
         mu_est = _curvature(*(x[:, 1:] for x in state),
                             FiberPoint.axis(n).as_array(), steps)
-        ys = np.array([fiber_point(s) for s in (half, -half, fd_step, -fd_step)])
+        # the fiber points at offsets s along the first fiber direction
+        s = np.array([[half], [-half], [FD_STEP], [-FD_STEP]])
+        ys = np.hstack((np.sinh(s), np.zeros((4, n - 2)), np.cosh(s)))
         lam_est = _curvature(*(x[:, :1] for x in state), ys, steps)
         est[:, evaluated] = (lam_est, mu_est, ((n - 1) * lam_est + mu_est) / n)
     return (evaluated, *est)

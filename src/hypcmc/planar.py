@@ -18,10 +18,12 @@ SWEEP_TOL = 1e-9
 
 def _polygon(points, least: int) -> np.ndarray:
     """The vertices as an (N, 2) float array, after a DomainError unless
-    that is their shape and N >= least."""
+    that is their shape, N >= least and every vertex is finite."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < least:
         raise DomainError(f"need an (N, 2) array of at least {least} points")
+    if not np.isfinite(pts).all():
+        raise DomainError("polygon has a vertex that is not finite")
     return pts
 
 
@@ -34,8 +36,8 @@ def polygon_is_closed(points, tol: float = CLOSURE_TOL) -> bool:
 def winding_number(points, center=(0.0, 0.0)) -> int:
     """Winding of the closed polygon about a center, by angle summation."""
     pts = _polygon(points, 3) - np.asarray(center, dtype=float)
-    if not np.isfinite(pts).all():
-        raise DomainError("polygon has a vertex or center that is not finite")
+    if not np.isfinite(pts).all():  # the vertices are finite
+        raise DomainError("the center is not finite, or too far from a vertex")
     if np.any(np.hypot(pts[:, 0], pts[:, 1]) == 0):
         raise DomainError("polygon passes through the center")
     ang = np.arctan2(pts[:, 1], pts[:, 0])

@@ -151,9 +151,9 @@ def _derivative(coeffs) -> tuple:
 
 
 def v0(n: int, H: float) -> float:
-    """Unique positive critical point of q."""
-    s = math.sqrt(n * n * H * H - 4 * n + 4)
-    return ((H * (n - 2) + s) / (2 * H * H - 2)) ** (1.0 / n)
+    """Unique positive critical point of q, from _p_double_root's
+    z0 = v0^(-n), which cancels at neither end of H."""
+    return _p_double_root(n, H)[0] ** (-1 / n)
 
 
 def C0(n: int, H: float) -> float:

@@ -58,6 +58,15 @@ machine.  It takes about half a minute.  Two checkouts compare with
 
     diff <(python3 old/tests/layer_times.py) <(python3 new/tests/layer_times.py)
 
+A fifth table gives the median ms per call of the lorentz maps and the
+planar sweep: ``lorentz.immerse_rows``, ``gauss_rows`` and
+``curvature_rows`` as the first ``check`` op of the ``geometry``
+benchmark's seed-1 plan calls them (an inner call of one inside another
+is not counted apart), with their calls per op, and
+``planar.polygon_is_closed``, ``winding_number`` and
+``has_self_intersection`` on the fig2 profile polygon, as the benchmark
+runs them on each profile.
+
 ``perfbench`` is only read.  The file name does not start with
 ``test_``, so pytest does not collect it; ``tests/test_source.py`` runs
 it once with one repeat, so it keeps up with the functions it calls.
@@ -175,6 +184,7 @@ def main(argv=None):
     kernel_table(h, args.repeats)
     reference_table(h, args.repeats)
     csv_table(args.repeats)
+    geometry_table(h, args.repeats)
 
 
 def kernel_table(h, repeats):
@@ -384,6 +394,67 @@ def csv_table(repeats):
                   f"minflt={statistics.median(faults):.0f} "
                   f"left_to_repr={left}")
             start += len(block)
+
+
+def geometry_table(h, repeats):
+    """Print the median ms per call of the lorentz maps in one seeded
+    check op, outermost calls only, and of the planar diagnostics on the
+    fig2 profile polygon."""
+    import hypcmc.cli as cli
+    from cli_digest import _workloads
+    from hypcmc import lorentz, planar
+
+    wl = _workloads()
+    refs = wl.load_refs(ROOT / "perfbench" / "refs")
+    op = next(o for o in wl.plan("geometry", refs, 1, 0)
+              if o["kind"] == "check")
+    names = ("immerse_rows", "gauss_rows", "curvature_rows")
+    originals = {name: getattr(lorentz, name) for name in names}
+    samples, depth = {name: [] for name in names}, [0]
+
+    def wrap(name, fn):
+        def timed(*args, **kw):
+            depth[0] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    samples[name].append(time.perf_counter() - start)
+        return timed
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(op["argv"])  # warm-up
+        for name, fn in originals.items():
+            setattr(lorentz, name, wrap(name, fn))
+        try:
+            for _ in range(repeats):
+                cli.main(op["argv"])
+        finally:
+            for name, fn in originals.items():
+                setattr(lorentz, name, fn)
+    print("lorentz maps and planar sweep, median ms per call")
+    print(f"  {' '.join(op['argv'])}: " + "  ".join(
+        f"{name}={median_ms(s):.3f} ({len(s) // repeats}/op)"
+        for name, s in samples.items()))
+    fig = cli.FIGURE_PROFILES["fig2"]
+    curve = h.integrate_profile(h.ShapeParams(fig["n"], fig["H"], fig["C"]),
+                                m_periods=fig["periods"])
+    alpha = h.profile_alpha(curve)
+    closed = planar.polygon_is_closed(alpha)
+    calls = {"polygon_is_closed": lambda: planar.polygon_is_closed(alpha),
+             "winding_number": lambda: planar.winding_number(alpha),
+             "has_self_intersection":
+                 lambda: planar.has_self_intersection(alpha, closed=closed)}
+    times = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - start)
+    print(f"  fig2 polygon ({len(alpha)} vertices): " + "  ".join(
+        f"{name}={median_ms(s):.3f}" for name, s in times.items()))
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ def test_criterion_7_geometry_suite():
         # the first 100 evaluated of 400 draws
         rng = np.random.default_rng(20240817)
         draws = rng.uniform(curve.t[0] + 2e-5, curve.t[-1] - 2e-5, 400)
-        done, _, _, H_est = lorentz.curvature_rows(params, curve, draws)
+        done, _, _, H_est = lorentz.curvature_rows(curve, draws)
         H_est = H_est[done][:100]
         fd_worst = float(np.max(np.abs(H_est - H), initial=0.0))
         evaluated = len(H_est)

@@ -466,6 +466,21 @@ def test_bad_tolerance_count_or_span_exit_2(capsys, argv):
     assert json.loads(err)["kind"] == "DomainError"
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_surface_takes_far_fiber_spans(capsys, n):
+    # the rounding of sinh^2 - cosh^2 grows like eps cosh^2, and the fiber
+    # points' check is relative to |y|^2: these spans used to be refused
+    for span in (5.0, 10.0, 20.0):
+        code, out, err = run_cli(capsys, *_shape_argv(
+            "surface", n, "-1.1", "-0.5", "--samples=16", "--fibers=3",
+            f"--fiber-span={span}"))
+        assert (code, err) == (0, "")
+        # the last fiber's point (r sinh v, 0, ..., r cosh v) in x3 ...
+        last = [float(x) for x in out.splitlines()[-1].split(",")]
+        assert last[0] == 2 and last[-1] / last[4] == pytest.approx(
+            math.cosh(span) / math.sinh(span), rel=1e-15)
+
+
 @pytest.mark.parametrize("command", [("h0", "--n", "2"), SOLVE_C],
                          ids=["h0", "solve-c"])
 @pytest.mark.parametrize("tol", ["-1e-12", "0", "inf", "nan"])
@@ -511,7 +526,7 @@ def _refusals():
         kind = "DomainError" if C == "-1e-320" else "ParameterRangeError"
         for command in PROFILE_COMMANDS:
             yield _shape_argv(command, C=C), kind
-    for span in ("710", "-710", "inf", "-inf", "nan"):
+    for span in ("400", "710", "-710", "inf", "-inf", "nan"):
         yield (_shape_argv("surface", "2", "-1.1", "-0.5",
                            f"--fiber-span={span}"), "DomainError")
     for value in ("nan", "-inf"):
@@ -543,6 +558,9 @@ REFUSAL_MESSAGES = {
        f"--H-to must be finite, got {float(v)}" for v in ("nan", "-inf")},
     ("sweep", "--n=1", "--H-from=-3", "--H-to=-1.5", "--steps=0"):
         "n must be an integer >= 2, got 1",
+    # the fiber points' squares overflow
+    tuple(_shape_argv("surface", "2", "-1.1", "-0.5", "--fiber-span=400")):
+        "fiber point has self-inner nan, expected -1",
     **{tuple(_shape_argv(command, H="-inf")): "H=-inf is too large: C0=nan"
        for command in SHAPE_COMMANDS},
     **{tuple(_shape_argv(command, n=n, H=H, C="-0.001")):
@@ -987,7 +1005,7 @@ def test_check_fd_draws_as_a_loop(capsys, monkeypatch):
     asked = []
 
     def recording(*args):
-        asked.extend(np.asarray(args[2]).tolist())
+        asked.extend(np.asarray(args[1]).tolist())
         return rows(*args)
 
     r_minus_1 = curve.state_arrays(draws)[0] / math.sqrt(-params.C) - 1.0
@@ -997,7 +1015,7 @@ def test_check_fd_draws_as_a_loop(capsys, monkeypatch):
                             float(np.quantile(r_minus_1, q)))
         worst, evaluated, reached = 0.0, 0, []
         for t in draws:
-            done, _, _, H_est = rows(params, curve, [t])
+            done, _, _, H_est = rows(curve, [t])
             reached.append(t)
             if done[0]:
                 worst = max(worst, abs(float(H_est[0]) - params.H))

@@ -36,6 +36,11 @@ def test_winding_number_basic():
     assert h.winding_number(_circle(), center=(3.0, 0.0)) == 0
     with pytest.raises(h.DomainError):
         h.winding_number(_circle(), center=(1.0, 0.0))
+    for center in ((math.nan, 0.0), (0.0, math.inf), (-1e308, 0.0)):
+        # the last one's differences overflow
+        with pytest.raises(h.DomainError, match="the center is not finite"), \
+                np.errstate(over="ignore"):
+            h.winding_number(_circle(r=1e308), center=center)
 
 
 def test_self_intersection_simple_shapes():
@@ -93,23 +98,28 @@ MALFORMED = {
     "empty": (np.zeros((0, 2)), "need an (N, 2) array of at least 3 points"),
     "one_point": ([[1.0, 0.0]], "need an (N, 2) array of at least 3 points"),
     "nan_vertex": ([[1.0, 0.0], [math.nan, 1.0], [-1.0, 0.0]],
-                   "polygon has a vertex or center that is not finite"),
+                   "polygon has a vertex that is not finite"),
     "inf_vertex": ([[1.0, 0.0], [0.0, math.inf], [-1.0, 0.0]],
-                   "polygon has a vertex or center that is not finite"),
+                   "polygon has a vertex that is not finite"),
+    # every orientation test on a NaN is False: the sweep reported no
+    # crossing here, where the finite bowtie crosses itself
+    "nan_bowtie": ([[0.0, 0.0], [math.nan, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                   "polygon has a vertex that is not finite"),
 }
 
 
 @pytest.mark.parametrize("points, message", MALFORMED.values(),
                          ids=MALFORMED.keys())
 def test_winding_number_refuses_a_malformed_polygon(points, message):
-    # the shape check of polygon_is_closed and has_self_intersection,
-    # and a non-finite vertex, which has no angle
-    with pytest.raises(h.DomainError) as exc:
-        h.winding_number(points)
-    assert str(exc.value) == message
-    if "finite" not in message:
-        with pytest.raises(h.DomainError, match=r"need an \(N, 2\) array"):
-            h.has_self_intersection(points)
+    # one shape and finiteness check serves all three diagnostics (a
+    # closure test takes 2 points)
+    for diagnostic in (h.winding_number, h.has_self_intersection):
+        with pytest.raises(h.DomainError) as exc:
+            diagnostic(points)
+        assert str(exc.value) == message
+    if "finite" in message:
+        with pytest.raises(h.DomainError, match=message):
+            h.polygon_is_closed(points)
 
 
 def test_profile_curve_diagnostics_integration():

@@ -58,6 +58,21 @@ def test_v0_unit_at_special_H():
     assert h.v0(2, -math.sqrt(2)) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("H", [math.nextafter(-1.0, -math.inf), -1 - 1e-12,
+                               -1.0001, -1e3, -1e6])
+def test_v0_against_mpmath_at_both_ends_of_H(H):
+    # v0 from _p_double_root subtracts no close numbers: within 3e-16 of
+    # 50-digit mpmath at n = 2..8 (the cancelling closed form was 2.2e-5
+    # off at (5, -1 - 1e-12))
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        Hm = mp.mpf(H)
+        for n in range(2, 9):
+            s = mp.sqrt(n * n * Hm * Hm - 4 * n + 4)
+            ref = ((Hm * (n - 2) + s) / (2 * Hm * Hm - 2)) ** (mp.mpf(1) / n)
+            assert abs(h.v0(n, H) - ref) <= 3e-16 * ref, (n, H)
+
+
 def test_Ctilde_reduces_to_reciprocal_at_n2():
     assert h.Ctilde(2, -1.1) == pytest.approx(1 / -1.1, abs=1e-15)
 

@@ -137,3 +137,4 @@ def test_layer_times_runs(capsys):
     assert out.count("rows=4096/4096") == 2
     assert "closure kernels, median ms per call:" in out
     assert "CSV passes" in out
+    assert "lorentz maps and planar sweep, median ms per call" in out
